@@ -6,8 +6,8 @@ CGLMP Bell inequalities both analytically and by full field simulation.
 """
 
 from .bell import (BellResult, MeasurementSettings, ScanRow, bell_analytic,
-                   bell_field, bell_scan, cglmp_value, joint_prob_analytic,
-                   joint_prob_field)
+                   bell_field, bell_point, bell_scan, cglmp_value,
+                   joint_prob_analytic, joint_prob_field)
 from .constraints import (HardwareSpec, gate_distances, max_dimension,
                           mutual_information)
 from .errors import (AliasingRisk, BinMisalignment, GridMismatch, InvalidSpec,

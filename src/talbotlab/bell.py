@@ -18,7 +18,6 @@ flag.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -41,6 +40,7 @@ __all__ = [
     "cglmp_value",
     "bell_analytic",
     "bell_field",
+    "bell_point",
     "bell_scan",
     "ScanRow",
 ]
@@ -82,7 +82,7 @@ def _validate_table(table: np.ndarray, atol: float = 1e-6) -> np.ndarray:
         raise InvalidSpec("joint table must be square")
     if t.min() < -1e-12:
         raise NonNormalized(f"negative probability {t.min():.2e}")
-    if abs(t.sum() - 1.0) > atol:
+    if not abs(t.sum() - 1.0) <= atol:
         raise NonNormalized(f"table sums to {t.sum():.8f}, expected 1")
     return t
 
@@ -209,6 +209,8 @@ def cglmp_value(
     d = tabs[0].shape[0]
     if any(t.shape != (d, d) for t in tabs):
         raise InvalidSpec("all tables must share one dimension")
+    if d < 2:
+        raise InvalidSpec(f"CGLMP needs D >= 2, got D = {d}")
     p11, p12, p21, p22 = tabs
     j_values = []
     value = 0.0
@@ -301,30 +303,30 @@ class ScanRow:
     value: float
 
 
-def _scan_point(dim: int, kappa_plus: float, kappa_minus: float, spacing: float,
-                route: str, settings: MeasurementSettings,
-                field_kwargs: dict) -> ScanRow:
+def bell_point(dimension: int, kappa_plus: float, kappa_minus: float, spacing: float = 1.0,
+               route: str = "analytic", settings: MeasurementSettings = MeasurementSettings(),
+               slit_width: float = 0.05, provenance: dict | None = None,
+               **field_kwargs) -> BellResult:
+    """Bell evaluation of the pair state behind a D-slit source.
+
+    Source widths and slit width are in units of the slit spacing;
+    ``kappa_minus = 0`` selects the ideal maximally entangled state.  The
+    field route takes the slit width and ``field_kwargs`` (grid and
+    envelope options of :func:`bell_field`); the analytic route ignores them.
+    """
     if kappa_minus == 0.0:
-        coeffs = maximally_entangled(dim)
-        correlation = 1.0
+        coeffs = maximally_entangled(dimension)
     else:
-        model = BiphotonGaussian(kappa_plus, kappa_minus)
-        coeffs = entangled_coeffs(dim, spacing, model)
-        correlation = model.correlation
+        model = BiphotonGaussian(kappa_plus * spacing, kappa_minus * spacing)
+        coeffs = entangled_coeffs(dimension, spacing, model)
     if route == "analytic":
-        res = bell_analytic(coeffs, settings)
-    elif route == "field":
-        slit_width = field_kwargs.get("slit_width", 0.05 * spacing)
-        slits = SlitArray(dim, spacing, slit_width)
-        geom = SynthesizerGeometry.for_dimension(dim, spacing)
-        res = bell_field(coeffs, slits, geom,
-                         samples_per_cell=field_kwargs.get("samples_per_cell", 64),
-                         cells=field_kwargs.get("cells", 64),
-                         envelope=field_kwargs.get("envelope", False),
-                         settings=settings)
-    else:
-        raise InvalidSpec("route must be 'analytic' or 'field'")
-    return ScanRow(dim, kappa_plus, kappa_minus, correlation, route, res.value)
+        return bell_analytic(coeffs, settings, provenance=provenance)
+    if route == "field":
+        slits = SlitArray(dimension, spacing, slit_width * spacing)
+        geom = SynthesizerGeometry.for_dimension(dimension, spacing)
+        return bell_field(coeffs, slits, geom, settings=settings, provenance=provenance,
+                          **field_kwargs)
+    raise InvalidSpec("route must be 'analytic' or 'field'")
 
 
 def bell_scan(
@@ -333,24 +335,19 @@ def bell_scan(
     spacing: float = 1.0,
     route: str = "analytic",
     settings: MeasurementSettings = MeasurementSettings(),
-    workers: int = 1,
     **field_kwargs,
 ) -> list:
     """Bell parameter over a grid of dimensions and source widths.
 
-    ``kappa_pairs`` is a sequence of ``(kappa_plus, kappa_minus)``;
-    ``kappa_minus = 0`` marks the ideal maximally entangled reference row.
-    Rows are returned ordered by the input grid regardless of the worker
-    count (deterministic output ordering).
+    ``kappa_pairs`` is a sequence of ``(kappa_plus, kappa_minus)`` in units
+    of the slit spacing; ``kappa_minus = 0`` marks the ideal maximally
+    entangled reference row.  Rows follow the input grid, dimensions
+    varying fastest; ``field_kwargs`` are passed to :func:`bell_point`.
     """
-    points = [(dim, kp, km) for kp, km in kappa_pairs for dim in dimensions]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_scan_point, dim, kp, km, spacing, route, settings,
-                            field_kwargs)
-                for dim, kp, km in points
-            ]
-            return [f.result() for f in futures]
-    return [_scan_point(dim, kp, km, spacing, route, settings, field_kwargs)
-            for dim, kp, km in points]
+    rows = []
+    for kp, km in kappa_pairs:
+        correlation = BiphotonGaussian(kp, km).correlation if km != 0.0 else 1.0
+        for dim in dimensions:
+            res = bell_point(dim, kp, km, spacing, route, settings, **field_kwargs)
+            rows.append(ScanRow(dim, kp, km, correlation, route, res.value))
+    return rows

@@ -18,17 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from . import constraints as hw
-from .bell import bell_analytic, bell_field, bell_scan
-from .errors import (AliasingRisk, BinMisalignment, InvalidSpec, NonNormalized,
-                     NotCoprime, TalbotLabError, UnderResolved)
+from .bell import bell_point, bell_scan
+from .errors import (AliasingRisk, BinMisalignment, InvalidSpec, TalbotLabError,
+                     UnderResolved)
 from .fields import (PropagationSpec, SampledField, get_profile,
                      mode_propagate, periodic_comb, sample, talbot_length)
 from .io import (bell_result_to_json, write_biphoton_csv, write_matrix_csv,
                  write_pgm, write_sampled_csv, write_scan_csv)
 from .spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry,
                    apply_dslit, entangled_coeffs, initial_biphoton_field,
-                   maximally_entangled, render_synthesized, synthesize_single,
-                   two_photon_field)
+                   render_synthesized, synthesize_single, two_photon_field)
 
 _GUARDS = (AliasingRisk, UnderResolved, BinMisalignment)
 
@@ -80,7 +79,6 @@ DEFAULTS = {
         "samples_per_cell": 64,
         "cells": 64,
         "envelope": False,
-        "convention": "correlated",
         "seed": None,
     },
     "bell-scan": {
@@ -102,28 +100,75 @@ DEFAULTS = {
 }
 
 
+def _integer(key: str, value, least: int = 1) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or not least <= value <= sys.float_info.max:
+        raise InvalidSpec(f"{key} must be a finite integer >= {least}, got {value!r}")
+    return value
+
+
+def _number(key: str, value, zero_ok: bool = False) -> float:
+    if type(value) is int and 0 <= value <= sys.float_info.max:
+        value = float(value)
+    if not (type(value) is float and math.isfinite(value)
+            and (value > 0 or zero_ok and value == 0)):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise InvalidSpec(f"{key} must be a finite number {bound}, got {value!r}")
+    return value
+
+
+def _list(key: str, value, length: int | None = None) -> list:
+    if not isinstance(value, list) or not value or (length and len(value) != length):
+        raise InvalidSpec(f"{key} must list {length or 'one or more'} entries, got {value!r}")
+    return value
+
+
+def _resolve(key: str, value, default):
+    """Coerce one config value to the type of its default and range-check it."""
+    if key == "dimensions":
+        return [_integer(key, d) for d in _list(key, value)]
+    if key == "pixels":
+        return tuple(_integer(key, n) for n in _list(key, value, length=2))
+    if key == "kappa_pairs" and value != "fig":
+        return [(_number("kappa_plus", _list(key, p, length=2)[0]),
+                 _number("kappa_minus", p[1], zero_ok=True)) for p in _list(key, value)]
+    if default is None:  # seed, and constraints.dimension where unset means the largest D
+        return None if value is None else _integer(key, value, least=0 if key == "seed" else 1)
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise InvalidSpec(f"{key} must be true or false, got {value!r}")
+        return value
+    if isinstance(default, int):
+        return _integer(key, value, least=2 if key == "z_steps" else 1)
+    if isinstance(default, float):
+        return _number(key, value, zero_ok=key == "kappa_minus")
+    return value  # strings are parsed where they are used
+
+
 def _load_config(command: str, args) -> dict:
-    config = dict(DEFAULTS[command])
+    overrides = {}
     if args.config:
         try:
-            loaded = json.loads(Path(args.config).read_text())
+            overrides = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidSpec(f"cannot read config {args.config}: {exc}")
-        for key, value in loaded.items():
-            if key not in config:
-                raise InvalidSpec(f"unknown config key {key!r} for {command}")
-            config[key] = value
+        if not isinstance(overrides, dict):
+            raise InvalidSpec(f"config {args.config} must hold a JSON object")
     for item in args.set or []:
-        if "=" not in item:
+        key, eq, raw = item.partition("=")
+        if not eq:
             raise InvalidSpec(f"--set expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        if key not in config:
-            raise InvalidSpec(f"unknown config key {key!r} for {command}")
         try:
-            config[key] = json.loads(raw)
+            overrides[key] = json.loads(raw)
         except json.JSONDecodeError:
-            config[key] = raw
-    return config
+            overrides[key] = raw
+    defaults = DEFAULTS[command]
+    for key in overrides:
+        if key not in defaults:
+            raise InvalidSpec(f"unknown config key {key!r} for {command}")
+    return {key: _resolve(key, value, defaults[key])
+            for key, value in {**defaults, **overrides}.items()}
 
 
 def _out_dir(args) -> Path:
@@ -138,17 +183,20 @@ def _parse_amplitudes(spec_value, dimension: int) -> np.ndarray:
     if isinstance(spec_value, str):
         if spec_value == "uniform":
             return np.full(dimension, 1.0 / math.sqrt(dimension), dtype=complex)
-        if spec_value.startswith("basis:"):
-            idx = int(spec_value.split(":", 1)[1])
-            if not 0 <= idx < dimension:
+        if spec_value.startswith("basis:") and spec_value[6:].isdecimal():
+            idx = int(spec_value[6:])
+            if not idx < dimension:
                 raise InvalidSpec(f"basis index {idx} outside 0..{dimension - 1}")
             amps = np.zeros(dimension, dtype=complex)
             amps[idx] = 1.0
             return amps
         raise InvalidSpec(f"amplitude spec {spec_value!r} not understood")
-    pairs = np.asarray(spec_value, dtype=float)
-    if pairs.shape != (dimension, 2):
-        raise InvalidSpec(f"amplitudes must be {dimension} [re, im] pairs")
+    try:
+        pairs = np.asarray(spec_value, dtype=float)
+    except (TypeError, ValueError):
+        pairs = None
+    if pairs is None or pairs.shape != (dimension, 2) or not np.isfinite(pairs).all():
+        raise InvalidSpec(f"amplitudes must be {dimension} finite [re, im] pairs")
     amps = pairs[:, 0] + 1j * pairs[:, 1]
     norm = np.linalg.norm(amps)
     if norm == 0:
@@ -159,20 +207,15 @@ def _parse_amplitudes(spec_value, dimension: int) -> np.ndarray:
 def cmd_carpet(args) -> int:
     cfg = _load_config("carpet", args)
     out = _out_dir(args)
-    dim = int(cfg["dimension"])
-    period = float(cfg["period"])
+    dim, period, wavelength = cfg["dimension"], cfg["period"], cfg["wavelength"]
+    spp, periods, steps = cfg["samples_per_period"], cfg["periods"], cfg["z_steps"]
     amps = _parse_amplitudes(cfg["state"], dim)
     offs = period / dim * np.arange(dim)
-    field = periodic_comb(period, float(cfg["slit_width"]) * period, offs, amps)
-    spp = int(cfg["samples_per_period"])
-    periods = int(cfg["periods"])
-    z_t = talbot_length(period, float(cfg["wavelength"]))
-    steps = int(cfg["z_steps"])
-    if steps < 2:
-        raise InvalidSpec("z_steps must be at least 2")
+    field = periodic_comb(period, cfg["slit_width"] * period, offs, amps)
+    z_t = talbot_length(period, wavelength)
     density = np.empty((steps, spp * periods))
     for i, frac in enumerate(np.linspace(0.0, 2.0, steps)):
-        spec = PropagationSpec(float(cfg["wavelength"]), frac * z_t)
+        spec = PropagationSpec(wavelength, frac * z_t)
         snap = sample(mode_propagate(field, spec), spp, periods)
         density[i] = np.abs(snap.values) ** 2
     write_matrix_csv(density, out / "carpet.csv", config=cfg)
@@ -184,21 +227,20 @@ def cmd_carpet(args) -> int:
 def cmd_synth(args) -> int:
     cfg = _load_config("synth", args)
     out = _out_dir(args)
-    dim = int(cfg["dimension"])
-    spacing = float(cfg["spacing"])
+    dim, spacing = cfg["dimension"], cfg["spacing"]
+    spc, cells = cfg["samples_per_cell"], cfg["cells"]
     profile = get_profile(cfg["profile"])
     amps = _parse_amplitudes(cfg["amplitudes"], dim)
-    slits = SlitArray(dim, spacing, float(cfg["slit_width"]) * spacing,
+    slits = SlitArray(dim, spacing, cfg["slit_width"] * spacing,
                       profile=profile, amplitudes=amps)
     geom = SynthesizerGeometry.for_dimension(dim, spacing,
-                                             spike_width=float(cfg["spike_width"]) * spacing)
-    n = int(cfg["samples_per_cell"]) * int(cfg["cells"])
-    dx = spacing / int(cfg["samples_per_cell"])
+                                             spike_width=cfg["spike_width"] * spacing)
+    n = spc * cells
+    dx = spacing / spc
     x = -n * dx / 2.0 + dx * np.arange(n)
     aperture = slits.transmission(x)
     output = render_synthesized(slits, geom, x)
-    ideal = sample(synthesize_single(slits, geom),
-                   int(cfg["samples_per_cell"]) * dim, int(cfg["cells"]) // dim or 1)
+    ideal = sample(synthesize_single(slits, geom), spc * dim, cells // dim or 1)
     write_sampled_csv(SampledField(float(x[0]), dx, aperture), out / "synth_input.csv",
                       config=cfg)
     write_sampled_csv(SampledField(float(x[0]), dx, output), out / "synth_output.csv",
@@ -211,16 +253,14 @@ def cmd_synth(args) -> int:
 def cmd_entangle(args) -> int:
     cfg = _load_config("entangle", args)
     out = _out_dir(args)
-    dim = int(cfg["dimension"])
-    s = float(cfg["spacing"])
-    model = BiphotonGaussian(float(cfg["kappa_plus"]) * s, float(cfg["kappa_minus"]) * s)
-    slits = SlitArray(dim, s, float(cfg["slit_width"]) * s)
-    geom = SynthesizerGeometry.for_dimension(dim, s,
-                                             spike_width=float(cfg["spike_width"]) * s)
+    dim, s = cfg["dimension"], cfg["spacing"]
+    model = BiphotonGaussian(cfg["kappa_plus"] * s, cfg["kappa_minus"] * s)
+    slits = SlitArray(dim, s, cfg["slit_width"] * s)
+    geom = SynthesizerGeometry.for_dimension(dim, s, spike_width=cfg["spike_width"] * s)
 
     def axis(cells, spc):
-        n = int(cells) * int(spc)
-        dx = s / int(spc)
+        n = cells * spc
+        dx = s / spc
         return -n * dx / 2.0 + dx * np.arange(n)
 
     x_a = axis(cfg["initial_window_cells"], cfg["initial_samples_per_cell"])
@@ -236,8 +276,8 @@ def cmd_entangle(args) -> int:
 
     coeffs = entangled_coeffs(dim, s, model)
     carpet = two_photon_field(coeffs, slits, geom,
-                              samples_per_cell=int(cfg["carpet_samples_per_cell"]),
-                              cells=int(cfg["carpet_window_cells"]))
+                              samples_per_cell=cfg["carpet_samples_per_cell"],
+                              cells=cfg["carpet_window_cells"])
     write_biphoton_csv(carpet, out / "entangle_carpet.csv", config=cfg)
     write_pgm(np.abs(carpet.values) ** 2, out / "entangle_carpet.pgm", config=cfg)
     print(f"entangle: initial, post-slit and carpet densities written to {out}"
@@ -248,46 +288,25 @@ def cmd_entangle(args) -> int:
 def cmd_bell(args) -> int:
     cfg = _load_config("bell", args)
     out = _out_dir(args)
-    dim = int(cfg["dimension"])
-    s = float(cfg["spacing"])
-    km = float(cfg["kappa_minus"])
-    if km == 0.0:
-        coeffs = maximally_entangled(dim)
-    else:
-        coeffs = entangled_coeffs(dim, s, BiphotonGaussian(float(cfg["kappa_plus"]) * s,
-                                                           km * s))
-    prov = {"config": cfg}
-    if cfg["route"] == "analytic":
-        result = bell_analytic(coeffs, provenance=prov)
-    elif cfg["route"] == "field":
-        slits = SlitArray(dim, s, float(cfg["slit_width"]) * s)
-        geom = SynthesizerGeometry.for_dimension(dim, s)
-        result = bell_field(coeffs, slits, geom,
-                            samples_per_cell=int(cfg["samples_per_cell"]),
-                            cells=int(cfg["cells"]),
-                            envelope=bool(cfg["envelope"]),
-                            provenance=prov)
-    else:
-        raise InvalidSpec("route must be 'analytic' or 'field'")
+    result = bell_point(cfg["dimension"], cfg["kappa_plus"], cfg["kappa_minus"],
+                        spacing=cfg["spacing"], route=cfg["route"],
+                        slit_width=cfg["slit_width"],
+                        samples_per_cell=cfg["samples_per_cell"], cells=cfg["cells"],
+                        envelope=cfg["envelope"], provenance={"config": cfg})
     (out / "bell.json").write_text(bell_result_to_json(result) + "\n")
-    print(f"bell: D={dim} route={cfg['route']} I={result.value:.6f} -> {out / 'bell.json'}")
+    print(f"bell: D={cfg['dimension']} route={cfg['route']} I={result.value:.6f}"
+          f" -> {out / 'bell.json'}")
     return 0
 
 
 def cmd_bell_scan(args) -> int:
     cfg = _load_config("bell-scan", args)
     out = _out_dir(args)
-    dims = [int(d) for d in cfg["dimensions"]]
     pairs = cfg["kappa_pairs"]
-    if pairs == "fig":
-        kp = 9.0
-        pairs = [[kp, 0.0]] + [
-            [kp, kp * math.sqrt((1.0 - r) / (1.0 + r))]
-            for r in (0.99998, 0.9998, 0.998)
-        ]
-    kappa_pairs = [(float(p[0]), float(p[1])) for p in pairs]
-    rows = bell_scan(dims, kappa_pairs, spacing=float(cfg["spacing"]),
-                     route=cfg["route"], workers=int(cfg["workers"]))
+    if pairs == "fig":  # kappa_plus = 9: the ideal row, then R = 0.99998, 0.9998, 0.998
+        pairs = [(9.0, 0.0)] + [(9.0, 9.0 * math.sqrt((1.0 - r) / (1.0 + r)))
+                                for r in (0.99998, 0.9998, 0.998)]
+    rows = bell_scan(cfg["dimensions"], pairs, spacing=cfg["spacing"], route=cfg["route"])
     write_scan_csv(rows, out / "bell_scan.csv", config=cfg)
     print(f"bell-scan: {len(rows)} rows written to {out / 'bell_scan.csv'}")
     return 0
@@ -295,21 +314,13 @@ def cmd_bell_scan(args) -> int:
 
 def cmd_constraints(args) -> int:
     cfg = _load_config("constraints", args)
-    spec = hw.HardwareSpec(float(cfg["pixel_pitch"]),
-                           tuple(int(n) for n in cfg["pixels"]),
-                           float(cfg["wavelength"]))
-    d_max = hw.max_dimension(spec, int(cfg["threshold"]))
-    dim = int(cfg["dimension"]) if cfg["dimension"] else max(d_max, 1)
+    spec = hw.HardwareSpec(cfg["pixel_pitch"], cfg["pixels"], cfg["wavelength"])
+    d_max = hw.max_dimension(spec, cfg["threshold"])
+    dim = max(d_max, 1) if cfg["dimension"] is None else cfg["dimension"]
     dists = hw.gate_distances(spec.pixel_pitch, dim, spec.wavelength)
     info = hw.mutual_information(dim)
-    report = {
-        "max_dimension": d_max,
-        "dimension": dim,
-        "talbot_length": dists["talbot_length"],
-        "gate_distance": dists["gate_distance"],
-        "gate_distance_alt": dists["gate_distance_alt"],
-        "mutual_information_bits": info,
-    }
+    report = {"max_dimension": d_max, "dimension": dim, **dists,
+              "mutual_information_bits": info}
     print(f"max encodable dimension (threshold {cfg['threshold']} slits): {d_max}")
     print(f"at D={dim}:")
     print(f"  talbot length        : {dists['talbot_length'] * 1e3:.4f} mm")
@@ -355,7 +366,7 @@ def main(argv=None) -> int:
     except _GUARDS as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
-    except (InvalidSpec, NotCoprime, NonNormalized, TalbotLabError) as exc:
+    except TalbotLabError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
 

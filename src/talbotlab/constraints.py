@@ -6,10 +6,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidSpec
+from .fields import talbot_length
+from .qudits import parity_constant
 
 __all__ = [
     "HardwareSpec",
-    "talbot_length",
     "max_dimension",
     "mutual_information",
     "gate_distances",
@@ -30,14 +31,6 @@ class HardwareSpec:
             raise InvalidSpec("pitch, wavelength and pixel counts must be positive")
 
 
-def talbot_length(pixel_pitch: float, dimension: int, wavelength: float) -> float:
-    """Talbot length of a qudit at one basis offset per pixel: (pitch * D)^2 / wavelength."""
-    if pixel_pitch <= 0 or wavelength <= 0 or dimension < 1:
-        raise InvalidSpec("pitch and wavelength must be positive, dimension >= 1")
-    period = pixel_pitch * dimension
-    return period * period / wavelength
-
-
 def max_dimension(spec: HardwareSpec, illuminated_slits: int = 100) -> int:
     """Largest encodable dimension for a required number of illuminated slits.
 
@@ -46,8 +39,7 @@ def max_dimension(spec: HardwareSpec, illuminated_slits: int = 100) -> int:
     """
     if illuminated_slits < 1:
         raise InvalidSpec("slit threshold must be positive")
-    side = max(spec.pixels) * spec.pixel_pitch
-    return int(side / (illuminated_slits * spec.pixel_pitch))
+    return max(spec.pixels) // illuminated_slits
 
 
 def mutual_information(dimension: int) -> float:
@@ -66,8 +58,8 @@ def gate_distances(pixel_pitch: float, dimension: int, wavelength: float) -> dic
     factor of four for odd D; the revival algebra is the one validated by
     propagation, so it is reported first.
     """
-    z_t = talbot_length(pixel_pitch, dimension, wavelength)
-    c = 1 if dimension % 2 else 2
+    z_t = talbot_length(pixel_pitch * dimension, wavelength)
+    c = parity_constant(dimension)
     g = 2 if dimension % 2 else 1
     return {
         "talbot_length": z_t,

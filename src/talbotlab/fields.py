@@ -53,8 +53,8 @@ def _freeze(values: np.ndarray) -> np.ndarray:
 
 def talbot_length(period: float, wavelength: float) -> float:
     """Talbot length of a periodic field: period squared over wavelength."""
-    if period <= 0 or wavelength <= 0:
-        raise InvalidSpec("period and wavelength must be positive")
+    if not (period > 0 and wavelength > 0 and math.isfinite(period * period / wavelength)):
+        raise InvalidSpec("period and wavelength must be positive, with a finite Talbot length")
     return period * period / wavelength
 
 
@@ -251,7 +251,7 @@ _PROFILES = {p.name: p for p in (GAUSSIAN, TOPHAT)}
 def get_profile(name: str) -> SlitProfile:
     try:
         return _PROFILES[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise InvalidSpec(f"unknown slit profile {name!r}; expected one of {sorted(_PROFILES)}")
 
 

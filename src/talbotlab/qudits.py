@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BinMisalignment, InvalidSpec, NotCoprime
-from .fields import (GAUSSIAN, ModeField, SampledField, SlitProfile,
+from .fields import (GAUSSIAN, ModeField, SampledField, SlitProfile, _freeze,
                      periodic_comb)
 
 __all__ = [
@@ -44,12 +44,6 @@ __all__ = [
 _ATOL = 1e-12
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class GaussCoeffs:
     """Fractional-revival amplitudes a_j for the fraction q/r."""
@@ -62,7 +56,7 @@ class GaussCoeffs:
         v = np.asarray(self.values, dtype=complex)
         if abs((np.abs(v) ** 2).sum() - 1.0) > _ATOL:
             raise InvalidSpec("revival amplitudes must have unit total weight")
-        object.__setattr__(self, "values", _frozen(v))
+        object.__setattr__(self, "values", _freeze(v))
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,7 @@ class QuditState:
             raise InvalidSpec("a qudit needs at least 2 amplitudes")
         if abs((np.abs(a) ** 2).sum() - 1.0) > _ATOL:
             raise InvalidSpec("state must have unit norm")
-        object.__setattr__(self, "amplitudes", _frozen(a))
+        object.__setattr__(self, "amplitudes", _freeze(a))
 
     @property
     def dimension(self) -> int:
@@ -107,7 +101,7 @@ class QuditUnitary:
         err = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
         if err > _ATOL:
             raise InvalidSpec(f"matrix is not unitary (max |U+U - 1| = {err:.2e})")
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", _freeze(m))
 
     @property
     def dimension(self) -> int:
@@ -144,20 +138,24 @@ def pauli_x(dimension: int) -> QuditUnitary:
     return QuditUnitary(m)
 
 
+def parity_constant(dimension: int) -> int:
+    """The constant c of the gate distance 2 z_T / (c D): 1 for odd, 2 for even D."""
+    return 1 if dimension % 2 else 2
+
+
 def gate_distance_fraction(dimension: int) -> float:
     """Gate propagation distance as a fraction of the Talbot length: 2/(cD)."""
-    c = 1 if dimension % 2 else 2
-    return 2.0 / (c * dimension)
+    return 2.0 / (parity_constant(dimension) * dimension)
 
 
 @lru_cache(maxsize=None)
 def _talbot_gate_matrix(dimension: int) -> np.ndarray:
-    c = 1 if dimension % 2 else 2
+    c = parity_constant(dimension)
     a = gauss_coeffs(1, c * dimension).values
     d = np.arange(dimension)
     # circulant: entry [row, col] = a_{c * ((row - col) mod D)}
     m = a[(c * ((d[:, None] - d[None, :]) % dimension))]
-    return _frozen(m)
+    return _freeze(m)
 
 
 def talbot_gate(dimension: int) -> QuditUnitary:
@@ -253,7 +251,7 @@ def bin_outcome_map(dimension: int, side: str) -> np.ndarray:
     bin_of_outcome = amp.argmax(axis=0)
     out = np.empty(dimension, dtype=int)
     out[bin_of_outcome] = np.arange(dimension)
-    return _frozen(out)
+    return _freeze(out)
 
 
 # ---------------------------------------------------------------------------

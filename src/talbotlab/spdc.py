@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, UnderResolved
-from .fields import (GAUSSIAN, BiphotonField, ModeField, SlitProfile,
+from .fields import (GAUSSIAN, BiphotonField, ModeField, SlitProfile, _freeze,
                      periodic_comb)
 from .qudits import TalbotGeometry
 
@@ -39,12 +39,6 @@ __all__ = [
 ]
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class BiphotonGaussian:
     """Double-Gaussian pair source: widths of the sum and difference envelopes."""
@@ -53,8 +47,8 @@ class BiphotonGaussian:
     kappa_minus: float
 
     def __post_init__(self):
-        if not (self.kappa_plus > 0 and self.kappa_minus > 0):
-            raise InvalidSpec("kappa_plus and kappa_minus must be positive")
+        if not all(k > 0 and 0 < k * k < math.inf for k in (self.kappa_plus, self.kappa_minus)):
+            raise InvalidSpec("kappa_plus and kappa_minus must be positive, with finite squares")
 
     @property
     def correlation(self) -> float:
@@ -113,7 +107,7 @@ class SlitArray:
             if nrm == 0:
                 raise InvalidSpec("amplitudes must not all vanish")
             amps = amps / nrm
-        object.__setattr__(self, "amplitudes", _frozen(amps))
+        object.__setattr__(self, "amplitudes", _freeze(amps))
 
     def positions(self) -> np.ndarray:
         return (np.arange(self.count) - (self.count - 1) / 2.0) * self.spacing
@@ -184,9 +178,9 @@ class CoeffMatrix:
         c = np.asarray(self.values, dtype=complex)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise InvalidSpec("coefficient matrix must be square")
-        if abs((np.abs(c) ** 2).sum() - 1.0) > 1e-12:
+        if not abs((np.abs(c) ** 2).sum() - 1.0) <= 1e-12:
             raise InvalidSpec("coefficient matrix must have unit Frobenius norm")
-        object.__setattr__(self, "values", _frozen(c))
+        object.__setattr__(self, "values", _freeze(c))
 
     @property
     def dimension(self) -> int:
@@ -308,9 +302,14 @@ def entangled_coeffs(dimension: int, spacing: float,
     d2 = dc[None, :]
     inv_dp2 = 1.0 / model.kappa_plus ** 2 + 1.0 / model.kappa_minus ** 2
     r = model.correlation
-    expo = -(spacing ** 2 / 4.0) * inv_dp2 * (d1 * d1 - 2.0 * r * d1 * d2 + d2 * d2)
-    c = np.exp(expo)
-    return CoeffMatrix(c / np.linalg.norm(c))
+    if not spacing * spacing < math.inf:
+        raise InvalidSpec(f"spacing {spacing!r} has no finite square")
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.exp(-(spacing ** 2 / 4.0) * inv_dp2 * (d1 * d1 - 2.0 * r * d1 * d2 + d2 * d2))
+        norm = np.linalg.norm(c)
+    if not norm > 0:  # every amplitude underflowed, or NaN from an infinite inv_dp2
+        raise InvalidSpec("source widths and spacing leave no representable amplitude")
+    return CoeffMatrix(c / norm)
 
 
 def maximally_entangled(dimension: int) -> CoeffMatrix:

@@ -246,14 +246,6 @@ def test_scan_maximally_entangled_row_approaches_ceiling():
     assert all(r.correlation == 1.0 for r in rows)
 
 
-def test_scan_workers_produce_identical_rows():
-    dims = [2, 3, 4, 5]
-    pairs = [(9.0, 0.0), (9.0, 0.2845)]
-    sequential = bell_scan(dims, pairs, workers=1)
-    threaded = bell_scan(dims, pairs, workers=4)
-    assert sequential == threaded
-
-
 def test_finite_correlation_has_interior_maximum():
     km = 9.0 * math.sqrt((1 - 0.998) / (1 + 0.998))
     rows = bell_scan(range(2, 13), [(9.0, km)])

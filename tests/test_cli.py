@@ -1,9 +1,13 @@
 """Command-line interface: behavior, formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from talbotlab.cli import main
 
@@ -168,3 +172,86 @@ def test_bell_scan_deterministic_with_workers(tmp_path):
     a = (out1 / "bell_scan.csv").read_text().splitlines()[1:]
     b = (out2 / "bell_scan.csv").read_text().splitlines()[1:]
     assert a == b
+
+
+REJECTED = [
+    "bell --set dimension=abc",
+    "carpet --set dimension=3 --set state=basis:x",
+    "bell --set route=field --set cells=0",
+    "bell --set dimension=1",
+    "bell-scan --set dimensions=[1,2]",
+    "constraints --set dimension=0",
+    "bell --set dimension=2.5",
+    "bell --set envelope=maybe",
+    "bell --set spacing=-1",
+    "constraints --set pixels=3",
+    "constraints --set pixels=[1,2,3]",
+    "bell-scan --set kappa_pairs=5",
+    "bell-scan --set dimensions=5",
+    "bell --set convention=anticorrelated",
+    "constraints --set pixel_pitch=1e308",
+    "bell --config list.json",
+]
+
+
+@pytest.mark.parametrize("command", REJECTED)
+def test_bad_input_exits_2_with_one_message(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1]")  # a config file that is not an object
+    assert run(command.split() + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_bell_and_bell_scan_agree_off_unit_spacing(tmp_path):
+    widths = ["--set", "spacing=2"]
+    assert run(["bell", "--out-dir", str(tmp_path), "--set", "kappa_plus=9",
+                "--set", "kappa_minus=1"] + widths) == 0
+    assert run(["bell-scan", "--out-dir", str(tmp_path), "--set", "dimensions=[3]",
+                "--set", "kappa_pairs=[[9,1]]"] + widths) == 0
+    single = json.loads((tmp_path / "bell.json").read_text())["I"]
+    row = (tmp_path / "bell_scan.csv").read_text().splitlines()[2].split(",")
+    assert abs(float(row[5]) - single) < 1e-12
+
+
+# digits are left out of the free text so that it never parses as a number:
+# a huge dimension would allocate D x D matrices without a size check
+_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
+_ANY = st.one_of(st.none(), st.booleans(), st.integers(),
+                 st.floats(allow_nan=True, allow_infinity=True), _TEXT,
+                 st.lists(st.one_of(st.integers(), st.floats()), max_size=3))
+# mostly values of the right type, so that most draws get past the config check
+_NUMBER = st.one_of(st.floats(min_value=0.0), st.integers(min_value=0), _ANY)
+_DIMENSION = st.one_of(st.integers(min_value=2, max_value=64), st.integers(max_value=64),
+                       st.floats(max_value=64), _TEXT, st.booleans(), st.none())
+_PIXELS = st.one_of(st.lists(st.integers(min_value=0), min_size=2, max_size=2), _ANY)
+_FUZZED = {
+    "bell": {"dimension": _DIMENSION, "kappa_plus": _NUMBER, "kappa_minus": _NUMBER,
+             "spacing": _NUMBER, "slit_width": _NUMBER, "cells": _NUMBER,
+             "envelope": _ANY, "seed": _ANY},
+    "constraints": {"pixel_pitch": _NUMBER, "pixels": _PIXELS, "wavelength": _NUMBER,
+                    "threshold": _NUMBER, "dimension": _NUMBER},
+}
+
+
+@st.composite
+def _fuzzed_command(draw):
+    name = draw(st.sampled_from(sorted(_FUZZED)))
+    keys = draw(st.lists(st.sampled_from(sorted(_FUZZED[name])), unique=True, max_size=4))
+    argv = [name]
+    for key in keys:
+        value = draw(_FUZZED[name][key])
+        argv += ["--set", f"{key}={value if isinstance(value, str) else json.dumps(value)}"]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzzed_command())
+def test_fuzzed_settings_exit_cleanly(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv + ["--out-dir", out])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

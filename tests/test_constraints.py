@@ -6,24 +6,24 @@ import pytest
 
 from talbotlab import (HardwareSpec, InvalidSpec, gate_distances,
                        max_dimension, mutual_information)
-from talbotlab.constraints import talbot_length
+from talbotlab.fields import talbot_length
 
 
 def test_talbot_length_example():
     # 10 um pixels, 19 levels, 800 nm light
-    z_t = talbot_length(10e-6, 19, 800e-9)
+    z_t = talbot_length(10e-6 * 19, 800e-9)
     assert abs(z_t - (10e-6 * 19) ** 2 / 800e-9) < 1e-15
     assert round(z_t * 1e3, 1) == 45.1  # millimetres
 
 
 def test_talbot_length_quadratic_scaling():
-    assert abs(talbot_length(10e-6, 38, 800e-9) / talbot_length(10e-6, 19, 800e-9)
+    assert abs(talbot_length(10e-6 * 38, 800e-9) / talbot_length(10e-6 * 19, 800e-9)
                - 4.0) < 1e-12
 
 
 def test_talbot_length_identity():
     pitch, dim, lam = 7e-6, 11, 650e-9
-    assert abs(talbot_length(pitch, dim, lam) * lam - (pitch * dim) ** 2) < 1e-20
+    assert abs(talbot_length(pitch * dim, lam) * lam - (pitch * dim) ** 2) < 1e-20
 
 
 def test_max_dimension_reference_panel():
