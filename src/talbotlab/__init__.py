@@ -24,9 +24,8 @@ from .qudits import (GaussCoeffs, QuditState, QuditUnitary, TalbotGeometry,
                      measurement_unitary, pauli_x, phase_gate, talbot_gate)
 from .spdc import (BiphotonGaussian, CoeffMatrix, SlitArray,
                    SynthesizerGeometry, apply_dslit, biphoton_amplitude,
-                   correlation_coefficient, entangled_coeffs,
-                   initial_biphoton_field, maximally_entangled,
-                   render_synthesized, schmidt_spectrum, synthesize_single,
-                   two_photon_field)
+                   entangled_coeffs, initial_biphoton_field,
+                   maximally_entangled, render_synthesized, schmidt_spectrum,
+                   synthesize_single, two_photon_field)
 
 __version__ = "0.1.0"

@@ -106,13 +106,13 @@ def joint_prob_field(
     gamma_a: float,
     gamma_b: float,
     geom: TalbotGeometry,
-    wavelength: float | None = None,
 ) -> tuple:
     """Field-simulated joint table: mask, propagate, bin, relabel.
 
     Each axis is multiplied by the pixelated measurement phase mask
     (constant over each period/D cell), propagated by the gate distance
-    ``2 z_T / (c D)`` and the intensity integrated over the detector bins.
+    ``2 z_T / (c D)`` at wavelength period / 100 and the intensity
+    integrated over the detector bins.
     Bin indices are relabeled to the measurement-operator outcome
     convention, so the table is directly comparable with
     :func:`joint_prob_analytic`.
@@ -122,7 +122,7 @@ def joint_prob_field(
     (binning cross-talk).
     """
     d = geom.dimension
-    lam = wavelength if wavelength is not None else geom.period / 100.0
+    lam = geom.period / 100.0
     z = gate_distance_fraction(d) * geom.period ** 2 / lam
     spec = PropagationSpec(lam, z)
 
@@ -171,14 +171,6 @@ def _corr_a_equals_b_plus(table: np.ndarray, k: int, anticorrelated: bool) -> fl
     return float(table[(j + k) % d, j].sum())
 
 
-def _corr_b_equals_a_plus(table: np.ndarray, k: int, anticorrelated: bool) -> float:
-    d = table.shape[0]
-    j = np.arange(d)
-    if anticorrelated:
-        return float(table[(j + k) % d, (-j) % d].sum())
-    return float(table[j, (j + k) % d].sum())
-
-
 def cglmp_value(
     tables,
     settings: MeasurementSettings = MeasurementSettings(),
@@ -218,10 +210,10 @@ def cglmp_value(
         j_k = (
             _corr_a_equals_b_plus(p11, k, anti)
             - _corr_a_equals_b_plus(p11, -k - 1, anti)
-            + _corr_b_equals_a_plus(p12, k, anti)
-            - _corr_b_equals_a_plus(p12, -k - 1, anti)
-            + _corr_b_equals_a_plus(p21, k + 1, anti)
-            - _corr_b_equals_a_plus(p21, -k, anti)
+            + _corr_a_equals_b_plus(p12.T, k, anti)  # P(B = A + k)
+            - _corr_a_equals_b_plus(p12.T, -k - 1, anti)
+            + _corr_a_equals_b_plus(p21.T, k + 1, anti)
+            - _corr_a_equals_b_plus(p21.T, -k, anti)
             + _corr_a_equals_b_plus(p22, k, anti)
             - _corr_a_equals_b_plus(p22, -k - 1, anti)
         )

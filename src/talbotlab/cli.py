@@ -21,8 +21,9 @@ from . import constraints as hw
 from .bell import bell_point, bell_scan
 from .errors import (AliasingRisk, BinMisalignment, InvalidSpec, TalbotLabError,
                      UnderResolved)
-from .fields import (PropagationSpec, SampledField, get_profile,
-                     mode_propagate, periodic_comb, sample, talbot_length)
+from .fields import (PropagationSpec, SampledField, centered_axis, check_entries,
+                     get_profile, mode_propagate, periodic_comb, sample,
+                     talbot_length)
 from .io import (bell_result_to_json, write_biphoton_csv, write_matrix_csv,
                  write_pgm, write_sampled_csv, write_scan_csv)
 from .spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry,
@@ -180,6 +181,7 @@ def _out_dir(args) -> Path:
 
 
 def _parse_amplitudes(spec_value, dimension: int) -> np.ndarray:
+    check_entries("amplitude vector", dimension)
     if isinstance(spec_value, str):
         if spec_value == "uniform":
             return np.full(dimension, 1.0 / math.sqrt(dimension), dtype=complex)
@@ -213,6 +215,7 @@ def cmd_carpet(args) -> int:
     offs = period / dim * np.arange(dim)
     field = periodic_comb(period, cfg["slit_width"] * period, offs, amps)
     z_t = talbot_length(period, wavelength)
+    check_entries("carpet density", steps, spp * periods)
     density = np.empty((steps, spp * periods))
     for i, frac in enumerate(np.linspace(0.0, 2.0, steps)):
         spec = PropagationSpec(wavelength, frac * z_t)
@@ -235,11 +238,10 @@ def cmd_synth(args) -> int:
                       profile=profile, amplitudes=amps)
     geom = SynthesizerGeometry.for_dimension(dim, spacing,
                                              spike_width=cfg["spike_width"] * spacing)
-    n = spc * cells
     dx = spacing / spc
-    x = -n * dx / 2.0 + dx * np.arange(n)
+    x = centered_axis(spc * cells, dx)
+    output = render_synthesized(slits, geom, x)  # first: its comb basis is size-checked
     aperture = slits.transmission(x)
-    output = render_synthesized(slits, geom, x)
     ideal = sample(synthesize_single(slits, geom), spc * dim, cells // dim or 1)
     write_sampled_csv(SampledField(float(x[0]), dx, aperture), out / "synth_input.csv",
                       config=cfg)
@@ -255,13 +257,12 @@ def cmd_entangle(args) -> int:
     out = _out_dir(args)
     dim, s = cfg["dimension"], cfg["spacing"]
     model = BiphotonGaussian(cfg["kappa_plus"] * s, cfg["kappa_minus"] * s)
+    coeffs = entangled_coeffs(dim, s, model)
     slits = SlitArray(dim, s, cfg["slit_width"] * s)
     geom = SynthesizerGeometry.for_dimension(dim, s, spike_width=cfg["spike_width"] * s)
 
     def axis(cells, spc):
-        n = cells * spc
-        dx = s / spc
-        return -n * dx / 2.0 + dx * np.arange(n)
+        return centered_axis(cells * spc, s / spc)
 
     x_a = axis(cfg["initial_window_cells"], cfg["initial_samples_per_cell"])
     initial = initial_biphoton_field(model, x_a, x_a)
@@ -274,7 +275,6 @@ def cmd_entangle(args) -> int:
                        config={**cfg, "transmitted_fraction": transmitted})
     write_pgm(np.abs(after.values) ** 2, out / "entangle_slits.pgm", config=cfg)
 
-    coeffs = entangled_coeffs(dim, s, model)
     carpet = two_photon_field(coeffs, slits, geom,
                               samples_per_cell=cfg["carpet_samples_per_cell"],
                               cells=cfg["carpet_window_cells"])

@@ -35,6 +35,7 @@ __all__ = [
     "TOPHAT",
     "get_profile",
     "talbot_length",
+    "centered_axis",
     "fresnel_propagate",
     "biphoton_propagate",
     "mode_propagate",
@@ -43,6 +44,20 @@ __all__ = [
     "overlap",
     "fidelity",
 ]
+
+
+# share of the coefficient mass a truncated comb or grating spectrum may discard
+MASS_TOL = 1e-8
+# largest truncation order tried before giving up on that mass rule
+MAX_ORDERS = 4096
+# largest array a configuration may ask for; the biggest grid in use is 4096^2 = 2**24
+MAX_ENTRIES = 2 ** 25
+
+
+def check_entries(what: str, *dims: int) -> None:
+    """Raise InvalidSpec before allocating an array of more than MAX_ENTRIES entries."""
+    if math.prod(dims) > MAX_ENTRIES:
+        raise InvalidSpec(f"{what} would exceed {MAX_ENTRIES} (2**25) array entries")
 
 
 def _freeze(values: np.ndarray) -> np.ndarray:
@@ -56,6 +71,12 @@ def talbot_length(period: float, wavelength: float) -> float:
     if not (period > 0 and wavelength > 0 and math.isfinite(period * period / wavelength)):
         raise InvalidSpec("period and wavelength must be positive, with a finite Talbot length")
     return period * period / wavelength
+
+
+def centered_axis(n: int, dx: float) -> np.ndarray:
+    """``n`` coordinates of pitch ``dx`` centred on the axis, from ``-n dx / 2``."""
+    check_entries("sample axis", n)
+    return -n * dx / 2.0 + dx * np.arange(n)
 
 
 @dataclass(frozen=True)
@@ -110,11 +131,11 @@ class SampledField:
             raise InvalidSpec("restriction window contains fewer than 2 samples")
         return SampledField(float(xs[sel][0]), self.dx, self.values[sel]).normalized()
 
-    def same_grid(self, other: "SampledField", rtol: float = 1e-9) -> bool:
+    def same_grid(self, other: "SampledField") -> bool:
         return (
             self.n == other.n
-            and math.isclose(self.dx, other.dx, rel_tol=rtol, abs_tol=0.0)
-            and math.isclose(self.x0, other.x0, rel_tol=rtol, abs_tol=rtol * self.dx)
+            and math.isclose(self.dx, other.dx, rel_tol=1e-9, abs_tol=0.0)
+            and math.isclose(self.x0, other.x0, rel_tol=1e-9, abs_tol=1e-9 * self.dx)
         )
 
 
@@ -211,9 +232,6 @@ class PropagationSpec:
             raise InvalidSpec("wavelength must be positive")
         if self.distance < 0:
             raise InvalidSpec("backward propagation (z < 0) is not supported")
-
-    def talbot_length(self, period: float) -> float:
-        return talbot_length(period, self.wavelength)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +330,22 @@ def _check_aliasing(n: int, dx: float, spec: PropagationSpec,
         )
 
 
+def _propagate_axis(values: np.ndarray, dx: float, spec: PropagationSpec,
+                    axis: int) -> np.ndarray:
+    """Spectral Fresnel step along one axis of ``values``, aliasing-guarded.
+
+    The guard sees the power summed over the other axes: the marginal
+    profile and the marginal spectrum of the propagated coordinate.
+    """
+    n = values.shape[axis]
+    others = tuple(a for a in range(values.ndim) if a != axis)
+    power_x = (np.abs(values) ** 2).sum(axis=others)
+    spectrum = np.fft.fft(values, axis=axis)
+    _check_aliasing(n, dx, spec, (np.abs(spectrum) ** 2).sum(axis=others), power_x)
+    spectrum *= np.expand_dims(_transfer_function(n, dx, spec), others)
+    return np.fft.ifft(spectrum, axis=axis)
+
+
 def fresnel_propagate(field: SampledField, spec: PropagationSpec) -> SampledField:
     """Propagate a sampled field by the spectral Fresnel method.
 
@@ -338,38 +372,15 @@ def fresnel_propagate(field: SampledField, spec: PropagationSpec) -> SampledFiel
     """
     if spec.distance == 0.0:
         return field
-    spectrum = np.fft.fft(field.values)
-    _check_aliasing(field.n, field.dx, spec, np.abs(spectrum) ** 2,
-                    np.abs(field.values) ** 2)
-    out = np.fft.ifft(spectrum * _transfer_function(field.n, field.dx, spec))
-    return SampledField(field.x0, field.dx, out)
+    return SampledField(field.x0, field.dx, _propagate_axis(field.values, field.dx, spec, 0))
 
 
-def biphoton_propagate(field: BiphotonField, spec1: PropagationSpec,
-                       spec2: PropagationSpec | None = None) -> BiphotonField:
-    """Propagate each photon axis of a biphoton field independently."""
-    if spec2 is None:
-        spec2 = spec1
-    n1, n2 = field.values.shape
-    vals = field.values
-    if spec1.distance != 0.0:
-        profile_x = (np.abs(vals) ** 2).sum(axis=1)
-        spectrum = np.fft.fft(vals, axis=0)
-        _check_aliasing(n1, field.dx1, spec1,
-                        (np.abs(spectrum) ** 2).sum(axis=1), profile_x)
-        h1 = _transfer_function(n1, field.dx1, spec1)
-        vals = np.fft.ifft(spectrum * h1[:, None], axis=0)
-        del spectrum
-    if spec2.distance != 0.0:
-        profile_x = (np.abs(vals) ** 2).sum(axis=0)
-        spectrum = np.fft.fft(vals, axis=1)
-        _check_aliasing(n2, field.dx2, spec2,
-                        (np.abs(spectrum) ** 2).sum(axis=0), profile_x)
-        h2 = _transfer_function(n2, field.dx2, spec2)
-        vals = np.fft.ifft(spectrum * h2[None, :], axis=1)
-        del spectrum
-    if vals is field.values:
+def biphoton_propagate(field: BiphotonField, spec: PropagationSpec) -> BiphotonField:
+    """Propagate both photon axes of a biphoton field by the same distance."""
+    if spec.distance == 0.0:
         return field
+    vals = _propagate_axis(field.values, field.dx1, spec, 0)
+    vals = _propagate_axis(vals, field.dx2, spec, 1)
     return BiphotonField(field.x0_1, field.dx1, field.x0_2, field.dx2, vals)
 
 
@@ -382,7 +393,7 @@ def mode_propagate(field: ModeField, spec: PropagationSpec) -> ModeField:
     """
     if spec.distance == 0.0:
         return field
-    z_t = spec.talbot_length(field.period)
+    z_t = talbot_length(field.period, spec.wavelength)
     n = field.modes().astype(float)
     phase = np.exp(-1j * np.pi * np.mod(n * n * (spec.distance / z_t), 2.0))
     return ModeField(field.period, field.offset, field.coeffs * phase)
@@ -398,15 +409,13 @@ def periodic_comb(
     offsets: Sequence[float],
     amplitudes: Sequence[complex],
     profile: SlitProfile = GAUSSIAN,
-    mass_tol: float = 1e-8,
-    max_modes: int = 4096,
 ) -> ModeField:
     """Periodic superposition of slit combs as a normalized ModeField.
 
     The one-period restriction is ``sum_d amplitudes[d] * S(x - offsets[d])``
     with ``S`` the slit profile of the given width.  The mode truncation M is
     the smallest for which the discarded coefficient mass is below
-    ``mass_tol`` of the total.
+    ``MASS_TOL`` of the total.
     """
     if width <= 0 or period <= 0:
         raise InvalidSpec("period and width must be positive")
@@ -419,6 +428,7 @@ def periodic_comb(
     m = 16
     while True:
         n = np.arange(-m, m + 1)
+        check_entries("comb spectrum", n.size, offsets.size)
         shape = profile.transform(n * k, width).astype(complex)
         structure = (amplitudes[None, :] * np.exp(-1j * np.outer(n * k, offsets))).sum(axis=1)
         coeffs = shape * structure
@@ -427,12 +437,12 @@ def periodic_comb(
         if total == 0:
             raise InvalidSpec("comb has zero power")
         edge = p[: m // 8].sum() + p[-(m // 8):].sum()
-        if edge < mass_tol * total:
+        if edge < MASS_TOL * total:
             break
-        if m >= max_modes:
+        if m >= MAX_ORDERS:
             raise InvalidSpec(
-                f"mode truncation did not converge below mass {mass_tol:g} "
-                f"within {max_modes} modes (profile {profile.name!r})"
+                f"mode truncation did not converge below mass {MASS_TOL:g} "
+                f"within {MAX_ORDERS} modes (profile {profile.name!r})"
             )
         m *= 2
     # trim to the smallest symmetric truncation honoring the mass rule
@@ -444,7 +454,7 @@ def periodic_comb(
         return float(low + total - prefix[half + j])
 
     keep = half
-    while keep > 1 and discarded(keep - 1) < mass_tol * total:
+    while keep > 1 and discarded(keep - 1) < MASS_TOL * total:
         keep -= 1
     coeffs = coeffs[half - keep: half + keep + 1]
     return ModeField(period, 0.0, coeffs).normalized()
@@ -454,10 +464,9 @@ def sample(
     field: ModeField,
     samples_per_period: int = 64,
     periods: int = 128,
-    center: float = 0.0,
     taper_periods: int = 0,
 ) -> SampledField:
-    """Evaluate a ModeField on a uniform grid spanning ``periods`` periods.
+    """Evaluate a ModeField on a centred grid spanning ``periods`` periods.
 
     The grid must resolve the largest retained mode: ``samples_per_period``
     has to exceed twice the truncation order, else ``UnderResolved`` is
@@ -473,9 +482,9 @@ def sample(
             f"{field.max_mode}; need more than {2 * field.max_mode}"
         )
     n_samp = samples_per_period * periods
+    check_entries("mode sampling matrix", n_samp, field.coeffs.size)
     dx = field.period / samples_per_period
-    x0 = center - n_samp * dx / 2.0
-    x = x0 + dx * np.arange(n_samp)
+    x = centered_axis(n_samp, dx)
     k = 2.0 * np.pi / field.period
     vals = np.exp(1j * np.outer(x - field.offset, field.modes()) * k) @ field.coeffs
     if taper_periods:
@@ -487,7 +496,7 @@ def sample(
         w[:edge] = ramp
         w[-edge:] = ramp[::-1]
         vals = vals * w
-    return SampledField(x0, dx, vals).normalized()
+    return SampledField(float(x[0]), dx, vals).normalized()
 
 
 def overlap(a: SampledField, b: SampledField) -> complex:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bell import BellResult
+from .bell import SETTING_PAIRS, BellResult
 from .errors import InvalidSpec
 from .fields import BiphotonField, SampledField
 from .qudits import QuditState, QuditUnitary
@@ -160,8 +160,7 @@ def bell_result_to_json(result: BellResult) -> str:
             "beta2": result.settings.beta2,
         },
         "tables": {
-            f"P{a}{b}": result.tables[i].tolist()
-            for i, (a, b) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2)))
+            f"P{a}{b}": table.tolist() for (a, b), table in zip(SETTING_PAIRS, result.tables)
         },
         "provenance": result.provenance,
     }

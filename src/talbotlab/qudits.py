@@ -305,16 +305,16 @@ class TalbotGeometry:
         return self.origin + self.offset_step * np.arange(self.dimension)
 
 
-def encode(state: QuditState, geom: TalbotGeometry, mass_tol: float = 1e-8) -> ModeField:
+def encode(state: QuditState, geom: TalbotGeometry) -> ModeField:
     """Continuous encoding: one period carries ``sum_d c_d S(x - x_d)``."""
     if state.dimension != geom.dimension:
         raise InvalidSpec("state dimension does not match the geometry")
     return periodic_comb(geom.period, geom.slit_width, geom.offsets(),
-                         state.amplitudes, profile=geom.profile, mass_tol=mass_tol)
+                         state.amplitudes, profile=geom.profile)
 
 
-def basis_field(geom: TalbotGeometry, index: int, mass_tol: float = 1e-8) -> ModeField:
-    return encode(QuditState.basis(geom.dimension, index), geom, mass_tol=mass_tol)
+def basis_field(geom: TalbotGeometry, index: int) -> ModeField:
+    return encode(QuditState.basis(geom.dimension, index), geom)
 
 
 def bin_weights(x: np.ndarray, dx: float, origin: float, bin_width: float,

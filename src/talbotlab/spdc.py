@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, UnderResolved
-from .fields import (GAUSSIAN, BiphotonField, ModeField, SlitProfile, _freeze,
+from .fields import (GAUSSIAN, MASS_TOL, MAX_ORDERS, BiphotonField, ModeField,
+                     SlitProfile, _freeze, centered_axis, check_entries,
                      periodic_comb)
 from .qudits import TalbotGeometry
 
@@ -25,7 +26,6 @@ __all__ = [
     "SlitArray",
     "SynthesizerGeometry",
     "CoeffMatrix",
-    "correlation_coefficient",
     "biphoton_amplitude",
     "initial_biphoton_field",
     "apply_dslit",
@@ -52,13 +52,9 @@ class BiphotonGaussian:
 
     @property
     def correlation(self) -> float:
+        """Spatial correlation R = (k+^2 - k-^2) / (k+^2 + k-^2), in (-1, 1)."""
         kp2, km2 = self.kappa_plus ** 2, self.kappa_minus ** 2
         return (kp2 - km2) / (kp2 + km2)
-
-
-def correlation_coefficient(model: BiphotonGaussian) -> float:
-    """Spatial correlation R = (k+^2 - k-^2) / (k+^2 + k-^2), in (-1, 1)."""
-    return model.correlation
 
 
 def biphoton_amplitude(model: BiphotonGaussian, x1, x2):
@@ -146,17 +142,17 @@ class SynthesizerGeometry:
 
     @classmethod
     def for_dimension(cls, dimension: int, spacing: float,
-                      spike_width: float | None = None,
-                      wavelength: float | None = None) -> "SynthesizerGeometry":
+                      spike_width: float | None = None) -> "SynthesizerGeometry":
         """Geometry whose effective period is ``dimension * spacing``.
 
         That choice makes the slit lattice coincide with the Talbot-basis
         offsets, so the synthesizer output encodes a qudit.  The grating
-        period is set to the slit spacing; the focal length follows.
+        period is set to the slit spacing and the wavelength to a hundredth
+        of it; the focal length follows.
         """
         if dimension < 1 or spacing <= 0:
             raise InvalidSpec("dimension must be >= 1 and spacing positive")
-        lam = wavelength if wavelength is not None else spacing / 100.0
+        lam = spacing / 100.0
         spike = spike_width if spike_width is not None else 0.05 * spacing
         focal = dimension * spacing * spacing / lam
         return cls(focal, lam, spacing, spike)
@@ -194,6 +190,7 @@ class CoeffMatrix:
 def initial_biphoton_field(model: BiphotonGaussian, x1: np.ndarray,
                            x2: np.ndarray) -> BiphotonField:
     """Source amplitude sampled on the tensor grid of two coordinate axes."""
+    check_entries("biphoton grid", x1.size, x2.size)
     vals = biphoton_amplitude(model, x1[:, None], x2[None, :])
     return BiphotonField(float(x1[0]), float(x1[1] - x1[0]),
                          float(x2[0]), float(x2[1] - x2[0]), vals).normalized()
@@ -224,8 +221,7 @@ def apply_dslit(field: BiphotonField, slits: SlitArray,
     return out.normalized(), float(transmitted)
 
 
-def grating_envelope(geom: SynthesizerGeometry, mass_tol: float = 1e-8,
-                     max_orders: int = 4096) -> tuple:
+def grating_envelope(geom: SynthesizerGeometry) -> tuple:
     """Fourier orders (m, A_m) of the comb grating, truncated by mass.
 
     ``A_m = exp(-(2 pi m sigma)^2 / (2 lg^2))`` for Gaussian spikes of width
@@ -237,20 +233,19 @@ def grating_envelope(geom: SynthesizerGeometry, mass_tol: float = 1e-8,
         env = np.exp(-((2 * np.pi * mm * geom.spike_width) ** 2)
                      / (2.0 * geom.grating_period ** 2))
         mass = env ** 2
-        if mass[0] + mass[-1] < mass_tol * mass.sum() / (2 * m):
+        if mass[0] + mass[-1] < MASS_TOL * mass.sum() / (2 * m):
             break
-        if m >= max_orders:
+        if m >= MAX_ORDERS:
             raise InvalidSpec("grating envelope truncation did not converge")
         m *= 2
-    keep = mass > mass_tol * mass.sum() / mass.size
+    keep = mass > MASS_TOL * mass.sum() / mass.size
     idx = np.nonzero(keep)[0]
     lo, hi = idx.min(), idx.max()
     half = max(m - lo, hi - m)
     return np.arange(-half, half + 1), env[m - half: m + half + 1]
 
 
-def synthesize_single(slits: SlitArray, geom: SynthesizerGeometry,
-                      mass_tol: float = 1e-8) -> ModeField:
+def synthesize_single(slits: SlitArray, geom: SynthesizerGeometry) -> ModeField:
     """Synthesizer output as an ideal periodic comb state.
 
     The grating's Fourier orders replicate the aperture on the effective
@@ -259,27 +254,45 @@ def synthesize_single(slits: SlitArray, geom: SynthesizerGeometry,
     :func:`render_synthesized` for the finite, envelope-weighted profile.
     """
     return periodic_comb(geom.effective_period, slits.width, slits.positions(),
-                         slits.amplitudes, profile=slits.profile, mass_tol=mass_tol)
+                         slits.amplitudes, profile=slits.profile)
+
+
+def _comb_columns(slits: SlitArray, geom: SynthesizerGeometry, x: np.ndarray,
+                  envelope: bool) -> np.ndarray:
+    """Comb basis on coordinates x: column d holds slit d's teeth.
+
+    The teeth sit on the effective lattice ``positions[d] + m * period``.
+    With ``envelope`` they carry the grating order amplitudes A_m, else they
+    are uniform (the ideal periodic comb).  Teeth centred more than six slit
+    widths outside x are left out.
+    """
+    check_entries("comb basis", x.size, slits.count)
+    period = geom.effective_period
+    lo, hi = x.min(), x.max()
+    if envelope:
+        mm, env = grating_envelope(geom)
+    else:
+        half = int(math.ceil(max(-lo, hi) / period)) + 2
+        mm = np.arange(-half, half + 1)
+        env = np.ones(mm.size)
+    columns = np.zeros((x.size, slits.count), dtype=complex)
+    margin = 6.0 * slits.width
+    for d, position in enumerate(slits.positions()):
+        centers = position + mm * period
+        keep = (centers > lo - margin) & (centers < hi + margin)
+        for ctr, a in zip(centers[keep], env[keep]):
+            columns[:, d] += a * slits.profile.amplitude(x - ctr, slits.width)
+    return columns
 
 
 def render_synthesized(slits: SlitArray, geom: SynthesizerGeometry,
-                       x: np.ndarray, mass_tol: float = 1e-8) -> np.ndarray:
+                       x: np.ndarray) -> np.ndarray:
     """Finite synthesizer output on coordinates x, envelope-weighted comb.
 
     Each grating order m contributes a copy of the aperture displaced by
     ``m * effective_period`` and weighted by the order amplitude A_m.
     """
-    mm, env = grating_envelope(geom, mass_tol=mass_tol)
-    period = geom.effective_period
-    out = np.zeros(x.shape, dtype=complex)
-    lo, hi = x.min(), x.max()
-    margin = 6.0 * slits.width + slits.count * slits.spacing
-    for m, a in zip(mm, env):
-        shift = m * period
-        if shift < lo - margin or shift > hi + margin:
-            continue
-        out += a * slits.transmission(x - shift)
-    return out
+    return _comb_columns(slits, geom, x, envelope=True) @ slits.amplitudes
 
 
 def entangled_coeffs(dimension: int, spacing: float,
@@ -297,6 +310,7 @@ def entangled_coeffs(dimension: int, spacing: float,
     """
     if dimension < 1:
         raise InvalidSpec("dimension must be >= 1")
+    check_entries("coefficient matrix", dimension, dimension)
     dc = np.arange(dimension) - (dimension - 1) / 2.0
     d1 = dc[:, None]
     d2 = dc[None, :]
@@ -314,6 +328,7 @@ def entangled_coeffs(dimension: int, spacing: float,
 
 def maximally_entangled(dimension: int) -> CoeffMatrix:
     """Ideal coefficient matrix: identity over sqrt(D)."""
+    check_entries("coefficient matrix", dimension, dimension)
     return CoeffMatrix(np.eye(dimension) / math.sqrt(dimension))
 
 
@@ -324,7 +339,6 @@ def two_photon_field(
     samples_per_cell: int = 64,
     cells: int = 64,
     envelope: bool = True,
-    min_samples_per_width: int = 3,
 ) -> BiphotonField:
     """Two-photon comb state on a square grid.
 
@@ -337,37 +351,22 @@ def two_photon_field(
     dim = coeffs.dimension
     if slits.count != dim:
         raise InvalidSpec("slit count must match the coefficient dimension")
-    s = slits.spacing
-    dx = s / samples_per_cell
-    if slits.width / dx < min_samples_per_width * (1.0 - 1e-9):
+    dx = slits.spacing / samples_per_cell
+    if slits.width / dx < 3 * (1.0 - 1e-9):
         raise UnderResolved(
-            f"slit width {slits.width:g} needs at least {min_samples_per_width} "
-            f"samples (dx = {dx:g})"
+            f"slit width {slits.width:g} needs at least 3 samples (dx = {dx:g})"
         )
     n = samples_per_cell * cells
-    x0 = -n * dx / 2.0
-    x = x0 + dx * np.arange(n)
-    period = geom.effective_period
-    if envelope:
-        mm, env = grating_envelope(geom)
-    else:
-        half = int(math.ceil((n * dx / 2.0) / period)) + 2
-        mm = np.arange(-half, half + 1)
-        env = np.ones(mm.size)
-    positions = slits.positions()
-    basis = np.zeros((n, dim), dtype=complex)
-    margin = 6.0 * slits.width
+    check_entries("two-photon grid", n, n)
+    x = centered_axis(n, dx)
+    basis = _comb_columns(slits, geom, x, envelope)
     for d in range(dim):
-        centers = positions[d] + mm * period
-        keep = (centers > x[0] - margin) & (centers < x[-1] + margin)
-        for ctr, a in zip(centers[keep], env[keep]):
-            basis[:, d] += a * slits.profile.amplitude(x - ctr, slits.width)
         nrm = math.sqrt(float((np.abs(basis[:, d]) ** 2).sum() * dx))
         if nrm == 0:
             raise InvalidSpec("empty comb on the grid; enlarge the window")
         basis[:, d] /= nrm
     vals = basis @ coeffs.values @ basis.T
-    return BiphotonField(x0, dx, x0, dx, vals).normalized()
+    return BiphotonField(float(x[0]), dx, float(x[0]), dx, vals).normalized()
 
 
 def schmidt_spectrum(coeffs: CoeffMatrix) -> tuple:

@@ -14,7 +14,7 @@ import pytest
 from talbotlab import (BiphotonGaussian, GAUSSIAN, HardwareSpec, SlitArray,
                        SynthesizerGeometry, bell_analytic, bell_field,
                        bell_scan, biphoton_amplitude, closed_form_phases,
-                       correlation_coefficient, entangled_coeffs, fidelity,
+                       entangled_coeffs, fidelity,
                        fresnel_propagate, gauss_coeffs, max_dimension,
                        maximally_entangled, measurement_basis,
                        measurement_phases, mode_propagate, mutual_information,
@@ -167,8 +167,8 @@ def test_criterion_6_scan_trends():
 def test_criterion_7_spdc_model():
     with criterion(7, 60.0, "correlation coefficients and slit-lattice "
                             "coefficients against the quadrature oracle"):
-        r1 = correlation_coefficient(BiphotonGaussian(9.0, 1.0))
-        r2 = correlation_coefficient(BiphotonGaussian(9.0, 1.0 / 6.0))
+        r1 = BiphotonGaussian(9.0, 1.0).correlation
+        r2 = BiphotonGaussian(9.0, 1.0 / 6.0).correlation
         assert abs(r1 - 80.0 / 82.0) < 1e-12
         assert abs(r2 - 2915.0 / 2917.0) < 1e-12
         # reference figure quotes truncate at three decimals

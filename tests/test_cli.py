@@ -191,6 +191,17 @@ REJECTED = [
     "bell --set convention=anticorrelated",
     "constraints --set pixel_pitch=1e308",
     "bell --config list.json",
+    # sizes over the 2**25-entry bound are refused before anything is allocated
+    "bell --set dimension=1000000000000",
+    "bell --set route=field --set samples_per_cell=1e300",
+    "synth --set cells=1000000",
+    "carpet --set z_steps=1000000000",
+    "bell-scan --set dimensions=[100000]",
+    "entangle --set carpet_window_cells=100000 --set initial_window_cells=1"
+    " --set slit_window_cells=1",
+    "carpet --set dimension=1000000000000",
+    "synth --set dimension=1000000",
+    "entangle --set dimension=1000000000000",
 ]
 
 
@@ -216,7 +227,7 @@ def test_bell_and_bell_scan_agree_off_unit_spacing(tmp_path):
 
 
 # digits are left out of the free text so that it never parses as a number:
-# a huge dimension would allocate D x D matrices without a size check
+# a dimension just under the size bound still builds D x D matrices of 2**25 entries
 _TEXT = st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
 _ANY = st.one_of(st.none(), st.booleans(), st.integers(),
                  st.floats(allow_nan=True, allow_infinity=True), _TEXT,

@@ -8,7 +8,7 @@ import pytest
 from talbotlab import (GAUSSIAN, TOPHAT, BiphotonGaussian, CoeffMatrix,
                        InvalidSpec, SlitArray, SynthesizerGeometry,
                        UnderResolved, apply_dslit, biphoton_amplitude,
-                       correlation_coefficient, encode, entangled_coeffs,
+                       encode, entangled_coeffs,
                        fidelity, initial_biphoton_field, maximally_entangled,
                        render_synthesized, sample, schmidt_spectrum,
                        synthesize_single, two_photon_field, QuditState)
@@ -27,20 +27,19 @@ def axis(cells, samples_per_cell):
 
 
 def test_correlation_matches_exact_fractions():
-    assert abs(correlation_coefficient(BiphotonGaussian(9.0, 1.0)) - 80.0 / 82.0) < 1e-12
-    assert abs(correlation_coefficient(BiphotonGaussian(9.0, 1.0 / 6.0))
-               - 2915.0 / 2917.0) < 1e-12
+    assert abs(BiphotonGaussian(9.0, 1.0).correlation - 80.0 / 82.0) < 1e-12
+    assert abs(BiphotonGaussian(9.0, 1.0 / 6.0).correlation - 2915.0 / 2917.0) < 1e-12
 
 
 def test_correlation_caption_truncations():
-    r1 = correlation_coefficient(BiphotonGaussian(9.0, 1.0))
-    r2 = correlation_coefficient(BiphotonGaussian(9.0, 1.0 / 6.0))
+    r1 = BiphotonGaussian(9.0, 1.0).correlation
+    r2 = BiphotonGaussian(9.0, 1.0 / 6.0).correlation
     assert math.floor(r1 * 1000) / 1000 == 0.975
     assert math.floor(r2 * 1000) / 1000 == 0.999
 
 
 def test_equal_widths_give_zero_correlation():
-    assert correlation_coefficient(BiphotonGaussian(2.5, 2.5)) == 0.0
+    assert BiphotonGaussian(2.5, 2.5).correlation == 0.0
 
 
 def test_amplitude_peak_symmetry_and_norm():
