@@ -4,9 +4,10 @@ Two independent routes produce the four joint-probability tables:
 
 * the matrix route applies the closed-form measurement unitaries to the
   coefficient matrix;
-* the field route masks each photon axis with the pixelated measurement
-  phases, propagates both axes by the gate distance and integrates the
-  intensity over detector bins.
+* the field route masks each photon's comb basis B of the pair state
+  ``B C B^T`` with the pixelated measurement phases, propagates it by the
+  gate distance and integrates the intensity over detector bins, at a cost
+  of order n D^2 on n grid points: the n x n two-photon grid is never built.
 
 Both routes label outcomes in the measurement-operator convention, so their
 tables are comparable entry by entry.  The inequality combines the tables
@@ -23,13 +24,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import InvalidSpec, NonNormalized
-from .fields import BiphotonField, PropagationSpec, biphoton_propagate
+from .fields import PropagationSpec, _propagate_axis, check_entries
 from .qudits import (TalbotGeometry, bin_outcome_map, bin_weights,
-                     gate_distance_fraction, measurement_basis,
-                     measurement_phases, measurement_unitary)
+                     gate_distance_fraction, measurement_phases,
+                     measurement_unitary)
 from .spdc import (BiphotonGaussian, CoeffMatrix, SlitArray,
-                   SynthesizerGeometry, entangled_coeffs, maximally_entangled,
-                   two_photon_field)
+                   SynthesizerGeometry, comb_basis, entangled_coeffs,
+                   maximally_entangled)
 
 __all__ = [
     "MeasurementSettings",
@@ -102,62 +103,65 @@ def joint_prob_analytic(coeffs: CoeffMatrix, alpha: float, beta: float) -> np.nd
 
 
 def joint_prob_field(
-    psi: BiphotonField,
+    x: np.ndarray,
+    basis: np.ndarray,
+    coeffs: CoeffMatrix,
     gamma_a: float,
     gamma_b: float,
     geom: TalbotGeometry,
 ) -> tuple:
-    """Field-simulated joint table: mask, propagate, bin, relabel.
+    """Field-simulated joint table of the pair state ``B C B^T`` on grid x.
 
-    Each axis is multiplied by the pixelated measurement phase mask
-    (constant over each period/D cell), propagated by the gate distance
-    ``2 z_T / (c D)`` at wavelength period / 100 and the intensity
-    integrated over the detector bins.
-    Bin indices are relabeled to the measurement-operator outcome
-    convention, so the table is directly comparable with
-    :func:`joint_prob_analytic`.
+    ``B sqrt(dx) = Q R`` and ``R C R^T = L diag(s) Rh`` give the state as
+    ``(Q L) diag(s) (Q Rh^T)^T``, orthonormal columns on each axis.  Each
+    side's columns take the pixelated measurement phase mask (constant over
+    each period/D cell) and the gate distance ``2 z_T / (c D)`` at wavelength
+    period / 100, guarded on their s^2-weighted marginals.  The detector
+    bins then collect ``sum_jk s_j s_k M_A[a,j,k] M_B[b,j,k]`` with
+    ``M[a,j,k] = sum_x w[x,a] u[x,j] conj(u[x,k])``, relabeled to the
+    measurement-operator outcomes of :func:`joint_prob_analytic`.
 
     Returns ``(table, diagnostics)``; diagnostics carry the captured power
     and the per-axis fraction of power in bin-straddling sample cells
     (binning cross-talk).
     """
-    d = geom.dimension
+    d = coeffs.dimension
+    n = x.size
+    if basis.shape != (n, d):
+        raise InvalidSpec("comb basis must hold one column per qudit level")
+    check_entries("binned column products", n, d, d)
+    dx = x[1] - x[0]
+    q, r = np.linalg.qr(basis * np.sqrt(dx))
+    left, s, right = np.linalg.svd(r @ coeffs.values @ r.T)
+    s = s / np.linalg.norm(s)
+
     lam = geom.period / 100.0
-    z = gate_distance_fraction(d) * geom.period ** 2 / lam
-    spec = PropagationSpec(lam, z)
-
+    spec = PropagationSpec(lam, gate_distance_fraction(d) * geom.period ** 2 / lam)
     step = geom.offset_step
-    th_a = measurement_phases(d, gamma_a)
-    th_b = measurement_phases(d, gamma_b)
+    cell = np.floor((x - geom.origin + step / 2.0) / step).astype(int) % d
+    w = bin_weights(x, dx, geom.origin, step, d)
 
-    def mask(x: np.ndarray, th: np.ndarray) -> np.ndarray:
-        cell = np.floor((x - geom.origin + step / 2.0) / step).astype(int) % d
-        return np.exp(1j * th[cell])
+    def measured(columns: np.ndarray, gamma: float) -> tuple:
+        masked = columns * np.exp(1j * measurement_phases(d, gamma))[cell][:, None]
+        u = _propagate_axis(masked, dx, spec, 0, weights=s ** 2)
+        products = w.T @ (u[:, :, None] * u.conj()[:, None, :]).reshape(n, d * d)
+        return products, np.abs(u) ** 2 @ s ** 2
 
-    x1, x2 = psi.x1(), psi.x2()
-    masked = psi.values * mask(x1, th_a)[:, None] * mask(x2, th_b)[None, :]
-    work = BiphotonField(psi.x0_1, psi.dx1, psi.x0_2, psi.dx2, masked)
-    work = biphoton_propagate(work, spec)
+    m_a, marginal_a = measured(q @ left, gamma_a)
+    m_b, marginal_b = measured(q @ right.T, gamma_b)
+    binned = ((m_a * np.outer(s, s).ravel()) @ m_b.T).real
 
-    w1 = bin_weights(x1, psi.dx1, geom.origin, step, d)
-    w2 = bin_weights(x2, psi.dx2, geom.origin, step, d)
-    intensity = np.abs(work.values) ** 2 * psi.dx1 * psi.dx2
-    binned = w1.T @ intensity @ w2
-
-    map_a = bin_outcome_map(d, "A")
-    map_b = bin_outcome_map(d, "B")
     table = np.zeros_like(binned)
-    table[np.ix_(map_a, map_b)] = binned
+    table[np.ix_(bin_outcome_map(d, "A"), bin_outcome_map(d, "B"))] = binned
 
     captured = float(table.sum())
-    if captured <= 0:
+    if not captured > 0:  # also a state with no power on the grid (s = 0 / 0)
         raise InvalidSpec("detector bins captured no power")
-    split1 = intensity.sum(axis=1)[w1.max(axis=1) < 1.0 - 1e-12].sum()
-    split2 = intensity.sum(axis=0)[w2.max(axis=1) < 1.0 - 1e-12].sum()
+    straddling = w.max(axis=1) < 1.0 - 1e-12
     diagnostics = {
         "captured": captured,
-        "crosstalk_axis1": float(split1 / captured),
-        "crosstalk_axis2": float(split2 / captured),
+        "crosstalk_axis1": float(marginal_a[straddling].sum() / captured),
+        "crosstalk_axis2": float(marginal_b[straddling].sum() / captured),
         "gate_distance_fraction": gate_distance_fraction(d),
     }
     return table / captured, diagnostics
@@ -255,34 +259,28 @@ def bell_field(
 ) -> BellResult:
     """Field-route Bell evaluation: synthesize the pair state, then measure.
 
-    The two-photon comb state is built on the grid once and re-measured for
-    the four setting pairs.  With ``envelope=False`` (default) the combs
-    are ideal periodic ones on a window commensurate with the effective
-    period, the regime in which the two routes agree most closely.
+    The per-photon comb basis B is built on the grid once and the pair state
+    ``B C B^T`` is measured through it for the four setting pairs.  With
+    ``envelope=False`` (default) the combs are ideal periodic ones on a window
+    commensurate with the effective period, where the routes agree closest.
     """
     d = coeffs.dimension
     if cells % d != 0:
         cells += d - cells % d  # keep the window commensurate with the period
-    psi = two_photon_field(coeffs, slits, geom, samples_per_cell=samples_per_cell,
-                           cells=cells, envelope=envelope)
+    x, basis = comb_basis(slits, geom, samples_per_cell, cells, envelope)
     tgeom = geom.talbot_geometry(d, slits.width, profile=slits.profile)
-    tables = []
-    diags = []
-    for a, b in SETTING_PAIRS:
-        alpha, beta = settings.pair(a, b)
-        table, diag = joint_prob_field(psi, alpha, beta, tgeom)
-        tables.append(table)
-        diags.append(diag)
+    results = [joint_prob_field(x, basis, coeffs, *settings.pair(a, b), tgeom)
+               for a, b in SETTING_PAIRS]
     prov = {
         "route": "field",
         "dimension": d,
         "samples_per_cell": samples_per_cell,
         "cells": cells,
         "envelope": envelope,
-        "diagnostics": diags,
+        "diagnostics": [diag for _, diag in results],
     }
     prov.update(provenance or {})
-    return cglmp_value(tables, settings, provenance=prov)
+    return cglmp_value([table for table, _ in results], settings, provenance=prov)
 
 
 @dataclass(frozen=True)

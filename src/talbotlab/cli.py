@@ -264,20 +264,20 @@ def cmd_entangle(args) -> int:
     def axis(cells, spc):
         return centered_axis(cells * spc, s / spc)
 
+    # every stage and its guards run before the first file is written
     x_a = axis(cfg["initial_window_cells"], cfg["initial_samples_per_cell"])
     initial = initial_biphoton_field(model, x_a, x_a)
-    write_biphoton_csv(initial, out / "entangle_initial.csv", config=cfg)
-    write_pgm(np.abs(initial.values) ** 2, out / "entangle_initial.pgm", config=cfg)
-
     x_c = axis(cfg["slit_window_cells"], cfg["slit_samples_per_cell"])
     after, transmitted = apply_dslit(initial_biphoton_field(model, x_c, x_c), slits)
-    write_biphoton_csv(after, out / "entangle_slits.csv",
-                       config={**cfg, "transmitted_fraction": transmitted})
-    write_pgm(np.abs(after.values) ** 2, out / "entangle_slits.pgm", config=cfg)
-
     carpet = two_photon_field(coeffs, slits, geom,
                               samples_per_cell=cfg["carpet_samples_per_cell"],
                               cells=cfg["carpet_window_cells"])
+
+    write_biphoton_csv(initial, out / "entangle_initial.csv", config=cfg)
+    write_pgm(np.abs(initial.values) ** 2, out / "entangle_initial.pgm", config=cfg)
+    write_biphoton_csv(after, out / "entangle_slits.csv",
+                       config={**cfg, "transmitted_fraction": transmitted})
+    write_pgm(np.abs(after.values) ** 2, out / "entangle_slits.pgm", config=cfg)
     write_biphoton_csv(carpet, out / "entangle_carpet.csv", config=cfg)
     write_pgm(np.abs(carpet.values) ** 2, out / "entangle_carpet.pgm", config=cfg)
     print(f"entangle: initial, post-slit and carpet densities written to {out}"

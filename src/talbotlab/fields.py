@@ -50,7 +50,7 @@ __all__ = [
 MASS_TOL = 1e-8
 # largest truncation order tried before giving up on that mass rule
 MAX_ORDERS = 4096
-# largest array a configuration may ask for; the biggest grid in use is 4096^2 = 2**24
+# largest array a configuration may ask for; the biggest grid in use is entangle's 3072^2
 MAX_ENTRIES = 2 ** 25
 
 
@@ -331,17 +331,18 @@ def _check_aliasing(n: int, dx: float, spec: PropagationSpec,
 
 
 def _propagate_axis(values: np.ndarray, dx: float, spec: PropagationSpec,
-                    axis: int) -> np.ndarray:
+                    axis: int, weights=1.0) -> np.ndarray:
     """Spectral Fresnel step along one axis of ``values``, aliasing-guarded.
 
-    The guard sees the power summed over the other axes: the marginal
-    profile and the marginal spectrum of the propagated coordinate.
+    The guard sees the power summed over the other axes, weighted by
+    ``weights`` (per column of a factored state, its squared Schmidt value):
+    the marginal profile and the marginal spectrum of the propagated axis.
     """
     n = values.shape[axis]
     others = tuple(a for a in range(values.ndim) if a != axis)
-    power_x = (np.abs(values) ** 2).sum(axis=others)
+    power_x = (weights * np.abs(values) ** 2).sum(axis=others)
     spectrum = np.fft.fft(values, axis=axis)
-    _check_aliasing(n, dx, spec, (np.abs(spectrum) ** 2).sum(axis=others), power_x)
+    _check_aliasing(n, dx, spec, (weights * np.abs(spectrum) ** 2).sum(axis=others), power_x)
     spectrum *= np.expand_dims(_transfer_function(n, dx, spec), others)
     return np.fft.ifft(spectrum, axis=axis)
 

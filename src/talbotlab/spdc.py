@@ -34,6 +34,7 @@ __all__ = [
     "render_synthesized",
     "entangled_coeffs",
     "maximally_entangled",
+    "comb_basis",
     "two_photon_field",
     "schmidt_spectrum",
 ]
@@ -332,6 +333,27 @@ def maximally_entangled(dimension: int) -> CoeffMatrix:
     return CoeffMatrix(np.eye(dimension) / math.sqrt(dimension))
 
 
+def comb_basis(slits: SlitArray, geom: SynthesizerGeometry, samples_per_cell: int,
+               cells: int, envelope: bool) -> tuple:
+    """``(x, B)``: the centred grid of ``cells`` slit spacings sampled
+    ``samples_per_cell`` times each, and the n x D comb basis on it, column d
+    the comb anchored at slit d with unit power.  Needs 3 samples per slit width.
+    """
+    dx = slits.spacing / samples_per_cell
+    if slits.width / dx < 3 * (1.0 - 1e-9):
+        raise UnderResolved(
+            f"slit width {slits.width:g} needs at least 3 samples (dx = {dx:g})"
+        )
+    x = centered_axis(samples_per_cell * cells, dx)
+    basis = _comb_columns(slits, geom, x, envelope)
+    for d in range(slits.count):
+        nrm = math.sqrt(float((np.abs(basis[:, d]) ** 2).sum() * dx))
+        if nrm == 0:
+            raise InvalidSpec("empty comb on the grid; enlarge the window")
+        basis[:, d] /= nrm
+    return x, basis
+
+
 def two_photon_field(
     coeffs: CoeffMatrix,
     slits: SlitArray,
@@ -348,24 +370,13 @@ def two_photon_field(
     axis.  With ``envelope=False`` the combs are ideal (uniform teeth),
     which is the periodic idealization used for route comparisons.
     """
-    dim = coeffs.dimension
-    if slits.count != dim:
+    if slits.count != coeffs.dimension:
         raise InvalidSpec("slit count must match the coefficient dimension")
-    dx = slits.spacing / samples_per_cell
-    if slits.width / dx < 3 * (1.0 - 1e-9):
-        raise UnderResolved(
-            f"slit width {slits.width:g} needs at least 3 samples (dx = {dx:g})"
-        )
     n = samples_per_cell * cells
     check_entries("two-photon grid", n, n)
-    x = centered_axis(n, dx)
-    basis = _comb_columns(slits, geom, x, envelope)
-    for d in range(dim):
-        nrm = math.sqrt(float((np.abs(basis[:, d]) ** 2).sum() * dx))
-        if nrm == 0:
-            raise InvalidSpec("empty comb on the grid; enlarge the window")
-        basis[:, d] /= nrm
+    x, basis = comb_basis(slits, geom, samples_per_cell, cells, envelope)
     vals = basis @ coeffs.values @ basis.T
+    dx = slits.spacing / samples_per_cell
     return BiphotonField(float(x[0]), dx, float(x[0]), dx, vals).normalized()
 
 

@@ -9,7 +9,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from talbotlab import (BiphotonGaussian, GAUSSIAN, HardwareSpec, SlitArray,
                        SynthesizerGeometry, bell_analytic, bell_field,
@@ -119,7 +118,6 @@ def test_criterion_4_cglmp_calibration():
         assert values[-1] < 2.9681
 
 
-@pytest.mark.slow
 def test_criterion_5_route_equivalence():
     with criterion(5, 600.0, "field-simulated I agrees with analytic within 0.02 "
                              "for D in {2, 3}"):

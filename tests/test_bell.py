@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from talbotlab import (BiphotonGaussian, MeasurementSettings, NonNormalized,
+from talbotlab import (AliasingRisk, BiphotonField, BiphotonGaussian,
+                       MeasurementSettings, NonNormalized, PropagationSpec,
                        SlitArray, SynthesizerGeometry, bell_analytic,
-                       bell_field, bell_scan, cglmp_value, entangled_coeffs,
+                       bell_field, bell_scan, biphoton_propagate, bin_outcome_map,
+                       cglmp_value, entangled_coeffs, gate_distance_fraction,
                        joint_prob_analytic, joint_prob_field,
-                       maximally_entangled, two_photon_field)
+                       maximally_entangled, measurement_phases, two_photon_field)
 from talbotlab.bell import SETTING_PAIRS
+from talbotlab.qudits import bin_weights
+from talbotlab.spdc import comb_basis
 
 SETTINGS = MeasurementSettings()
 
@@ -199,10 +203,10 @@ def test_field_route_product_state_factorizes():
     coeffs = CoeffMatrix(np.diag([1.0, 0.0]).astype(complex))
     slits = SlitArray(2, 1.0, 0.05)
     geom = SynthesizerGeometry.for_dimension(2, 1.0)
-    psi = two_photon_field(coeffs, slits, geom, samples_per_cell=64, cells=24,
-                           envelope=False)
+    x, basis = comb_basis(slits, geom, samples_per_cell=64, cells=24, envelope=False)
     tgeom = geom.talbot_geometry(2, 0.05)
-    table, diag = joint_prob_field(psi, SETTINGS.alpha1, SETTINGS.beta1, tgeom)
+    table, diag = joint_prob_field(x, basis, coeffs, SETTINGS.alpha1, SETTINGS.beta1,
+                                   tgeom)
     pa, pb = table.sum(axis=1), table.sum(axis=0)
     np.testing.assert_allclose(table, np.outer(pa, pb), atol=1e-9)
     assert diag["captured"] > 0.99
@@ -219,6 +223,84 @@ def test_field_route_with_grating_envelope_stays_close():
     analytic_result = bell_analytic(coeffs)
     for tf, ta in zip(field_result.tables, analytic_result.tables):
         assert np.abs(tf - ta).max() < 1e-2
+
+
+# ---------------------------------------------------------------------------
+# dense oracle of the field route: the pair state on the full two-photon grid
+
+
+def dense_joint_table(psi, gamma_a, gamma_b, geom):
+    """Mask both axes of the n x n grid, propagate it, bin, relabel."""
+    d = geom.dimension
+    lam = geom.period / 100.0
+    spec = PropagationSpec(lam, gate_distance_fraction(d) * geom.period ** 2 / lam)
+    step = geom.offset_step
+    x = psi.x1()
+    cell = np.floor((x - geom.origin + step / 2.0) / step).astype(int) % d
+    mask_a = np.exp(1j * measurement_phases(d, gamma_a))[cell]
+    mask_b = np.exp(1j * measurement_phases(d, gamma_b))[cell]
+    masked = psi.values * mask_a[:, None] * mask_b[None, :]
+    work = biphoton_propagate(BiphotonField(psi.x0_1, psi.dx1, psi.x0_2, psi.dx2, masked),
+                              spec)
+    w = bin_weights(x, psi.dx1, geom.origin, step, d)
+    intensity = np.abs(work.values) ** 2 * psi.dx1 * psi.dx2
+    table = np.zeros((d, d))
+    table[np.ix_(bin_outcome_map(d, "A"), bin_outcome_map(d, "B"))] = w.T @ intensity @ w
+    captured = table.sum()
+    straddling = w.max(axis=1) < 1.0 - 1e-12
+    return table / captured, {
+        "captured": captured,
+        "crosstalk_axis1": intensity.sum(axis=1)[straddling].sum() / captured,
+        "crosstalk_axis2": intensity.sum(axis=0)[straddling].sum() / captured,
+    }
+
+
+def _pair(dimension, slit_width=0.05, spike_width=None):
+    return (SlitArray(dimension, 1.0, slit_width),
+            SynthesizerGeometry.for_dimension(dimension, 1.0, spike_width=spike_width))
+
+
+ORACLE_CASES = {
+    "D2-ideal": (maximally_entangled(2), _pair(2), 64, 24, False),
+    "D3-ideal": (maximally_entangled(3), _pair(3), 64, 24, False),
+    "D5-kappa9-1": (entangled_coeffs(5, 1.0, BiphotonGaussian(9.0, 1.0)), _pair(5), 64, 24,
+                    False),
+    "D2-envelope": (maximally_entangled(2), _pair(2, 0.1, 0.03), 32, 96, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_factored_field_route_equals_the_dense_grid(case):
+    coeffs, (slits, geom), spc, cells, envelope = ORACLE_CASES[case]
+    result = bell_field(coeffs, slits, geom, samples_per_cell=spc, cells=cells,
+                        envelope=envelope)
+    psi = two_photon_field(coeffs, slits, geom, samples_per_cell=spc,
+                           cells=result.provenance["cells"], envelope=envelope)
+    tgeom = geom.talbot_geometry(coeffs.dimension, slits.width)
+    for (a, b), table, diag in zip(SETTING_PAIRS, result.tables,
+                                   result.provenance["diagnostics"]):
+        dense, dense_diag = dense_joint_table(psi, *SETTINGS.pair(a, b), tgeom)
+        assert np.abs(table - dense).max() < 1e-12
+        for key, value in dense_diag.items():
+            assert abs(diag[key] - value) < 1e-12, key
+
+
+@pytest.mark.parametrize("cells, trips", [(66, True), (48, False)])
+def test_factored_and_dense_guards_trip_on_the_same_grids(cells, trips):
+    coeffs = maximally_entangled(3)
+    slits, geom = _pair(3)
+    tgeom = geom.talbot_geometry(3, slits.width)
+    psi = two_photon_field(coeffs, slits, geom, samples_per_cell=64, cells=cells)
+    x, basis = comb_basis(slits, geom, 64, cells, envelope=True)
+    alpha, beta = SETTINGS.pair(1, 1)
+    routes = (lambda: dense_joint_table(psi, alpha, beta, tgeom),
+              lambda: joint_prob_field(x, basis, coeffs, alpha, beta, tgeom))
+    for route in routes:
+        if trips:
+            with pytest.raises(AliasingRisk):
+                route()
+        else:
+            route()
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +334,18 @@ def test_finite_correlation_has_interior_maximum():
     values = [r.value for r in rows]
     peak = int(np.argmax(values))
     assert 0 < peak < len(values) - 1
+
+
+def test_field_route_matches_analytic_over_the_criterion_6_scan():
+    dims = range(2, 13)
+    pairs = [(9.0, 0.0)] + [(9.0, 9.0 * math.sqrt((1 - r) / (1 + r)))
+                            for r in (0.998, 0.9998, 0.99998)]
+    field_rows = bell_scan(dims, pairs, route="field")
+    analytic_rows = bell_scan(dims, pairs)
+    assert len(field_rows) == len(analytic_rows) == 44
+    for f, a in zip(field_rows, analytic_rows):
+        assert (f.dimension, f.kappa_minus) == (a.dimension, a.kappa_minus)
+        assert abs(f.value - a.value) < 1e-9
 
 
 def test_qutrit_table_matches_explicit_kernel_summation():

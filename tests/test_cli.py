@@ -49,6 +49,15 @@ def test_numerical_guard_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("setting", ["carpet_samples_per_cell=8", "slit_samples_per_cell=100"])
+def test_entangle_guard_trip_leaves_no_files(setting, tmp_path, capsys):
+    # the slit stage (too few samples per slit) or the carpet stage trips a
+    # guard after the earlier stages have been built; nothing may be written
+    assert run(["entangle", "--out-dir", str(tmp_path), "--set", setting]) == 3
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert list(tmp_path.glob("entangle_*")) == []
+
+
 def test_carpet_emission_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["carpet", "--set", "z_steps=48", "--set", "periods=2",
