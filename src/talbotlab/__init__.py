@@ -5,9 +5,8 @@ phase gates by simulated free-space propagation, and evaluates D-dimensional
 CGLMP Bell inequalities both analytically and by full field simulation.
 """
 
-from .bell import (BellResult, MeasurementSettings, ScanRow, bell_analytic,
-                   bell_field, bell_point, bell_scan, cglmp_value,
-                   joint_prob_analytic, joint_prob_field)
+from .bell import (BellResult, ScanRow, bell_analytic, bell_field, bell_point,
+                   bell_scan, cglmp_value, joint_prob_analytic, joint_prob_field)
 from .constraints import (HardwareSpec, gate_distances, max_dimension,
                           mutual_information)
 from .errors import (AliasingRisk, BinMisalignment, GridMismatch, InvalidSpec,

@@ -10,11 +10,10 @@ Two independent routes produce the four joint-probability tables:
   of order n D^2 on n grid points: the n x n two-photon grid is never built.
 
 Both routes label outcomes in the measurement-operator convention, so their
-tables are comparable entry by entry.  The inequality combines the tables
-into correlators; the pairing that yields the canonical quantum violation
-for the maximally correlated state is the default, and the anti-correlated
-pairing (appropriate for raw detector-bin labels) is available behind a
-flag.
+tables are comparable entry by entry.  The measurements use the canonical
+CGLMP offsets (Collins et al., PRL 88, 040404 (2002)), and the inequality
+pairs outcomes as correlated, which yields the canonical quantum violation
+for the maximally correlated state.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ from .spdc import (BiphotonGaussian, CoeffMatrix, SlitArray,
                    maximally_entangled)
 
 __all__ = [
-    "MeasurementSettings",
     "BellResult",
     "SETTING_PAIRS",
+    "SETTING_OFFSETS",
     "joint_prob_analytic",
     "joint_prob_field",
     "cglmp_value",
@@ -47,21 +46,10 @@ __all__ = [
 ]
 
 SETTING_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
-
-
-@dataclass(frozen=True)
-class MeasurementSettings:
-    """The two measurement offsets per side; canonical CGLMP defaults."""
-
-    alpha1: float = 0.0
-    alpha2: float = 0.5
-    beta1: float = 0.25
-    beta2: float = -0.25
-
-    def pair(self, a: int, b: int) -> tuple:
-        alpha = self.alpha1 if a == 1 else self.alpha2
-        beta = self.beta1 if b == 1 else self.beta2
-        return alpha, beta
+# (alpha, beta) of each setting pair: the canonical alpha_a in {0, 1/2}, beta_b in {1/4, -1/4}
+SETTING_OFFSETS = {(a, b): ((0.0, 0.5)[a - 1], (0.25, -0.25)[b - 1]) for a, b in SETTING_PAIRS}
+# largest |sum - 1| accepted for a joint table
+_NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,18 +60,16 @@ class BellResult:
     tables: tuple  # four D x D arrays ordered as SETTING_PAIRS
     j_values: tuple
     value: float
-    settings: MeasurementSettings
-    convention: str
     provenance: dict = dc_field(default_factory=dict)
 
 
-def _validate_table(table: np.ndarray, atol: float = 1e-6) -> np.ndarray:
+def _validate_table(table: np.ndarray) -> np.ndarray:
     t = np.asarray(table, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise InvalidSpec("joint table must be square")
     if t.min() < -1e-12:
         raise NonNormalized(f"negative probability {t.min():.2e}")
-    if not abs(t.sum() - 1.0) <= atol:
+    if not abs(t.sum() - 1.0) <= _NORM_TOL:
         raise NonNormalized(f"table sums to {t.sum():.8f}, expected 1")
     return t
 
@@ -167,20 +153,13 @@ def joint_prob_field(
     return table / captured, diagnostics
 
 
-def _corr_a_equals_b_plus(table: np.ndarray, k: int, anticorrelated: bool) -> float:
+def _corr_a_equals_b_plus(table: np.ndarray, k: int) -> float:
     d = table.shape[0]
     j = np.arange(d)
-    if anticorrelated:
-        return float(table[(-j) % d, (j + k) % d].sum())
     return float(table[(j + k) % d, j].sum())
 
 
-def cglmp_value(
-    tables,
-    settings: MeasurementSettings = MeasurementSettings(),
-    convention: str = "correlated",
-    provenance: dict | None = None,
-) -> BellResult:
+def cglmp_value(tables, provenance: dict | None = None) -> BellResult:
     """Bell parameter of the four joint tables.
 
     ``tables`` are ordered as ``SETTING_PAIRS``.  For each
@@ -190,15 +169,9 @@ def cglmp_value(
           + P(B1=A2+k+1) - P(B1=A2-k) + P(A2=B2+k) - P(A2=B2-k-1)``
 
     is weighted by ``1 - 2k/(D-1)`` and summed.  Local realistic
-    distributions obey ``value <= 2``.  The ``convention`` selects how the
-    correlators pair outcomes: ``"correlated"`` sums ``P(A=j+k, B=j)`` and
-    is the default for measurement-convention tables; ``"anticorrelated"``
-    sums ``P(A=-j, B=j+k)`` and applies to raw detector-bin tables, which
-    are anti-correlated for a correlated pair state.
+    distributions obey ``value <= 2``.  Each correlator ``P(A=B+k)`` sums
+    ``P(A=j+k, B=j)`` over j, the pairing of measurement-convention tables.
     """
-    if convention not in ("correlated", "anticorrelated"):
-        raise InvalidSpec("convention must be 'correlated' or 'anticorrelated'")
-    anti = convention == "anticorrelated"
     tabs = tuple(_validate_table(t) for t in tables)
     if len(tabs) != 4:
         raise InvalidSpec("need the four setting tables")
@@ -212,14 +185,14 @@ def cglmp_value(
     value = 0.0
     for k in range(d // 2):
         j_k = (
-            _corr_a_equals_b_plus(p11, k, anti)
-            - _corr_a_equals_b_plus(p11, -k - 1, anti)
-            + _corr_a_equals_b_plus(p12.T, k, anti)  # P(B = A + k)
-            - _corr_a_equals_b_plus(p12.T, -k - 1, anti)
-            + _corr_a_equals_b_plus(p21.T, k + 1, anti)
-            - _corr_a_equals_b_plus(p21.T, -k, anti)
-            + _corr_a_equals_b_plus(p22, k, anti)
-            - _corr_a_equals_b_plus(p22, -k - 1, anti)
+            _corr_a_equals_b_plus(p11, k)
+            - _corr_a_equals_b_plus(p11, -k - 1)
+            + _corr_a_equals_b_plus(p12.T, k)  # P(B = A + k)
+            - _corr_a_equals_b_plus(p12.T, -k - 1)
+            + _corr_a_equals_b_plus(p21.T, k + 1)
+            - _corr_a_equals_b_plus(p21.T, -k)
+            + _corr_a_equals_b_plus(p22, k)
+            - _corr_a_equals_b_plus(p22, -k - 1)
         )
         j_values.append(j_k)
         value += (1.0 - 2.0 * k / (d - 1)) * j_k
@@ -228,23 +201,16 @@ def cglmp_value(
         tables=tabs,
         j_values=tuple(j_values),
         value=float(value),
-        settings=settings,
-        convention=convention,
         provenance=dict(provenance or {}),
     )
 
 
-def bell_analytic(
-    coeffs: CoeffMatrix,
-    settings: MeasurementSettings = MeasurementSettings(),
-    provenance: dict | None = None,
-) -> BellResult:
+def bell_analytic(coeffs: CoeffMatrix, provenance: dict | None = None) -> BellResult:
     """Matrix-route Bell evaluation of a coefficient matrix."""
-    tables = [joint_prob_analytic(coeffs, *settings.pair(a, b))
-              for a, b in SETTING_PAIRS]
+    tables = [joint_prob_analytic(coeffs, *SETTING_OFFSETS[pair]) for pair in SETTING_PAIRS]
     prov = {"route": "analytic", "dimension": coeffs.dimension}
     prov.update(provenance or {})
-    return cglmp_value(tables, settings, provenance=prov)
+    return cglmp_value(tables, provenance=prov)
 
 
 def bell_field(
@@ -254,7 +220,6 @@ def bell_field(
     samples_per_cell: int = 64,
     cells: int = 64,
     envelope: bool = False,
-    settings: MeasurementSettings = MeasurementSettings(),
     provenance: dict | None = None,
 ) -> BellResult:
     """Field-route Bell evaluation: synthesize the pair state, then measure.
@@ -269,8 +234,8 @@ def bell_field(
         cells += d - cells % d  # keep the window commensurate with the period
     x, basis = comb_basis(slits, geom, samples_per_cell, cells, envelope)
     tgeom = geom.talbot_geometry(d, slits.width, profile=slits.profile)
-    results = [joint_prob_field(x, basis, coeffs, *settings.pair(a, b), tgeom)
-               for a, b in SETTING_PAIRS]
+    results = [joint_prob_field(x, basis, coeffs, *SETTING_OFFSETS[pair], tgeom)
+               for pair in SETTING_PAIRS]
     prov = {
         "route": "field",
         "dimension": d,
@@ -280,7 +245,7 @@ def bell_field(
         "diagnostics": [diag for _, diag in results],
     }
     prov.update(provenance or {})
-    return cglmp_value([table for table, _ in results], settings, provenance=prov)
+    return cglmp_value([table for table, _ in results], provenance=prov)
 
 
 @dataclass(frozen=True)
@@ -294,9 +259,8 @@ class ScanRow:
 
 
 def bell_point(dimension: int, kappa_plus: float, kappa_minus: float, spacing: float = 1.0,
-               route: str = "analytic", settings: MeasurementSettings = MeasurementSettings(),
-               slit_width: float = 0.05, provenance: dict | None = None,
-               **field_kwargs) -> BellResult:
+               route: str = "analytic", slit_width: float = 0.05,
+               provenance: dict | None = None, **field_kwargs) -> BellResult:
     """Bell evaluation of the pair state behind a D-slit source.
 
     Source widths and slit width are in units of the slit spacing;
@@ -310,34 +274,27 @@ def bell_point(dimension: int, kappa_plus: float, kappa_minus: float, spacing: f
         model = BiphotonGaussian(kappa_plus * spacing, kappa_minus * spacing)
         coeffs = entangled_coeffs(dimension, spacing, model)
     if route == "analytic":
-        return bell_analytic(coeffs, settings, provenance=provenance)
+        return bell_analytic(coeffs, provenance=provenance)
     if route == "field":
         slits = SlitArray(dimension, spacing, slit_width * spacing)
         geom = SynthesizerGeometry.for_dimension(dimension, spacing)
-        return bell_field(coeffs, slits, geom, settings=settings, provenance=provenance,
-                          **field_kwargs)
+        return bell_field(coeffs, slits, geom, provenance=provenance, **field_kwargs)
     raise InvalidSpec("route must be 'analytic' or 'field'")
 
 
-def bell_scan(
-    dimensions,
-    kappa_pairs,
-    spacing: float = 1.0,
-    route: str = "analytic",
-    settings: MeasurementSettings = MeasurementSettings(),
-    **field_kwargs,
-) -> list:
+def bell_scan(dimensions, kappa_pairs, spacing: float = 1.0, route: str = "analytic") -> list:
     """Bell parameter over a grid of dimensions and source widths.
 
     ``kappa_pairs`` is a sequence of ``(kappa_plus, kappa_minus)`` in units
     of the slit spacing; ``kappa_minus = 0`` marks the ideal maximally
     entangled reference row.  Rows follow the input grid, dimensions
-    varying fastest; ``field_kwargs`` are passed to :func:`bell_point`.
+    varying fastest.  Each point is :func:`bell_point` with its default
+    slit width and field grid.
     """
     rows = []
     for kp, km in kappa_pairs:
         correlation = BiphotonGaussian(kp, km).correlation if km != 0.0 else 1.0
         for dim in dimensions:
-            res = bell_point(dim, kp, km, spacing, route, settings, **field_kwargs)
+            res = bell_point(dim, kp, km, spacing, route)
             rows.append(ScanRow(dim, kp, km, correlation, route, res.value))
     return rows

@@ -216,9 +216,6 @@ class ModeField:
             raise InvalidSpec("cannot normalize a zero or non-finite field")
         return ModeField(self.period, self.offset, self.coeffs / math.sqrt(p))
 
-    def shifted(self, dx: float) -> "ModeField":
-        return ModeField(self.period, self.offset + dx, self.coeffs)
-
 
 @dataclass(frozen=True)
 class PropagationSpec:
@@ -283,12 +280,16 @@ def _transfer_function(n: int, dx: float, spec: PropagationSpec) -> np.ndarray:
     return carrier * np.exp(-1j * np.pi * spec.wavelength * spec.distance * f * f)
 
 
-def _occupied_bandwidth(power: np.ndarray, f: np.ndarray, rel: float = 1e-9) -> float:
-    """Largest |frequency| carrying more than ``rel`` of the total power."""
+# share of the total power above which a frequency counts as occupied
+_OCCUPIED_SHARE = 1e-9
+
+
+def _occupied_bandwidth(power: np.ndarray, f: np.ndarray) -> float:
+    """Largest |frequency| carrying more than ``_OCCUPIED_SHARE`` of the total power."""
     total = power.sum()
     if total <= 0:
         return float(np.abs(f).max())
-    occupied = power > rel * total
+    occupied = power > _OCCUPIED_SHARE * total
     return float(np.abs(f[occupied]).max()) if occupied.any() else 0.0
 
 

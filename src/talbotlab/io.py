@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bell import SETTING_PAIRS, BellResult
+from .bell import SETTING_OFFSETS, SETTING_PAIRS, BellResult
 from .errors import InvalidSpec
 from .fields import BiphotonField, SampledField
 from .qudits import QuditState, QuditUnitary
@@ -45,25 +45,24 @@ def config_header(config: dict | None) -> str:
     return "# config: " + json.dumps(config, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _write_csv(path, config: dict | None, header: str, lines) -> None:
+    """Config comment, column header line (or ""), then ``lines``, one at a time."""
+    with open(path, "w") as fh:
+        fh.write(config_header(config) + header)
+        fh.writelines(lines)
+
+
 def write_sampled_csv(field: SampledField, path, config: dict | None = None) -> None:
     """Sampled field as ``x,re,im`` rows."""
-    xs = field.x()
-    lines = [config_header(config), "x,re,im\n"]
-    for x, v in zip(xs, field.values):
-        lines.append(f"{format_float(x)},{format_float(v.real)},{format_float(v.imag)}\n")
-    Path(path).write_text("".join(lines))
+    _write_csv(path, config, "x,re,im\n", (
+        f"{format_float(x)},{format_float(v.real)},{format_float(v.imag)}\n"
+        for x, v in zip(field.x(), field.values)))
 
 
-def write_matrix_csv(matrix: np.ndarray, path, config: dict | None = None,
-                     columns: str | None = None) -> None:
+def write_matrix_csv(matrix: np.ndarray, path, config: dict | None = None) -> None:
     """Real matrix as row-major CSV, one matrix row per line."""
-    m = np.asarray(matrix, dtype=float)
-    lines = [config_header(config)]
-    if columns:
-        lines.append(columns + "\n")
-    for row in m:
-        lines.append(",".join(format_float(v) for v in row) + "\n")
-    Path(path).write_text("".join(lines))
+    _write_csv(path, config, "", (",".join(format_float(v) for v in row) + "\n"
+                                  for row in np.asarray(matrix, dtype=float)))
 
 
 def write_biphoton_csv(field: BiphotonField, path, config: dict | None = None) -> None:
@@ -86,8 +85,7 @@ def write_biphoton_csv(field: BiphotonField, path, config: dict | None = None) -
     sidecar.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
 
 
-def write_pgm(matrix: np.ndarray, path, max_value: float | None = None,
-              config: dict | None = None) -> None:
+def write_pgm(matrix: np.ndarray, path, config: dict | None = None) -> None:
     """8-bit binary PGM with linear intensity mapping.
 
     Comment lines record the intensity mapped to 255 (so the scaling is
@@ -99,7 +97,7 @@ def write_pgm(matrix: np.ndarray, path, max_value: float | None = None,
         raise InvalidSpec("PGM needs a 2-D array")
     if not np.isfinite(m).all():
         raise InvalidSpec("PGM input must be finite")
-    top = float(m.max()) if max_value is None else float(max_value)
+    top = float(m.max())
     if top <= 0:
         top = 1.0
     scaled = np.clip(m / top, 0.0, 1.0)
@@ -152,12 +150,10 @@ def bell_result_to_json(result: BellResult) -> str:
         "D": result.dimension,
         "I": result.value,
         "J": list(result.j_values),
-        "convention": result.convention,
+        "convention": "correlated",
         "settings": {
-            "alpha1": result.settings.alpha1,
-            "alpha2": result.settings.alpha2,
-            "beta1": result.settings.beta1,
-            "beta2": result.settings.beta2,
+            **{f"alpha{a}": alpha for (a, _), (alpha, _) in SETTING_OFFSETS.items()},
+            **{f"beta{b}": beta for (_, b), (_, beta) in SETTING_OFFSETS.items()},
         },
         "tables": {
             f"P{a}{b}": table.tolist() for (a, b), table in zip(SETTING_PAIRS, result.tables)
@@ -169,10 +165,6 @@ def bell_result_to_json(result: BellResult) -> str:
 
 def write_scan_csv(rows, path, config: dict | None = None) -> None:
     """Scan rows as CSV with the fixed header D,kappa_plus,kappa_minus,R,route,I_D."""
-    lines = [config_header(config), "D,kappa_plus,kappa_minus,R,route,I_D\n"]
-    for r in rows:
-        lines.append(
-            f"{r.dimension},{format_float(r.kappa_plus)},{format_float(r.kappa_minus)},"
-            f"{format_float(r.correlation)},{r.route},{format_float(r.value)}\n"
-        )
-    Path(path).write_text("".join(lines))
+    _write_csv(path, config, "D,kappa_plus,kappa_minus,R,route,I_D\n", (
+        f"{r.dimension},{format_float(r.kappa_plus)},{format_float(r.kappa_minus)},"
+        f"{format_float(r.correlation)},{r.route},{format_float(r.value)}\n" for r in rows))

@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from talbotlab import (AliasingRisk, BiphotonField, BiphotonGaussian,
-                       MeasurementSettings, NonNormalized, PropagationSpec,
-                       SlitArray, SynthesizerGeometry, bell_analytic,
-                       bell_field, bell_scan, biphoton_propagate, bin_outcome_map,
-                       cglmp_value, entangled_coeffs, gate_distance_fraction,
+                       NonNormalized, PropagationSpec, SlitArray,
+                       SynthesizerGeometry, bell_analytic, bell_field, bell_scan,
+                       biphoton_propagate, bin_outcome_map, cglmp_value,
+                       entangled_coeffs, gate_distance_fraction,
                        joint_prob_analytic, joint_prob_field,
                        maximally_entangled, measurement_phases, two_photon_field)
-from talbotlab.bell import SETTING_PAIRS
+from talbotlab.bell import SETTING_OFFSETS, SETTING_PAIRS
 from talbotlab.qudits import bin_weights
 from talbotlab.spdc import comb_basis
-
-SETTINGS = MeasurementSettings()
 
 # frozen oracle values -------------------------------------------------------
 # I_2 is 2 sqrt(2); I_3 was pre-registered from the independent geometric-sum
@@ -45,7 +43,7 @@ def closed_form_max_ent(dimension: int) -> float:
 
 
 def analytic_tables(coeffs):
-    return [joint_prob_analytic(coeffs, *SETTINGS.pair(a, b)) for a, b in SETTING_PAIRS]
+    return [joint_prob_analytic(coeffs, *SETTING_OFFSETS[pair]) for pair in SETTING_PAIRS]
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +53,7 @@ def analytic_tables(coeffs):
 def test_qubit_tables_match_hand_computed_chsh_values():
     # derived by hand from the geometric sum: diagonal (2 + sqrt 2)/8,
     # off-diagonal (2 - sqrt 2)/8 for the (1, 1) setting pair
-    table = joint_prob_analytic(maximally_entangled(2), SETTINGS.alpha1, SETTINGS.beta1)
+    table = joint_prob_analytic(maximally_entangled(2), *SETTING_OFFSETS[1, 1])
     hi = (2.0 + math.sqrt(2.0)) / 8.0
     lo = (2.0 - math.sqrt(2.0)) / 8.0
     np.testing.assert_allclose(table, [[hi, lo], [lo, hi]], atol=1e-12)
@@ -92,31 +90,6 @@ def test_value_increases_with_dimension_below_ceiling():
     values = [bell_analytic(maximally_entangled(d)).value for d in range(2, 9)]
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values[-1] < QUANTUM_CEILING
-
-
-def test_conventions_coincide_for_two_outcomes(rng):
-    # with two outcomes, negating a label is the identity, so the two
-    # correlator pairings agree on any table; this is why a two-dimensional
-    # calibration alone cannot fix the convention
-    for _ in range(20):
-        tables = []
-        for _ in range(4):
-            t = rng.random((2, 2))
-            tables.append(t / t.sum())
-        corr = cglmp_value(tables, convention="correlated").value
-        anti = cglmp_value(tables, convention="anticorrelated").value
-        assert abs(corr - anti) < 1e-12
-
-
-def test_conventions_differ_beyond_two_outcomes():
-    # for the maximally correlated state only the correlated pairing sees
-    # the canonical violation; the printed anti-correlated pairing applies
-    # to anti-correlated outcome labels and yields no violation here
-    tables = analytic_tables(maximally_entangled(3))
-    corr = cglmp_value(tables, convention="correlated").value
-    anti = cglmp_value(tables, convention="anticorrelated").value
-    assert abs(corr - I3_EXPECTED) < 1e-9
-    assert abs(anti) < 1e-9
 
 
 def test_uniform_tables_give_zero():
@@ -171,8 +144,7 @@ def test_gate_route_probabilities_match_measurement_unitaries(rng):
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         from talbotlab import CoeffMatrix
         coeffs = CoeffMatrix(m / np.linalg.norm(m))
-        for a, b in SETTING_PAIRS:
-            alpha, beta = SETTINGS.pair(a, b)
+        for alpha, beta in SETTING_OFFSETS.values():
             direct = joint_prob_analytic(coeffs, alpha, beta)
             ga = talbot_gate(dim).matrix @ phase_gate(measurement_phases(dim, alpha)).matrix
             gb = talbot_gate(dim).matrix @ phase_gate(measurement_phases(dim, beta)).matrix
@@ -205,8 +177,7 @@ def test_field_route_product_state_factorizes():
     geom = SynthesizerGeometry.for_dimension(2, 1.0)
     x, basis = comb_basis(slits, geom, samples_per_cell=64, cells=24, envelope=False)
     tgeom = geom.talbot_geometry(2, 0.05)
-    table, diag = joint_prob_field(x, basis, coeffs, SETTINGS.alpha1, SETTINGS.beta1,
-                                   tgeom)
+    table, diag = joint_prob_field(x, basis, coeffs, *SETTING_OFFSETS[1, 1], tgeom)
     pa, pb = table.sum(axis=1), table.sum(axis=0)
     np.testing.assert_allclose(table, np.outer(pa, pb), atol=1e-9)
     assert diag["captured"] > 0.99
@@ -277,9 +248,9 @@ def test_factored_field_route_equals_the_dense_grid(case):
     psi = two_photon_field(coeffs, slits, geom, samples_per_cell=spc,
                            cells=result.provenance["cells"], envelope=envelope)
     tgeom = geom.talbot_geometry(coeffs.dimension, slits.width)
-    for (a, b), table, diag in zip(SETTING_PAIRS, result.tables,
-                                   result.provenance["diagnostics"]):
-        dense, dense_diag = dense_joint_table(psi, *SETTINGS.pair(a, b), tgeom)
+    for pair, table, diag in zip(SETTING_PAIRS, result.tables,
+                                 result.provenance["diagnostics"]):
+        dense, dense_diag = dense_joint_table(psi, *SETTING_OFFSETS[pair], tgeom)
         assert np.abs(table - dense).max() < 1e-12
         for key, value in dense_diag.items():
             assert abs(diag[key] - value) < 1e-12, key
@@ -292,7 +263,7 @@ def test_factored_and_dense_guards_trip_on_the_same_grids(cells, trips):
     tgeom = geom.talbot_geometry(3, slits.width)
     psi = two_photon_field(coeffs, slits, geom, samples_per_cell=64, cells=cells)
     x, basis = comb_basis(slits, geom, 64, cells, envelope=True)
-    alpha, beta = SETTINGS.pair(1, 1)
+    alpha, beta = SETTING_OFFSETS[1, 1]
     routes = (lambda: dense_joint_table(psi, alpha, beta, tgeom),
               lambda: joint_prob_field(x, basis, coeffs, alpha, beta, tgeom))
     for route in routes:
@@ -352,7 +323,7 @@ def test_qutrit_table_matches_explicit_kernel_summation():
     # independent oracle: nested-loop summation over the measurement kernels
     d = 3
     coeffs = maximally_entangled(d)
-    alpha, beta = SETTINGS.alpha1, SETTINGS.beta1
+    alpha, beta = SETTING_OFFSETS[1, 1]
     oracle = np.zeros((d, d))
     omega = np.exp(2j * np.pi / d)
     for i in range(d):

@@ -159,6 +159,15 @@ def test_bell_field_route_small(tmp_path):
     assert abs(payload["I"] - 2.8284271247461903) < 0.02
 
 
+@pytest.mark.parametrize("route", ["analytic", "field"])
+def test_bell_emission_is_deterministic(route, tmp_path):
+    args = ["bell", "--set", f"route={route}", "--set", "cells=16"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run(args + ["--out-dir", str(out1)]) == 0
+    assert run(args + ["--out-dir", str(out2)]) == 0
+    assert (out1 / "bell.json").read_bytes() == (out2 / "bell.json").read_bytes()
+
+
 def test_bell_scan_csv(tmp_path):
     assert run(["bell-scan", "--out-dir", str(tmp_path),
                 "--set", "dimensions=[2,3]",

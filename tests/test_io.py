@@ -9,8 +9,8 @@ from talbotlab import (QuditState, SampledField, bell_analytic,
                        measurement_unitary, BiphotonGaussian)
 from talbotlab.io import (bell_result_to_json, state_from_json, state_to_json,
                           unitary_from_json, unitary_to_json,
-                          write_biphoton_csv, write_pgm, write_sampled_csv,
-                          write_scan_csv)
+                          write_biphoton_csv, write_matrix_csv, write_pgm,
+                          write_sampled_csv, write_scan_csv)
 from talbotlab.bell import ScanRow
 
 
@@ -23,6 +23,15 @@ def test_sampled_csv_format(tmp_path):
     assert lines[1] == "x,re,im"
     x, re, im = (float(v) for v in lines[2].split(","))
     assert (x, re, im) == (-1.0, 1.0, 2.0)
+
+
+def test_matrix_csv_bytes(tmp_path):
+    path = tmp_path / "matrix.csv"
+    write_matrix_csv(np.array([[0.0, 0.5], [1.0, -2.25e-17]]), path,
+                     config={"n": 2, "case": "demo"})
+    assert path.read_bytes() == (b'# config: {"case":"demo","n":2}\n'
+                                 b"0.0,0.5\n"
+                                 b"1.0,-2.25e-17\n")
 
 
 def test_biphoton_csv_with_sidecar(tmp_path):
@@ -71,6 +80,8 @@ def test_bell_result_json_contains_tables_and_j():
     assert len(payload["J"]) == 1
     assert set(payload["tables"]) == {"P11", "P12", "P21", "P22"}
     assert abs(sum(sum(r) for r in payload["tables"]["P11"]) - 1.0) < 1e-9
+    assert payload["settings"] == {"alpha1": 0.0, "alpha2": 0.5, "beta1": 0.25, "beta2": -0.25}
+    assert payload["convention"] == "correlated"
 
 
 def test_scan_csv_header_and_determinism(tmp_path):
