@@ -273,13 +273,14 @@ def cmd_entangle(args) -> int:
                               samples_per_cell=cfg["carpet_samples_per_cell"],
                               cells=cfg["carpet_window_cells"])
 
-    write_biphoton_csv(initial, out / "entangle_initial.csv", config=cfg)
-    write_pgm(np.abs(initial.values) ** 2, out / "entangle_initial.pgm", config=cfg)
-    write_biphoton_csv(after, out / "entangle_slits.csv",
-                       config={**cfg, "transmitted_fraction": transmitted})
-    write_pgm(np.abs(after.values) ** 2, out / "entangle_slits.pgm", config=cfg)
-    write_biphoton_csv(carpet, out / "entangle_carpet.csv", config=cfg)
-    write_pgm(np.abs(carpet.values) ** 2, out / "entangle_carpet.pgm", config=cfg)
+    density = write_biphoton_csv(initial, out / "entangle_initial.csv", config=cfg)
+    write_pgm(density, out / "entangle_initial.pgm", config=cfg)
+    density = write_biphoton_csv(after, out / "entangle_slits.csv",
+                                 config={**cfg, "transmitted_fraction": transmitted})
+    write_pgm(density, out / "entangle_slits.pgm", config=cfg)
+    density = write_biphoton_csv(carpet, out / "entangle_carpet.csv", config=cfg)
+    del carpet  # the PGM needs only the density: free the complex grid before scaling
+    write_pgm(density, out / "entangle_carpet.pgm", config=cfg)
     print(f"entangle: initial, post-slit and carpet densities written to {out}"
           f" (transmitted fraction {transmitted:.4g})")
     return 0

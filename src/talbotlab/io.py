@@ -16,7 +16,6 @@ import numpy as np
 from .bell import SETTING_OFFSETS, SETTING_PAIRS, BellResult
 from .errors import InvalidSpec
 from .fields import BiphotonField, SampledField
-from .qudits import QuditState, QuditUnitary
 
 __all__ = [
     "format_float",
@@ -25,10 +24,6 @@ __all__ = [
     "write_matrix_csv",
     "write_biphoton_csv",
     "write_pgm",
-    "unitary_to_json",
-    "unitary_from_json",
-    "state_to_json",
-    "state_from_json",
     "bell_result_to_json",
     "write_scan_csv",
 ]
@@ -59,14 +54,36 @@ def write_sampled_csv(field: SampledField, path, config: dict | None = None) -> 
         for x, v in zip(field.x(), field.values)))
 
 
+# rows per block of write_matrix_csv: bounds the distinct-value table it holds
+# (one table for a whole 3072² matrix raised entangle's peak RSS to 658 MB)
+_BLOCK_ROWS = 256
+
+
 def write_matrix_csv(matrix: np.ndarray, path, config: dict | None = None) -> None:
-    """Real matrix as row-major CSV, one matrix row per line."""
-    _write_csv(path, config, "", (",".join(format_float(v) for v in row) + "\n"
-                                  for row in np.asarray(matrix, dtype=float)))
+    """Real matrix as row-major CSV, one matrix row per line.
+
+    Each block of ``_BLOCK_ROWS`` rows calls ``format_float`` once per
+    distinct float64 bit pattern, so ``-0.0``, ``0.0`` and every NaN payload
+    stay apart and the bytes equal those of formatting every entry.
+    """
+    _write_csv(path, config, "", _matrix_lines(np.ascontiguousarray(matrix, dtype=float)))
 
 
-def write_biphoton_csv(field: BiphotonField, path, config: dict | None = None) -> None:
-    """Biphoton density |values|^2 as row-major CSV plus JSON grid sidecar."""
+def _matrix_lines(m: np.ndarray):
+    for start in range(0, m.shape[0], _BLOCK_ROWS):
+        block = m[start:start + _BLOCK_ROWS]
+        bits, inv = np.unique(block.view(np.uint64), return_inverse=True)
+        # iterating the array, not a .tolist(), keeps no list of floats beside the text
+        text = np.fromiter(map(format_float, bits.view(float)), dtype=object, count=bits.size)
+        for row in inv.reshape(block.shape):
+            yield ",".join(text[row].tolist()) + "\n"
+
+
+def write_biphoton_csv(field: BiphotonField, path, config: dict | None = None) -> np.ndarray:
+    """Biphoton density |values|^2 as row-major CSV plus JSON grid sidecar.
+
+    Returns the density it wrote.
+    """
     path = Path(path)
     density = np.abs(field.values) ** 2
     write_matrix_csv(density, path, config=config)
@@ -83,6 +100,7 @@ def write_biphoton_csv(field: BiphotonField, path, config: dict | None = None) -
         meta["config"] = config
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    return density
 
 
 def write_pgm(matrix: np.ndarray, path, config: dict | None = None) -> None:
@@ -100,8 +118,11 @@ def write_pgm(matrix: np.ndarray, path, config: dict | None = None) -> None:
     top = float(m.max())
     if top <= 0:
         top = 1.0
-    scaled = np.clip(m / top, 0.0, 1.0)
-    pixels = np.round(scaled * 255.0).astype(np.uint8)
+    scaled = m / top
+    np.clip(scaled, 0.0, 1.0, out=scaled)
+    scaled *= 255.0
+    np.round(scaled, out=scaled)
+    pixels = scaled.astype(np.uint8)
     header = f"P5\n# full scale = {format_float(top)}\n"
     if config:
         header += config_header(config)
@@ -109,40 +130,6 @@ def write_pgm(matrix: np.ndarray, path, config: dict | None = None) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(pixels.tobytes())
-
-
-def unitary_to_json(u: QuditUnitary) -> str:
-    payload = {
-        "D": u.dimension,
-        "re": u.matrix.real.tolist(),
-        "im": u.matrix.imag.tolist(),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def unitary_from_json(text: str) -> QuditUnitary:
-    payload = json.loads(text)
-    m = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-    if m.shape != (payload["D"], payload["D"]):
-        raise InvalidSpec("serialized unitary has inconsistent dimension")
-    return QuditUnitary(m)
-
-
-def state_to_json(state: QuditState) -> str:
-    payload = {
-        "D": state.dimension,
-        "re": state.amplitudes.real.tolist(),
-        "im": state.amplitudes.imag.tolist(),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def state_from_json(text: str) -> QuditState:
-    payload = json.loads(text)
-    v = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-    if v.shape != (payload["D"],):
-        raise InvalidSpec("serialized state has inconsistent dimension")
-    return QuditState(v)
 
 
 def bell_result_to_json(result: BellResult) -> str:

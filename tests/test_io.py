@@ -1,17 +1,21 @@
-"""Serialization formats: CSV, PGM, JSON round trips and determinism."""
+"""Serialization formats: CSV, PGM, JSON and determinism."""
 
 import json
 
 import numpy as np
+import pytest
 
-from talbotlab import (QuditState, SampledField, bell_analytic,
-                       initial_biphoton_field, maximally_entangled,
-                       measurement_unitary, BiphotonGaussian)
-from talbotlab.io import (bell_result_to_json, state_from_json, state_to_json,
-                          unitary_from_json, unitary_to_json,
-                          write_biphoton_csv, write_matrix_csv, write_pgm,
-                          write_sampled_csv, write_scan_csv)
+from talbotlab import (SampledField, bell_analytic, initial_biphoton_field,
+                       maximally_entangled, BiphotonGaussian)
+from talbotlab.io import (bell_result_to_json, write_biphoton_csv, write_matrix_csv,
+                          write_pgm, write_sampled_csv, write_scan_csv)
 from talbotlab.bell import ScanRow
+
+
+def oracle_matrix_csv(matrix) -> bytes:
+    """The plain writer: every entry through repr, one row per line."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n"
+                   for row in np.asarray(matrix, dtype=float)).encode()
 
 
 def test_sampled_csv_format(tmp_path):
@@ -34,12 +38,47 @@ def test_matrix_csv_bytes(tmp_path):
                                  b"1.0,-2.25e-17\n")
 
 
+def test_matrix_csv_special_values_bytes(tmp_path):
+    nan_neg = np.copysign(np.nan, -1.0)
+    path = tmp_path / "special.csv"
+    write_matrix_csv(np.array([[-0.0, 0.0, np.nan, nan_neg],
+                               [np.inf, -np.inf, 5e-324, -5e-324],
+                               [0.1, 0.1, -0.0, 0.0]]), path)
+    assert path.read_bytes() == (b"-0.0,0.0,nan,nan\n"
+                                 b"inf,-inf,5e-324,-5e-324\n"
+                                 b"0.1,0.1,-0.0,0.0\n")
+
+
+def _repeated(rows, cols=7, seed=0):
+    """Values drawn from a small pool, so each one recurs within and across blocks."""
+    pool = np.array([0.0, -0.0, 1.0, 0.1, 1 / 3, np.nan, np.inf, -2.5e-300, 5e-324])
+    return pool[np.random.default_rng(seed).integers(0, pool.size, (rows, cols))]
+
+
+@pytest.mark.parametrize("matrix", [
+    np.random.default_rng(1).standard_normal((40, 33)),
+    _repeated(300),
+    *[_repeated(rows, seed=rows) for rows in (1, 255, 256, 257, 513)],
+    np.asfortranarray(_repeated(300, 9)),
+    np.random.default_rng(2).random((33, 40)).T,
+    np.arange(-60, 60).reshape(10, 12),
+    np.zeros((3, 0)),
+], ids=["random", "repeated", "rows1", "rows255", "rows256", "rows257", "rows513",
+        "fortran", "transposed", "integer", "no-columns"])
+def test_matrix_csv_equals_per_value_oracle(tmp_path, matrix):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(matrix, path)
+    assert path.read_bytes() == oracle_matrix_csv(matrix)
+
+
 def test_biphoton_csv_with_sidecar(tmp_path):
     model = BiphotonGaussian(2.0, 0.7)
     x = np.linspace(-4, 4, 33)
     field = initial_biphoton_field(model, x, x)
     path = tmp_path / "pair.csv"
-    write_biphoton_csv(field, path)
+    density = write_biphoton_csv(field, path)
+    assert np.array_equal(density, np.abs(field.values) ** 2)
+    assert path.read_bytes() == oracle_matrix_csv(density)
     meta = json.loads((tmp_path / "pair.csv.json").read_text())
     assert meta["n1"] == 33 and meta["n2"] == 33
     rows = [r for r in path.read_text().splitlines() if not r.startswith("#")]
@@ -57,19 +96,17 @@ def test_pgm_header_and_payload(tmp_path):
     assert payload == bytes([0, 64, 128, 255])
 
 
-def test_unitary_json_round_trip():
-    u = measurement_unitary(4, 0.25, "B")
-    text = unitary_to_json(u)
-    payload = json.loads(text)
-    assert payload["D"] == 4
-    again = unitary_from_json(text)
-    assert np.abs(again.matrix - u.matrix).max() < 1e-15
-
-
-def test_state_json_round_trip():
-    state = QuditState(np.array([0.6, 0.0, 0.8j]))
-    again = state_from_json(state_to_json(state))
-    assert np.abs(again.amplitudes - state.amplitudes).max() < 1e-15
+def test_pgm_payload_equals_out_of_place_scaling(tmp_path):
+    top = 3.0
+    halves = top * (np.arange(255) + 0.5) / 255.0
+    halves = halves[halves / top * 255.0 % 1.0 == 0.5]   # exactly k + 0.5 after * 255
+    assert halves.size >= 20
+    values = np.concatenate([halves, [0.0, -0.0, -1.0, -top, top, top / 2, 1e-300]])
+    m = np.resize(values, (7, values.size))
+    path = tmp_path / "halves.pgm"
+    write_pgm(m, path)
+    expected = np.round(np.clip(m / top, 0, 1) * 255).astype(np.uint8)
+    assert path.read_bytes().rsplit(b"\n255\n", 1)[1] == expected.tobytes()
 
 
 def test_bell_result_json_contains_tables_and_j():
