@@ -4,8 +4,9 @@ Two independent routes produce the four joint-probability tables:
 
 * the matrix route applies the closed-form measurement unitaries to the
   coefficient matrix;
-* the field route masks each photon's comb basis B of the pair state
-  ``B C B^T`` with the pixelated measurement phases, propagates it by the
+* the field route factorises the pair state ``B C B^T`` (B the per-photon
+  comb basis) into Schmidt modes, masks each photon's modes with the
+  pixelated measurement phases, propagates them by the
   gate distance and integrates the intensity over detector bins, at a cost
   of order n D^2 on n grid points: the n x n two-photon grid is never built.
 
@@ -29,7 +30,7 @@ from .qudits import (TalbotGeometry, bin_outcome_map, bin_weights,
                      measurement_unitary)
 from .spdc import (BiphotonGaussian, CoeffMatrix, SlitArray,
                    SynthesizerGeometry, comb_basis, entangled_coeffs,
-                   maximally_entangled)
+                   maximally_entangled, schmidt_modes)
 
 __all__ = [
     "BellResult",
@@ -90,20 +91,19 @@ def joint_prob_analytic(coeffs: CoeffMatrix, alpha: float, beta: float) -> np.nd
 
 def joint_prob_field(
     x: np.ndarray,
-    basis: np.ndarray,
-    coeffs: CoeffMatrix,
+    modes: tuple,
     gamma_a: float,
     gamma_b: float,
     geom: TalbotGeometry,
 ) -> tuple:
-    """Field-simulated joint table of the pair state ``B C B^T`` on grid x.
+    """Field-simulated joint table of the pair state ``u_a diag(s) u_b^T`` on grid x.
 
-    ``B sqrt(dx) = Q R`` and ``R C R^T = L diag(s) Rh`` give the state as
-    ``(Q L) diag(s) (Q Rh^T)^T``, orthonormal columns on each axis.  Each
-    side's columns take the pixelated measurement phase mask (constant over
-    each period/D cell) and the gate distance ``2 z_T / (c D)`` at wavelength
-    period / 100, guarded on their s^2-weighted marginals.  The detector
-    bins then collect ``sum_jk s_j s_k M_A[a,j,k] M_B[b,j,k]`` with
+    ``modes = (u_a, s, u_b)`` are the Schmidt modes of
+    :func:`~talbotlab.spdc.schmidt_modes`, orthonormal columns on each axis.
+    Each side's columns take the pixelated measurement phase mask (constant
+    over each period/D cell) and the gate distance ``2 z_T / (c D)`` at
+    wavelength period / 100, guarded on their s^2-weighted marginals.  The
+    detector bins then collect ``sum_jk s_j s_k M_A[a,j,k] M_B[b,j,k]`` with
     ``M[a,j,k] = sum_x w[x,a] u[x,j] conj(u[x,k])``, relabeled to the
     measurement-operator outcomes of :func:`joint_prob_analytic`.
 
@@ -111,15 +111,11 @@ def joint_prob_field(
     and the per-axis fraction of power in bin-straddling sample cells
     (binning cross-talk).
     """
-    d = coeffs.dimension
+    u_a, s, u_b = modes
+    d = s.size
     n = x.size
-    if basis.shape != (n, d):
-        raise InvalidSpec("comb basis must hold one column per qudit level")
     check_entries("binned column products", n, d, d)
     dx = x[1] - x[0]
-    q, r = np.linalg.qr(basis * np.sqrt(dx))
-    left, s, right = np.linalg.svd(r @ coeffs.values @ r.T)
-    s = s / np.linalg.norm(s)
 
     lam = geom.period / 100.0
     spec = PropagationSpec(lam, gate_distance_fraction(d) * geom.period ** 2 / lam)
@@ -133,8 +129,8 @@ def joint_prob_field(
         products = w.T @ (u[:, :, None] * u.conj()[:, None, :]).reshape(n, d * d)
         return products, np.abs(u) ** 2 @ s ** 2
 
-    m_a, marginal_a = measured(q @ left, gamma_a)
-    m_b, marginal_b = measured(q @ right.T, gamma_b)
+    m_a, marginal_a = measured(u_a, gamma_a)
+    m_b, marginal_b = measured(u_b, gamma_b)
     binned = ((m_a * np.outer(s, s).ravel()) @ m_b.T).real
 
     table = np.zeros_like(binned)
@@ -224,17 +220,19 @@ def bell_field(
 ) -> BellResult:
     """Field-route Bell evaluation: synthesize the pair state, then measure.
 
-    The per-photon comb basis B is built on the grid once and the pair state
-    ``B C B^T`` is measured through it for the four setting pairs.  With
-    ``envelope=False`` (default) the combs are ideal periodic ones on a window
-    commensurate with the effective period, where the routes agree closest.
+    The per-photon comb basis B is built on the grid once, the pair state
+    ``B C B^T`` is factorised into Schmidt modes once, and those modes are
+    measured for the four setting pairs.  With ``envelope=False`` (default)
+    the combs are ideal periodic ones on a window commensurate with the
+    effective period, where the routes agree closest.
     """
     d = coeffs.dimension
     if cells % d != 0:
         cells += d - cells % d  # keep the window commensurate with the period
     x, basis = comb_basis(slits, geom, samples_per_cell, cells, envelope)
+    modes = schmidt_modes(x, basis, coeffs)
     tgeom = geom.talbot_geometry(d, slits.width, profile=slits.profile)
-    results = [joint_prob_field(x, basis, coeffs, *SETTING_OFFSETS[pair], tgeom)
+    results = [joint_prob_field(x, modes, *SETTING_OFFSETS[pair], tgeom)
                for pair in SETTING_PAIRS]
     prov = {
         "route": "field",

@@ -273,14 +273,17 @@ def cmd_entangle(args) -> int:
                               samples_per_cell=cfg["carpet_samples_per_cell"],
                               cells=cfg["carpet_window_cells"])
 
-    density = write_biphoton_csv(initial, out / "entangle_initial.csv", config=cfg)
-    write_pgm(density, out / "entangle_initial.pgm", config=cfg)
-    density = write_biphoton_csv(after, out / "entangle_slits.csv",
-                                 config={**cfg, "transmitted_fraction": transmitted})
-    write_pgm(density, out / "entangle_slits.pgm", config=cfg)
-    density = write_biphoton_csv(carpet, out / "entangle_carpet.csv", config=cfg)
-    del carpet  # the PGM needs only the density: free the complex grid before scaling
-    write_pgm(density, out / "entangle_carpet.pgm", config=cfg)
+    # no name holds a stage's complex grid while it is written: write_biphoton_csv
+    # frees it once it has the density, before the CSV tables are built
+    fields = {"initial": initial, "slits": after, "carpet": carpet}
+    del initial, after, carpet
+    for name, csv_cfg in (("initial", cfg),
+                          ("slits", {**cfg, "transmitted_fraction": transmitted}),
+                          ("carpet", cfg)):
+        density = write_biphoton_csv(fields.pop(name), out / f"entangle_{name}.csv",
+                                     config=csv_cfg)
+        write_pgm(density, out / f"entangle_{name}.pgm", config=cfg)
+        del density
     print(f"entangle: initial, post-slit and carpet densities written to {out}"
           f" (transmitted fraction {transmitted:.4g})")
     return 0

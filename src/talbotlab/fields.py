@@ -168,14 +168,28 @@ class BiphotonField:
         return self.x0_2 + self.dx2 * np.arange(self.values.shape[1])
 
     def power(self) -> float:
-        return float((np.abs(self.values) ** 2).sum() * self.dx1 * self.dx2)
+        return _grid_power(self.values, self.dx1, self.dx2)
 
     def normalized(self) -> "BiphotonField":
-        p = self.power()
-        if not math.isfinite(p) or p <= 0:
-            raise InvalidSpec("cannot normalize a zero or non-finite field")
         return BiphotonField(self.x0_1, self.dx1, self.x0_2, self.dx2,
-                             self.values / math.sqrt(p))
+                             unit_power(self.values.copy(), self.dx1, self.dx2))
+
+
+def _grid_power(values: np.ndarray, dx1: float, dx2: float) -> float:
+    """``sum |values|^2 dx1 dx2`` through one float temporary of the grid's shape."""
+    power = np.abs(values)
+    np.square(power, out=power)
+    return float(power.sum() * dx1 * dx2)
+
+
+def unit_power(values: np.ndarray, dx1: float, dx2: float) -> np.ndarray:
+    """Divide a complex two-photon grid the caller owns in place by the root
+    of its power, and return it; no second grid is made."""
+    p = _grid_power(values, dx1, dx2)
+    if not math.isfinite(p) or p <= 0:
+        raise InvalidSpec("cannot normalize a zero or non-finite field")
+    values /= math.sqrt(p)
+    return values
 
 
 @dataclass(frozen=True)

@@ -54,39 +54,130 @@ def write_sampled_csv(field: SampledField, path, config: dict | None = None) -> 
         for x, v in zip(field.x(), field.values)))
 
 
-# rows per block of write_matrix_csv: bounds the distinct-value table it holds
-# (one table for a whole 3072² matrix raised entangle's peak RSS to 658 MB)
-_BLOCK_ROWS = 256
+# bounds of write_matrix_csv's memory: the distinct values of one formatted
+# table (2**19 holds each stage of entangle at its defaults), and the bytes of
+# line text kept for rows that recur further down (the 3072^2 carpet needs 51 MB)
+_TABLE_VALUES = 2 ** 19
+_LINE_CACHE_BYTES = 2 ** 26
 
 
 def write_matrix_csv(matrix: np.ndarray, path, config: dict | None = None) -> None:
     """Real matrix as row-major CSV, one matrix row per line.
 
-    Each block of ``_BLOCK_ROWS`` rows calls ``format_float`` once per
-    distinct float64 bit pattern, so ``-0.0``, ``0.0`` and every NaN payload
-    stay apart and the bytes equal those of formatting every entry.
+    The bytes equal those of ``format_float`` on every entry.  Rows and
+    values are told apart by their float64 bit patterns, so ``-0.0``,
+    ``0.0`` and every NaN payload stay apart.  Each distinct row is joined
+    into a line once, and the line is kept while the row recurs, within
+    ``_LINE_CACHE_BYTES`` of text.  ``format_float`` runs once per distinct
+    value of a table; a table covers distinct rows in order of first
+    appearance, up to ``_TABLE_VALUES`` values.  A repeat that was not kept
+    is joined again from its table, or formatted value by value once that
+    table is gone.  Rows whose table repeats no value are formatted value by
+    value too, since the table would save no call.
     """
     _write_csv(path, config, "", _matrix_lines(np.ascontiguousarray(matrix, dtype=float)))
 
 
+def _row_key(row: np.ndarray) -> int:
+    """Hash of a row's bytes; rows with equal keys are still compared bit for bit."""
+    return hash(row.tobytes())
+
+
+def _distinct_rows(bits: np.ndarray) -> tuple:
+    """``(ids, first, last)``: each row's distinct-row number (numbered by
+    first appearance), and the first and last row of each distinct row."""
+    ids = np.empty(bits.shape[0], dtype=np.intp)
+    first, last, chains = [], [], {}
+    for i, row in enumerate(bits):
+        chain = chains.setdefault(_row_key(row), [])
+        for k in chain:
+            if np.array_equal(bits[first[k]], row):
+                break
+        else:
+            k = len(first)
+            chain.append(k)
+            first.append(i)
+            last.append(i)
+        ids[i] = k
+        last[k] = i
+    return ids, first, last
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    # np.unique without return_inverse takes a hash path, ten times slower here
+    s = np.sort(values, axis=None)
+    keep = np.ones(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
+def _value_table(bits: np.ndarray, first: list, start: int) -> tuple:
+    """``(table, stop)``: the sorted distinct bit patterns of the distinct rows
+    ``first[start:stop]``, taking rows while the table holds at most
+    ``_TABLE_VALUES`` values, and always at least one row."""
+    table = np.empty(0, dtype=np.uint64)
+    stop = start
+    while stop < len(first):
+        # a step of at most `room` entries cannot overflow the table; one row might
+        room = _TABLE_VALUES - table.size
+        rows = first[stop:stop + max(1, room // max(1, bits.shape[1]))]
+        fresh = _sorted_distinct(bits[rows])
+        pos = np.searchsorted(table, fresh)
+        known = pos < table.size
+        known[known] = table[pos[known]] == fresh[known]
+        fresh = fresh[~known]
+        if stop > start and fresh.size > room:
+            break
+        if fresh.size:
+            # timsort merges the two sorted runs in linear time
+            table = np.sort(np.concatenate([table, fresh]), kind="stable")
+        stop += len(rows)
+    return table, stop
+
+
 def _matrix_lines(m: np.ndarray):
-    for start in range(0, m.shape[0], _BLOCK_ROWS):
-        block = m[start:start + _BLOCK_ROWS]
-        bits, inv = np.unique(block.view(np.uint64), return_inverse=True)
-        # iterating the array, not a .tolist(), keeps no list of floats beside the text
-        text = np.fromiter(map(format_float, bits.view(float)), dtype=object, count=bits.size)
-        for row in inv.reshape(block.shape):
-            yield ",".join(text[row].tolist()) + "\n"
+    bits = m.view(np.uint64)
+    ids, first, last = _distinct_rows(bits)
+    cache, cached = {}, 0          # distinct row -> its line, while it recurs
+    table = text = None
+    start = stop = 0               # the distinct rows the current table covers
+    for i, k in enumerate(ids.tolist()):
+        line = cache.get(k)
+        if line is not None:
+            if last[k] == i:
+                del cache[k]
+                cached -= len(line)
+            yield line
+            continue
+        if k == stop:              # a new distinct row past the table
+            table = text = None
+            table, stop = _value_table(bits, first, k)
+            start = k
+            if table.size < (stop - start) * m.shape[1]:  # else no value repeats: no saving
+                # iterating the array, not a .tolist(), keeps no list of floats beside the text
+                text = np.fromiter(map(format_float, table.view(float)), dtype=object,
+                                   count=table.size)
+        if k < start or text is None:  # past its table, or a table of distinct values
+            line = ",".join(map(format_float, m[i].tolist())) + "\n"
+        else:  # searching the row's sorted distinct values is twice as fast as the raw row
+            values, inv = np.unique(bits[i], return_inverse=True)
+            line = ",".join(text[np.searchsorted(table, values)[inv]].tolist()) + "\n"
+        if last[k] > i and cached + len(line) <= _LINE_CACHE_BYTES:
+            cache[k] = line
+            cached += len(line)
+        yield line
 
 
 def write_biphoton_csv(field: BiphotonField, path, config: dict | None = None) -> np.ndarray:
     """Biphoton density |values|^2 as row-major CSV plus JSON grid sidecar.
 
-    Returns the density it wrote.
+    Returns the density it wrote.  The complex grid can be freed before the
+    CSV is written: this function drops its reference to ``field`` once it
+    has the density, so a caller that keeps none frees it.
     """
     path = Path(path)
-    density = np.abs(field.values) ** 2
-    write_matrix_csv(density, path, config=config)
+    density = np.abs(field.values)
+    np.square(density, out=density)
     meta = {
         "x0_1": field.x0_1,
         "dx1": field.dx1,
@@ -96,8 +187,10 @@ def write_biphoton_csv(field: BiphotonField, path, config: dict | None = None) -
         "n2": field.values.shape[1],
         "content": "row-major |amplitude|^2; rows follow axis 1",
     }
+    del field
     if config:
         meta["config"] = config
+    write_matrix_csv(density, path, config=config)
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
     return density

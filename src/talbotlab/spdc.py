@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidSpec, UnderResolved
 from .fields import (GAUSSIAN, MASS_TOL, MAX_ORDERS, BiphotonField, ModeField,
                      SlitProfile, _freeze, centered_axis, check_entries,
-                     periodic_comb)
+                     periodic_comb, unit_power)
 from .qudits import TalbotGeometry
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "entangled_coeffs",
     "maximally_entangled",
     "comb_basis",
+    "schmidt_modes",
     "two_photon_field",
     "schmidt_spectrum",
 ]
@@ -375,9 +376,23 @@ def two_photon_field(
     n = samples_per_cell * cells
     check_entries("two-photon grid", n, n)
     x, basis = comb_basis(slits, geom, samples_per_cell, cells, envelope)
-    vals = basis @ coeffs.values @ basis.T
     dx = slits.spacing / samples_per_cell
-    return BiphotonField(float(x[0]), dx, float(x[0]), dx, vals).normalized()
+    vals = unit_power(basis @ coeffs.values @ basis.T, dx, dx)
+    return BiphotonField(float(x[0]), dx, float(x[0]), dx, vals)
+
+
+def schmidt_modes(x: np.ndarray, basis: np.ndarray, coeffs: CoeffMatrix) -> tuple:
+    """``(u_a, s, u_b)``: the pair state ``B C B^T`` on grid x as ``u_a diag(s) u_b^T``.
+
+    ``B sqrt(dx) = Q R`` and ``R C R^T = L diag(s) Rh`` give ``u_a = Q L`` and
+    ``u_b = Q Rh^T``, orthonormal Schmidt-mode columns on each axis (unit norm
+    in the sample sum), with the Schmidt values ``s`` scaled to unit norm.
+    """
+    if basis.shape != (x.size, coeffs.dimension):
+        raise InvalidSpec("comb basis must hold one column per qudit level")
+    q, r = np.linalg.qr(basis * np.sqrt(x[1] - x[0]))
+    left, s, right = np.linalg.svd(r @ coeffs.values @ r.T)
+    return q @ left, s / np.linalg.norm(s), q @ right.T
 
 
 def schmidt_spectrum(coeffs: CoeffMatrix) -> tuple:

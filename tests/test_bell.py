@@ -16,7 +16,7 @@ from talbotlab import (AliasingRisk, BiphotonField, BiphotonGaussian,
                        maximally_entangled, measurement_phases, two_photon_field)
 from talbotlab.bell import SETTING_OFFSETS, SETTING_PAIRS
 from talbotlab.qudits import bin_weights
-from talbotlab.spdc import comb_basis
+from talbotlab.spdc import comb_basis, schmidt_modes
 
 # frozen oracle values -------------------------------------------------------
 # I_2 is 2 sqrt(2); I_3 was pre-registered from the independent geometric-sum
@@ -177,7 +177,8 @@ def test_field_route_product_state_factorizes():
     geom = SynthesizerGeometry.for_dimension(2, 1.0)
     x, basis = comb_basis(slits, geom, samples_per_cell=64, cells=24, envelope=False)
     tgeom = geom.talbot_geometry(2, 0.05)
-    table, diag = joint_prob_field(x, basis, coeffs, *SETTING_OFFSETS[1, 1], tgeom)
+    table, diag = joint_prob_field(x, schmidt_modes(x, basis, coeffs),
+                                   *SETTING_OFFSETS[1, 1], tgeom)
     pa, pb = table.sum(axis=1), table.sum(axis=0)
     np.testing.assert_allclose(table, np.outer(pa, pb), atol=1e-9)
     assert diag["captured"] > 0.99
@@ -265,7 +266,8 @@ def test_factored_and_dense_guards_trip_on_the_same_grids(cells, trips):
     x, basis = comb_basis(slits, geom, 64, cells, envelope=True)
     alpha, beta = SETTING_OFFSETS[1, 1]
     routes = (lambda: dense_joint_table(psi, alpha, beta, tgeom),
-              lambda: joint_prob_field(x, basis, coeffs, alpha, beta, tgeom))
+              lambda: joint_prob_field(x, schmidt_modes(x, basis, coeffs), alpha, beta,
+                                       tgeom))
     for route in routes:
         if trips:
             with pytest.raises(AliasingRisk):

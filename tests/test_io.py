@@ -7,6 +7,7 @@ import pytest
 
 from talbotlab import (SampledField, bell_analytic, initial_biphoton_field,
                        maximally_entangled, BiphotonGaussian)
+from talbotlab import io
 from talbotlab.io import (bell_result_to_json, write_biphoton_csv, write_matrix_csv,
                           write_pgm, write_sampled_csv, write_scan_csv)
 from talbotlab.bell import ScanRow
@@ -69,6 +70,118 @@ def test_matrix_csv_equals_per_value_oracle(tmp_path, matrix):
     path = tmp_path / "m.csv"
     write_matrix_csv(matrix, path)
     assert path.read_bytes() == oracle_matrix_csv(matrix)
+
+
+def _mirrored(rows=40, cols=12, seed=3):
+    """Rows drawn from six distinct ones and mirrored top to bottom, like the
+    periodic, symmetric comb of entangle's densities."""
+    rng = np.random.default_rng(seed)
+    half = rng.standard_normal((6, cols))[rng.integers(0, 6, rows // 2)]
+    return np.vstack([half, half[::-1]])
+
+
+def _near_twins():
+    """Rows that differ only by the sign of a zero or by a NaN payload."""
+    nan_payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+    nan_neg = np.copysign(np.nan, -1.0)
+    rows = [[0.0, 1.0, 0.5], [-0.0, 1.0, 0.5], [np.nan, 2.0, 0.5],
+            [nan_payload, 2.0, 0.5], [nan_neg, 2.0, 0.5], [0.5, 1.0, 0.0]]
+    return np.array(rows + rows[::-1] + rows)
+
+
+STRUCTURED = {
+    "exact-repeats": np.tile(np.random.default_rng(4).random((3, 9)), (5, 1)),
+    "mirrored": _mirrored(),
+    "reversed-columns": np.vstack([_mirrored()[:20], _mirrored()[:20, ::-1]]),
+    "near-twins": _near_twins(),
+    "random": np.random.default_rng(5).standard_normal((17, 11)),
+    "pool": _repeated(60, 5),
+    "strided": _mirrored(60, 30)[::3, 1::2],
+    "reversed-rows": _mirrored()[::-1],
+    "integer": np.tile(np.arange(-6, 6).reshape(3, 4), (4, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURED))
+def test_matrix_csv_structured_equals_oracle(tmp_path, case):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(STRUCTURED[case], path)
+    assert path.read_bytes() == oracle_matrix_csv(STRUCTURED[case])
+
+
+def test_matrix_csv_keeps_near_twin_rows_apart(tmp_path):
+    path = tmp_path / "twins.csv"
+    m = _near_twins()
+    write_matrix_csv(m, path)
+    lines = path.read_bytes().splitlines()
+    assert lines[0] == b"0.0,1.0,0.5" and lines[1] == b"-0.0,1.0,0.5"
+    bits = np.ascontiguousarray(m).view(np.uint64)
+    assert len(io._distinct_rows(bits)[1]) == 6
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURED))
+def test_matrix_csv_survives_row_key_collisions(tmp_path, monkeypatch, case):
+    monkeypatch.setattr(io, "_row_key", lambda row: 0)
+    path = tmp_path / "m.csv"
+    write_matrix_csv(STRUCTURED[case], path)
+    assert path.read_bytes() == oracle_matrix_csv(STRUCTURED[case])
+
+
+def _counting_format(monkeypatch) -> list:
+    calls = []
+    plain = io.format_float
+
+    def counted(x):
+        calls.append(x)
+        return plain(x)
+
+    monkeypatch.setattr(io, "format_float", counted)
+    return calls
+
+
+@pytest.mark.parametrize("table_values, cache_bytes", [
+    (1, 2 ** 26),      # every table holds one row, which alone exceeds the cap
+    (7, 2 ** 26),      # tables of a few values: several tables per matrix
+    (2 ** 19, 0),      # no line is cached: repeats are joined again from the table
+    (2 ** 19, 100),    # about one cached line
+    (7, 0),            # repeats outlive their table: formatted value by value
+])
+@pytest.mark.parametrize("case", sorted(STRUCTURED))
+def test_matrix_csv_equals_oracle_past_each_cap(tmp_path, monkeypatch, case, table_values,
+                                                cache_bytes):
+    monkeypatch.setattr(io, "_TABLE_VALUES", table_values)
+    monkeypatch.setattr(io, "_LINE_CACHE_BYTES", cache_bytes)
+    path = tmp_path / "m.csv"
+    write_matrix_csv(STRUCTURED[case], path)
+    assert path.read_bytes() == oracle_matrix_csv(STRUCTURED[case])
+
+
+def test_matrix_csv_caps_are_crossed(tmp_path, monkeypatch):
+    tables = []
+    plain_table = io._value_table
+    monkeypatch.setattr(io, "_value_table", lambda *a: tables.append(a[2]) or plain_table(*a))
+    monkeypatch.setattr(io, "_TABLE_VALUES", 7)
+    monkeypatch.setattr(io, "_LINE_CACHE_BYTES", 0)
+    calls = _counting_format(monkeypatch)
+    m = _mirrored()
+    write_matrix_csv(m, tmp_path / "m.csv")
+    distinct = np.unique(m.view(np.uint64)).size
+    assert len(tables) > 1                  # a new table past the value cap
+    assert len(calls) > distinct            # mirrored rows formatted again past their table
+    assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(m)
+
+
+@pytest.mark.parametrize("m", [
+    np.vstack([_mirrored(), _repeated(30, 12), _mirrored()[::-1]]),
+    np.random.default_rng(6).standard_normal((30, 20)),
+    np.tile(np.random.default_rng(8).standard_normal((4, 20)), (3, 1)),
+], ids=["repeats", "all-distinct", "distinct-rows-repeated"])
+def test_matrix_csv_formats_each_distinct_value_once(tmp_path, monkeypatch, m):
+    calls = _counting_format(monkeypatch)
+    write_matrix_csv(m, tmp_path / "m.csv")
+    bits = [np.float64(x).view(np.uint64) for x in calls]
+    assert len(bits) == len(set(bits)) == np.unique(m.view(np.uint64)).size
+    assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(m)
 
 
 def test_biphoton_csv_with_sidecar(tmp_path):

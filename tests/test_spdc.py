@@ -11,7 +11,8 @@ from talbotlab import (GAUSSIAN, TOPHAT, BiphotonGaussian, CoeffMatrix,
                        encode, entangled_coeffs,
                        fidelity, initial_biphoton_field, maximally_entangled,
                        render_synthesized, sample, schmidt_spectrum,
-                       synthesize_single, two_photon_field, QuditState)
+                       synthesize_single, two_photon_field, QuditState, BiphotonField)
+from talbotlab.spdc import comb_basis, schmidt_modes
 
 S = 1.0  # slit spacing; the natural length unit of this module
 
@@ -263,6 +264,41 @@ def test_marginal_is_periodic_comb():
     folded = marginal[: 7 * period_samples].reshape(7, period_samples)
     rel = np.abs(folded - folded[0]).max() / folded.max()
     assert rel < 1e-6
+
+
+@pytest.mark.parametrize("envelope", [False, True])
+def test_two_photon_field_is_the_normalized_dense_grid_bit_for_bit(envelope):
+    # the in-place normalisation keeps the arithmetic of the out-of-place one
+    coeffs = entangled_coeffs(3, S, BiphotonGaussian(9.0 * S, 0.5 * S))
+    slits = SlitArray(3, S, 0.3 * S)
+    geom = SynthesizerGeometry.for_dimension(3, S, spike_width=0.3 * S)
+    psi = two_photon_field(coeffs, slits, geom, samples_per_cell=20, cells=12,
+                           envelope=envelope)
+    x, basis = comb_basis(slits, geom, 20, 12, envelope)
+    dx = S / 20  # on this grid, regrouping the power's dx * dx changes bits
+    vals = basis @ coeffs.values @ basis.T
+    expected = BiphotonField(float(x[0]), dx, float(x[0]), dx, vals).normalized()
+    out_of_place = vals / math.sqrt(float((np.abs(vals) ** 2).sum() * dx * dx))
+    assert psi.values.tobytes() == expected.values.tobytes() == out_of_place.tobytes()
+    assert (psi.x0_1, psi.dx1, psi.x0_2, psi.dx2) == (float(x[0]), dx, float(x[0]), dx)
+
+
+@pytest.mark.parametrize("kappa_minus", [0.3, 1.0, 3.0])
+def test_schmidt_modes_factor_the_pair_state(kappa_minus):
+    coeffs = entangled_coeffs(3, S, BiphotonGaussian(9.0 * S, kappa_minus * S))
+    slits = SlitArray(3, S, 0.1 * S)
+    geom = SynthesizerGeometry.for_dimension(3, S, spike_width=0.1 * S)
+    x, basis = comb_basis(slits, geom, 32, 12, envelope=True)
+    u_a, s, u_b = schmidt_modes(x, basis, coeffs)
+    dx = x[1] - x[0]
+    psi = basis @ coeffs.values @ basis.T * dx
+    psi /= np.linalg.norm(psi)
+    np.testing.assert_allclose(u_a @ np.diag(s) @ u_b.T, psi, atol=1e-12)
+    for u in (u_a, u_b):
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
+    assert abs(np.linalg.norm(s) - 1.0) < 1e-15 and np.all(np.diff(s) <= 0)
+    with pytest.raises(InvalidSpec):
+        schmidt_modes(x, basis[:, :2], coeffs)
 
 
 def test_two_photon_field_matches_optical_pipeline():
