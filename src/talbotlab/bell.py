@@ -20,6 +20,7 @@ for the maximally correlated state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +52,8 @@ SETTING_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 SETTING_OFFSETS = {(a, b): ((0.0, 0.5)[a - 1], (0.25, -0.25)[b - 1]) for a, b in SETTING_PAIRS}
 # largest |sum - 1| accepted for a joint table
 _NORM_TOL = 1e-6
+# measurement unitaries kept: the two offsets of each side at one dimension
+_UNITARY_CACHE = 4
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,13 @@ def _validate_table(table: np.ndarray) -> np.ndarray:
     return t
 
 
+@lru_cache(maxsize=_UNITARY_CACHE)
+def _measurement_matrix(dimension: int, gamma: float, side: str) -> np.ndarray:
+    """Read-only matrix of :func:`~talbotlab.qudits.measurement_unitary`,
+    kept for the four settings of the dimension in use."""
+    return measurement_unitary(dimension, gamma, side).matrix
+
+
 def joint_prob_analytic(coeffs: CoeffMatrix, alpha: float, beta: float) -> np.ndarray:
     """Joint outcome table of the two measurement unitaries on the pair state.
 
@@ -83,8 +93,8 @@ def joint_prob_analytic(coeffs: CoeffMatrix, alpha: float, beta: float) -> np.nd
     precision.
     """
     d = coeffs.dimension
-    u_a = measurement_unitary(d, alpha, "A").matrix
-    u_b = measurement_unitary(d, beta, "B").matrix
+    u_a = _measurement_matrix(d, alpha, "A")
+    u_b = _measurement_matrix(d, beta, "B")
     amps = u_a @ coeffs.values @ u_b.T
     return np.abs(amps) ** 2
 
@@ -149,10 +159,15 @@ def joint_prob_field(
     return table / captured, diagnostics
 
 
-def _corr_a_equals_b_plus(table: np.ndarray, k: int) -> float:
+def _cyclic_diagonal_sums(table: np.ndarray) -> np.ndarray:
+    """Entry m is ``P(A = B + m) = sum_j table[(j + m) % D, j]``, m = 0..D-1.
+
+    Each row of the gathered array holds the same D values in the same
+    order as the 1-D gather of one offset, so its sum has the same bits.
+    """
     d = table.shape[0]
     j = np.arange(d)
-    return float(table[(j + k) % d, j].sum())
+    return table[(j[:, None] + j) % d, j].sum(axis=1)
 
 
 def cglmp_value(tables, provenance: dict | None = None) -> BellResult:
@@ -177,20 +192,18 @@ def cglmp_value(tables, provenance: dict | None = None) -> BellResult:
     if d < 2:
         raise InvalidSpec(f"CGLMP needs D >= 2, got D = {d}")
     p11, p12, p21, p22 = tabs
-    j_values = []
+    c11 = _cyclic_diagonal_sums(p11)
+    c12 = _cyclic_diagonal_sums(p12.T)  # P(B = A + m)
+    c21 = _cyclic_diagonal_sums(p21.T)
+    c22 = _cyclic_diagonal_sums(p22)
+    ks = np.arange(d // 2)
+    minus = (-ks - 1) % d  # the offset -k-1, wrapped
+    j_values = (
+        c11[ks] - c11[minus] + c12[ks] - c12[minus]
+        + c21[ks + 1] - c21[-ks % d] + c22[ks] - c22[minus]
+    ).tolist()
     value = 0.0
-    for k in range(d // 2):
-        j_k = (
-            _corr_a_equals_b_plus(p11, k)
-            - _corr_a_equals_b_plus(p11, -k - 1)
-            + _corr_a_equals_b_plus(p12.T, k)  # P(B = A + k)
-            - _corr_a_equals_b_plus(p12.T, -k - 1)
-            + _corr_a_equals_b_plus(p21.T, k + 1)
-            - _corr_a_equals_b_plus(p21.T, -k)
-            + _corr_a_equals_b_plus(p22, k)
-            - _corr_a_equals_b_plus(p22, -k - 1)
-        )
-        j_values.append(j_k)
+    for k, j_k in enumerate(j_values):
         value += (1.0 - 2.0 * k / (d - 1)) * j_k
     return BellResult(
         dimension=d,
@@ -287,12 +300,15 @@ def bell_scan(dimensions, kappa_pairs, spacing: float = 1.0, route: str = "analy
     of the slit spacing; ``kappa_minus = 0`` marks the ideal maximally
     entangled reference row.  Rows follow the input grid, dimensions
     varying fastest.  Each point is :func:`bell_point` with its default
-    slit width and field grid.
+    slit width and field grid; the points are evaluated one dimension at a
+    time, so the analytic route builds each dimension's measurement
+    unitaries once, and the order of evaluation changes no row.
     """
-    rows = []
-    for kp, km in kappa_pairs:
-        correlation = BiphotonGaussian(kp, km).correlation if km != 0.0 else 1.0
-        for dim in dimensions:
-            res = bell_point(dim, kp, km, spacing, route)
-            rows.append(ScanRow(dim, kp, km, correlation, route, res.value))
-    return rows
+    dims = list(dimensions)
+    pairs = [(kp, km, BiphotonGaussian(kp, km).correlation if km != 0.0 else 1.0)
+             for kp, km in kappa_pairs]
+    values = [[bell_point(dim, kp, km, spacing, route).value for kp, km, _ in pairs]
+              for dim in dims]
+    return [ScanRow(dim, kp, km, correlation, route, values[i][p])
+            for p, (kp, km, correlation) in enumerate(pairs)
+            for i, dim in enumerate(dims)]

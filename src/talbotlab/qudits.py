@@ -48,8 +48,6 @@ _ATOL = 1e-12
 class GaussCoeffs:
     """Fractional-revival amplitudes a_j for the fraction q/r."""
 
-    q: int
-    r: int
     values: np.ndarray
 
     def __post_init__(self):
@@ -110,9 +108,6 @@ class QuditUnitary:
     def apply(self, state: QuditState) -> QuditState:
         return QuditState(self.matrix @ state.amplitudes)
 
-    def __matmul__(self, other: "QuditUnitary") -> "QuditUnitary":
-        return QuditUnitary(self.matrix @ other.matrix)
-
 
 def gauss_coeffs(q: int, r: int) -> GaussCoeffs:
     """Fractional-revival amplitudes ``a_j = (1/r) sum_n exp(-2 pi i (n^2 - j n) q / r)``.
@@ -128,7 +123,7 @@ def gauss_coeffs(q: int, r: int) -> GaussCoeffs:
     n = np.arange(r)
     j = np.arange(r)[:, None]
     values = np.exp(-2j * np.pi * ((n * n - j * n) * q % r) / r).sum(axis=1) / r
-    return GaussCoeffs(q, r, values)
+    return GaussCoeffs(values)
 
 
 def pauli_x(dimension: int) -> QuditUnitary:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidSpec, UnderResolved
 from .fields import (GAUSSIAN, MASS_TOL, MAX_ORDERS, BiphotonField, ModeField,
-                     SlitProfile, _freeze, centered_axis, check_entries,
+                     SlitProfile, _freeze, _grid_power, centered_axis, check_entries,
                      periodic_comb, unit_power)
 from .qudits import TalbotGeometry
 
@@ -193,9 +193,9 @@ def initial_biphoton_field(model: BiphotonGaussian, x1: np.ndarray,
                            x2: np.ndarray) -> BiphotonField:
     """Source amplitude sampled on the tensor grid of two coordinate axes."""
     check_entries("biphoton grid", x1.size, x2.size)
-    vals = biphoton_amplitude(model, x1[:, None], x2[None, :])
-    return BiphotonField(float(x1[0]), float(x1[1] - x1[0]),
-                         float(x2[0]), float(x2[1] - x2[0]), vals).normalized()
+    dx1, dx2 = float(x1[1] - x1[0]), float(x2[1] - x2[0])
+    vals = biphoton_amplitude(model, x1[:, None], x2[None, :]).astype(complex)
+    return BiphotonField(float(x1[0]), dx1, float(x2[0]), dx2, unit_power(vals, dx1, dx2))
 
 
 def apply_dslit(field: BiphotonField, slits: SlitArray,
@@ -214,13 +214,14 @@ def apply_dslit(field: BiphotonField, slits: SlitArray,
             )
     t1 = slits.transmission(field.x1())
     t2 = slits.transmission(field.x2())
-    masked = field.values * t1[:, None] * t2[None, :]
-    power_in = field.power()
-    out = BiphotonField(field.x0_1, field.dx1, field.x0_2, field.dx2, masked)
-    transmitted = out.power() / power_in
+    masked = field.values * t1[:, None]
+    masked *= t2[None, :]
+    transmitted = _grid_power(masked, field.dx1, field.dx2) / field.power()
     if transmitted <= 0:
         raise InvalidSpec("aperture blocked the entire field")
-    return out.normalized(), float(transmitted)
+    out = BiphotonField(field.x0_1, field.dx1, field.x0_2, field.dx2,
+                        unit_power(masked, field.dx1, field.dx2))
+    return out, float(transmitted)
 
 
 def grating_envelope(geom: SynthesizerGeometry) -> tuple:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from talbotlab import bell
 from talbotlab import (AliasingRisk, BiphotonField, BiphotonGaussian,
                        NonNormalized, PropagationSpec, SlitArray,
                        SynthesizerGeometry, bell_analytic, bell_field, bell_scan,
-                       biphoton_propagate, bin_outcome_map, cglmp_value,
+                       biphoton_propagate, bell_point, bin_outcome_map, cglmp_value,
                        entangled_coeffs, gate_distance_fraction,
                        joint_prob_analytic, joint_prob_field,
                        maximally_entangled, measurement_phases, two_photon_field)
@@ -44,6 +45,38 @@ def closed_form_max_ent(dimension: int) -> float:
 
 def analytic_tables(coeffs):
     return [joint_prob_analytic(coeffs, *SETTING_OFFSETS[pair]) for pair in SETTING_PAIRS]
+
+
+def _corr_a_equals_b_plus(table, k):
+    d = table.shape[0]
+    j = np.arange(d)
+    return float(table[(j + k) % d, j].sum())
+
+
+def cglmp_oracle(tables):
+    """Per-k reference of cglmp_value: (j_values, value), one correlator at a time."""
+    p11, p12, p21, p22 = (np.asarray(t, dtype=float) for t in tables)
+    d = p11.shape[0]
+    j_values = []
+    value = 0.0
+    for k in range(d // 2):
+        j_k = (
+            _corr_a_equals_b_plus(p11, k)
+            - _corr_a_equals_b_plus(p11, -k - 1)
+            + _corr_a_equals_b_plus(p12.T, k)  # P(B = A + k)
+            - _corr_a_equals_b_plus(p12.T, -k - 1)
+            + _corr_a_equals_b_plus(p21.T, k + 1)
+            - _corr_a_equals_b_plus(p21.T, -k)
+            + _corr_a_equals_b_plus(p22, k)
+            - _corr_a_equals_b_plus(p22, -k - 1)
+        )
+        j_values.append(j_k)
+        value += (1.0 - 2.0 * k / (d - 1)) * j_k
+    return tuple(j_values), value
+
+
+FIG_PAIRS = [(9.0, 0.0)] + [(9.0, 9.0 * math.sqrt((1.0 - r) / (1.0 + r)))
+                            for r in (0.99998, 0.9998, 0.998)]
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +130,28 @@ def test_uniform_tables_give_zero():
     result = cglmp_value(uniform)
     assert abs(result.value) < 1e-12
     assert all(abs(j) < 1e-12 for j in result.j_values)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided"])
+def test_cglmp_value_equals_per_k_oracle_bit_for_bit(layout):
+    rng = np.random.default_rng(11)
+    for d in range(2, 71):
+        tables = []
+        for _ in range(4):
+            t = rng.random((d, d)) ** rng.integers(1, 6)
+            t /= t.sum()
+            if layout == "transposed":
+                t = t.T
+            elif layout == "strided":
+                big = np.zeros((2 * d, 3 * d))
+                big[::2, ::3] = t
+                t = big[::2, ::3]
+            tables.append(t)
+        result = cglmp_value(tables)
+        j_values, value = cglmp_oracle(tables)
+        assert result.j_values == j_values, d
+        assert result.value == value, d
+        assert all(type(j) is float for j in result.j_values)
 
 
 def test_non_normalized_table_rejected():
@@ -339,3 +394,34 @@ def test_qutrit_table_matches_explicit_kernel_summation():
             oracle[i, j] = abs(amp) ** 2
     table = joint_prob_analytic(coeffs, alpha, beta)
     np.testing.assert_allclose(table, oracle, atol=1e-12)
+
+
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_scan_equals_each_point_bit_for_bit_in_kappa_major_order(as_generator):
+    dims = range(2, 65)
+    rows = bell_scan((d for d in dims) if as_generator else dims, FIG_PAIRS)
+    expected = []
+    for kp, km in FIG_PAIRS:
+        for d in dims:
+            bell._measurement_matrix.cache_clear()  # each point from fresh unitaries
+            expected.append((d, kp, km, bell_point(d, kp, km).value))
+    assert [(r.dimension, r.kappa_plus, r.kappa_minus, r.value) for r in rows] == expected
+
+
+def test_scan_builds_each_dimensions_unitaries_once(monkeypatch):
+    calls = []
+    plain = bell.measurement_unitary
+    cache = bell._measurement_matrix
+
+    def counted(*args):
+        calls.append(args)
+        assert cache.cache_info().currsize <= bell._UNITARY_CACHE
+        return plain(*args)
+
+    monkeypatch.setattr(bell, "measurement_unitary", counted)
+    cache.cache_clear()
+    dims = [2, 3, 5, 8, 3]
+    bell_scan(dims, FIG_PAIRS[:3])
+    assert len(calls) <= 4 * len(dims)
+    assert cache.cache_info().maxsize == bell._UNITARY_CACHE
+    assert cache.cache_info().currsize <= bell._UNITARY_CACHE

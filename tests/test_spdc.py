@@ -105,6 +105,25 @@ def test_aperture_rejects_coarse_grids():
         apply_dslit(field, SlitArray(3, S, 0.05 * S))
 
 
+def test_source_and_aperture_equal_the_out_of_place_normalisation_bit_for_bit():
+    # the in-place normalisation keeps the arithmetic of BiphotonField.normalized
+    model = BiphotonGaussian(9.0 * S, 0.5 * S)
+    x = axis(8, 40)
+    dx = float(x[1] - x[0])
+    field = initial_biphoton_field(model, x, x)
+    source = BiphotonField(float(x[0]), dx, float(x[0]), dx,
+                           biphoton_amplitude(model, x[:, None], x[None, :]))
+    assert field.values.tobytes() == source.normalized().values.tobytes()
+    slits = SlitArray(3, S, 0.3 * S)
+    t1, t2 = slits.transmission(field.x1()), slits.transmission(field.x2())
+    masked = BiphotonField(float(x[0]), dx, float(x[0]), dx,
+                           field.values * t1[:, None] * t2[None, :])
+    out, transmitted = apply_dslit(field, slits)
+    assert out.values.tobytes() == masked.normalized().values.tobytes()
+    assert transmitted == masked.power() / field.power()
+    assert (out.x0_1, out.dx1, out.x0_2, out.dx2) == (float(x[0]), dx, float(x[0]), dx)
+
+
 # ---------------------------------------------------------------------------
 # synthesizer
 
