@@ -42,7 +42,6 @@ DEFAULTS = {
         "samples_per_period": 64,
         "periods": 4,
         "z_steps": 256,
-        "seed": None,
     },
     "synth": {
         "dimension": 3,
@@ -53,7 +52,6 @@ DEFAULTS = {
         "amplitudes": "uniform",
         "samples_per_cell": 64,
         "cells": 24,
-        "seed": None,
     },
     "entangle": {
         "dimension": 3,
@@ -68,7 +66,6 @@ DEFAULTS = {
         "slit_samples_per_cell": 160,
         "carpet_window_cells": 48,
         "carpet_samples_per_cell": 64,
-        "seed": None,
     },
     "bell": {
         "dimension": 3,
@@ -80,7 +77,6 @@ DEFAULTS = {
         "samples_per_cell": 64,
         "cells": 64,
         "envelope": False,
-        "seed": None,
     },
     "bell-scan": {
         "dimensions": [2, 3, 4, 5, 6, 7, 8],
@@ -88,7 +84,6 @@ DEFAULTS = {
         "spacing": 1.0,
         "route": "analytic",
         "workers": 1,
-        "seed": None,
     },
     "constraints": {
         "pixel_pitch": 10e-6,
@@ -96,7 +91,6 @@ DEFAULTS = {
         "wavelength": 800e-9,
         "threshold": 100,
         "dimension": None,
-        "seed": None,
     },
 }
 
@@ -134,8 +128,8 @@ def _resolve(key: str, value, default):
     if key == "kappa_pairs" and value != "fig":
         return [(_number("kappa_plus", _list(key, p, length=2)[0]),
                  _number("kappa_minus", p[1], zero_ok=True)) for p in _list(key, value)]
-    if default is None:  # seed, and constraints.dimension where unset means the largest D
-        return None if value is None else _integer(key, value, least=0 if key == "seed" else 1)
+    if default is None:  # constraints.dimension, where unset means the largest D
+        return None if value is None else _integer(key, value)
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise InvalidSpec(f"{key} must be true or false, got {value!r}")
@@ -200,9 +194,10 @@ def _parse_amplitudes(spec_value, dimension: int) -> np.ndarray:
     if pairs is None or pairs.shape != (dimension, 2) or not np.isfinite(pairs).all():
         raise InvalidSpec(f"amplitudes must be {dimension} finite [re, im] pairs")
     amps = pairs[:, 0] + 1j * pairs[:, 1]
-    norm = np.linalg.norm(amps)
-    if norm == 0:
-        raise InvalidSpec("amplitudes must not vanish")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(amps)
+    if not 0 < norm < math.inf:
+        raise InvalidSpec("amplitudes must have a finite, nonzero norm")
     return amps / norm
 
 

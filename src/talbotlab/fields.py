@@ -115,13 +115,10 @@ class SampledField:
 
     def power(self) -> float:
         """Total probability sum(|values|^2) * dx."""
-        return float((np.abs(self.values) ** 2).sum() * self.dx)
+        return _grid_power(self.values, self.dx)
 
     def normalized(self) -> "SampledField":
-        p = self.power()
-        if not math.isfinite(p) or p <= 0:
-            raise InvalidSpec("cannot normalize a zero or non-finite field")
-        return SampledField(self.x0, self.dx, self.values / math.sqrt(p))
+        return SampledField(self.x0, self.dx, unit_power(self.values.copy(), self.dx))
 
     def restricted(self, lo: float, hi: float) -> "SampledField":
         """Sub-field on [lo, hi], re-normalized (detection on a finite window)."""
@@ -175,17 +172,22 @@ class BiphotonField:
                              unit_power(self.values.copy(), self.dx1, self.dx2))
 
 
-def _grid_power(values: np.ndarray, dx1: float, dx2: float) -> float:
-    """``sum |values|^2 dx1 dx2`` through one float temporary of the grid's shape."""
-    power = np.abs(values)
-    np.square(power, out=power)
-    return float(power.sum() * dx1 * dx2)
+def _grid_power(values: np.ndarray, *steps: float) -> float:
+    """``sum |values|^2`` times each axis step in turn (``sum * dx1 * dx2``),
+    through one float temporary of the grid's shape; an overflow gives inf."""
+    with np.errstate(over="ignore"):
+        power = np.abs(values)
+        np.square(power, out=power)
+        total = power.sum()
+        for step in steps:
+            total = total * step
+    return float(total)
 
 
-def unit_power(values: np.ndarray, dx1: float, dx2: float) -> np.ndarray:
-    """Divide a complex two-photon grid the caller owns in place by the root
-    of its power, and return it; no second grid is made."""
-    p = _grid_power(values, dx1, dx2)
+def unit_power(values: np.ndarray, *steps: float) -> np.ndarray:
+    """Divide a complex grid the caller owns in place by the root of its
+    power with the given axis steps, and return it; no second grid is made."""
+    p = _grid_power(values, *steps)
     if not math.isfinite(p) or p <= 0:
         raise InvalidSpec("cannot normalize a zero or non-finite field")
     values /= math.sqrt(p)
@@ -222,13 +224,10 @@ class ModeField:
         return np.arange(-m, m + 1)
 
     def power(self) -> float:
-        return float((np.abs(self.coeffs) ** 2).sum())
+        return _grid_power(self.coeffs)
 
     def normalized(self) -> "ModeField":
-        p = self.power()
-        if not math.isfinite(p) or p <= 0:
-            raise InvalidSpec("cannot normalize a zero or non-finite field")
-        return ModeField(self.period, self.offset, self.coeffs / math.sqrt(p))
+        return ModeField(self.period, self.offset, unit_power(self.coeffs.copy()))
 
 
 @dataclass(frozen=True)

@@ -95,27 +95,28 @@ class SlitArray:
             raise InvalidSpec("need at least one slit")
         if not self.spacing > self.width:
             raise InvalidSpec("slit spacing must exceed the slit width")
-        if self.amplitudes is None:
-            amps = np.full(self.count, 1.0 / math.sqrt(self.count), dtype=complex)
-        else:
-            amps = np.asarray(self.amplitudes, dtype=complex)
-            if amps.shape != (self.count,):
-                raise InvalidSpec("amplitudes must have one entry per slit")
-            nrm = math.sqrt(float((np.abs(amps) ** 2).sum()))
-            if nrm == 0:
-                raise InvalidSpec("amplitudes must not all vanish")
-            amps = amps / nrm
-        object.__setattr__(self, "amplitudes", _freeze(amps))
+        amps = np.array(np.ones(self.count) if self.amplitudes is None else self.amplitudes,
+                        dtype=complex)
+        if amps.shape != (self.count,):
+            raise InvalidSpec("amplitudes must have one entry per slit")
+        # unit_power refuses a zero, NaN, infinite or overflowing norm
+        object.__setattr__(self, "amplitudes", _freeze(unit_power(amps)))
 
     def positions(self) -> np.ndarray:
         return (np.arange(self.count) - (self.count - 1) / 2.0) * self.spacing
 
     def transmission(self, x: np.ndarray) -> np.ndarray:
         """Aperture amplitude sum_d c_d S(x - x_d) on the given coordinates."""
-        out = np.zeros(x.shape, dtype=complex)
-        for pos, amp in zip(self.positions(), self.amplitudes):
-            out += amp * self.profile.amplitude(x - pos, self.width)
-        return out
+        return _tooth_sum(self, x, self.positions(), self.amplitudes)
+
+
+def _tooth_sum(slits: SlitArray, x: np.ndarray, centers, weights) -> np.ndarray:
+    """``sum_j weights[j] S(x - centers[j])`` with S the slit profile: the aperture
+    and every comb column (weights A_m, or ones for an ideal comb) are this sum."""
+    out = np.zeros(x.shape, dtype=complex)
+    for center, weight in zip(centers, weights):
+        out += weight * slits.profile.amplitude(x - center, slits.width)
+    return out
 
 
 @dataclass(frozen=True)
@@ -188,6 +189,9 @@ class CoeffMatrix:
 # ---------------------------------------------------------------------------
 # operations
 
+# samples per slit width that apply_dslit requires of the two-photon grid
+SAMPLES_PER_SLIT_WIDTH = 8
+
 
 def initial_biphoton_field(model: BiphotonGaussian, x1: np.ndarray,
                            x2: np.ndarray) -> BiphotonField:
@@ -198,19 +202,18 @@ def initial_biphoton_field(model: BiphotonGaussian, x1: np.ndarray,
     return BiphotonField(float(x1[0]), dx1, float(x2[0]), dx2, unit_power(vals, dx1, dx2))
 
 
-def apply_dslit(field: BiphotonField, slits: SlitArray,
-                min_samples_per_width: int = 8) -> tuple:
+def apply_dslit(field: BiphotonField, slits: SlitArray) -> tuple:
     """Send each photon through the slit array.
 
     Returns ``(masked field renormalized, transmitted power fraction)``.
     Raises ``UnderResolved`` when the grid does not carry at least
-    ``min_samples_per_width`` samples per slit width.
+    ``SAMPLES_PER_SLIT_WIDTH`` samples per slit width.
     """
     for dx in (field.dx1, field.dx2):
-        if slits.width / dx < min_samples_per_width * (1.0 - 1e-9):
+        if slits.width / dx < SAMPLES_PER_SLIT_WIDTH * (1.0 - 1e-9):
             raise UnderResolved(
                 f"slit width {slits.width:g} sampled with fewer than "
-                f"{min_samples_per_width} points (dx = {dx:g})"
+                f"{SAMPLES_PER_SLIT_WIDTH} points (dx = {dx:g})"
             )
     t1 = slits.transmission(field.x1())
     t2 = slits.transmission(field.x2())
@@ -261,15 +264,14 @@ def synthesize_single(slits: SlitArray, geom: SynthesizerGeometry) -> ModeField:
 
 
 def _comb_columns(slits: SlitArray, geom: SynthesizerGeometry, x: np.ndarray,
-                  envelope: bool) -> np.ndarray:
-    """Comb basis on coordinates x: column d holds slit d's teeth.
+                  envelope: bool):
+    """Unnormalized comb columns on coordinates x, yielded one per slit d.
 
     The teeth sit on the effective lattice ``positions[d] + m * period``.
     With ``envelope`` they carry the grating order amplitudes A_m, else they
     are uniform (the ideal periodic comb).  Teeth centred more than six slit
     widths outside x are left out.
     """
-    check_entries("comb basis", x.size, slits.count)
     period = geom.effective_period
     lo, hi = x.min(), x.max()
     if envelope:
@@ -278,14 +280,11 @@ def _comb_columns(slits: SlitArray, geom: SynthesizerGeometry, x: np.ndarray,
         half = int(math.ceil(max(-lo, hi) / period)) + 2
         mm = np.arange(-half, half + 1)
         env = np.ones(mm.size)
-    columns = np.zeros((x.size, slits.count), dtype=complex)
     margin = 6.0 * slits.width
-    for d, position in enumerate(slits.positions()):
+    for position in slits.positions():
         centers = position + mm * period
         keep = (centers > lo - margin) & (centers < hi + margin)
-        for ctr, a in zip(centers[keep], env[keep]):
-            columns[:, d] += a * slits.profile.amplitude(x - ctr, slits.width)
-    return columns
+        yield _tooth_sum(slits, x, centers[keep], env[keep])
 
 
 def render_synthesized(slits: SlitArray, geom: SynthesizerGeometry,
@@ -293,9 +292,14 @@ def render_synthesized(slits: SlitArray, geom: SynthesizerGeometry,
     """Finite synthesizer output on coordinates x, envelope-weighted comb.
 
     Each grating order m contributes a copy of the aperture displaced by
-    ``m * effective_period`` and weighted by the order amplitude A_m.
+    ``m * effective_period`` and weighted by the order amplitude A_m.  The
+    output is summed slit by slit, so memory stays O(x.size) for any D.
     """
-    return _comb_columns(slits, geom, x, envelope=True) @ slits.amplitudes
+    check_entries("comb basis", x.size, slits.count)  # the same work bound as the basis
+    out = np.zeros(x.shape, dtype=complex)
+    for amp, column in zip(slits.amplitudes, _comb_columns(slits, geom, x, envelope=True)):
+        out += amp * column
+    return out
 
 
 def entangled_coeffs(dimension: int, spacing: float,
@@ -347,12 +351,12 @@ def comb_basis(slits: SlitArray, geom: SynthesizerGeometry, samples_per_cell: in
             f"slit width {slits.width:g} needs at least 3 samples (dx = {dx:g})"
         )
     x = centered_axis(samples_per_cell * cells, dx)
-    basis = _comb_columns(slits, geom, x, envelope)
-    for d in range(slits.count):
-        nrm = math.sqrt(float((np.abs(basis[:, d]) ** 2).sum() * dx))
-        if nrm == 0:
+    check_entries("comb basis", x.size, slits.count)
+    basis = np.empty((x.size, slits.count), dtype=complex)
+    for d, column in enumerate(_comb_columns(slits, geom, x, envelope)):
+        if not column.any():
             raise InvalidSpec("empty comb on the grid; enlarge the window")
-        basis[:, d] /= nrm
+        basis[:, d] = unit_power(column, dx)
     return x, basis
 
 

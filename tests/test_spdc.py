@@ -1,6 +1,7 @@
 """Pair-source model, apertures, synthesizers and the coefficient matrix."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from talbotlab import (GAUSSIAN, TOPHAT, BiphotonGaussian, CoeffMatrix,
                        fidelity, initial_biphoton_field, maximally_entangled,
                        render_synthesized, sample, schmidt_spectrum,
                        synthesize_single, two_photon_field, QuditState, BiphotonField)
-from talbotlab.spdc import comb_basis, schmidt_modes
+from talbotlab.spdc import _comb_columns, comb_basis, schmidt_modes
 
 S = 1.0  # slit spacing; the natural length unit of this module
 
@@ -90,11 +91,19 @@ def test_wide_open_aperture_leaves_field_unchanged():
     x = axis(16, 16)
     field = initial_biphoton_field(model, x, x)
     slits = SlitArray(1, 1000.0, 500.0)
-    out, transmitted = apply_dslit(field, slits, min_samples_per_width=1)
+    out, transmitted = apply_dslit(field, slits)
     assert transmitted > 0.999
     overlap2 = abs((out.values.conj() * field.values).sum()
                    * out.dx1 * out.dx2) ** 2
     assert overlap2 > 0.999
+
+
+@pytest.mark.parametrize("amplitudes", [[math.nan, 1, 1], [math.inf, 1, 1], [1e200, 1e200, 0]])
+def test_aperture_rejects_amplitudes_without_a_finite_norm(amplitudes):
+    # NaN or infinite entries, or a norm whose square overflows, used to give
+    # NaN or all-zero slit weights instead of an error
+    with pytest.raises(InvalidSpec):
+        SlitArray(3, S, 0.05 * S, amplitudes=np.array(amplitudes, dtype=complex))
 
 
 def test_aperture_rejects_coarse_grids():
@@ -156,6 +165,37 @@ def test_single_order_grating_reproduces_the_aperture():
     num = abs((rendered.conj() * direct).sum()) ** 2
     den = (np.abs(rendered) ** 2).sum() * (np.abs(direct) ** 2).sum()
     assert num / den > 0.98  # zeroth order dominates a wide-spike grating
+
+
+@pytest.mark.parametrize("profile", [GAUSSIAN, TOPHAT], ids=lambda p: p.name)
+@pytest.mark.parametrize("dimension", [1, 3, 7, 64])
+def test_render_equals_the_comb_basis_times_the_amplitudes(dimension, profile):
+    # oracle: the n x D basis of envelope-weighted comb columns, applied at once
+    rng = np.random.default_rng(dimension)
+    amps = rng.normal(size=dimension) + 1j * rng.normal(size=dimension)
+    slits = SlitArray(dimension, S, 0.08 * S, profile=profile, amplitudes=amps)
+    geom = SynthesizerGeometry.for_dimension(dimension, S, spike_width=0.1 * S)
+    x = axis(13, 50)
+    oracle = np.column_stack(list(_comb_columns(slits, geom, x, True))) @ slits.amplitudes
+    rendered = render_synthesized(slits, geom, x)
+    assert np.abs(oracle).max() > 0
+    assert np.abs(rendered - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
+
+def test_render_memory_stays_linear_in_the_grid():
+    # the 1536 x 4000 comb basis would take 98 MB; the slit-by-slit sum needs O(n)
+    dimension = 4000
+    slits = SlitArray(dimension, S, 0.05 * S)
+    geom = SynthesizerGeometry.for_dimension(dimension, S)
+    x = axis(24, 64)
+    tracemalloc.start()
+    try:
+        rendered = render_synthesized(slits, geom, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rendered.shape == x.shape and np.abs(rendered).max() > 0
+    assert peak < 10e6
 
 
 def test_rendered_comb_peak_spacing():
