@@ -5,6 +5,9 @@ Each takes ``--config <json>`` plus ``--set key=value`` overrides; commands
 that emit files require ``--out-dir``.  All computation is deterministic:
 identical configurations produce byte-identical outputs.  Exit codes:
 0 success, 2 configuration or validation error, 3 numerical guard trip.
+
+The whole configuration is checked before NumPy is imported: only a
+command that computes something loads the numerical layers (``commands``).
 """
 
 from __future__ import annotations
@@ -15,20 +18,9 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import constraints as hw
-from .bell import bell_point, bell_scan
 from .errors import (AliasingRisk, BinMisalignment, InvalidSpec, TalbotLabError,
                      UnderResolved)
-from .fields import (PropagationSpec, SampledField, centered_axis, check_entries,
-                     get_profile, mode_propagate, periodic_comb, sample,
-                     talbot_length)
-from .io import (bell_result_to_json, write_biphoton_csv, write_matrix_csv,
-                 write_pgm, write_sampled_csv, write_scan_csv)
-from .spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry,
-                   apply_dslit, entangled_coeffs, initial_biphoton_field,
-                   render_synthesized, synthesize_single, two_photon_field)
 
 _GUARDS = (AliasingRisk, UnderResolved, BinMisalignment)
 
@@ -95,6 +87,10 @@ DEFAULTS = {
 }
 
 
+# integer keys that need at least 2: a carpet spans two z steps, a CGLMP test two levels
+_LEAST_2 = {("carpet", "z_steps"), ("bell", "dimension"), ("bell-scan", "dimensions")}
+
+
 def _integer(key: str, value, least: int = 1) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -119,10 +115,11 @@ def _list(key: str, value, length: int | None = None) -> list:
     return value
 
 
-def _resolve(key: str, value, default):
-    """Coerce one config value to the type of its default and range-check it."""
+def _resolve(key: str, value, default, least: int):
+    """Coerce one config value to the type of its default and range-check it;
+    ``least`` is the smallest integer the key (or each of its entries) may take."""
     if key == "dimensions":
-        return [_integer(key, d) for d in _list(key, value)]
+        return [_integer(key, d, least) for d in _list(key, value)]
     if key == "pixels":
         return tuple(_integer(key, n) for n in _list(key, value, length=2))
     if key == "kappa_pairs" and value != "fig":
@@ -135,10 +132,27 @@ def _resolve(key: str, value, default):
             raise InvalidSpec(f"{key} must be true or false, got {value!r}")
         return value
     if isinstance(default, int):
-        return _integer(key, value, least=2 if key == "z_steps" else 1)
+        return _integer(key, value, least)
     if isinstance(default, float):
         return _number(key, value, zero_ok=key == "kappa_minus")
-    return value  # strings are parsed where they are used
+    if key == "route" and value not in ("analytic", "field"):
+        raise InvalidSpec(f"route must be 'analytic' or 'field', got {value!r}")
+    return value  # the other strings are parsed where they are used
+
+
+def _check_state(value, dimension: int) -> None:
+    """Check the string forms of a state: ``uniform``, or ``basis:<n>`` with
+    n < dimension.  A list of [re, im] pairs is checked where it is parsed."""
+    if not isinstance(value, str) or value == "uniform":
+        return
+    if not (value.startswith("basis:") and value[6:].isdecimal()):
+        raise InvalidSpec(f"amplitude spec {value!r} not understood")
+    try:
+        idx = int(value[6:])
+    except ValueError:  # int() converts at most 4300 digits
+        raise InvalidSpec(f"basis index of {len(value) - 6} digits outside 0..{dimension - 1}")
+    if not idx < dimension:
+        raise InvalidSpec(f"basis index {idx} outside 0..{dimension - 1}")
 
 
 def _load_config(command: str, args) -> dict:
@@ -162,8 +176,12 @@ def _load_config(command: str, args) -> dict:
     for key in overrides:
         if key not in defaults:
             raise InvalidSpec(f"unknown config key {key!r} for {command}")
-    return {key: _resolve(key, value, defaults[key])
-            for key, value in {**defaults, **overrides}.items()}
+    cfg = {key: _resolve(key, value, defaults[key], 2 if (command, key) in _LEAST_2 else 1)
+           for key, value in {**defaults, **overrides}.items()}
+    for key in ("state", "amplitudes"):
+        if key in cfg:
+            _check_state(cfg[key], cfg["dimension"])
+    return cfg
 
 
 def _out_dir(args) -> Path:
@@ -174,145 +192,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _parse_amplitudes(spec_value, dimension: int) -> np.ndarray:
-    check_entries("amplitude vector", dimension)
-    if isinstance(spec_value, str):
-        if spec_value == "uniform":
-            return np.full(dimension, 1.0 / math.sqrt(dimension), dtype=complex)
-        if spec_value.startswith("basis:") and spec_value[6:].isdecimal():
-            idx = int(spec_value[6:])
-            if not idx < dimension:
-                raise InvalidSpec(f"basis index {idx} outside 0..{dimension - 1}")
-            amps = np.zeros(dimension, dtype=complex)
-            amps[idx] = 1.0
-            return amps
-        raise InvalidSpec(f"amplitude spec {spec_value!r} not understood")
-    try:
-        pairs = np.asarray(spec_value, dtype=float)
-    except (TypeError, ValueError):
-        pairs = None
-    if pairs is None or pairs.shape != (dimension, 2) or not np.isfinite(pairs).all():
-        raise InvalidSpec(f"amplitudes must be {dimension} finite [re, im] pairs")
-    amps = pairs[:, 0] + 1j * pairs[:, 1]
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(amps)
-    if not 0 < norm < math.inf:
-        raise InvalidSpec("amplitudes must have a finite, nonzero norm")
-    return amps / norm
-
-
-def cmd_carpet(args) -> int:
-    cfg = _load_config("carpet", args)
-    out = _out_dir(args)
-    dim, period, wavelength = cfg["dimension"], cfg["period"], cfg["wavelength"]
-    spp, periods, steps = cfg["samples_per_period"], cfg["periods"], cfg["z_steps"]
-    amps = _parse_amplitudes(cfg["state"], dim)
-    offs = period / dim * np.arange(dim)
-    field = periodic_comb(period, cfg["slit_width"] * period, offs, amps)
-    z_t = talbot_length(period, wavelength)
-    check_entries("carpet density", steps, spp * periods)
-    density = np.empty((steps, spp * periods))
-    for i, frac in enumerate(np.linspace(0.0, 2.0, steps)):
-        spec = PropagationSpec(wavelength, frac * z_t)
-        snap = sample(mode_propagate(field, spec), spp, periods)
-        density[i] = np.abs(snap.values) ** 2
-    write_matrix_csv(density, out / "carpet.csv", config=cfg)
-    write_pgm(density, out / "carpet.pgm", config=cfg)
-    print(f"carpet: {steps} x {spp * periods} density written to {out}")
-    return 0
-
-
-def cmd_synth(args) -> int:
-    cfg = _load_config("synth", args)
-    out = _out_dir(args)
-    dim, spacing = cfg["dimension"], cfg["spacing"]
-    spc, cells = cfg["samples_per_cell"], cfg["cells"]
-    profile = get_profile(cfg["profile"])
-    amps = _parse_amplitudes(cfg["amplitudes"], dim)
-    slits = SlitArray(dim, spacing, cfg["slit_width"] * spacing,
-                      profile=profile, amplitudes=amps)
-    geom = SynthesizerGeometry.for_dimension(dim, spacing,
-                                             spike_width=cfg["spike_width"] * spacing)
-    dx = spacing / spc
-    x = centered_axis(spc * cells, dx)
-    output = render_synthesized(slits, geom, x)  # first: its comb basis is size-checked
-    aperture = slits.transmission(x)
-    ideal = sample(synthesize_single(slits, geom), spc * dim, cells // dim or 1)
-    write_sampled_csv(SampledField(float(x[0]), dx, aperture), out / "synth_input.csv",
-                      config=cfg)
-    write_sampled_csv(SampledField(float(x[0]), dx, output), out / "synth_output.csv",
-                      config=cfg)
-    write_sampled_csv(ideal, out / "synth_ideal.csv", config=cfg)
-    print(f"synth: aperture, synthesized and ideal profiles written to {out}")
-    return 0
-
-
-def cmd_entangle(args) -> int:
-    cfg = _load_config("entangle", args)
-    out = _out_dir(args)
-    dim, s = cfg["dimension"], cfg["spacing"]
-    model = BiphotonGaussian(cfg["kappa_plus"] * s, cfg["kappa_minus"] * s)
-    coeffs = entangled_coeffs(dim, s, model)
-    slits = SlitArray(dim, s, cfg["slit_width"] * s)
-    geom = SynthesizerGeometry.for_dimension(dim, s, spike_width=cfg["spike_width"] * s)
-
-    def axis(cells, spc):
-        return centered_axis(cells * spc, s / spc)
-
-    # every stage and its guards run before the first file is written
-    x_a = axis(cfg["initial_window_cells"], cfg["initial_samples_per_cell"])
-    initial = initial_biphoton_field(model, x_a, x_a)
-    x_c = axis(cfg["slit_window_cells"], cfg["slit_samples_per_cell"])
-    after, transmitted = apply_dslit(initial_biphoton_field(model, x_c, x_c), slits)
-    carpet = two_photon_field(coeffs, slits, geom,
-                              samples_per_cell=cfg["carpet_samples_per_cell"],
-                              cells=cfg["carpet_window_cells"])
-
-    # no name holds a stage's complex grid while it is written: write_biphoton_csv
-    # frees it once it has the density, before the CSV tables are built
-    fields = {"initial": initial, "slits": after, "carpet": carpet}
-    del initial, after, carpet
-    for name, csv_cfg in (("initial", cfg),
-                          ("slits", {**cfg, "transmitted_fraction": transmitted}),
-                          ("carpet", cfg)):
-        density = write_biphoton_csv(fields.pop(name), out / f"entangle_{name}.csv",
-                                     config=csv_cfg)
-        write_pgm(density, out / f"entangle_{name}.pgm", config=cfg)
-        del density
-    print(f"entangle: initial, post-slit and carpet densities written to {out}"
-          f" (transmitted fraction {transmitted:.4g})")
-    return 0
-
-
-def cmd_bell(args) -> int:
-    cfg = _load_config("bell", args)
-    out = _out_dir(args)
-    result = bell_point(cfg["dimension"], cfg["kappa_plus"], cfg["kappa_minus"],
-                        spacing=cfg["spacing"], route=cfg["route"],
-                        slit_width=cfg["slit_width"],
-                        samples_per_cell=cfg["samples_per_cell"], cells=cfg["cells"],
-                        envelope=cfg["envelope"], provenance={"config": cfg})
-    (out / "bell.json").write_text(bell_result_to_json(result) + "\n")
-    print(f"bell: D={cfg['dimension']} route={cfg['route']} I={result.value:.6f}"
-          f" -> {out / 'bell.json'}")
-    return 0
-
-
-def cmd_bell_scan(args) -> int:
-    cfg = _load_config("bell-scan", args)
-    out = _out_dir(args)
-    pairs = cfg["kappa_pairs"]
-    if pairs == "fig":  # kappa_plus = 9: the ideal row, then R = 0.99998, 0.9998, 0.998
-        pairs = [(9.0, 0.0)] + [(9.0, 9.0 * math.sqrt((1.0 - r) / (1.0 + r)))
-                                for r in (0.99998, 0.9998, 0.998)]
-    rows = bell_scan(cfg["dimensions"], pairs, spacing=cfg["spacing"], route=cfg["route"])
-    write_scan_csv(rows, out / "bell_scan.csv", config=cfg)
-    print(f"bell-scan: {len(rows)} rows written to {out / 'bell_scan.csv'}")
-    return 0
-
-
-def cmd_constraints(args) -> int:
-    cfg = _load_config("constraints", args)
+def cmd_constraints(cfg: dict, args) -> int:
     spec = hw.HardwareSpec(cfg["pixel_pitch"], cfg["pixels"], cfg["wavelength"])
     d_max = hw.max_dimension(spec, cfg["threshold"])
     dim = max(d_max, 1) if cfg["dimension"] is None else cfg["dimension"]
@@ -333,23 +213,13 @@ def cmd_constraints(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "carpet": cmd_carpet,
-    "synth": cmd_synth,
-    "entangle": cmd_entangle,
-    "bell": cmd_bell,
-    "bell-scan": cmd_bell_scan,
-    "constraints": cmd_constraints,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="talbotlab",
         description="Talbot-effect qudit laboratory: carpets, synthesis, Bell tests",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in DEFAULTS:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -361,7 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _load_config(args.command, args)
+        if args.command == "constraints":
+            return cmd_constraints(cfg, args)
+        out = _out_dir(args)
+        from .commands import COMMANDS  # the one import of the numerical layers
+        return COMMANDS[args.command](cfg, out)
     except _GUARDS as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3

@@ -1,4 +1,9 @@
-"""Feasibility estimates for pixelated-modulator qudit encoding."""
+"""Feasibility estimates for pixelated-modulator qudit encoding.
+
+Also home of the two plain-arithmetic Talbot rules that the field and qudit
+layers share: the Talbot length and the gate-distance parity constant.
+The module imports no NumPy, so the ``constraints`` command runs without it.
+"""
 
 from __future__ import annotations
 
@@ -6,15 +11,27 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidSpec
-from .fields import talbot_length
-from .qudits import parity_constant
 
 __all__ = [
     "HardwareSpec",
+    "talbot_length",
+    "parity_constant",
     "max_dimension",
     "mutual_information",
     "gate_distances",
 ]
+
+
+def talbot_length(period: float, wavelength: float) -> float:
+    """Talbot length of a periodic field: period squared over wavelength."""
+    if not (period > 0 and wavelength > 0 and math.isfinite(period * period / wavelength)):
+        raise InvalidSpec("period and wavelength must be positive, with a finite Talbot length")
+    return period * period / wavelength
+
+
+def parity_constant(dimension: int) -> int:
+    """The constant c of the gate distance 2 z_T / (c D): 1 for odd, 2 for even D."""
+    return 1 if dimension % 2 else 2
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .constraints import talbot_length
 from .errors import AliasingRisk, GridMismatch, InvalidSpec, UnderResolved
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "GAUSSIAN",
     "TOPHAT",
     "get_profile",
-    "talbot_length",
     "centered_axis",
     "fresnel_propagate",
     "biphoton_propagate",
@@ -64,13 +64,6 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(values)
     out.setflags(write=False)
     return out
-
-
-def talbot_length(period: float, wavelength: float) -> float:
-    """Talbot length of a periodic field: period squared over wavelength."""
-    if not (period > 0 and wavelength > 0 and math.isfinite(period * period / wavelength)):
-        raise InvalidSpec("period and wavelength must be positive, with a finite Talbot length")
-    return period * period / wavelength
 
 
 def centered_axis(n: int, dx: float) -> np.ndarray:
@@ -261,11 +254,20 @@ class SlitProfile:
     transform: Callable[[np.ndarray, float], np.ndarray]
 
 
-GAUSSIAN = SlitProfile(
-    "gaussian",
-    lambda x, w: np.exp(-np.square(x) / (2.0 * w * w)),
-    lambda k, w: w * math.sqrt(2.0 * math.pi) * np.exp(-np.square(k) * w * w / 2.0),
-)
+def _gaussian_amplitude(x: np.ndarray, w: float) -> np.ndarray:
+    two_w2 = 2.0 * w * w
+    if not 0 < two_w2 < math.inf:
+        raise InvalidSpec(f"Gaussian slit width {w:g} has no finite, nonzero square")
+    with np.errstate(over="ignore"):  # x^2 overflows only where the profile is 0
+        return np.exp(-np.square(x) / two_w2)
+
+
+def _gaussian_transform(k: np.ndarray, w: float) -> np.ndarray:
+    with np.errstate(over="ignore"):  # (k w)^2 overflows only where the transform is 0
+        return w * math.sqrt(2.0 * math.pi) * np.exp(-np.square(k) * w * w / 2.0)
+
+
+GAUSSIAN = SlitProfile("gaussian", _gaussian_amplitude, _gaussian_transform)
 
 TOPHAT = SlitProfile(
     "tophat",
@@ -444,13 +446,16 @@ def periodic_comb(
     while True:
         n = np.arange(-m, m + 1)
         check_entries("comb spectrum", n.size, offsets.size)
-        shape = profile.transform(n * k, width).astype(complex)
-        structure = (amplitudes[None, :] * np.exp(-1j * np.outer(n * k, offsets))).sum(axis=1)
-        coeffs = shape * structure
-        p = np.abs(coeffs) ** 2
-        total = p.sum()
-        if total == 0:
-            raise InvalidSpec("comb has zero power")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked through the total
+            shape = profile.transform(n * k, width).astype(complex)
+            structure = (amplitudes[None, :] * np.exp(-1j * np.outer(n * k, offsets))).sum(axis=1)
+            coeffs = shape * structure
+            p = np.abs(coeffs) ** 2
+            total = p.sum()
+        if not total < math.inf:  # an overflow, or NaN from one
+            raise InvalidSpec(f"comb power overflows at period {period:g} and slit width {width:g}")
+        if total == 0:  # zero amplitudes, or every |c_n|^2 underflowed
+            raise InvalidSpec(f"comb has zero power at period {period:g} and slit width {width:g}")
         edge = p[: m // 8].sum() + p[-(m // 8):].sum()
         if edge < MASS_TOL * total:
             break

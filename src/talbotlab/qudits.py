@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .constraints import parity_constant
 from .errors import BinMisalignment, InvalidSpec, NotCoprime
 from .fields import (GAUSSIAN, ModeField, SampledField, SlitProfile, _freeze,
                      periodic_comb)
@@ -131,11 +132,6 @@ def pauli_x(dimension: int) -> QuditUnitary:
     m = np.zeros((dimension, dimension))
     m[np.arange(dimension), (np.arange(dimension) - 1) % dimension] = 1.0
     return QuditUnitary(m)
-
-
-def parity_constant(dimension: int) -> int:
-    """The constant c of the gate distance 2 z_T / (c D): 1 for odd, 2 for even D."""
-    return 1 if dimension % 2 else 2
 
 
 def gate_distance_fraction(dimension: int) -> float:

@@ -135,9 +135,11 @@ class SynthesizerGeometry:
     spike_width: float
 
     def __post_init__(self):
-        if min(self.focal_length, self.wavelength, self.grating_period,
-               self.spike_width) <= 0:
-            raise InvalidSpec("all synthesizer lengths must be positive")
+        lengths = (self.focal_length, self.wavelength, self.grating_period, self.spike_width)
+        if not all(0 < length < math.inf for length in lengths):
+            raise InvalidSpec("synthesizer focal length, wavelength, grating period and spike"
+                              " width must be positive and finite, got "
+                              + ", ".join(f"{length:g}" for length in lengths))
 
     @property
     def effective_period(self) -> float:
@@ -233,11 +235,14 @@ def grating_envelope(geom: SynthesizerGeometry) -> tuple:
     ``A_m = exp(-(2 pi m sigma)^2 / (2 lg^2))`` for Gaussian spikes of width
     sigma on a lattice of period lg.
     """
+    if not geom.grating_period * geom.grating_period < math.inf:
+        raise InvalidSpec(f"grating period {geom.grating_period:g} has no finite square")
     m = 8
     while True:
         mm = np.arange(-m, m + 1)
-        env = np.exp(-((2 * np.pi * mm * geom.spike_width) ** 2)
-                     / (2.0 * geom.grating_period ** 2))
+        with np.errstate(over="ignore"):  # (2 pi m sigma)^2 overflows only where A_m is 0
+            env = np.exp(-((2 * np.pi * mm * geom.spike_width) ** 2)
+                         / (2.0 * geom.grating_period ** 2))
         mass = env ** 2
         if mass[0] + mass[-1] < MASS_TOL * mass.sum() / (2 * m):
             break

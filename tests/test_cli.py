@@ -1,15 +1,21 @@
 """Command-line interface: behavior, formats, determinism, exit codes."""
 
 import contextlib
+import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import talbotlab
 from talbotlab.cli import main
 
 
@@ -193,7 +199,8 @@ def test_bell_scan_deterministic_with_workers(tmp_path):
     assert a == b
 
 
-REJECTED = [
+# rejected by the configuration check, or by the constraints arithmetic, before NumPy loads
+CONFIG_ERRORS = [
     "bell --set dimension=abc",
     "carpet --set dimension=3 --set state=basis:x",
     "bell --set route=field --set cells=0",
@@ -210,6 +217,12 @@ REJECTED = [
     "bell --set convention=anticorrelated",
     "constraints --set pixel_pitch=1e308",
     "bell --config list.json",
+    "bell --set route=bogus",
+    "bell-scan --set route=bogus",
+    "carpet --set dimension=3 --set state=basis:3",
+    "synth --set amplitudes=basis:-1",
+]
+REJECTED = CONFIG_ERRORS + [
     # sizes over the 2**25-entry bound are refused before anything is allocated
     "bell --set dimension=1000000000000",
     "bell --set route=field --set samples_per_cell=1e300",
@@ -224,6 +237,13 @@ REJECTED = [
     # amplitudes whose norm overflows, rejected without a NumPy warning
     "synth --set amplitudes=[[1e308,0],[1e308,0],[0,0]]",
     "carpet --set dimension=2 --set state=[[1e308,0],[1e308,0]]",
+    # lengths whose squares or comb powers leave the floating-point range
+    "synth --set spacing=1e300",
+    "bell --set route=field --set spacing=1e300",
+    "carpet --set period=1e-300",
+    "carpet --set period=1e300",
+    "carpet --set slit_width=1e300",
+    "synth --set slit_width=1e-300",
 ]
 
 
@@ -237,6 +257,57 @@ def test_bad_input_exits_2_with_one_message(command, tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_basis_index_too_long_to_convert_exits_2(tmp_path, capsys):
+    # int() refuses a decimal string of more than 4300 digits
+    assert run(["carpet", "--out-dir", str(tmp_path), "--set", "state=basis:" + "1" * 5000]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_config_errors_and_constraints_load_no_numpy(tmp_path):
+    # one fresh interpreter: the package, the CLI, the constraints report and
+    # every configuration error run without importing NumPy
+    (tmp_path / "list.json").write_text("[1]")
+    cases = [("constraints", 0)] + [(command, 2) for command in CONFIG_ERRORS]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import talbotlab, talbotlab.cli\n"
+        "seen = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = talbotlab.cli.main(argv)\n"
+        "    seen.append([code, 'numpy' in sys.modules])\n"
+        "print(json.dumps(seen))\n"
+    )
+    argvs = [command.split() + ["--out-dir", str(tmp_path / "out")] for command, _ in cases]
+    src = str(Path(talbotlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen == [[code, False] for _, code in cases]
+
+
+def test_package_exports_resolve_to_their_home_objects():
+    for name, module in talbotlab._EXPORTS.items():
+        home = importlib.import_module(f"talbotlab.{module}")
+        assert getattr(talbotlab, name) is getattr(home, name), name
+    with pytest.raises(AttributeError):
+        talbotlab.no_such_name
+
+
+def test_flat_grating_envelope_passes_only_the_zeroth_order(tmp_path):
+    # spikes far wider than the grating period leave only the m = 0 order, whose
+    # overflowing neighbours underflow to 0 without a warning: the output is the aperture
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["synth", "--out-dir", str(tmp_path), "--set", "spike_width=1e300",
+                    "--set", "cells=6"]) == 0
+    output = (tmp_path / "synth_output.csv").read_bytes()
+    assert output == (tmp_path / "synth_input.csv").read_bytes()
 
 
 def test_bell_and_bell_scan_agree_off_unit_spacing(tmp_path):

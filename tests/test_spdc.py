@@ -13,7 +13,7 @@ from talbotlab import (GAUSSIAN, TOPHAT, BiphotonGaussian, CoeffMatrix,
                        fidelity, initial_biphoton_field, maximally_entangled,
                        render_synthesized, sample, schmidt_spectrum,
                        synthesize_single, two_photon_field, QuditState, BiphotonField)
-from talbotlab.spdc import _comb_columns, comb_basis, schmidt_modes
+from talbotlab.spdc import _comb_columns, comb_basis, grating_envelope, schmidt_modes
 
 S = 1.0  # slit spacing; the natural length unit of this module
 
@@ -143,6 +143,15 @@ def test_synthesizer_effective_period():
     assert abs(geom.effective_period - 3.0) < 1e-12
     geom2 = SynthesizerGeometry.for_dimension(3, S)
     assert abs(geom2.effective_period - 3.0 * S) < 1e-12
+
+
+def test_synthesizer_lengths_must_stay_finite():
+    # the focal length D s^2 / lambda overflows for s = 1e300; a grating period of
+    # 1e200 with a finite focal length has a square that overflows
+    with pytest.raises(InvalidSpec):
+        SynthesizerGeometry.for_dimension(3, 1e300)
+    with pytest.raises(InvalidSpec):
+        grating_envelope(SynthesizerGeometry(1.0, 1.0, 1e200, 1.0))
 
 
 def test_synthesized_state_equals_direct_encoding():
