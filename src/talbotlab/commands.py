@@ -17,12 +17,13 @@ from .bell import bell_point, bell_scan
 from .constraints import talbot_length
 from .errors import InvalidSpec
 from .fields import (PropagationSpec, SampledField, centered_axis, check_entries,
-                     get_profile, mode_propagate, periodic_comb, sample)
-from .io import (bell_result_to_json, write_biphoton_csv, write_matrix_csv,
-                 write_pgm, write_sampled_csv, write_scan_csv)
+                     get_profile, mode_propagate, periodic_comb, sample, sampling_matrix,
+                     unit_power)
+from .io import (bell_result_to_json, write_biphoton_csv, write_density_csv,
+                 write_matrix_csv, write_pgm, write_sampled_csv, write_scan_csv)
 from .spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry,
                    apply_dslit, entangled_coeffs, initial_biphoton_field,
-                   render_synthesized, synthesize_single, two_photon_field)
+                   render_synthesized, synthesize_single, two_photon_density)
 
 
 def _parse_amplitudes(spec_value, dimension: int) -> np.ndarray:
@@ -57,11 +58,13 @@ def cmd_carpet(cfg: dict, out: Path) -> int:
     field = periodic_comb(period, cfg["slit_width"] * period, offs, amps)
     z_t = talbot_length(period, wavelength)
     check_entries("carpet density", steps, spp * periods)
+    # each row is sample(mode_propagate(field, spec)), on one sampling matrix
+    _, dx, matrix = sampling_matrix(field, spp, periods)
     density = np.empty((steps, spp * periods))
     for i, frac in enumerate(np.linspace(0.0, 2.0, steps)):
         spec = PropagationSpec(wavelength, frac * z_t)
-        snap = sample(mode_propagate(field, spec), spp, periods)
-        density[i] = np.abs(snap.values) ** 2
+        row = unit_power(matrix @ mode_propagate(field, spec).coeffs, dx)
+        density[i] = np.abs(row) ** 2
     write_matrix_csv(density, out / "carpet.csv", config=cfg)
     write_pgm(density, out / "carpet.pgm", config=cfg)
     print(f"carpet: {steps} x {spp * periods} density written to {out}")
@@ -106,21 +109,24 @@ def cmd_entangle(cfg: dict, out: Path) -> int:
     initial = initial_biphoton_field(model, x_a, x_a)
     x_c = axis(cfg["slit_window_cells"], cfg["slit_samples_per_cell"])
     after, transmitted = apply_dslit(initial_biphoton_field(model, x_c, x_c), slits)
-    carpet = two_photon_field(coeffs, slits, geom,
-                              samples_per_cell=cfg["carpet_samples_per_cell"],
-                              cells=cfg["carpet_window_cells"])
+    # the z = 0 carpet as a density built in row blocks, with no n x n complex grid
+    x, dx, carpet = two_photon_density(coeffs, slits, geom,
+                                       samples_per_cell=cfg["carpet_samples_per_cell"],
+                                       cells=cfg["carpet_window_cells"])
 
     # no name holds a stage's complex grid while it is written: write_biphoton_csv
     # frees it once it has the density, before the CSV tables are built
-    fields = {"initial": initial, "slits": after, "carpet": carpet}
-    del initial, after, carpet
+    fields = {"initial": initial, "slits": after}
+    del initial, after
     for name, csv_cfg in (("initial", cfg),
-                          ("slits", {**cfg, "transmitted_fraction": transmitted}),
-                          ("carpet", cfg)):
+                          ("slits", {**cfg, "transmitted_fraction": transmitted})):
         density = write_biphoton_csv(fields.pop(name), out / f"entangle_{name}.csv",
                                      config=csv_cfg)
         write_pgm(density, out / f"entangle_{name}.pgm", config=cfg)
         del density
+    x0 = float(x[0])
+    write_density_csv(carpet, out / "entangle_carpet.csv", (x0, dx, x0, dx), config=cfg)
+    write_pgm(carpet, out / "entangle_carpet.pgm", config=cfg)
     print(f"entangle: initial, post-slit and carpet densities written to {out}"
           f" (transmitted fraction {transmitted:.4g})")
     return 0

@@ -8,7 +8,6 @@ The module imports no NumPy, so the ``constraints`` command runs without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidSpec
 
@@ -23,10 +22,16 @@ __all__ = [
 
 
 def talbot_length(period: float, wavelength: float) -> float:
-    """Talbot length of a periodic field: period squared over wavelength."""
-    if not (period > 0 and wavelength > 0 and math.isfinite(period * period / wavelength)):
-        raise InvalidSpec("period and wavelength must be positive, with a finite Talbot length")
-    return period * period / wavelength
+    """Talbot length of a periodic field: period squared over wavelength.
+
+    A length that underflows to 0 or overflows to inf is refused: every
+    distance in units of it would be 0 or meaningless.
+    """
+    z_t = period * period / wavelength if period > 0 and wavelength > 0 else 0.0
+    if not 0 < z_t < math.inf:
+        raise InvalidSpec("period and wavelength must be positive, with a positive,"
+                          " finite Talbot length")
+    return z_t
 
 
 def parity_constant(dimension: int) -> int:
@@ -34,18 +39,27 @@ def parity_constant(dimension: int) -> int:
     return 1 if dimension % 2 else 2
 
 
-@dataclass(frozen=True)
 class HardwareSpec:
-    """Pixel pitch, pixel counts and working wavelength of the modulator/camera."""
+    """Pixel pitch, pixel counts and working wavelength of the modulator/camera.
 
-    pixel_pitch: float
-    pixels: tuple
-    wavelength: float
+    Read-only once built.  A plain class rather than a frozen dataclass, so
+    that the NumPy-free start of ``constraints`` does not import ``dataclasses``.
+    """
 
-    def __post_init__(self):
-        n1, n2 = self.pixels
-        if min(self.pixel_pitch, self.wavelength) <= 0 or min(n1, n2) < 1:
+    __slots__ = ("pixel_pitch", "pixels", "wavelength")
+
+    def __init__(self, pixel_pitch: float, pixels: tuple, wavelength: float):
+        n1, n2 = pixels
+        if min(pixel_pitch, wavelength) <= 0 or min(n1, n2) < 1:
             raise InvalidSpec("pitch, wavelength and pixel counts must be positive")
+        for name, value in zip(self.__slots__, (pixel_pitch, pixels, wavelength)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HardwareSpec is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"HardwareSpec is read-only; cannot delete {name!r}")
 
 
 def max_dimension(spec: HardwareSpec, illuminated_slits: int = 100) -> int:

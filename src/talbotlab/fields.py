@@ -40,6 +40,7 @@ __all__ = [
     "biphoton_propagate",
     "mode_propagate",
     "periodic_comb",
+    "sampling_matrix",
     "sample",
     "overlap",
     "fidelity",
@@ -165,25 +166,40 @@ class BiphotonField:
                              unit_power(self.values.copy(), self.dx1, self.dx2))
 
 
-def _grid_power(values: np.ndarray, *steps: float) -> float:
-    """``sum |values|^2`` times each axis step in turn (``sum * dx1 * dx2``),
-    through one float temporary of the grid's shape; an overflow gives inf."""
+def _abs2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``|values|^2`` into ``out`` (a new float array by default); an overflow gives inf."""
     with np.errstate(over="ignore"):
-        power = np.abs(values)
-        np.square(power, out=power)
-        total = power.sum()
+        out = np.abs(values, out=out)
+        np.square(out, out=out)
+    return out
+
+
+def _density_power(density: np.ndarray, *steps: float) -> float:
+    """``sum(density)`` times each axis step in turn (``sum * dx1 * dx2``)."""
+    with np.errstate(over="ignore"):
+        total = density.sum()
         for step in steps:
             total = total * step
     return float(total)
 
 
+def _grid_power(values: np.ndarray, *steps: float) -> float:
+    """``sum |values|^2`` times each axis step in turn, through one float
+    temporary of the grid's shape; an overflow gives inf."""
+    return _density_power(_abs2(values), *steps)
+
+
+def _unit_root(power: float) -> float:
+    """The root of a power that a field is divided by to normalise it."""
+    if not math.isfinite(power) or power <= 0:
+        raise InvalidSpec("cannot normalize a zero or non-finite field")
+    return math.sqrt(power)
+
+
 def unit_power(values: np.ndarray, *steps: float) -> np.ndarray:
     """Divide a complex grid the caller owns in place by the root of its
     power with the given axis steps, and return it; no second grid is made."""
-    p = _grid_power(values, *steps)
-    if not math.isfinite(p) or p <= 0:
-        raise InvalidSpec("cannot normalize a zero or non-finite field")
-    values /= math.sqrt(p)
+    values /= _unit_root(_grid_power(values, *steps))
     return values
 
 
@@ -480,19 +496,13 @@ def periodic_comb(
     return ModeField(period, 0.0, coeffs).normalized()
 
 
-def sample(
-    field: ModeField,
-    samples_per_period: int = 64,
-    periods: int = 128,
-    taper_periods: int = 0,
-) -> SampledField:
-    """Evaluate a ModeField on a centred grid spanning ``periods`` periods.
+def sampling_matrix(field: ModeField, samples_per_period: int, periods: int) -> tuple:
+    """``(x, dx, E)``: the centred grid of ``periods`` periods, its pitch, and
+    the matrix ``exp(i k (x - offset) n)`` that takes the field's coefficients,
+    or those of any field propagated from it, to its samples on that grid.
 
     The grid must resolve the largest retained mode: ``samples_per_period``
-    has to exceed twice the truncation order, else ``UnderResolved`` is
-    raised.  With ``taper_periods > 0`` a raised-cosine ramp over that many
-    periods is applied at each window edge, modelling finite illumination.
-    The result is normalized over the window.
+    has to exceed twice the truncation order, else ``UnderResolved`` is raised.
     """
     if samples_per_period < 2 or periods < 1:
         raise InvalidSpec("need at least 2 samples per period and 1 period")
@@ -506,12 +516,29 @@ def sample(
     dx = field.period / samples_per_period
     x = centered_axis(n_samp, dx)
     k = 2.0 * np.pi / field.period
-    vals = np.exp(1j * np.outer(x - field.offset, field.modes()) * k) @ field.coeffs
+    return x, dx, np.exp(1j * np.outer(x - field.offset, field.modes()) * k)
+
+
+def sample(
+    field: ModeField,
+    samples_per_period: int = 64,
+    periods: int = 128,
+    taper_periods: int = 0,
+) -> SampledField:
+    """Evaluate a ModeField on a centred grid spanning ``periods`` periods.
+
+    The grid and its resolution guard are those of :func:`sampling_matrix`.
+    With ``taper_periods > 0`` a raised-cosine ramp over that many periods
+    is applied at each window edge, modelling finite illumination.  The
+    result is normalized over the window.
+    """
+    x, dx, matrix = sampling_matrix(field, samples_per_period, periods)
+    vals = matrix @ field.coeffs
     if taper_periods:
         if 2 * taper_periods > periods:
             raise InvalidSpec("taper longer than the window")
         edge = taper_periods * samples_per_period
-        w = np.ones(n_samp)
+        w = np.ones(x.size)
         ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(edge) / edge))
         w[:edge] = ramp
         w[-edge:] = ramp[::-1]

@@ -23,6 +23,7 @@ __all__ = [
     "write_sampled_csv",
     "write_matrix_csv",
     "write_biphoton_csv",
+    "write_density_csv",
     "write_pgm",
     "bell_result_to_json",
     "write_scan_csv",
@@ -175,25 +176,34 @@ def write_biphoton_csv(field: BiphotonField, path, config: dict | None = None) -
     CSV is written: this function drops its reference to ``field`` once it
     has the density, so a caller that keeps none frees it.
     """
-    path = Path(path)
     density = np.abs(field.values)
     np.square(density, out=density)
+    grid = (field.x0_1, field.dx1, field.x0_2, field.dx2)
+    del field
+    write_density_csv(density, path, grid, config=config)
+    return density
+
+
+def write_density_csv(density: np.ndarray, path, grid: tuple,
+                      config: dict | None = None) -> None:
+    """Two-photon density as row-major CSV plus JSON grid sidecar; ``grid`` is
+    ``(x0_1, dx1, x0_2, dx2)``, the first coordinate and pitch of each axis."""
+    path = Path(path)
+    x0_1, dx1, x0_2, dx2 = grid
     meta = {
-        "x0_1": field.x0_1,
-        "dx1": field.dx1,
-        "n1": field.values.shape[0],
-        "x0_2": field.x0_2,
-        "dx2": field.dx2,
-        "n2": field.values.shape[1],
+        "x0_1": x0_1,
+        "dx1": dx1,
+        "n1": density.shape[0],
+        "x0_2": x0_2,
+        "dx2": dx2,
+        "n2": density.shape[1],
         "content": "row-major |amplitude|^2; rows follow axis 1",
     }
-    del field
     if config:
         meta["config"] = config
     write_matrix_csv(density, path, config=config)
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
-    return density
 
 
 def write_pgm(matrix: np.ndarray, path, config: dict | None = None) -> None:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import InvalidSpec, UnderResolved
 from .fields import (GAUSSIAN, MASS_TOL, MAX_ORDERS, BiphotonField, ModeField,
-                     SlitProfile, _freeze, _grid_power, centered_axis, check_entries,
-                     periodic_comb, unit_power)
+                     SlitProfile, _abs2, _density_power, _freeze, _grid_power, _unit_root,
+                     centered_axis, check_entries, periodic_comb, unit_power)
 from .qudits import TalbotGeometry
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "comb_basis",
     "schmidt_modes",
     "two_photon_field",
+    "two_photon_density",
     "schmidt_spectrum",
 ]
 
@@ -381,14 +382,69 @@ def two_photon_field(
     axis.  With ``envelope=False`` the combs are ideal (uniform teeth),
     which is the periodic idealization used for route comparisons.
     """
+    x, dx, basis = _pair_basis(coeffs, slits, geom, samples_per_cell, cells, envelope)
+    vals = unit_power(basis @ coeffs.values @ basis.T, dx, dx)
+    return BiphotonField(float(x[0]), dx, float(x[0]), dx, vals)
+
+
+def _pair_basis(coeffs: CoeffMatrix, slits: SlitArray, geom: SynthesizerGeometry,
+                samples_per_cell: int, cells: int, envelope: bool) -> tuple:
+    """``(x, dx, B)`` of the two-photon grid, once its size is checked."""
     if slits.count != coeffs.dimension:
         raise InvalidSpec("slit count must match the coefficient dimension")
     n = samples_per_cell * cells
     check_entries("two-photon grid", n, n)
     x, basis = comb_basis(slits, geom, samples_per_cell, cells, envelope)
-    dx = slits.spacing / samples_per_cell
-    vals = unit_power(basis @ coeffs.values @ basis.T, dx, dx)
-    return BiphotonField(float(x[0]), dx, float(x[0]), dx, vals)
+    return x, slits.spacing / samples_per_cell, basis
+
+
+# multiply-adds in each block product of two_photon_density.  OpenBLAS, NumPy's
+# usual BLAS, keeps a complex gemm of at most 2**16 of them on the calling
+# thread.  These products (inner dimension D) are memory-bound: a threaded block
+# costs twice the CPU for no gain, and waking the thread pool once per block
+# cost up to 1 s on a 2-core machine after an idle spell.
+_BLOCK_MACS = 2 ** 16
+
+
+def _block_rows(n: int, dimension: int) -> int:
+    """Rows of the n x n pair state that two_photon_density builds per product."""
+    return min(n, max(1, _BLOCK_MACS // (n * dimension)))
+
+
+def two_photon_density(
+    coeffs: CoeffMatrix,
+    slits: SlitArray,
+    geom: SynthesizerGeometry,
+    samples_per_cell: int = 64,
+    cells: int = 64,
+    envelope: bool = True,
+) -> tuple:
+    """``(x, dx, |Psi|^2)``: the density of :func:`two_photon_field`, bit for bit,
+    without its n x n complex grid.
+
+    Row blocks of ``(B C) B^T`` are built in one small reused buffer, twice.  The
+    first pass writes their ``|.|^2`` and sums it for the power as
+    ``unit_power`` does; the second divides each block by the root of that
+    power and writes its density over the first.
+    """
+    x, dx, basis = _pair_basis(coeffs, slits, geom, samples_per_cell, cells, envelope)
+    left = basis @ coeffs.values
+    density = np.empty((x.size, x.size))
+    buf = np.empty((_block_rows(x.size, coeffs.dimension), x.size), dtype=complex)
+
+    def blocks():
+        for start in range(0, x.size, buf.shape[0]):
+            block = buf[:x.size - start]  # the last block may be short
+            np.matmul(left[start:start + block.shape[0]], basis.T, out=block)
+            yield block, density[start:start + block.shape[0]]
+
+    for block, rows in blocks():
+        _abs2(block, out=rows)
+    root = _unit_root(_density_power(density, dx, dx))
+    for block, rows in blocks():
+        block /= root
+        _abs2(block, out=rows)
+    return x, dx, density
 
 
 def schmidt_modes(x: np.ndarray, basis: np.ndarray, coeffs: CoeffMatrix) -> tuple:

@@ -4,6 +4,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import talbotlab
-from talbotlab.cli import main
+from talbotlab import (BiphotonGaussian, PropagationSpec, SlitArray, SynthesizerGeometry,
+                       entangled_coeffs, mode_propagate, periodic_comb, sample, talbot_length,
+                       two_photon_field)
+from talbotlab.cli import DEFAULTS, main
+from talbotlab.io import write_biphoton_csv, write_pgm
 
 
 def run(args):
@@ -78,13 +83,32 @@ def test_carpet_emission_and_determinism(tmp_path):
     assert len(rows) == 48
 
 
+def csv_rows(path) -> np.ndarray:
+    rows = [r for r in path.read_text().splitlines() if not r.startswith("#")]
+    return np.array([[float(v) for v in r.split(",")] for r in rows])
+
+
+def test_carpet_rows_equal_sampling_each_step_bit_for_bit(tmp_path):
+    # one sampling matrix per carpet gives the rows of one sample() per z step
+    assert run(["carpet", "--out-dir", str(tmp_path), "--set", "dimension=3",
+                "--set", "state=uniform", "--set", "z_steps=17", "--set", "periods=2"]) == 0
+    cfg = {**DEFAULTS["carpet"], "dimension": 3}
+    period = cfg["period"]
+    field = periodic_comb(period, cfg["slit_width"] * period, period / 3 * np.arange(3),
+                          np.full(3, 1 / math.sqrt(3), dtype=complex))
+    z_t = talbot_length(period, cfg["wavelength"])
+    expected = np.array([
+        np.abs(sample(mode_propagate(field, PropagationSpec(cfg["wavelength"], frac * z_t)),
+                      cfg["samples_per_period"], 2).values) ** 2
+        for frac in np.linspace(0.0, 2.0, 17)])
+    assert csv_rows(tmp_path / "carpet.csv").tobytes() == expected.tobytes()
+
+
 def test_carpet_revival_structure(tmp_path):
     # revival column at the far edge, half-shifted column at the middle
     assert run(["carpet", "--out-dir", str(tmp_path), "--set", "z_steps=33",
                 "--set", "periods=2", "--set", "samples_per_period=64"]) == 0
-    rows = [r for r in (tmp_path / "carpet.csv").read_text().splitlines()
-            if not r.startswith("#")]
-    density = np.array([[float(v) for v in r.split(",")] for r in rows])
+    density = csv_rows(tmp_path / "carpet.csv")
     first, last, middle = density[0], density[-1], density[16]
     assert np.abs(first - last).max() < 1e-9 * first.max()
     shifted = np.roll(first, 32)  # half a period of 64 samples
@@ -97,9 +121,7 @@ def test_carpet_single_mode_is_z_independent(tmp_path):
     cfg.write_text(json.dumps({"slit_width": 3.0, "z_steps": 9, "periods": 2}))
     # wide slit -> essentially one Fourier mode
     assert run(["carpet", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
-    rows = [r for r in (tmp_path / "carpet.csv").read_text().splitlines()
-            if not r.startswith("#")]
-    density = np.array([[float(v) for v in r.split(",")] for r in rows])
+    density = csv_rows(tmp_path / "carpet.csv")
     assert density.std() / density.mean() < 1e-6
 
 
@@ -109,9 +131,7 @@ def test_carpet_basis_state_fractional_columns(tmp_path):
     assert run(["carpet", "--out-dir", str(tmp_path), "--set", "dimension=3",
                 "--set", "state=basis:0", "--set", "z_steps=25",
                 "--set", "periods=3", "--set", "samples_per_period=96"]) == 0
-    rows = [r for r in (tmp_path / "carpet.csv").read_text().splitlines()
-            if not r.startswith("#")]
-    density = np.array([[float(v) for v in r.split(",")] for r in rows])
+    density = csv_rows(tmp_path / "carpet.csv")
     z0, z13 = density[0], density[8]  # z = (8/24) * 2 z_T = 2 z_T / 3
     from talbotlab import gauss_coeffs
     weights = np.abs(gauss_coeffs(1, 3).values) ** 2
@@ -149,6 +169,29 @@ def test_entangle_pipeline_files(tmp_path):
         assert (tmp_path / f"{stem}.pgm").read_bytes()[:3] == b"P5\n"
     meta = json.loads((tmp_path / "entangle_slits.csv.json").read_text())
     assert 0 < meta["config"]["transmitted_fraction"] < 1
+
+
+def test_entangle_carpet_equals_the_dense_field_files(tmp_path):
+    # 700 carpet rows: the density's row blocks end in a short one
+    overrides = {"initial_window_cells": 8, "slit_window_cells": 2,
+                 "carpet_window_cells": 10, "carpet_samples_per_cell": 70}
+    args = ["entangle", "--out-dir", str(tmp_path)]
+    for key, value in overrides.items():
+        args += ["--set", f"{key}={value}"]
+    assert run(args) == 0
+    cfg = {**DEFAULTS["entangle"], **overrides}
+    s = cfg["spacing"]
+    coeffs = entangled_coeffs(3, s, BiphotonGaussian(cfg["kappa_plus"] * s,
+                                                     cfg["kappa_minus"] * s))
+    geom = SynthesizerGeometry.for_dimension(3, s, spike_width=cfg["spike_width"] * s)
+    carpet = two_photon_field(coeffs, SlitArray(3, s, cfg["slit_width"] * s), geom,
+                              samples_per_cell=70, cells=10)
+    oracle = tmp_path / "oracle"
+    oracle.mkdir()
+    density = write_biphoton_csv(carpet, oracle / "entangle_carpet.csv", config=cfg)
+    write_pgm(density, oracle / "entangle_carpet.pgm", config=cfg)
+    for name in ("entangle_carpet.csv", "entangle_carpet.csv.json", "entangle_carpet.pgm"):
+        assert (tmp_path / name).read_bytes() == (oracle / name).read_bytes(), name
 
 
 def test_bell_analytic_json(tmp_path):
@@ -216,6 +259,7 @@ CONFIG_ERRORS = [
     "bell-scan --set dimensions=5",
     "bell --set convention=anticorrelated",
     "constraints --set pixel_pitch=1e308",
+    "constraints --set pixel_pitch=1e-200",  # the Talbot length underflows to 0
     "bell --config list.json",
     "bell --set route=bogus",
     "bell-scan --set route=bogus",
@@ -241,6 +285,7 @@ REJECTED = CONFIG_ERRORS + [
     "synth --set spacing=1e300",
     "bell --set route=field --set spacing=1e300",
     "carpet --set period=1e-300",
+    "carpet --set period=1e-100 --set wavelength=1e300",  # the Talbot length underflows to 0
     "carpet --set period=1e300",
     "carpet --set slit_width=1e300",
     "synth --set slit_width=1e-300",
@@ -267,7 +312,7 @@ def test_basis_index_too_long_to_convert_exits_2(tmp_path, capsys):
 
 def test_config_errors_and_constraints_load_no_numpy(tmp_path):
     # one fresh interpreter: the package, the CLI, the constraints report and
-    # every configuration error run without importing NumPy
+    # every configuration error run without importing NumPy or dataclasses
     (tmp_path / "list.json").write_text("[1]")
     cases = [("constraints", 0)] + [(command, 2) for command in CONFIG_ERRORS]
     script = (
@@ -278,7 +323,7 @@ def test_config_errors_and_constraints_load_no_numpy(tmp_path):
         "    with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
         "        code = talbotlab.cli.main(argv)\n"
-        "    seen.append([code, 'numpy' in sys.modules])\n"
+        "    seen.append([code, 'numpy' in sys.modules, 'dataclasses' in sys.modules])\n"
         "print(json.dumps(seen))\n"
     )
     argvs = [command.split() + ["--out-dir", str(tmp_path / "out")] for command, _ in cases]
@@ -288,7 +333,7 @@ def test_config_errors_and_constraints_load_no_numpy(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert seen == [[code, False] for _, code in cases]
+    assert seen == [[code, False, False] for _, code in cases]
 
 
 def test_package_exports_resolve_to_their_home_objects():

@@ -61,3 +61,20 @@ def test_invalid_hardware_rejected():
         HardwareSpec(-1e-6, (100, 100), 800e-9)
     with pytest.raises(InvalidSpec):
         mutual_information(0)
+
+
+@pytest.mark.parametrize("period, wavelength", [(1e-100, 1e300), (1e300, 1e-300),
+                                                (0.0, 1.0), (1.0, -1.0)])
+def test_talbot_length_must_be_positive_and_finite(period, wavelength):
+    # 1e-200 / 1e300 underflows to 0, which would make every distance z = 0
+    with pytest.raises(InvalidSpec):
+        talbot_length(period, wavelength)
+
+
+def test_hardware_spec_is_read_only():
+    spec = HardwareSpec(10e-6, (1080, 1920), 800e-9)
+    assert (spec.pixel_pitch, spec.pixels, spec.wavelength) == (10e-6, (1080, 1920), 800e-9)
+    with pytest.raises(AttributeError):
+        spec.pixel_pitch = 1.0
+    with pytest.raises(AttributeError):
+        del spec.pixels

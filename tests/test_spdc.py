@@ -13,7 +13,8 @@ from talbotlab import (GAUSSIAN, TOPHAT, BiphotonGaussian, CoeffMatrix,
                        fidelity, initial_biphoton_field, maximally_entangled,
                        render_synthesized, sample, schmidt_spectrum,
                        synthesize_single, two_photon_field, QuditState, BiphotonField)
-from talbotlab.spdc import _comb_columns, comb_basis, grating_envelope, schmidt_modes
+from talbotlab.spdc import (_block_rows, _comb_columns, comb_basis, grating_envelope,
+                            schmidt_modes, two_photon_density)
 
 S = 1.0  # slit spacing; the natural length unit of this module
 
@@ -349,6 +350,41 @@ def test_two_photon_field_is_the_normalized_dense_grid_bit_for_bit(envelope):
     out_of_place = vals / math.sqrt(float((np.abs(vals) ** 2).sum() * dx * dx))
     assert psi.values.tobytes() == expected.values.tobytes() == out_of_place.tobytes()
     assert (psi.x0_1, psi.dx1, psi.x0_2, psi.dx2) == (float(x[0]), dx, float(x[0]), dx)
+
+
+def pair_state(dimension):
+    coeffs = entangled_coeffs(dimension, S, BiphotonGaussian(9.0 * S, 1.0 * S))
+    slits = SlitArray(dimension, S, 0.2 * S)
+    return coeffs, slits, SynthesizerGeometry.for_dimension(dimension, S)
+
+
+@pytest.mark.parametrize("envelope", [False, True])
+@pytest.mark.parametrize("dimension", [2, 3, 5])
+def test_two_photon_density_is_the_dense_density_bit_for_bit(dimension, envelope):
+    # 680 rows: full row blocks and a short last one
+    spc, cells = 20, 34
+    assert spc * cells % _block_rows(spc * cells, dimension)
+    coeffs, slits, geom = pair_state(dimension)
+    psi = two_photon_field(coeffs, slits, geom, spc, cells, envelope)
+    x, dx, density = two_photon_density(coeffs, slits, geom, spc, cells, envelope)
+    assert density.tobytes() == (np.abs(psi.values) ** 2).tobytes()
+    assert (float(x[0]), dx) == (psi.x0_1, psi.dx1) == (psi.x0_2, psi.dx2)
+
+
+def test_two_photon_density_holds_no_complex_grid():
+    spc, cells = 32, 60
+    n = spc * cells
+    coeffs, slits, geom = pair_state(3)
+    bound = 1.25 * 8 * n * n + 16 * _block_rows(n, 3) * n  # the density and one block
+    peaks = []
+    for build in (two_photon_density, two_photon_field):
+        tracemalloc.start()
+        try:
+            build(coeffs, slits, geom, spc, cells)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < bound < peaks[1]  # the dense route's n x n complex grid fails it
 
 
 @pytest.mark.parametrize("kappa_minus", [0.3, 1.0, 3.0])
