@@ -4,7 +4,8 @@ Subcommands: ``carpet | synth | entangle | bell | bell-scan | constraints``.
 Each takes ``--config <json>`` plus ``--set key=value`` overrides; commands
 that emit files require ``--out-dir``.  All computation is deterministic:
 identical configurations produce byte-identical outputs.  Exit codes:
-0 success, 2 configuration or validation error, 3 numerical guard trip.
+0 success, 2 configuration or validation error or a file that cannot be
+written, 3 numerical guard trip.
 
 The whole configuration is checked before NumPy is imported: only a
 command that computes something loads the numerical layers (``commands``).
@@ -15,14 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 from . import constraints as hw
-from .errors import (AliasingRisk, BinMisalignment, InvalidSpec, TalbotLabError,
-                     UnderResolved)
-
-_GUARDS = (AliasingRisk, UnderResolved, BinMisalignment)
+from .errors import InvalidSpec, TalbotLabError, report_failure
 
 DEFAULTS = {
     "carpet": {
@@ -235,14 +234,14 @@ def main(argv=None) -> int:
         if args.command == "constraints":
             return cmd_constraints(cfg, args)
         out = _out_dir(args)
+        # one BLAS thread, set before NumPy loads: the products here are too small
+        # to share, an idle OpenBLAS thread spins, and entangle forks; a user's own
+        # setting wins
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         from .commands import COMMANDS  # the one import of the numerical layers
         return COMMANDS[args.command](cfg, out)
-    except _GUARDS as exc:
-        print(f"numerical guard: {exc}", file=sys.stderr)
-        return 3
-    except TalbotLabError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+    except (TalbotLabError, OSError) as exc:
+        return report_failure(exc, args.out_dir)
 
 
 if __name__ == "__main__":

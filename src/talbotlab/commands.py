@@ -9,13 +9,16 @@ the ``constraints`` report never loads NumPy or the numerical layers.
 from __future__ import annotations
 
 import math
+import os
+import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 from .bell import bell_point, bell_scan
 from .constraints import talbot_length
-from .errors import InvalidSpec
+from .errors import InvalidSpec, TalbotLabError, report_failure
 from .fields import (PropagationSpec, SampledField, centered_axis, check_entries,
                      get_profile, mode_propagate, periodic_comb, sample, sampling_matrix,
                      unit_power)
@@ -118,18 +121,69 @@ def cmd_entangle(cfg: dict, out: Path) -> int:
     # frees it once it has the density, before the CSV tables are built
     fields = {"initial": initial, "slits": after}
     del initial, after
-    for name, csv_cfg in (("initial", cfg),
-                          ("slits", {**cfg, "transmitted_fraction": transmitted})):
-        density = write_biphoton_csv(fields.pop(name), out / f"entangle_{name}.csv",
-                                     config=csv_cfg)
-        write_pgm(density, out / f"entangle_{name}.pgm", config=cfg)
-        del density
-    x0 = float(x[0])
-    write_density_csv(carpet, out / "entangle_carpet.csv", (x0, dx, x0, dx), config=cfg)
-    write_pgm(carpet, out / "entangle_carpet.pgm", config=cfg)
+
+    def write_fields():
+        for name, csv_cfg in (("initial", cfg),
+                              ("slits", {**cfg, "transmitted_fraction": transmitted})):
+            density = write_biphoton_csv(fields.pop(name), out / f"entangle_{name}.csv",
+                                         config=csv_cfg)
+            write_pgm(density, out / f"entangle_{name}.pgm", config=cfg)
+            del density
+
+    # a child writes the initial and slit stages while this process writes the carpet
+    pid = _write_aside(write_fields, out)
+    fields.clear()
+    try:
+        x0 = float(x[0])
+        write_density_csv(carpet, out / "entangle_carpet.csv", (x0, dx, x0, dx), config=cfg)
+        write_pgm(carpet, out / "entangle_carpet.pgm", config=cfg)
+    finally:
+        code = _reap(pid)
+    if code:
+        return code
     print(f"entangle: initial, post-slit and carpet densities written to {out}"
           f" (transmitted fraction {transmitted:.4g})")
     return 0
+
+
+def _write_aside(write, out: Path) -> int | None:
+    """Run ``write()`` in a forked child and return the child's pid; where
+    ``os.fork`` does not exist, run it here and return None.
+
+    The child leaves through ``os._exit``, never back into its caller, with the
+    exit code ``cli`` would give: 0, or that of ``report_failure`` after its one
+    line on stderr.
+    """
+    if not hasattr(os, "fork"):
+        write()
+        return None
+    sys.stdout.flush()  # else the child's copy of the buffers could be written twice
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        write()
+        code = 0
+    except (TalbotLabError, OSError) as exc:
+        code = report_failure(exc, out)
+    except BaseException:  # the child's outermost frame: report, then exit 1
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int | None) -> int:
+    """Wait for the child of ``_write_aside``; its exit code, 0 without a child."""
+    if pid is None:
+        return 0
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        print(f"file writer {pid} killed by signal {-code}", file=sys.stderr)
+        return 1
+    return code
 
 
 def cmd_bell(cfg: dict, out: Path) -> int:

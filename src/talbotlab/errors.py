@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the message of a failed run."""
+
+import sys
 
 
 class TalbotLabError(Exception):
@@ -31,3 +33,20 @@ class NotCoprime(TalbotLabError):
 
 class NonNormalized(TalbotLabError):
     """A probability table does not sum to one."""
+
+
+_GUARDS = (AliasingRisk, UnderResolved, BinMisalignment)
+
+
+def report_failure(exc: Exception, path) -> int:
+    """Print the one-line message of a failed run on stderr and return its exit
+    code: 3 for a numerical guard, 2 for any other package error, and 2 for an
+    ``OSError`` met making or writing ``path`` (or the file the error names)."""
+    if isinstance(exc, _GUARDS):
+        message, code = f"numerical guard: {exc}", 3
+    elif isinstance(exc, TalbotLabError):
+        message, code = f"invalid configuration: {exc}", 2
+    else:
+        message, code = f"cannot write {exc.filename or path}: {exc.strerror or exc}", 2
+    print(message, file=sys.stderr, flush=True)
+    return code

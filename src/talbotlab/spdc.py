@@ -402,7 +402,8 @@ def _pair_basis(coeffs: CoeffMatrix, slits: SlitArray, geom: SynthesizerGeometry
 # usual BLAS, keeps a complex gemm of at most 2**16 of them on the calling
 # thread.  These products (inner dimension D) are memory-bound: a threaded block
 # costs twice the CPU for no gain, and waking the thread pool once per block
-# cost up to 1 s on a 2-core machine after an idle spell.
+# cost up to 1 s on a 2-core machine after an idle spell.  The command line runs
+# OpenBLAS on one thread, so this sizing serves library callers whose BLAS is threaded.
 _BLOCK_MACS = 2 ** 16
 
 

@@ -194,6 +194,107 @@ def test_entangle_carpet_equals_the_dense_field_files(tmp_path):
         assert (tmp_path / name).read_bytes() == (oracle / name).read_bytes(), name
 
 
+SMALL_ENTANGLE = ["entangle", "--set", "initial_window_cells=8", "--set", "slit_window_cells=2",
+                  "--set", "carpet_window_cells=10", "--set", "carpet_samples_per_cell=70"]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that os.fork returns in this process while the test runs."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork: entangle writes in sequence")
+    real_fork, pids = os.fork, []
+
+    def recorded_fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return pids
+
+
+def test_entangle_forked_files_equal_the_serial_writes(tmp_path, monkeypatch, forks):
+    # a child writes the initial and slit stages; without os.fork the same
+    # writes run one after the other in this process
+    forked, serial = tmp_path / "forked", tmp_path / "serial"
+    assert run(SMALL_ENTANGLE + ["--out-dir", str(forked)]) == 0
+    assert len(forks) == 1
+    monkeypatch.delattr(os, "fork")
+    assert run(SMALL_ENTANGLE + ["--out-dir", str(serial)]) == 0
+    names = sorted(p.name for p in forked.iterdir())
+    assert len(names) == 9 and names == sorted(p.name for p in serial.iterdir())
+    for name in names:
+        assert (forked / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+def test_entangle_prints_one_line_through_a_pipe(tmp_path):
+    # block-buffered stdout: the child must not write the parent's buffer again
+    src = str(Path(talbotlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "talbotlab", *SMALL_ENTANGLE,
+                           "--out-dir", str(tmp_path)], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("entangle:") == 1 and proc.stdout.count("\n") == 1
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("blocked", [".", "entangle_slits.csv", "entangle_carpet.csv"])
+def test_write_failure_exits_2_with_one_line(blocked, tmp_path, capfd, forks):
+    # the out-dir is a file, or a directory stands where the child (slits) or
+    # this process (carpet) writes a CSV; capfd sees the child's stderr too
+    out = tmp_path / "out"
+    if blocked == ".":
+        out.write_text("")
+    else:
+        (out / blocked).mkdir(parents=True)
+    assert run(SMALL_ENTANGLE + ["--out-dir", str(out)]) == 2
+    captured = capfd.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("cannot write "), captured.err
+    assert str(out / blocked if blocked != "." else out) in err[0]
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert len(forks) == (blocked != ".")
+    for pid in forks:
+        with pytest.raises(ChildProcessError):  # the writer child was reaped
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_cli_runs_numpy_with_one_blas_thread(tmp_path):
+    # the pin is set before NumPy loads, only for a command that computes,
+    # and an OPENBLAS_NUM_THREADS of the caller's own is kept
+    script = (
+        "import contextlib, io, json, os, sys\n"
+        "import talbotlab.cli\n"
+        "seen = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = talbotlab.cli.main(argv)\n"
+        "    seen.append([code, os.environ.get('OPENBLAS_NUM_THREADS')])\n"
+        "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 0\n"
+        "print(json.dumps([seen, tasks]))\n"
+    )
+    out = ["--out-dir", str(tmp_path)]
+    src = str(Path(talbotlab.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+
+    def session(argvs, **preset):
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], cwd=tmp_path,
+                              env={**env, **preset, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    seen, tasks = session([["constraints"] + out, ["bell", "--set", "dimension=abc"] + out,
+                           ["bell"] + out])
+    assert seen == [[0, None], [2, None], [0, "1"]]
+    assert session([["bell"] + out], OPENBLAS_NUM_THREADS="2")[0] == [[0, "2"]]
+    if not tasks:
+        pytest.skip("no /proc/self/task to count threads in")
+    assert tasks == 1
+
+
 def test_bell_analytic_json(tmp_path):
     assert run(["bell", "--out-dir", str(tmp_path), "--set", "dimension=2"]) == 0
     payload = json.loads((tmp_path / "bell.json").read_text())
