@@ -31,7 +31,8 @@ __all__ = [
 
 
 def format_float(x: float) -> str:
-    """Shortest round-trip decimal representation."""
+    """Shortest round-trip decimal representation.  The CSV writers format
+    arrays with ``_floatfmt``, which gives the same text."""
     return repr(float(x))
 
 
@@ -48,11 +49,17 @@ def _write_csv(path, config: dict | None, header: str, lines) -> None:
         fh.writelines(lines)
 
 
+# rows of write_sampled_csv formatted at a time
+_SAMPLED_ROWS = 2 ** 14
+
+
 def write_sampled_csv(field: SampledField, path, config: dict | None = None) -> None:
     """Sampled field as ``x,re,im`` rows."""
+    from ._floatfmt import csv_text
+    columns = (field.x(), field.values.real, field.values.imag)
     _write_csv(path, config, "x,re,im\n", (
-        f"{format_float(x)},{format_float(v.real)},{format_float(v.imag)}\n"
-        for x, v in zip(field.x(), field.values)))
+        csv_text(np.stack([c[a:a + _SAMPLED_ROWS] for c in columns], axis=1))
+        for a in range(0, field.n, _SAMPLED_ROWS)))
 
 
 # bounds of write_matrix_csv's memory: the distinct values of one formatted
@@ -69,12 +76,11 @@ def write_matrix_csv(matrix: np.ndarray, path, config: dict | None = None) -> No
     values are told apart by their float64 bit patterns, so ``-0.0``,
     ``0.0`` and every NaN payload stay apart.  Each distinct row is joined
     into a line once, and the line is kept while the row recurs, within
-    ``_LINE_CACHE_BYTES`` of text.  ``format_float`` runs once per distinct
-    value of a table; a table covers distinct rows in order of first
-    appearance, up to ``_TABLE_VALUES`` values.  A repeat that was not kept
-    is joined again from its table, or formatted value by value once that
-    table is gone.  Rows whose table repeats no value are formatted value by
-    value too, since the table would save no call.
+    ``_LINE_CACHE_BYTES`` of text.  ``shortest_reprs`` formats each distinct
+    value of a table once, in one call; a table covers distinct rows in
+    order of first appearance, up to ``_TABLE_VALUES`` values.  A repeat
+    that was not kept is joined again from its table, or formatted again,
+    as a row, once that table is gone.
     """
     _write_csv(path, config, "", _matrix_lines(np.ascontiguousarray(matrix, dtype=float)))
 
@@ -137,6 +143,9 @@ def _value_table(bits: np.ndarray, first: list, start: int) -> tuple:
 
 
 def _matrix_lines(m: np.ndarray):
+    # imported by the CSV writers alone, so that a command writing none,
+    # such as ``bell``, does not load it
+    from ._floatfmt import csv_text, shortest_reprs
     bits = m.view(np.uint64)
     ids, first, last = _distinct_rows(bits)
     cache, cached = {}, 0          # distinct row -> its line, while it recurs
@@ -154,12 +163,9 @@ def _matrix_lines(m: np.ndarray):
             table = text = None
             table, stop = _value_table(bits, first, k)
             start = k
-            if table.size < (stop - start) * m.shape[1]:  # else no value repeats: no saving
-                # iterating the array, not a .tolist(), keeps no list of floats beside the text
-                text = np.fromiter(map(format_float, table.view(float)), dtype=object,
-                                   count=table.size)
-        if k < start or text is None:  # past its table, or a table of distinct values
-            line = ",".join(map(format_float, m[i].tolist())) + "\n"
+            text = shortest_reprs(table.view(float))
+        if k < start:              # past its table
+            line = csv_text(m[i:i + 1])
         else:  # searching the row's sorted distinct values is twice as fast as the raw row
             values, inv = np.unique(bits[i], return_inverse=True)
             line = ",".join(text[np.searchsorted(table, values)[inv]].tolist()) + "\n"
@@ -206,12 +212,16 @@ def write_density_csv(density: np.ndarray, path, grid: tuple,
     sidecar.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
 
 
+# values of write_pgm scaled at a time: no scaled copy of a whole density
+_PGM_VALUES = 2 ** 18
+
+
 def write_pgm(matrix: np.ndarray, path, config: dict | None = None) -> None:
     """8-bit binary PGM with linear intensity mapping.
 
     Comment lines record the intensity mapped to 255 (so the scaling is
     recoverable) and, when given, the resolved configuration.  Not-a-number
-    entries are rejected.
+    entries are rejected.  Pixels are scaled and written in row blocks.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
@@ -221,18 +231,19 @@ def write_pgm(matrix: np.ndarray, path, config: dict | None = None) -> None:
     top = float(m.max())
     if top <= 0:
         top = 1.0
-    scaled = m / top
-    np.clip(scaled, 0.0, 1.0, out=scaled)
-    scaled *= 255.0
-    np.round(scaled, out=scaled)
-    pixels = scaled.astype(np.uint8)
     header = f"P5\n# full scale = {format_float(top)}\n"
     if config:
         header += config_header(config)
     header += f"{m.shape[1]} {m.shape[0]}\n255\n"
+    rows = max(1, _PGM_VALUES // max(1, m.shape[1]))
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(pixels.tobytes())
+        for a in range(0, m.shape[0], rows):
+            scaled = m[a:a + rows] / top
+            np.clip(scaled, 0.0, 1.0, out=scaled)
+            scaled *= 255.0
+            np.round(scaled, out=scaled)
+            fh.write(scaled.astype(np.uint8).tobytes())
 
 
 def bell_result_to_json(result: BellResult) -> str:

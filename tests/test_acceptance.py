@@ -21,6 +21,8 @@ from talbotlab import (BiphotonGaussian, GAUSSIAN, HardwareSpec, SlitArray,
                        talbot_length, PropagationSpec)
 
 GAMMAS = (0.0, 0.5, 0.25, -0.25)
+# np.trapz before NumPy 2.0; pyproject.toml allows NumPy 1.24
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 I3_FROZEN = 2.8729340511723374  # pre-registered geometric-sum oracle value
 
 # joint tables produced by any criterion, validated collectively by
@@ -189,8 +191,7 @@ def test_criterion_7_spdc_model():
                 state = (slits.transmission(x1[:, 0])[:, None]
                          * slits.transmission(x2[0, :])[None, :]
                          * biphoton_amplitude(model, x1, x2)).real
-                oracle[i1, i2] = np.trapezoid(np.trapezoid(mode * state, axis=1),
-                                              axis=0)
+                oracle[i1, i2] = trapezoid(trapezoid(mode * state, axis=1), axis=0)
         oracle /= np.linalg.norm(oracle)
         predicted = entangled_coeffs(dim, spacing, model).values.real
         mask = oracle > 1e-3 * oracle.max()

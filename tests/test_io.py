@@ -7,7 +7,7 @@ import pytest
 
 from talbotlab import (SampledField, bell_analytic, initial_biphoton_field,
                        maximally_entangled, BiphotonGaussian)
-from talbotlab import io
+from talbotlab import _floatfmt, io
 from talbotlab.io import (bell_result_to_json, write_biphoton_csv, write_matrix_csv,
                           write_pgm, write_sampled_csv, write_scan_csv)
 from talbotlab.bell import ScanRow
@@ -28,6 +28,19 @@ def test_sampled_csv_format(tmp_path):
     assert lines[1] == "x,re,im"
     x, re, im = (float(v) for v in lines[2].split(","))
     assert (x, re, im) == (-1.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("rows_per_block", [3, 2 ** 14])
+def test_sampled_csv_equals_per_value_oracle(tmp_path, monkeypatch, rows_per_block):
+    monkeypatch.setattr(io, "_SAMPLED_ROWS", rows_per_block)
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+    values[:4] = [complex(0.0, -0.0), complex(-0.0, np.nan), complex(np.inf, -np.inf), 1e-300]
+    field = SampledField(-1.25, 0.1, values)
+    path = tmp_path / "field.csv"
+    write_sampled_csv(field, path)
+    assert path.read_text() == "x,re,im\n" + "".join(
+        f"{x!r},{v.real!r},{v.imag!r}\n" for x, v in zip(field.x().tolist(), values.tolist()))
 
 
 def test_matrix_csv_bytes(tmp_path):
@@ -128,14 +141,17 @@ def test_matrix_csv_survives_row_key_collisions(tmp_path, monkeypatch, case):
 
 
 def _counting_format(monkeypatch) -> list:
+    """Bit patterns of every value the writer hands to its array formatters."""
     calls = []
-    plain = io.format_float
 
-    def counted(x):
-        calls.append(x)
-        return plain(x)
+    def counted(plain):
+        def formatter(values):
+            calls.extend(np.ascontiguousarray(values, dtype=float).view(np.uint64).ravel().tolist())
+            return plain(values)
+        return formatter
 
-    monkeypatch.setattr(io, "format_float", counted)
+    monkeypatch.setattr(_floatfmt, "shortest_reprs", counted(_floatfmt.shortest_reprs))
+    monkeypatch.setattr(_floatfmt, "csv_text", counted(_floatfmt.csv_text))
     return calls
 
 
@@ -179,8 +195,7 @@ def test_matrix_csv_caps_are_crossed(tmp_path, monkeypatch):
 def test_matrix_csv_formats_each_distinct_value_once(tmp_path, monkeypatch, m):
     calls = _counting_format(monkeypatch)
     write_matrix_csv(m, tmp_path / "m.csv")
-    bits = [np.float64(x).view(np.uint64) for x in calls]
-    assert len(bits) == len(set(bits)) == np.unique(m.view(np.uint64)).size
+    assert len(calls) == len(set(calls)) == np.unique(m.view(np.uint64)).size
     assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(m)
 
 
@@ -219,6 +234,16 @@ def test_pgm_payload_equals_out_of_place_scaling(tmp_path):
     path = tmp_path / "halves.pgm"
     write_pgm(m, path)
     expected = np.round(np.clip(m / top, 0, 1) * 255).astype(np.uint8)
+    assert path.read_bytes().rsplit(b"\n255\n", 1)[1] == expected.tobytes()
+
+
+@pytest.mark.parametrize("block_values", [1, 20, 2 ** 18])
+def test_pgm_payload_is_the_same_in_row_blocks(tmp_path, monkeypatch, block_values):
+    monkeypatch.setattr(io, "_PGM_VALUES", block_values)
+    m = np.random.default_rng(7).random((13, 9)) * 3
+    path = tmp_path / "blocks.pgm"
+    write_pgm(m, path)
+    expected = np.round(np.clip(m / m.max(), 0, 1) * 255).astype(np.uint8)
     assert path.read_bytes().rsplit(b"\n255\n", 1)[1] == expected.tobytes()
 
 

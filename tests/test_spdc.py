@@ -17,6 +17,8 @@ from talbotlab.spdc import (_block_rows, _comb_columns, comb_basis, grating_enve
                             schmidt_modes, two_photon_density)
 
 S = 1.0  # slit spacing; the natural length unit of this module
+# np.trapz before NumPy 2.0; pyproject.toml allows NumPy 1.24
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def axis(cells, samples_per_cell):
@@ -259,7 +261,7 @@ def brute_force_coeffs(dimension, spacing, model, width):
             post_slit = (slits.transmission(x1[:, 0])[:, None]
                          * slits.transmission(x2[0, :])[None, :]
                          * biphoton_amplitude(model, x1, x2)).real
-            out[i1, i2] = np.trapezoid(np.trapezoid(mode * post_slit, axis=1), axis=0)
+            out[i1, i2] = trapezoid(trapezoid(mode * post_slit, axis=1), axis=0)
     return out / np.linalg.norm(out)
 
 
