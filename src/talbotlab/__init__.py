@@ -26,14 +26,14 @@ _EXPORTS = {
                      "fresnel_propagate", "get_profile", "mode_propagate", "overlap",
                      "periodic_comb", "sample"), "fields"),
     **dict.fromkeys(("GaussCoeffs", "QuditState", "QuditUnitary", "TalbotGeometry",
-                     "basis_field", "bin_outcome_map", "closed_form_phases", "decode",
-                     "decode_with_capture", "encode", "gate_distance_fraction", "gauss_coeffs",
-                     "measurement_basis", "measurement_phases", "measurement_unitary",
-                     "pauli_x", "phase_gate", "talbot_gate"), "qudits"),
+                     "bin_outcome_map", "closed_form_phases", "decode", "encode",
+                     "gate_distance_fraction", "gauss_coeffs", "measurement_basis",
+                     "measurement_phases", "measurement_unitary", "phase_gate", "talbot_gate"),
+                    "qudits"),
     **dict.fromkeys(("BiphotonGaussian", "CoeffMatrix", "SlitArray", "SynthesizerGeometry",
                      "apply_dslit", "biphoton_amplitude", "entangled_coeffs",
                      "initial_biphoton_field", "maximally_entangled", "render_synthesized",
-                     "schmidt_spectrum", "synthesize_single", "two_photon_field"), "spdc"),
+                     "synthesize_single", "two_photon_field"), "spdc"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -118,7 +118,7 @@ def cmd_entangle(cfg: dict, out: Path) -> int:
                                        cells=cfg["carpet_window_cells"])
 
     # no name holds a stage's complex grid while it is written: write_biphoton_csv
-    # frees it once it has the density, before the CSV tables are built
+    # frees it once it has the density, before any CSV text is formatted
     fields = {"initial": initial, "slits": after}
     del initial, after
 

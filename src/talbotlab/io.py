@@ -62,10 +62,10 @@ def write_sampled_csv(field: SampledField, path, config: dict | None = None) -> 
         for a in range(0, field.n, _SAMPLED_ROWS)))
 
 
-# bounds of write_matrix_csv's memory: the distinct values of one formatted
-# table (2**19 holds each stage of entangle at its defaults), and the bytes of
-# line text kept for rows that recur further down (the 3072^2 carpet needs 51 MB)
-_TABLE_VALUES = 2 ** 19
+# bounds of write_matrix_csv's memory: the values of the distinct rows formatted
+# in one block (85 rows of entangle's 3072-column carpet), and the bytes of line
+# text kept for rows that recur further down (the 3072^2 carpet needs 51 MB)
+_TABLE_VALUES = 2 ** 18
 _LINE_CACHE_BYTES = 2 ** 26
 
 
@@ -76,11 +76,11 @@ def write_matrix_csv(matrix: np.ndarray, path, config: dict | None = None) -> No
     values are told apart by their float64 bit patterns, so ``-0.0``,
     ``0.0`` and every NaN payload stay apart.  Each distinct row is joined
     into a line once, and the line is kept while the row recurs, within
-    ``_LINE_CACHE_BYTES`` of text.  ``shortest_reprs`` formats each distinct
-    value of a table once, in one call; a table covers distinct rows in
-    order of first appearance, up to ``_TABLE_VALUES`` values.  A repeat
-    that was not kept is joined again from its table, or formatted again,
-    as a row, once that table is gone.
+    ``_LINE_CACHE_BYTES`` of text.  Distinct rows are formatted in blocks,
+    in order of first appearance, up to ``_TABLE_VALUES`` values a block:
+    ``shortest_reprs`` formats each distinct value of a block once, in one
+    call.  A repeat that was not kept is joined again from its block, or
+    formatted again, as a row, once that block is gone.
     """
     _write_csv(path, config, "", _matrix_lines(np.ascontiguousarray(matrix, dtype=float)))
 
@@ -110,47 +110,15 @@ def _distinct_rows(bits: np.ndarray) -> tuple:
     return ids, first, last
 
 
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    # np.unique without return_inverse takes a hash path, ten times slower here
-    s = np.sort(values, axis=None)
-    keep = np.ones(s.size, dtype=bool)
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
-
-
-def _value_table(bits: np.ndarray, first: list, start: int) -> tuple:
-    """``(table, stop)``: the sorted distinct bit patterns of the distinct rows
-    ``first[start:stop]``, taking rows while the table holds at most
-    ``_TABLE_VALUES`` values, and always at least one row."""
-    table = np.empty(0, dtype=np.uint64)
-    stop = start
-    while stop < len(first):
-        # a step of at most `room` entries cannot overflow the table; one row might
-        room = _TABLE_VALUES - table.size
-        rows = first[stop:stop + max(1, room // max(1, bits.shape[1]))]
-        fresh = _sorted_distinct(bits[rows])
-        pos = np.searchsorted(table, fresh)
-        known = pos < table.size
-        known[known] = table[pos[known]] == fresh[known]
-        fresh = fresh[~known]
-        if stop > start and fresh.size > room:
-            break
-        if fresh.size:
-            # timsort merges the two sorted runs in linear time
-            table = np.sort(np.concatenate([table, fresh]), kind="stable")
-        stop += len(rows)
-    return table, stop
-
-
 def _matrix_lines(m: np.ndarray):
     # imported by the CSV writers alone, so that a command writing none,
     # such as ``bell``, does not load it
     from ._floatfmt import csv_text, shortest_reprs
     bits = m.view(np.uint64)
     ids, first, last = _distinct_rows(bits)
+    block_rows = max(1, _TABLE_VALUES // max(1, m.shape[1]))
     cache, cached = {}, 0          # distinct row -> its line, while it recurs
-    table = text = None
-    start = stop = 0               # the distinct rows the current table covers
+    start = stop = 0               # the distinct rows of the current block
     for i, k in enumerate(ids.tolist()):
         line = cache.get(k)
         if line is not None:
@@ -159,16 +127,17 @@ def _matrix_lines(m: np.ndarray):
                 cached -= len(line)
             yield line
             continue
-        if k == stop:              # a new distinct row past the table
-            table = text = None
-            table, stop = _value_table(bits, first, k)
-            start = k
-            text = shortest_reprs(table.view(float))
-        if k < start:              # past its table
+        if k == stop:              # a new distinct row past the block
+            text = inv = None
+            rows = bits[first[k:k + block_rows]]
+            values, inv = np.unique(rows, return_inverse=True)
+            inv = inv.reshape(rows.shape)  # NumPy 1.x returns it flat
+            text = shortest_reprs(values.view(float))
+            start, stop = k, k + len(rows)
+        if k < start:              # past its block
             line = csv_text(m[i:i + 1])
-        else:  # searching the row's sorted distinct values is twice as fast as the raw row
-            values, inv = np.unique(bits[i], return_inverse=True)
-            line = ",".join(text[np.searchsorted(table, values)[inv]].tolist()) + "\n"
+        else:
+            line = ",".join(text[inv[k - start]].tolist()) + "\n"
         if last[k] > i and cached + len(line) <= _LINE_CACHE_BYTES:
             cache[k] = line
             cached += len(line)

@@ -200,6 +200,8 @@ def initial_biphoton_field(model: BiphotonGaussian, x1: np.ndarray,
                            x2: np.ndarray) -> BiphotonField:
     """Source amplitude sampled on the tensor grid of two coordinate axes."""
     check_entries("biphoton grid", x1.size, x2.size)
+    if min(x1.size, x2.size) < 2:
+        raise InvalidSpec("a biphoton grid axis needs at least 2 samples")
     dx1, dx2 = float(x1[1] - x1[0]), float(x2[1] - x2[0])
     vals = biphoton_amplitude(model, x1[:, None], x2[None, :]).astype(complex)
     return BiphotonField(float(x1[0]), dx1, float(x2[0]), dx2, unit_power(vals, dx1, dx2))

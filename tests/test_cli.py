@@ -379,6 +379,9 @@ REJECTED = CONFIG_ERRORS + [
     "carpet --set dimension=1000000000000",
     "synth --set dimension=1000000",
     "entangle --set dimension=1000000000000",
+    # a one-sample axis has no pitch
+    "entangle --set initial_window_cells=1 --set initial_samples_per_cell=1",
+    "entangle --set slit_window_cells=1 --set slit_samples_per_cell=1",
     # amplitudes whose norm overflows, rejected without a NumPy warning
     "synth --set amplitudes=[[1e308,0],[1e308,0],[0,0]]",
     "carpet --set dimension=2 --set state=[[1e308,0],[1e308,0]]",

@@ -173,18 +173,37 @@ def test_matrix_csv_equals_oracle_past_each_cap(tmp_path, monkeypatch, case, tab
 
 
 def test_matrix_csv_caps_are_crossed(tmp_path, monkeypatch):
-    tables = []
-    plain_table = io._value_table
-    monkeypatch.setattr(io, "_value_table", lambda *a: tables.append(a[2]) or plain_table(*a))
     monkeypatch.setattr(io, "_TABLE_VALUES", 7)
     monkeypatch.setattr(io, "_LINE_CACHE_BYTES", 0)
     calls = _counting_format(monkeypatch)
+    blocks, plain_reprs = [], _floatfmt.shortest_reprs
+    monkeypatch.setattr(_floatfmt, "shortest_reprs",
+                        lambda values: blocks.append(values.size) or plain_reprs(values))
     m = _mirrored()
     write_matrix_csv(m, tmp_path / "m.csv")
     distinct = np.unique(m.view(np.uint64)).size
-    assert len(tables) > 1                  # a new table past the value cap
-    assert len(calls) > distinct            # mirrored rows formatted again past their table
+    assert len(blocks) > 1                  # a new block past the value cap
+    assert len(calls) > distinct            # mirrored rows formatted again past their block
     assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(m)
+
+
+@pytest.mark.parametrize("table_values", [7, 2 ** 18])
+@pytest.mark.parametrize("case", sorted(STRUCTURED))
+def test_matrix_csv_takes_a_flat_unique_inverse(tmp_path, monkeypatch, case, table_values):
+    # NumPy before 2.0 returns np.unique's inverse flat, not in its input's shape
+    plain_unique = np.unique
+
+    def flat_unique(*args, **kwargs):
+        out = plain_unique(*args, **kwargs)
+        if kwargs.get("return_inverse"):
+            out = (out[0], out[1].ravel(), *out[2:])
+        return out
+
+    monkeypatch.setattr(np, "unique", flat_unique)
+    monkeypatch.setattr(io, "_TABLE_VALUES", table_values)
+    path = tmp_path / "m.csv"
+    write_matrix_csv(STRUCTURED[case], path)
+    assert path.read_bytes() == oracle_matrix_csv(STRUCTURED[case])
 
 
 @pytest.mark.parametrize("m", [

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from talbotlab import (BinMisalignment, InvalidSpec, NotCoprime,
                        PropagationSpec, QuditState, SampledField,
-                       TalbotGeometry, TOPHAT, basis_field, bin_outcome_map,
-                       closed_form_phases, decode, decode_with_capture,
+                       TalbotGeometry, TOPHAT, bin_outcome_map,
+                       closed_form_phases, decode,
                        encode, gate_distance_fraction, gauss_coeffs,
                        measurement_basis, measurement_phases,
-                       measurement_unitary, mode_propagate, overlap, pauli_x,
+                       measurement_unitary, mode_propagate, overlap,
                        phase_gate, sample, talbot_gate, talbot_length)
+from talbotlab.qudits import basis_field, decode_with_capture, pauli_x
 
 GAMMAS = (0.0, 0.5, 0.25, -0.25)
 

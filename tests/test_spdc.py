@@ -11,10 +11,10 @@ from talbotlab import (GAUSSIAN, TOPHAT, BiphotonGaussian, CoeffMatrix,
                        UnderResolved, apply_dslit, biphoton_amplitude,
                        encode, entangled_coeffs,
                        fidelity, initial_biphoton_field, maximally_entangled,
-                       render_synthesized, sample, schmidt_spectrum,
+                       render_synthesized, sample,
                        synthesize_single, two_photon_field, QuditState, BiphotonField)
 from talbotlab.spdc import (_block_rows, _comb_columns, comb_basis, grating_envelope,
-                            schmidt_modes, two_photon_density)
+                            schmidt_modes, schmidt_spectrum, two_photon_density)
 
 S = 1.0  # slit spacing; the natural length unit of this module
 # np.trapz before NumPy 2.0; pyproject.toml allows NumPy 1.24
