@@ -22,6 +22,7 @@ __all__ = [
     "config_header",
     "write_sampled_csv",
     "write_matrix_csv",
+    "DistinctRows",
     "write_biphoton_csv",
     "write_density_csv",
     "write_pgm",
@@ -69,20 +70,19 @@ _TABLE_VALUES = 2 ** 18
 _LINE_CACHE_BYTES = 2 ** 26
 
 
-def write_matrix_csv(matrix: np.ndarray, path, config: dict | None = None) -> None:
+def write_matrix_csv(matrix, path, config: dict | None = None) -> None:
     """Real matrix as row-major CSV, one matrix row per line.
 
     The bytes equal those of ``format_float`` on every entry.  Rows and
     values are told apart by their float64 bit patterns, so ``-0.0``,
     ``0.0`` and every NaN payload stay apart.  Each distinct row is joined
     into a line once, and the line is kept while the row recurs, within
-    ``_LINE_CACHE_BYTES`` of text.  Distinct rows are formatted in blocks,
-    in order of first appearance, up to ``_TABLE_VALUES`` values a block:
-    ``shortest_reprs`` formats each distinct value of a block once, in one
-    call.  A repeat that was not kept is joined again from its block, or
-    formatted again, as a row, once that block is gone.
+    ``_LINE_CACHE_BYTES`` of text; a repeat that was not kept is formatted
+    again, as a row.  ``matrix`` may be a ``DistinctRows``, whose ``lines``
+    may come in part from another process, as in ``entangle``.
     """
-    _write_csv(path, config, "", _matrix_lines(np.ascontiguousarray(matrix, dtype=float)))
+    rows = matrix if isinstance(matrix, DistinctRows) else DistinctRows(matrix)
+    _write_csv(path, config, "", _matrix_lines(rows))
 
 
 def _row_key(row: np.ndarray) -> int:
@@ -110,16 +110,43 @@ def _distinct_rows(bits: np.ndarray) -> tuple:
     return ids, first, last
 
 
-def _matrix_lines(m: np.ndarray):
-    # imported by the CSV writers alone, so that a command writing none,
-    # such as ``bell``, does not load it
-    from ._floatfmt import csv_text, shortest_reprs
-    bits = m.view(np.uint64)
-    ids, first, last = _distinct_rows(bits)
-    block_rows = max(1, _TABLE_VALUES // max(1, m.shape[1]))
+class DistinctRows:
+    """A real matrix and its distinct rows, numbered by first appearance
+    (``ids``, ``first`` and ``last`` of ``_distinct_rows``).  ``lines`` yields
+    the CSV line of each distinct row in that order; by default this process
+    formats them all, with ``format``."""
+
+    def __init__(self, matrix):
+        self.matrix = np.ascontiguousarray(matrix, dtype=float)
+        # read as a matrix's own: write_density_csv takes the shape, np.size the size
+        self.shape, self.size = self.matrix.shape, self.matrix.size
+        self.ids, self.first, self.last = _distinct_rows(self.matrix.view(np.uint64))
+        self.lines = self.format(0, len(self.first))
+
+    def format(self, start: int, stop: int):
+        """The lines of distinct rows ``start`` to ``stop - 1``, in order,
+        formatted in blocks of up to ``_TABLE_VALUES`` values: ``shortest_reprs``
+        formats each distinct value of a block once, in one call."""
+        # imported by the CSV writers alone, so that a command writing none,
+        # such as ``bell``, does not load it
+        from ._floatfmt import shortest_reprs
+        bits = self.matrix.view(np.uint64)
+        block_rows = max(1, _TABLE_VALUES // max(1, self.shape[1]))
+        for a in range(start, stop, block_rows):
+            rows = bits[self.first[a:min(a + block_rows, stop)]]
+            values, inv = np.unique(rows, return_inverse=True)
+            text = shortest_reprs(values.view(float))
+            for row in inv.reshape(rows.shape):  # NumPy 1.x returns the inverse flat
+                yield ",".join(text[row].tolist()) + "\n"
+            del text  # before the next block's values are formatted
+
+
+def _matrix_lines(rows: DistinctRows):
+    from ._floatfmt import csv_text
+    last = rows.last
     cache, cached = {}, 0          # distinct row -> its line, while it recurs
-    start = stop = 0               # the distinct rows of the current block
-    for i, k in enumerate(ids.tolist()):
+    new = 0                        # the next distinct row to appear
+    for i, k in enumerate(rows.ids.tolist()):
         line = cache.get(k)
         if line is not None:
             if last[k] == i:
@@ -127,17 +154,11 @@ def _matrix_lines(m: np.ndarray):
                 cached -= len(line)
             yield line
             continue
-        if k == stop:              # a new distinct row past the block
-            text = inv = None
-            rows = bits[first[k:k + block_rows]]
-            values, inv = np.unique(rows, return_inverse=True)
-            inv = inv.reshape(rows.shape)  # NumPy 1.x returns it flat
-            text = shortest_reprs(values.view(float))
-            start, stop = k, k + len(rows)
-        if k < start:              # past its block
-            line = csv_text(m[i:i + 1])
-        else:
-            line = ",".join(text[inv[k - start]].tolist()) + "\n"
+        if k == new:
+            line = next(rows.lines)
+            new += 1
+        else:                      # a repeat that was not kept
+            line = csv_text(rows.matrix[i:i + 1])
         if last[k] > i and cached + len(line) <= _LINE_CACHE_BYTES:
             cache[k] = line
             cached += len(line)
@@ -162,7 +183,8 @@ def write_biphoton_csv(field: BiphotonField, path, config: dict | None = None) -
 def write_density_csv(density: np.ndarray, path, grid: tuple,
                       config: dict | None = None) -> None:
     """Two-photon density as row-major CSV plus JSON grid sidecar; ``grid`` is
-    ``(x0_1, dx1, x0_2, dx2)``, the first coordinate and pitch of each axis."""
+    ``(x0_1, dx1, x0_2, dx2)``, the first coordinate and pitch of each axis.
+    ``density`` may be a ``DistinctRows``, as for ``write_matrix_csv``."""
     path = Path(path)
     x0_1, dx1, x0_2, dx2 = grid
     meta = {

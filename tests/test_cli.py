@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import talbotlab
+from talbotlab import _floatfmt, commands, io as talbot_io
 from talbotlab import (BiphotonGaussian, PropagationSpec, SlitArray, SynthesizerGeometry,
                        entangled_coeffs, mode_propagate, periodic_comb, sample, talbot_length,
                        two_photon_field)
@@ -226,6 +227,61 @@ def test_entangle_forked_files_equal_the_serial_writes(tmp_path, monkeypatch, fo
     assert len(names) == 9 and names == sorted(p.name for p in serial.iterdir())
     for name in names:
         assert (forked / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("cache_bytes, held_bytes", [
+    (talbot_io._LINE_CACHE_BYTES, commands._HELD_BYTES),
+    (0, 0),            # repeats formatted again here; the child waits after each line
+])
+def test_entangle_shared_carpet_equals_the_serial_write(tmp_path, monkeypatch, forks,
+                                                        cache_bytes, held_bytes):
+    # blocks of 8 rows: the child's share of the 700-row carpet spans several,
+    # and some of its rows recur further down; with no line cache this process
+    # formats those repeats again itself
+    monkeypatch.setattr(talbot_io, "_TABLE_VALUES", 8 * 700)
+    monkeypatch.setattr(talbot_io, "_LINE_CACHE_BYTES", cache_bytes)
+    monkeypatch.setattr(commands, "_HELD_BYTES", held_bytes)
+    piped, remade = [], []
+    read_lines, csv_text = commands._read_lines, _floatfmt.csv_text
+
+    def counted_read(pipe, count):
+        for line in read_lines(pipe, count):
+            piped.append(line)
+            yield line
+
+    monkeypatch.setattr(commands, "_read_lines", counted_read)
+    monkeypatch.setattr(_floatfmt, "csv_text", lambda m: remade.append(csv_text(m)) or remade[-1])
+    forked, serial = tmp_path / "forked", tmp_path / "serial"
+    assert run(SMALL_ENTANGLE + ["--out-dir", str(forked)]) == 0
+    assert len(forks) == 1
+    remade_here = set(remade)
+    monkeypatch.delattr(os, "fork")
+    assert run(SMALL_ENTANGLE + ["--out-dir", str(serial)]) == 0
+    for name in sorted(p.name for p in serial.iterdir()):
+        assert (forked / name).read_bytes() == (serial / name).read_bytes(), name
+    assert len(piped) > 2 * 8
+    lines = (forked / "entangle_carpet.csv").read_text().splitlines(keepends=True)
+    assert any(lines.count(line) > 1 for line in piped)
+    assert bool(remade_here & set(piped)) == (cache_bytes == 0)
+
+
+@pytest.mark.parametrize("blocked", [None, "entangle_slits.csv", "entangle_carpet.csv"])
+def test_entangle_leaves_no_open_pipe_and_no_child(blocked, tmp_path, capfd, forks):
+    # after a write that succeeds, or fails in the child or in this process
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count open files in")
+    out = tmp_path / "out"
+    if blocked:
+        (out / blocked).mkdir(parents=True)
+    before = len(os.listdir("/proc/self/fd"))
+    assert run(SMALL_ENTANGLE + ["--out-dir", str(out)]) == (2 if blocked else 0)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # reaped: no child left to wait for
+        os.waitpid(forks[0], os.WNOHANG)
+    assert len(capfd.readouterr().err.splitlines()) == (1 if blocked else 0)
+    # a child that fails sends no lines, and this process stops at the first it needs
+    assert (out / "entangle_carpet.pgm").exists() == (blocked is None)
 
 
 def test_entangle_prints_one_line_through_a_pipe(tmp_path):

@@ -1,5 +1,6 @@
 """Serialization formats: CSV, PGM, JSON and determinism."""
 
+import itertools
 import json
 
 import numpy as np
@@ -185,6 +186,21 @@ def test_matrix_csv_caps_are_crossed(tmp_path, monkeypatch):
     assert len(blocks) > 1                  # a new block past the value cap
     assert len(calls) > distinct            # mirrored rows formatted again past their block
     assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(m)
+
+
+@pytest.mark.parametrize("share", [0.3, 1.0])
+@pytest.mark.parametrize("case", sorted(STRUCTURED))
+def test_matrix_csv_lines_split_at_any_distinct_row(tmp_path, monkeypatch, case, share):
+    # the lines of the last distinct rows made apart, in blocks of their own,
+    # as the writer child of ``entangle`` makes them
+    monkeypatch.setattr(io, "_TABLE_VALUES", 7)
+    rows = io.DistinctRows(STRUCTURED[case])
+    count = len(rows.first)
+    split = count - int(count * share)
+    rows.lines = itertools.chain(rows.format(0, split), rows.format(split, count))
+    path = tmp_path / "m.csv"
+    write_matrix_csv(rows, path)
+    assert path.read_bytes() == oracle_matrix_csv(STRUCTURED[case])
 
 
 @pytest.mark.parametrize("table_values", [7, 2 ** 18])
