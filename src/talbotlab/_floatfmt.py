@@ -1,16 +1,17 @@
 """``repr`` of every entry of a float64 array, without a Python call per value.
 
-``shortest_reprs(values)`` gives ``repr(float(v))`` for each value ``v``,
-and ``csv_text(matrix)`` the rows of a matrix as comma-separated lines of
-that text: for every float64, NaN payloads, signed zeros and infinities
-included.  The digits come from Schubfach (R. Giulietti, "The Schubfach way
-to render doubles", 2020): the shortest decimal inside the rounding interval
-of a value, the closest one if several have that length, ties to even,
-which are the digits ``repr`` prints.  The arithmetic is ``uint64`` NumPy
-with explicit dtypes throughout, so it wraps the same under NumPy 1.24's
-promotion rules and NEP 50's.  The text is laid out as bytes in ``repr``'s
-two forms: positional while the decimal exponent of the leading digit is
-in ``[-4, 15]``, ``d.ddde±XX`` otherwise.
+``csv_text(matrix)`` gives the rows of a matrix as comma-separated lines of
+``repr(float(v))`` for each entry ``v``: for every float64, NaN payloads,
+signed zeros and infinities included.  The digits come from Schubfach
+(R. Giulietti, "The Schubfach way to render doubles", 2020): the shortest
+decimal inside the rounding interval of a value, the closest one if several
+have that length, ties to even, which are the digits ``repr`` prints.  The
+arithmetic is ``uint64`` NumPy with explicit dtypes throughout, so it wraps
+the same under NumPy 1.24's promotion rules and NEP 50's.  The text is laid
+out as bytes in ``repr``'s two forms: positional while the decimal exponent
+of the leading digit is in ``[-4, 15]``, ``d.ddde±XX`` otherwise.  Each
+distinct bit pattern of a matrix is formatted once, into a row of NULs with
+a separator at its end; the lines gather those rows and drop the NULs.
 """
 
 from __future__ import annotations
@@ -19,20 +20,20 @@ import functools
 
 import numpy as np
 
-__all__ = ["shortest_reprs", "csv_text"]
+__all__ = ["csv_text"]
 
 _U = np.uint64
 _LO32 = _U(0xFFFFFFFF)
 _E_MIN, _E_MAX = -292, 324   # the powers 10^e that finite doubles need, e = -k
-_CHUNK = 2 ** 12             # values formatted at a time: bounds the temporaries
-_WIDTH = 25                  # the longest text, "-2.2250738585072014e-308", and its end
+_CHUNK = 2 ** 12             # values formatted, or gathered, at a time: bounds the temporaries
+_WIDTH = 25                  # the longest text, "-2.2250738585072014e-308", and a separator
 
 # the columns of the bytes each value's text is gathered from: 17 digits, the
 # leading one nonzero, padded with trailing zeros; 3 digits of the decimal
-# exponent's magnitude; the byte that ends the text; the other characters
+# exponent's magnitude; the other characters
 _DIGITS, _EXP = 3, 21
-_CHARS = b"-.e+0_infa__"
-_MINUS, _DOT, _E, _PLUS, _ZERO, _END, _I, _N, _F, _A = range(24, 34)
+_CHARS = b"-.e+0infa___"
+_MINUS, _DOT, _E, _PLUS, _ZERO, _I, _N, _F, _A = range(24, 33)
 _INF = 0x7FF0000000000000
 # the forms of a text beside positional ones, which are 0..19 for points -3..16
 _E_TINY, _E_SMALL, _E_LARGE, _E_HUGE, _ZERO_FORM, _INF_FORM, _NAN_FORM = range(20, 27)
@@ -126,8 +127,7 @@ def _digit_tables() -> tuple:
 
 @functools.cache
 def _layout(key: int) -> np.ndarray:
-    """Source columns of the texts with this key, by ``repr``'s rules, then
-    ``_END``."""
+    """Source columns of the texts with this key, by ``repr``'s rules."""
     form, n, neg = key >> 6, key >> 1 & 31, key & 1
     cols = [_MINUS] if neg and form != _NAN_FORM else []
     digits = list(range(_DIGITS, _DIGITS + n))
@@ -146,12 +146,12 @@ def _layout(key: int) -> np.ndarray:
     else:
         cols += {_ZERO_FORM: [_ZERO, _DOT, _ZERO], _INF_FORM: [_I, _N, _F],
                  _NAN_FORM: [_N, _A, _N]}[form]
-    return np.array(cols + [_END], dtype=np.intp)
+    return np.array(cols, dtype=np.intp)
 
 
-def _texts(bits, ends) -> bytes:
-    """The ASCII ``repr`` of each float64 whose bits are given, in their
-    order, each followed by its byte of ``ends`` (one, or one per value)."""
+def _texts(bits, text) -> None:
+    """Write the ASCII ``repr`` of each float64 whose bits are given into its
+    row of ``text``, left-aligned; the rest of each row is left as it is."""
     magnitude = bits & _U(2 ** 63 - 1)
     special = magnitude - _U(1) >= _U(_INF - 1)           # 0, inf or nan
     d, k = _shortest_digits(np.where(special, _U(1), bits))
@@ -171,7 +171,6 @@ def _texts(bits, ends) -> bytes:
     src[:, 5] = quads[np.abs(exp)]
     src[:, 6:] = np.frombuffer(_CHARS, dtype=np.uint32)
     src = src.view(np.uint8)
-    src[:, _END] = ends
     # the digits up to the last nonzero one
     n = 17 - np.argmax(src[:, _DIGITS + 16:_DIGITS - 1:-1] != ord("0"), axis=1)
     form = np.where((point >= -3) & (point <= 16), point + 3,
@@ -180,45 +179,35 @@ def _texts(bits, ends) -> bytes:
                     form)
     key = form << 6 | (n * ~special) << 1 | (bits >> _U(63)).astype(np.int64)
     key = key.astype(np.int16)
-    # one column gather per layout, on the values grouped by key, each text
-    # left-aligned in a row of NULs in the order of the values
+    # one column gather per layout, on the values grouped by key
     order = np.argsort(key, kind="stable")   # a radix sort, for int16
     key = key[order]
     src = src[order]
     starts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
-    text = np.zeros((bits.size, _WIDTH), dtype=np.uint8)
     for a, b in zip([0, *starts], [*starts, key.size]):
         cols = _layout(int(key[a]))
         text[order[a:b], :cols.size] = np.take(src[a:b], cols, axis=1)
-    text = text.ravel()
-    return text[text != 0].tobytes()
-
-
-def _float_bits(values) -> np.ndarray:
-    return np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.uint64)
-
-
-def shortest_reprs(values) -> np.ndarray:
-    """``repr(float(v))`` for every ``v`` of ``values``, as a flat object
-    array of ``str`` in row-major order."""
-    bits = _float_bits(values)
-    out = np.empty(bits.size, dtype=object)
-    for start in range(0, bits.size, _CHUNK):
-        texts = _texts(bits[start:start + _CHUNK], ord("\n")).decode("ascii").split("\n")
-        texts.pop()
-        out[start:start + len(texts)] = texts
-    return out
 
 
 def csv_text(matrix) -> str:
     """The rows of a 2-D array as CSV lines of ``repr(float(v))``: each
-    row's values joined by commas, each line ended by a newline."""
-    matrix = np.asarray(matrix)
-    bits = _float_bits(matrix)
-    if not bits.size:
+    row's values joined by commas, each line ended by a newline.  Each
+    distinct float64 bit pattern is formatted once."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if not matrix.size:
         return "\n" * len(matrix)
-    ends = np.full(matrix.shape, ord(","), dtype=np.uint8)
-    ends[:, -1:] = ord("\n")
-    ends = ends.reshape(-1)
-    return b"".join(_texts(bits[a:a + _CHUNK], ends[a:a + _CHUNK])
-                    for a in range(0, bits.size, _CHUNK)).decode("ascii")
+    values, inv = np.unique(matrix.view(np.uint64), return_inverse=True)
+    # each distinct value's text, padded with NULs, then its separator
+    table = np.zeros((values.size, _WIDTH), dtype=np.uint8)
+    table[:, -1] = ord(",")
+    for a in range(0, values.size, _CHUNK):
+        _texts(values[a:a + _CHUNK], table[a:a + _CHUNK])
+    inv = inv.reshape(matrix.shape)           # NumPy 1.x returns the inverse flat
+    step = max(1, _CHUNK // matrix.shape[1])  # rows of lines gathered at a time
+    lines = []
+    for a in range(0, len(inv), step):
+        text = table[inv[a:a + step]]
+        text[:, -1, -1] = ord("\n")
+        text = text.ravel()
+        lines.append(text[text != 0].tobytes().decode("ascii"))
+    return "".join(lines)

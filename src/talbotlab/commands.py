@@ -8,7 +8,6 @@ the ``constraints`` report never loads NumPy or the numerical layers.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import os
@@ -194,8 +193,9 @@ def _write_aside(write, lines, out: Path) -> tuple:
     code = 1
     try:
         write()
-        try:
-            _send(w, lines)
+        try:  # close() flushes, so the with's exit can raise it too
+            with open(w, "w", encoding="ascii", buffering=_HELD_BYTES) as pipe:
+                pipe.writelines(lines)
         except BrokenPipeError:  # the reader failed, and reports its own failure
             pass
         code = 0
@@ -208,34 +208,10 @@ def _write_aside(write, lines, out: Path) -> tuple:
         os._exit(code)
 
 
-# bytes of lines the writer child holds while the pipe is full, before it waits
-# for this process to read: the child's whole share at the defaults (15 MB)
+# bytes of lines the writer child holds before it waits for this process to
+# read them: the child's whole share at the defaults (15 MB), so that making
+# them need not wait for the reader
 _HELD_BYTES = 2 ** 24
-
-
-def _send(fd: int, lines) -> None:
-    """Write ``lines`` to the pipe ``fd``.  While lines are still being made,
-    write only what the pipe has room for and hold the rest, up to
-    ``_HELD_BYTES``, so that making them need not wait for the reader."""
-    held = collections.deque()  # the encoded lines not yet written, the first in part
-    for line in lines:
-        held.append(memoryview(line.encode("ascii")))
-        _write_held(fd, held, sum(map(len, held)) > _HELD_BYTES)
-    _write_held(fd, held, True)
-
-
-def _write_held(fd: int, held, block: bool) -> None:
-    """Write the ``held`` lines to ``fd``: all of them, or, if not ``block``,
-    what the pipe has room for."""
-    os.set_blocking(fd, block)
-    while held:
-        try:
-            n = os.write(fd, held[0])
-        except BlockingIOError:
-            return
-        held[0] = held[0][n:]
-        if not held[0]:
-            held.popleft()
 
 
 def _read_lines(pipe, count: int):

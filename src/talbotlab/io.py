@@ -75,7 +75,7 @@ def write_matrix_csv(matrix, path, config: dict | None = None) -> None:
 
     The bytes equal those of ``format_float`` on every entry.  Rows and
     values are told apart by their float64 bit patterns, so ``-0.0``,
-    ``0.0`` and every NaN payload stay apart.  Each distinct row is joined
+    ``0.0`` and every NaN payload stay apart.  Each distinct row is formatted
     into a line once, and the line is kept while the row recurs, within
     ``_LINE_CACHE_BYTES`` of text; a repeat that was not kept is formatted
     again, as a row.  ``matrix`` may be a ``DistinctRows``, whose ``lines``
@@ -125,20 +125,15 @@ class DistinctRows:
 
     def format(self, start: int, stop: int):
         """The lines of distinct rows ``start`` to ``stop - 1``, in order,
-        formatted in blocks of up to ``_TABLE_VALUES`` values: ``shortest_reprs``
-        formats each distinct value of a block once, in one call."""
+        formatted in blocks of up to ``_TABLE_VALUES`` values by ``csv_text``,
+        which formats each distinct value of a block once."""
         # imported by the CSV writers alone, so that a command writing none,
         # such as ``bell``, does not load it
-        from ._floatfmt import shortest_reprs
-        bits = self.matrix.view(np.uint64)
+        from ._floatfmt import csv_text
         block_rows = max(1, _TABLE_VALUES // max(1, self.shape[1]))
         for a in range(start, stop, block_rows):
-            rows = bits[self.first[a:min(a + block_rows, stop)]]
-            values, inv = np.unique(rows, return_inverse=True)
-            text = shortest_reprs(values.view(float))
-            for row in inv.reshape(rows.shape):  # NumPy 1.x returns the inverse flat
-                yield ",".join(text[row].tolist()) + "\n"
-            del text  # before the next block's values are formatted
+            rows = self.matrix[self.first[a:min(a + block_rows, stop)]]
+            yield from csv_text(rows).splitlines(keepends=True)
 
 
 def _matrix_lines(rows: DistinctRows):

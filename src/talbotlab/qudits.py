@@ -27,7 +27,6 @@ __all__ = [
     "QuditUnitary",
     "TalbotGeometry",
     "gauss_coeffs",
-    "pauli_x",
     "talbot_gate",
     "gate_distance_fraction",
     "phase_gate",
@@ -106,9 +105,6 @@ class QuditUnitary:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, state: QuditState) -> QuditState:
-        return QuditState(self.matrix @ state.amplitudes)
-
 
 def gauss_coeffs(q: int, r: int) -> GaussCoeffs:
     """Fractional-revival amplitudes ``a_j = (1/r) sum_n exp(-2 pi i (n^2 - j n) q / r)``.
@@ -125,13 +121,6 @@ def gauss_coeffs(q: int, r: int) -> GaussCoeffs:
     j = np.arange(r)[:, None]
     values = np.exp(-2j * np.pi * ((n * n - j * n) * q % r) / r).sum(axis=1) / r
     return GaussCoeffs(values)
-
-
-def pauli_x(dimension: int) -> QuditUnitary:
-    """Cyclic shift ``X^j |d> = |(d + j) mod D>``."""
-    m = np.zeros((dimension, dimension))
-    m[np.arange(dimension), (np.arange(dimension) - 1) % dimension] = 1.0
-    return QuditUnitary(m)
 
 
 def gate_distance_fraction(dimension: int) -> float:

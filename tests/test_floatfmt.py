@@ -11,15 +11,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import talbotlab
-from talbotlab._floatfmt import csv_text, shortest_reprs
+from talbotlab._floatfmt import csv_text
+
+
+def reprs(values) -> list:
+    """The text of each value, as ``csv_text`` of a one-column matrix gives it."""
+    return csv_text(np.asarray(values, dtype=float).reshape(-1, 1)).splitlines()
 
 
 def assert_matches_repr(values):
     values = np.asarray(values, dtype=float).ravel()
-    got = shortest_reprs(values)
-    assert got.dtype == object and got.shape == values.shape
+    got = reprs(values)
     expected = [repr(v) for v in values.tolist()]
-    bad = [(e, g) for e, g in zip(expected, got.tolist()) if e != g]
+    assert len(got) == len(expected)
+    bad = [(e, g) for e, g in zip(expected, got) if e != g]
     assert not bad, f"{len(bad)} of {values.size} differ from repr, first {bad[:5]}"
 
 
@@ -73,7 +78,7 @@ def test_integers():
     (-2.2250738585072014e-308, "-2.2250738585072014e-308"),
 ])
 def test_where_the_layout_switches(value, text):
-    assert shortest_reprs([value, -value]).tolist() == [text, repr(-value)]
+    assert reprs([value, -value]) == [text, repr(-value)]
     assert text == repr(value)
 
 
@@ -81,7 +86,7 @@ def test_special_values():
     specials = from_bits([0, 2 ** 63, 0x7FF0000000000000, 0xFFF0000000000000,
                           0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
                           0x7FFFFFFFFFFFFFFF, 0xFFF0000000000001])
-    assert shortest_reprs(specials).tolist() == ["0.0", "-0.0", "inf", "-inf"] + ["nan"] * 5
+    assert reprs(specials) == ["0.0", "-0.0", "inf", "-inf"] + ["nan"] * 5
 
 
 @pytest.mark.parametrize("value, text", [
@@ -92,27 +97,39 @@ def test_special_values():
 ])
 def test_rounding_edge_cases(value, text):
     assert repr(value) == text
-    assert shortest_reprs([value]).tolist() == [text]
+    assert reprs([value]) == [text]
 
 
 def test_output_is_flat_and_row_major():
     m = np.arange(12.0).reshape(3, 4) / 7
-    for view in (m, np.asfortranarray(m), m[:, ::2], m.T):
-        assert shortest_reprs(view).tolist() == [repr(v) for v in view.ravel().tolist()]
-    assert shortest_reprs(np.zeros((2, 0))).tolist() == []
-    assert shortest_reprs(np.float32([0.1, 1 / 3])).tolist() == [
-        repr(float(np.float32(0.1))), repr(float(np.float32(1 / 3)))]
+    for view in (m, np.asfortranarray(m), m[:, ::2], m.T, m[::-2, ::-1]):
+        assert csv_text(view) == "".join(",".join(map(repr, row)) + "\n"
+                                         for row in view.tolist())
+    assert csv_text(np.zeros((2, 0))) == "\n\n"
+    assert csv_text(np.float32([[0.1, 1 / 3]])) == ",".join(
+        [repr(float(np.float32(0.1))), repr(float(np.float32(1 / 3)))]) + "\n"
+
+
+def pool_draws(rng, shape):
+    """Bit patterns drawn from a small pool, so that each recurs within and
+    across rows: both zeros, several NaN payloads and both infinities among them."""
+    pool = np.array([0, 2 ** 63, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0x7FF4000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+                     0x3FB999999999999A, 0xBFF0000000000000, 1], dtype=np.uint64)
+    return pool[rng.integers(0, pool.size, shape)]
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (4, 1), (1, 6), (9, 3), (3001, 7), (0, 3), (3, 0)])
 def test_csv_text_joins_each_row_like_repr(shape):
-    # (3001, 7) crosses chunks of the formatter inside a row
+    # (3001, 7) crosses chunks of the formatter inside a row; random bit
+    # patterns almost never repeat, the pool's put each text in many places
     size = shape[0] * shape[1]
-    values = from_bits(np.random.default_rng(size).integers(0, 2 ** 64, size, dtype=np.uint64))
-    values = values.reshape(shape)
-    expected = "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
-    assert csv_text(values) == expected
-    assert csv_text(np.asfortranarray(values)) == expected
+    rng = np.random.default_rng(size)
+    for bits in (rng.integers(0, 2 ** 64, shape, dtype=np.uint64), pool_draws(rng, shape)):
+        values = from_bits(bits)
+        expected = "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
+        assert csv_text(values) == expected
+        assert csv_text(np.asfortranarray(values)) == expected
 
 
 def test_powers_of_ten_table_is_built_on_first_csv_write(tmp_path):

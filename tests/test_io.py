@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -142,26 +143,23 @@ def test_matrix_csv_survives_row_key_collisions(tmp_path, monkeypatch, case):
 
 
 def _counting_format(monkeypatch) -> list:
-    """Bit patterns of every value the writer hands to its array formatters."""
-    calls = []
+    """Bit patterns of the values handed to each call of the formatter's ``_texts``."""
+    calls, texts = [], _floatfmt._texts
 
-    def counted(plain):
-        def formatter(values):
-            calls.extend(np.ascontiguousarray(values, dtype=float).view(np.uint64).ravel().tolist())
-            return plain(values)
-        return formatter
+    def counted(bits, text):
+        calls.append(bits.tolist())
+        texts(bits, text)
 
-    monkeypatch.setattr(_floatfmt, "shortest_reprs", counted(_floatfmt.shortest_reprs))
-    monkeypatch.setattr(_floatfmt, "csv_text", counted(_floatfmt.csv_text))
+    monkeypatch.setattr(_floatfmt, "_texts", counted)
     return calls
 
 
 @pytest.mark.parametrize("table_values, cache_bytes", [
-    (1, 2 ** 26),      # every table holds one row, which alone exceeds the cap
-    (7, 2 ** 26),      # tables of a few values: several tables per matrix
-    (2 ** 19, 0),      # no line is cached: repeats are joined again from the table
+    (1, 2 ** 26),      # every block holds one row, which alone exceeds the cap
+    (7, 2 ** 26),      # blocks of a few values: several blocks per matrix
+    (2 ** 19, 0),      # no line is cached: each repeat is formatted again, as a row
     (2 ** 19, 100),    # about one cached line
-    (7, 0),            # repeats outlive their table: formatted value by value
+    (7, 0),            # repeats outlive their block and are formatted again
 ])
 @pytest.mark.parametrize("case", sorted(STRUCTURED))
 def test_matrix_csv_equals_oracle_past_each_cap(tmp_path, monkeypatch, case, table_values,
@@ -176,15 +174,19 @@ def test_matrix_csv_equals_oracle_past_each_cap(tmp_path, monkeypatch, case, tab
 def test_matrix_csv_caps_are_crossed(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "_TABLE_VALUES", 7)
     monkeypatch.setattr(io, "_LINE_CACHE_BYTES", 0)
-    calls = _counting_format(monkeypatch)
-    blocks, plain_reprs = [], _floatfmt.shortest_reprs
-    monkeypatch.setattr(_floatfmt, "shortest_reprs",
-                        lambda values: blocks.append(values.size) or plain_reprs(values))
+    calls, blocks, csv_text = _counting_format(monkeypatch), [], _floatfmt.csv_text
+
+    def counted_text(block):
+        if sys._getframe(1).f_code is io.DistinctRows.format.__code__:  # not a repeat's row
+            blocks.append(len(block))
+        return csv_text(block)
+
+    monkeypatch.setattr(_floatfmt, "csv_text", counted_text)
     m = _mirrored()
     write_matrix_csv(m, tmp_path / "m.csv")
     distinct = np.unique(m.view(np.uint64)).size
     assert len(blocks) > 1                  # a new block past the value cap
-    assert len(calls) > distinct            # mirrored rows formatted again past their block
+    assert sum(map(len, calls)) > distinct  # mirrored rows formatted again past their block
     assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(m)
 
 
@@ -230,7 +232,8 @@ def test_matrix_csv_takes_a_flat_unique_inverse(tmp_path, monkeypatch, case, tab
 def test_matrix_csv_formats_each_distinct_value_once(tmp_path, monkeypatch, m):
     calls = _counting_format(monkeypatch)
     write_matrix_csv(m, tmp_path / "m.csv")
-    assert len(calls) == len(set(calls)) == np.unique(m.view(np.uint64)).size
+    values = sum(calls, [])
+    assert len(values) == len(set(values)) == np.unique(m.view(np.uint64)).size
     assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(m)
 
 

@@ -14,7 +14,7 @@ from talbotlab import (BinMisalignment, InvalidSpec, NotCoprime,
                        measurement_basis, measurement_phases,
                        measurement_unitary, mode_propagate, overlap,
                        phase_gate, sample, talbot_gate, talbot_length)
-from talbotlab.qudits import basis_field, decode_with_capture, pauli_x
+from talbotlab.qudits import basis_field, decode_with_capture
 
 GAMMAS = (0.0, 0.5, 0.25, -0.25)
 
@@ -102,12 +102,6 @@ def test_phase_gate_trivial_cases():
     z = phase_gate(2 * np.pi * np.arange(dim) / dim).matrix
     roots = np.exp(2j * np.pi * np.arange(dim) / dim)
     assert np.abs(z - np.diag(roots)).max() < 1e-12
-
-
-def test_pauli_x_cycles_basis():
-    x = pauli_x(3)
-    v = QuditState.basis(3, 0)
-    assert np.allclose(x.apply(v).amplitudes, QuditState.basis(3, 1).amplitudes)
 
 
 # ---------------------------------------------------------------------------
