@@ -6,9 +6,10 @@ Two independent routes produce the four joint-probability tables:
   coefficient matrix;
 * the field route factorises the pair state ``B C B^T`` (B the per-photon
   comb basis) into Schmidt modes, masks each photon's modes with the
-  pixelated measurement phases, propagates them by the
-  gate distance and integrates the intensity over detector bins, at a cost
-  of order n D^2 on n grid points: the n x n two-photon grid is never built.
+  pixelated measurement phases of its two settings, propagates them by the
+  gate distance and integrates the intensity over detector bins.  That is
+  four masked propagations per run, one per side and setting, at a cost of
+  order n D^2 on n grid points: the n x n two-photon grid is never built.
 
 Both routes label outcomes in the measurement-operator convention, so their
 tables are comparable entry by entry.  The measurements use the canonical
@@ -99,27 +100,23 @@ def joint_prob_analytic(coeffs: CoeffMatrix, alpha: float, beta: float) -> np.nd
     return np.abs(amps) ** 2
 
 
-def joint_prob_field(
-    x: np.ndarray,
-    modes: tuple,
-    gamma_a: float,
-    gamma_b: float,
-    geom: TalbotGeometry,
-) -> tuple:
-    """Field-simulated joint table of the pair state ``u_a diag(s) u_b^T`` on grid x.
+def joint_prob_field(x: np.ndarray, modes: tuple, geom: TalbotGeometry) -> tuple:
+    """Field-simulated joint tables of the pair state ``u_a diag(s) u_b^T`` on grid x.
 
     ``modes = (u_a, s, u_b)`` are the Schmidt modes of
     :func:`~talbotlab.spdc.schmidt_modes`, orthonormal columns on each axis.
     Each side's columns take the pixelated measurement phase mask (constant
-    over each period/D cell) and the gate distance ``2 z_T / (c D)`` at
-    wavelength period / 100, guarded on their s^2-weighted marginals.  The
-    detector bins then collect ``sum_jk s_j s_k M_A[a,j,k] M_B[b,j,k]`` with
+    over each period/D cell) of each of its two offsets and the gate
+    distance ``2 z_T / (c D)`` at wavelength period / 100, guarded on their
+    s^2-weighted marginals: four masked propagations in all.  The detector
+    bins then collect ``sum_jk s_j s_k M_A[a,j,k] M_B[b,j,k]`` with
     ``M[a,j,k] = sum_x w[x,a] u[x,j] conj(u[x,k])``, relabeled to the
     measurement-operator outcomes of :func:`joint_prob_analytic`.
 
-    Returns ``(table, diagnostics)``; diagnostics carry the captured power
-    and the per-axis fraction of power in bin-straddling sample cells
-    (binning cross-talk).
+    Returns ``(tables, diagnostics)``, one entry per setting pair in
+    ``SETTING_PAIRS`` order; diagnostics carry the captured power and the
+    per-axis fraction of power in bin-straddling sample cells (binning
+    cross-talk).
     """
     u_a, s, u_b = modes
     d = s.size
@@ -139,24 +136,28 @@ def joint_prob_field(
         products = w.T @ (u[:, :, None] * u.conj()[:, None, :]).reshape(n, d * d)
         return products, np.abs(u) ** 2 @ s ** 2
 
-    m_a, marginal_a = measured(u_a, gamma_a)
-    m_b, marginal_b = measured(u_b, gamma_b)
-    binned = ((m_a * np.outer(s, s).ravel()) @ m_b.T).real
-
-    table = np.zeros_like(binned)
-    table[np.ix_(bin_outcome_map(d, "A"), bin_outcome_map(d, "B"))] = binned
-
-    captured = float(table.sum())
-    if not captured > 0:  # also a state with no power on the grid (s = 0 / 0)
-        raise InvalidSpec("detector bins captured no power")
+    side_a = [measured(u_a, SETTING_OFFSETS[a, 1][0]) for a in (1, 2)]
+    side_b = [measured(u_b, SETTING_OFFSETS[1, b][1]) for b in (1, 2)]
+    pair_weights = np.outer(s, s).ravel()
+    outcomes = np.ix_(bin_outcome_map(d, "A"), bin_outcome_map(d, "B"))
     straddling = w.max(axis=1) < 1.0 - 1e-12
-    diagnostics = {
-        "captured": captured,
-        "crosstalk_axis1": float(marginal_a[straddling].sum() / captured),
-        "crosstalk_axis2": float(marginal_b[straddling].sum() / captured),
-        "gate_distance_fraction": gate_distance_fraction(d),
-    }
-    return table / captured, diagnostics
+    tables, diagnostics = [], []
+    for a, b in SETTING_PAIRS:
+        (m_a, marginal_a), (m_b, marginal_b) = side_a[a - 1], side_b[b - 1]
+        binned = ((m_a * pair_weights) @ m_b.T).real
+        table = np.zeros_like(binned)
+        table[outcomes] = binned
+        captured = float(table.sum())
+        if not captured > 0:  # also a state with no power on the grid (s = 0 / 0)
+            raise InvalidSpec("detector bins captured no power")
+        tables.append(table / captured)
+        diagnostics.append({
+            "captured": captured,
+            "crosstalk_axis1": float(marginal_a[straddling].sum() / captured),
+            "crosstalk_axis2": float(marginal_b[straddling].sum() / captured),
+            "gate_distance_fraction": gate_distance_fraction(d),
+        })
+    return tables, diagnostics
 
 
 def _cyclic_diagonal_sums(table: np.ndarray) -> np.ndarray:
@@ -214,12 +215,10 @@ def cglmp_value(tables, provenance: dict | None = None) -> BellResult:
     )
 
 
-def bell_analytic(coeffs: CoeffMatrix, provenance: dict | None = None) -> BellResult:
+def bell_analytic(coeffs: CoeffMatrix) -> BellResult:
     """Matrix-route Bell evaluation of a coefficient matrix."""
     tables = [joint_prob_analytic(coeffs, *SETTING_OFFSETS[pair]) for pair in SETTING_PAIRS]
-    prov = {"route": "analytic", "dimension": coeffs.dimension}
-    prov.update(provenance or {})
-    return cglmp_value(tables, provenance=prov)
+    return cglmp_value(tables, provenance={"route": "analytic", "dimension": coeffs.dimension})
 
 
 def bell_field(
@@ -229,15 +228,15 @@ def bell_field(
     samples_per_cell: int = 64,
     cells: int = 64,
     envelope: bool = False,
-    provenance: dict | None = None,
 ) -> BellResult:
     """Field-route Bell evaluation: synthesize the pair state, then measure.
 
     The per-photon comb basis B is built on the grid once, the pair state
-    ``B C B^T`` is factorised into Schmidt modes once, and those modes are
-    measured for the four setting pairs.  With ``envelope=False`` (default)
-    the combs are ideal periodic ones on a window commensurate with the
-    effective period, where the routes agree closest.
+    ``B C B^T`` is factorised into Schmidt modes once, and each side's modes
+    are measured once at each of its two settings, which gives the four
+    tables.  With ``envelope=False`` (default) the combs are ideal periodic
+    ones on a window commensurate with the effective period, where the
+    routes agree closest.
     """
     d = coeffs.dimension
     if cells % d != 0:
@@ -245,18 +244,15 @@ def bell_field(
     x, basis = comb_basis(slits, geom, samples_per_cell, cells, envelope)
     modes = schmidt_modes(x, basis, coeffs)
     tgeom = geom.talbot_geometry(d, slits.width, profile=slits.profile)
-    results = [joint_prob_field(x, modes, *SETTING_OFFSETS[pair], tgeom)
-               for pair in SETTING_PAIRS]
-    prov = {
+    tables, diagnostics = joint_prob_field(x, modes, tgeom)
+    return cglmp_value(tables, provenance={
         "route": "field",
         "dimension": d,
         "samples_per_cell": samples_per_cell,
         "cells": cells,
         "envelope": envelope,
-        "diagnostics": [diag for _, diag in results],
-    }
-    prov.update(provenance or {})
-    return cglmp_value([table for table, _ in results], provenance=prov)
+        "diagnostics": diagnostics,
+    })
 
 
 @dataclass(frozen=True)
@@ -271,7 +267,7 @@ class ScanRow:
 
 def bell_point(dimension: int, kappa_plus: float, kappa_minus: float, spacing: float = 1.0,
                route: str = "analytic", slit_width: float = 0.05,
-               provenance: dict | None = None, **field_kwargs) -> BellResult:
+               **field_kwargs) -> BellResult:
     """Bell evaluation of the pair state behind a D-slit source.
 
     Source widths and slit width are in units of the slit spacing;
@@ -285,11 +281,11 @@ def bell_point(dimension: int, kappa_plus: float, kappa_minus: float, spacing: f
         model = BiphotonGaussian(kappa_plus * spacing, kappa_minus * spacing)
         coeffs = entangled_coeffs(dimension, spacing, model)
     if route == "analytic":
-        return bell_analytic(coeffs, provenance=provenance)
+        return bell_analytic(coeffs)
     if route == "field":
         slits = SlitArray(dimension, spacing, slit_width * spacing)
         geom = SynthesizerGeometry.for_dimension(dimension, spacing)
-        return bell_field(coeffs, slits, geom, provenance=provenance, **field_kwargs)
+        return bell_field(coeffs, slits, geom, **field_kwargs)
     raise InvalidSpec("route must be 'analytic' or 'field'")
 
 

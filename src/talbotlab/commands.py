@@ -8,6 +8,7 @@ the ``constraints`` report never loads NumPy or the numerical layers.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import os
@@ -241,7 +242,8 @@ def cmd_bell(cfg: dict, out: Path) -> int:
                         spacing=cfg["spacing"], route=cfg["route"],
                         slit_width=cfg["slit_width"],
                         samples_per_cell=cfg["samples_per_cell"], cells=cfg["cells"],
-                        envelope=cfg["envelope"], provenance={"config": cfg})
+                        envelope=cfg["envelope"])
+    result = dataclasses.replace(result, provenance={**result.provenance, "config": cfg})
     (out / "bell.json").write_text(bell_result_to_json(result) + "\n")
     print(f"bell: D={cfg['dimension']} route={cfg['route']} I={result.value:.6f}"
           f" -> {out / 'bell.json'}")

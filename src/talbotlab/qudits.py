@@ -317,17 +317,13 @@ def bin_weights(x: np.ndarray, dx: float, origin: float, bin_width: float,
     lo = (x - origin - dx / 2.0 + bin_width / 2.0) / bin_width
     hi = lo + dx / bin_width
     b0 = np.floor(lo).astype(int)
-    b1 = np.floor(hi).astype(int)
-    whole = b0 == b1
+    whole = b0 == np.floor(hi).astype(int)
     w[np.nonzero(whole)[0], b0[whole] % dimension] = 1.0
-    for i in np.nonzero(~whole)[0]:
-        pos, b = lo[i], b0[i]
-        span = hi[i] - lo[i]
-        while b < b1[i]:
-            w[i, b % dimension] += (b + 1 - pos) / span
-            pos = b + 1.0
-            b += 1
-        w[i, b1[i] % dimension] += (hi[i] - pos) / span
+    # a cell spans at most half a bin, so a cut cell splits between two bins
+    cut = np.nonzero(~whole)[0]
+    edge, span = b0[cut] + 1, hi[cut] - lo[cut]
+    w[cut, (edge - 1) % dimension] += (edge - lo[cut]) / span
+    w[cut, edge % dimension] += (hi[cut] - edge) / span
     return w
 
 

@@ -232,11 +232,33 @@ def test_field_route_product_state_factorizes():
     geom = SynthesizerGeometry.for_dimension(2, 1.0)
     x, basis = comb_basis(slits, geom, samples_per_cell=64, cells=24, envelope=False)
     tgeom = geom.talbot_geometry(2, 0.05)
-    table, diag = joint_prob_field(x, schmidt_modes(x, basis, coeffs),
-                                   *SETTING_OFFSETS[1, 1], tgeom)
-    pa, pb = table.sum(axis=1), table.sum(axis=0)
-    np.testing.assert_allclose(table, np.outer(pa, pb), atol=1e-9)
-    assert diag["captured"] > 0.99
+    tables, diagnostics = joint_prob_field(x, schmidt_modes(x, basis, coeffs), tgeom)
+    assert len(tables) == len(diagnostics) == len(SETTING_PAIRS)
+    for table, diag in zip(tables, diagnostics):
+        pa, pb = table.sum(axis=1), table.sum(axis=0)
+        np.testing.assert_allclose(table, np.outer(pa, pb), atol=1e-9)
+        assert diag["captured"] > 0.99
+
+
+def test_field_route_measures_each_side_setting_once(monkeypatch):
+    # four settings in all (two per side), one bin tiling, for the four tables
+    calls = {"_propagate_axis": 0, "bin_weights": 0}
+
+    def counted(name):
+        original = getattr(bell, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(bell, name, counted(name))
+    coeffs = entangled_coeffs(3, 1.0, BiphotonGaussian(9.0, 1.0))
+    slits, geom = SlitArray(3, 1.0, 0.05), SynthesizerGeometry.for_dimension(3, 1.0)
+    result = bell_field(coeffs, slits, geom, samples_per_cell=64, cells=24)
+    assert calls == {"_propagate_axis": 4, "bin_weights": 1}
+    assert len(result.tables) == len(result.provenance["diagnostics"]) == 4
 
 
 def test_field_route_with_grating_envelope_stays_close():
@@ -319,10 +341,8 @@ def test_factored_and_dense_guards_trip_on_the_same_grids(cells, trips):
     tgeom = geom.talbot_geometry(3, slits.width)
     psi = two_photon_field(coeffs, slits, geom, samples_per_cell=64, cells=cells)
     x, basis = comb_basis(slits, geom, 64, cells, envelope=True)
-    alpha, beta = SETTING_OFFSETS[1, 1]
-    routes = (lambda: dense_joint_table(psi, alpha, beta, tgeom),
-              lambda: joint_prob_field(x, schmidt_modes(x, basis, coeffs), alpha, beta,
-                                       tgeom))
+    routes = (lambda: dense_joint_table(psi, *SETTING_OFFSETS[1, 1], tgeom),
+              lambda: joint_prob_field(x, schmidt_modes(x, basis, coeffs), tgeom))
     for route in routes:
         if trips:
             with pytest.raises(AliasingRisk):

@@ -374,6 +374,16 @@ def test_bell_field_route_small(tmp_path):
 
 
 @pytest.mark.parametrize("route", ["analytic", "field"])
+def test_bell_json_records_the_resolved_config(route, tmp_path):
+    assert run(["bell", "--out-dir", str(tmp_path), "--set", "dimension=2",
+                "--set", f"route={route}", "--set", "cells=16"]) == 0
+    payload = json.loads((tmp_path / "bell.json").read_text())
+    assert payload["provenance"]["route"] == route
+    assert payload["provenance"]["config"] == {**DEFAULTS["bell"], "dimension": 2,
+                                               "route": route, "cells": 16}
+
+
+@pytest.mark.parametrize("route", ["analytic", "field"])
 def test_bell_emission_is_deterministic(route, tmp_path):
     args = ["bell", "--set", f"route={route}", "--set", "cells=16"]
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -14,7 +14,7 @@ from talbotlab import (BinMisalignment, InvalidSpec, NotCoprime,
                        measurement_basis, measurement_phases,
                        measurement_unitary, mode_propagate, overlap,
                        phase_gate, sample, talbot_gate, talbot_length)
-from talbotlab.qudits import basis_field, decode_with_capture
+from talbotlab.qudits import basis_field, bin_weights, decode_with_capture
 
 GAMMAS = (0.0, 0.5, 0.25, -0.25)
 
@@ -281,6 +281,39 @@ def test_decode_rejects_unresolvable_bins():
     field = SampledField(-1.5, dx, np.ones(n, dtype=complex)).normalized()
     with pytest.raises(BinMisalignment):
         decode(field, geom)
+
+
+def loop_bin_weights(x, dx, origin, bin_width, dimension):
+    """Per-sample oracle of ``bin_weights``: walk each cut cell bin by bin."""
+    w = np.zeros((x.size, dimension))
+    lo = (x - origin - dx / 2.0 + bin_width / 2.0) / bin_width
+    hi = lo + dx / bin_width
+    b0 = np.floor(lo).astype(int)
+    b1 = np.floor(hi).astype(int)
+    whole = b0 == b1
+    w[np.nonzero(whole)[0], b0[whole] % dimension] = 1.0
+    for i in np.nonzero(~whole)[0]:
+        pos, b = lo[i], b0[i]
+        span = hi[i] - lo[i]
+        while b < b1[i]:
+            w[i, b % dimension] += (b + 1 - pos) / span
+            pos = b + 1.0
+            b += 1
+        w[i, b1[i] % dimension] += (hi[i] - pos) / span
+    return w
+
+
+def test_bin_weights_equal_the_per_sample_loop(rng):
+    for trial in range(600):
+        dimension = int(rng.integers(1, 9))
+        bin_width = float(rng.uniform(0.01, 2.0))
+        # every third grid has cells of exactly half a bin, the widest allowed
+        dx = bin_width / 2.0 if trial % 3 == 0 else bin_width / float(rng.uniform(2.0, 40.0))
+        n = int(rng.integers(2, 400))
+        x = float(rng.uniform(-5.0, 5.0)) + dx * np.arange(n)
+        origin = float(rng.uniform(-3.0, 3.0))
+        fast = bin_weights(x, dx, origin, bin_width, dimension)
+        assert fast.tobytes() == loop_bin_weights(x, dx, origin, bin_width, dimension).tobytes()
 
 
 def test_decode_with_capture_reports_window_power():

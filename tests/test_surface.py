@@ -6,7 +6,7 @@ from pathlib import Path
 import talbotlab
 
 # the counts this suite last saw; lower them when the surface shrinks
-SETTABLE_VALUES = 38
+SETTABLE_VALUES = 35
 EXPORTS = 64
 
 
