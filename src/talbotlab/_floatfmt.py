@@ -1,8 +1,8 @@
 """``repr`` of every entry of a float64 array, without a Python call per value.
 
 ``csv_text(matrix)`` gives the rows of a matrix as comma-separated lines of
-``repr(float(v))`` for each entry ``v``: for every float64, NaN payloads,
-signed zeros and infinities included.  The digits come from Schubfach
+``repr(float(v))`` for each entry ``v``, as ASCII ``bytes``: for every
+float64, NaN payloads, signed zeros and infinities included.  The digits come from Schubfach
 (R. Giulietti, "The Schubfach way to render doubles", 2020): the shortest
 decimal inside the rounding interval of a value, the closest one if several
 have that length, ties to even, which are the digits ``repr`` prints.  The
@@ -189,13 +189,13 @@ def _texts(bits, text) -> None:
         text[order[a:b], :cols.size] = np.take(src[a:b], cols, axis=1)
 
 
-def csv_text(matrix) -> str:
-    """The rows of a 2-D array as CSV lines of ``repr(float(v))``: each
-    row's values joined by commas, each line ended by a newline.  Each
+def csv_text(matrix) -> bytes:
+    """The rows of a 2-D array as ASCII CSV lines of ``repr(float(v))``:
+    each row's values joined by commas, each line ended by a newline.  Each
     distinct float64 bit pattern is formatted once."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if not matrix.size:
-        return "\n" * len(matrix)
+        return b"\n" * len(matrix)
     values, inv = np.unique(matrix.view(np.uint64), return_inverse=True)
     # each distinct value's text, padded with NULs, then its separator
     table = np.zeros((values.size, _WIDTH), dtype=np.uint8)
@@ -209,5 +209,5 @@ def csv_text(matrix) -> str:
         text = table[inv[a:a + step]]
         text[:, -1, -1] = ord("\n")
         text = text.ravel()
-        lines.append(text[text != 0].tobytes().decode("ascii"))
-    return "".join(lines)
+        lines.append(text[text != 0].tobytes())
+    return b"".join(lines)

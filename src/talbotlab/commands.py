@@ -189,13 +189,13 @@ def _write_aside(write, lines, out: Path) -> tuple:
     pid = os.fork()
     if pid:
         os.close(w)
-        return pid, open(r, encoding="ascii")
+        return pid, open(r, "rb")
     os.close(r)
     code = 1
     try:
         write()
         try:  # close() flushes, so the with's exit can raise it too
-            with open(w, "w", encoding="ascii", buffering=_HELD_BYTES) as pipe:
+            with open(w, "wb", buffering=_HELD_BYTES) as pipe:
                 pipe.writelines(lines)
         except BrokenPipeError:  # the reader failed, and reports its own failure
             pass

@@ -148,10 +148,6 @@ class BiphotonField:
             raise InvalidSpec("dx1 and dx2 must be positive")
         object.__setattr__(self, "values", _freeze(vals))
 
-    @property
-    def shape(self) -> tuple:
-        return self.values.shape
-
     def x1(self) -> np.ndarray:
         return self.x0_1 + self.dx1 * np.arange(self.values.shape[0])
 

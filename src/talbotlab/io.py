@@ -44,9 +44,10 @@ def config_header(config: dict | None) -> str:
 
 
 def _write_csv(path, config: dict | None, header: str, lines) -> None:
-    """Config comment, column header line (or ""), then ``lines``, one at a time."""
-    with open(path, "w") as fh:
-        fh.write(config_header(config) + header)
+    """Config comment, column header line (or ""), then ``lines``, ASCII bytes
+    each."""
+    with open(path, "wb") as fh:
+        fh.write((config_header(config) + header).encode("ascii"))
         fh.writelines(lines)
 
 
@@ -63,11 +64,9 @@ def write_sampled_csv(field: SampledField, path, config: dict | None = None) -> 
         for a in range(0, field.n, _SAMPLED_ROWS)))
 
 
-# bounds of write_matrix_csv's memory: the values of the distinct rows formatted
-# in one block (85 rows of entangle's 3072-column carpet), and the bytes of line
-# text kept for rows that recur further down (the 3072^2 carpet needs 51 MB)
+# values of the distinct rows that write_matrix_csv formats in one block: 85
+# rows of entangle's 3072-column carpet
 _TABLE_VALUES = 2 ** 18
-_LINE_CACHE_BYTES = 2 ** 26
 
 
 def write_matrix_csv(matrix, path, config: dict | None = None) -> None:
@@ -76,13 +75,25 @@ def write_matrix_csv(matrix, path, config: dict | None = None) -> None:
     The bytes equal those of ``format_float`` on every entry.  Rows and
     values are told apart by their float64 bit patterns, so ``-0.0``,
     ``0.0`` and every NaN payload stay apart.  Each distinct row is formatted
-    into a line once, and the line is kept while the row recurs, within
-    ``_LINE_CACHE_BYTES`` of text; a repeat that was not kept is formatted
-    again, as a row.  ``matrix`` may be a ``DistinctRows``, whose ``lines``
-    may come in part from another process, as in ``entangle``.
+    into a line once; a repeat reads that line back from the file being
+    written, which must therefore be seekable.  ``matrix`` may be a
+    ``DistinctRows``, whose ``lines`` may come in part from another process,
+    as in ``entangle``.
     """
     rows = matrix if isinstance(matrix, DistinctRows) else DistinctRows(matrix)
-    _write_csv(path, config, "", _matrix_lines(rows))
+    with open(path, "w+b") as fh:
+        end = fh.write(config_header(config).encode("ascii"))
+        spans = []                 # distinct row -> (offset, length) of its line
+        for k in rows.ids.tolist():
+            if k < len(spans):
+                start, size = spans[k]
+                fh.seek(start)
+                line = fh.read(size)
+                fh.seek(end)
+            else:
+                line = next(rows.lines)
+                spans.append((end, len(line)))
+            end += fh.write(line)
 
 
 def _row_key(row: np.ndarray) -> int:
@@ -91,10 +102,10 @@ def _row_key(row: np.ndarray) -> int:
 
 
 def _distinct_rows(bits: np.ndarray) -> tuple:
-    """``(ids, first, last)``: each row's distinct-row number (numbered by
-    first appearance), and the first and last row of each distinct row."""
+    """``(ids, first)``: each row's distinct-row number (numbered by first
+    appearance), and the first row of each distinct row."""
     ids = np.empty(bits.shape[0], dtype=np.intp)
-    first, last, chains = [], [], {}
+    first, chains = [], {}
     for i, row in enumerate(bits):
         chain = chains.setdefault(_row_key(row), [])
         for k in chain:
@@ -104,23 +115,21 @@ def _distinct_rows(bits: np.ndarray) -> tuple:
             k = len(first)
             chain.append(k)
             first.append(i)
-            last.append(i)
         ids[i] = k
-        last[k] = i
-    return ids, first, last
+    return ids, first
 
 
 class DistinctRows:
     """A real matrix and its distinct rows, numbered by first appearance
-    (``ids``, ``first`` and ``last`` of ``_distinct_rows``).  ``lines`` yields
-    the CSV line of each distinct row in that order; by default this process
-    formats them all, with ``format``."""
+    (``ids`` and ``first`` of ``_distinct_rows``).  ``lines`` yields the CSV
+    line of each distinct row in that order, as ``bytes``; by default this
+    process formats them all, with ``format``."""
 
     def __init__(self, matrix):
         self.matrix = np.ascontiguousarray(matrix, dtype=float)
         # read as a matrix's own: write_density_csv takes the shape, np.size the size
         self.shape, self.size = self.matrix.shape, self.matrix.size
-        self.ids, self.first, self.last = _distinct_rows(self.matrix.view(np.uint64))
+        self.ids, self.first = _distinct_rows(self.matrix.view(np.uint64))
         self.lines = self.format(0, len(self.first))
 
     def format(self, start: int, stop: int):
@@ -134,30 +143,6 @@ class DistinctRows:
         for a in range(start, stop, block_rows):
             rows = self.matrix[self.first[a:min(a + block_rows, stop)]]
             yield from csv_text(rows).splitlines(keepends=True)
-
-
-def _matrix_lines(rows: DistinctRows):
-    from ._floatfmt import csv_text
-    last = rows.last
-    cache, cached = {}, 0          # distinct row -> its line, while it recurs
-    new = 0                        # the next distinct row to appear
-    for i, k in enumerate(rows.ids.tolist()):
-        line = cache.get(k)
-        if line is not None:
-            if last[k] == i:
-                del cache[k]
-                cached -= len(line)
-            yield line
-            continue
-        if k == new:
-            line = next(rows.lines)
-            new += 1
-        else:                      # a repeat that was not kept
-            line = csv_text(rows.matrix[i:i + 1])
-        if last[k] > i and cached + len(line) <= _LINE_CACHE_BYTES:
-            cache[k] = line
-            cached += len(line)
-        yield line
 
 
 def write_biphoton_csv(field: BiphotonField, path, config: dict | None = None) -> np.ndarray:
@@ -254,4 +239,5 @@ def write_scan_csv(rows, path, config: dict | None = None) -> None:
     """Scan rows as CSV with the fixed header D,kappa_plus,kappa_minus,R,route,I_D."""
     _write_csv(path, config, "D,kappa_plus,kappa_minus,R,route,I_D\n", (
         f"{r.dimension},{format_float(r.kappa_plus)},{format_float(r.kappa_minus)},"
-        f"{format_float(r.correlation)},{r.route},{format_float(r.value)}\n" for r in rows))
+        f"{format_float(r.correlation)},{r.route},{format_float(r.value)}\n".encode("ascii")
+        for r in rows))

@@ -101,10 +101,6 @@ class QuditUnitary:
             raise InvalidSpec(f"matrix is not unitary (max |U+U - 1| = {err:.2e})")
         object.__setattr__(self, "matrix", _freeze(m))
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
 
 def gauss_coeffs(q: int, r: int) -> GaussCoeffs:
     """Fractional-revival amplitudes ``a_j = (1/r) sum_n exp(-2 pi i (n^2 - j n) q / r)``.

@@ -224,11 +224,12 @@ def apply_dslit(field: BiphotonField, slits: SlitArray) -> tuple:
     t2 = slits.transmission(field.x2())
     masked = field.values * t1[:, None]
     masked *= t2[None, :]
-    transmitted = _grid_power(masked, field.dx1, field.dx2) / field.power()
+    power = _grid_power(masked, field.dx1, field.dx2)
+    transmitted = power / field.power()
     if transmitted <= 0:
         raise InvalidSpec("aperture blocked the entire field")
-    out = BiphotonField(field.x0_1, field.dx1, field.x0_2, field.dx2,
-                        unit_power(masked, field.dx1, field.dx2))
+    masked /= _unit_root(power)
+    out = BiphotonField(field.x0_1, field.dx1, field.x0_2, field.dx2, masked)
     return out, float(transmitted)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: behavior, formats, determinism, exit codes."""
 
 import contextlib
+import functools
 import importlib
 import io
 import json
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import talbotlab
-from talbotlab import _floatfmt, commands, io as talbot_io
+from talbotlab import commands, io as talbot_io
 from talbotlab import (BiphotonGaussian, PropagationSpec, SlitArray, SynthesizerGeometry,
                        entangled_coeffs, mode_propagate, periodic_comb, sample, talbot_length,
                        two_photon_field)
@@ -229,47 +230,38 @@ def test_entangle_forked_files_equal_the_serial_writes(tmp_path, monkeypatch, fo
         assert (forked / name).read_bytes() == (serial / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("cache_bytes, held_bytes", [
-    (talbot_io._LINE_CACHE_BYTES, commands._HELD_BYTES),
-    (0, 1),            # repeats formatted again here; the child's pipe file is line
-                       # buffered, so it waits after each line
+@pytest.mark.parametrize("buffer_bytes, held_bytes", [
+    (2 ** 26, commands._HELD_BYTES),
+    (0, 0),            # raw files: each carpet repeat is read back from the disk, and
+                       # the child's pipe is unbuffered, so it waits after each line
 ])
 def test_entangle_shared_carpet_equals_the_serial_write(tmp_path, monkeypatch, forks,
-                                                        cache_bytes, held_bytes):
+                                                        buffer_bytes, held_bytes):
     # blocks of 8 rows: the child's share of the 700-row carpet spans several,
-    # and some of its rows recur further down; with no line cache this process
-    # formats those repeats again itself
+    # and some of its rows recur further down, where this process reads their
+    # lines back from the carpet file
     monkeypatch.setattr(talbot_io, "_TABLE_VALUES", 8 * 700)
-    monkeypatch.setattr(talbot_io, "_LINE_CACHE_BYTES", cache_bytes)
+    monkeypatch.setattr(talbot_io, "open", functools.partial(open, buffering=buffer_bytes),
+                        raising=False)
     monkeypatch.setattr(commands, "_HELD_BYTES", held_bytes)
-    piped, remade = [], []
-    read_lines, csv_text = commands._read_lines, _floatfmt.csv_text
+    piped, read_lines = [], commands._read_lines
 
     def counted_read(pipe, count):
         for line in read_lines(pipe, count):
             piped.append(line)
             yield line
 
-    def counted_text(m):
-        text = csv_text(m)
-        if sys._getframe(1).f_code is talbot_io._matrix_lines.__code__:  # a repeat's one row
-            remade.append(text)
-        return text
-
     monkeypatch.setattr(commands, "_read_lines", counted_read)
-    monkeypatch.setattr(_floatfmt, "csv_text", counted_text)
     forked, serial = tmp_path / "forked", tmp_path / "serial"
     assert run(SMALL_ENTANGLE + ["--out-dir", str(forked)]) == 0
     assert len(forks) == 1
-    remade_here = set(remade)
     monkeypatch.delattr(os, "fork")
     assert run(SMALL_ENTANGLE + ["--out-dir", str(serial)]) == 0
     for name in sorted(p.name for p in serial.iterdir()):
         assert (forked / name).read_bytes() == (serial / name).read_bytes(), name
     assert len(piped) > 2 * 8
-    lines = (forked / "entangle_carpet.csv").read_text().splitlines(keepends=True)
+    lines = (forked / "entangle_carpet.csv").read_bytes().splitlines(keepends=True)
     assert any(lines.count(line) > 1 for line in piped)
-    assert bool(remade_here & set(piped)) == (cache_bytes == 0)
 
 
 @pytest.mark.parametrize("blocked", [None, "entangle_slits.csv", "entangle_carpet.csv"])
@@ -321,6 +313,22 @@ def test_write_failure_exits_2_with_one_line(blocked, tmp_path, capfd, forks):
     for pid in forks:
         with pytest.raises(ChildProcessError):  # the writer child was reaped
             os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_unseekable_csv_target_exits_2_with_one_line(tmp_path):
+    # a matrix CSV is read back as it is written, so it cannot go to a pipe;
+    # the writer neither waits for a reader nor fails with a traceback
+    out = tmp_path / "out"
+    out.mkdir()
+    os.mkfifo(out / "carpet.csv")
+    src = str(Path(talbotlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "talbotlab", "carpet", "--out-dir", str(out)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(err) == 1 and err[0].startswith("cannot write "), proc.stderr
 
 
 def test_cli_runs_numpy_with_one_blas_thread(tmp_path):

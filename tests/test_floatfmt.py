@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import talbotlab
-from talbotlab._floatfmt import csv_text
+from talbotlab import _floatfmt
+
+
+def csv_text(matrix) -> str:
+    """``_floatfmt.csv_text``, whose ASCII bytes are decoded here alone, so
+    that every oracle below is plain ``repr`` text."""
+    text = _floatfmt.csv_text(matrix)
+    assert isinstance(text, bytes)
+    return text.decode("ascii")
 
 
 def reprs(values) -> list:

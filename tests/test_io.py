@@ -1,8 +1,8 @@
 """Serialization formats: CSV, PGM, JSON and determinism."""
 
+import functools
 import itertools
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -104,8 +104,16 @@ def _near_twins():
     return np.array(rows + rows[::-1] + rows)
 
 
+def _repeats_at_once(cols):
+    """Rows that each recur on the next line, so that a repeat's line may
+    still be in the write buffer, then in reverse order."""
+    m = np.repeat(np.random.default_rng(cols).standard_normal((4, cols)), 2, axis=0)
+    return np.vstack([m, m[::-1]])
+
+
 STRUCTURED = {
     "exact-repeats": np.tile(np.random.default_rng(4).random((3, 9)), (5, 1)),
+    **{f"repeats-at-once-{cols}": _repeats_at_once(cols) for cols in (1, 2, 3)},
     "mirrored": _mirrored(),
     "reversed-columns": np.vstack([_mirrored()[:20], _mirrored()[:20, ::-1]]),
     "near-twins": _near_twins(),
@@ -154,39 +162,44 @@ def _counting_format(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("table_values, cache_bytes", [
-    (1, 2 ** 26),      # every block holds one row, which alone exceeds the cap
+def _buffered(monkeypatch, buffer_bytes: int) -> None:
+    """Open the writers' files with a write buffer of ``buffer_bytes``; 0 is
+    a raw, unbuffered file."""
+    monkeypatch.setattr(io, "open", functools.partial(open, buffering=buffer_bytes),
+                        raising=False)
+
+
+@pytest.mark.parametrize("table_values, buffer_bytes", [
+    (1, 2 ** 26),      # every block holds one row; a buffer larger than the file
     (7, 2 ** 26),      # blocks of a few values: several blocks per matrix
-    (2 ** 19, 0),      # no line is cached: each repeat is formatted again, as a row
-    (2 ** 19, 100),    # about one cached line
-    (7, 0),            # repeats outlive their block and are formatted again
+    (2 ** 19, 0),      # a raw file: every repeat is read back from the disk
+    (2 ** 19, 100),    # a buffer shorter than one line
+    (7, 0),            # repeats outlive their block
 ])
 @pytest.mark.parametrize("case", sorted(STRUCTURED))
 def test_matrix_csv_equals_oracle_past_each_cap(tmp_path, monkeypatch, case, table_values,
-                                                cache_bytes):
+                                                buffer_bytes):
     monkeypatch.setattr(io, "_TABLE_VALUES", table_values)
-    monkeypatch.setattr(io, "_LINE_CACHE_BYTES", cache_bytes)
+    _buffered(monkeypatch, buffer_bytes)
     path = tmp_path / "m.csv"
     write_matrix_csv(STRUCTURED[case], path)
     assert path.read_bytes() == oracle_matrix_csv(STRUCTURED[case])
 
 
 def test_matrix_csv_caps_are_crossed(tmp_path, monkeypatch):
+    # each distinct row reaches the formatter once; repeats are read back
     monkeypatch.setattr(io, "_TABLE_VALUES", 7)
-    monkeypatch.setattr(io, "_LINE_CACHE_BYTES", 0)
-    calls, blocks, csv_text = _counting_format(monkeypatch), [], _floatfmt.csv_text
+    blocks, csv_text = [], _floatfmt.csv_text
 
     def counted_text(block):
-        if sys._getframe(1).f_code is io.DistinctRows.format.__code__:  # not a repeat's row
-            blocks.append(len(block))
+        blocks.append(len(block))
         return csv_text(block)
 
     monkeypatch.setattr(_floatfmt, "csv_text", counted_text)
     m = _mirrored()
     write_matrix_csv(m, tmp_path / "m.csv")
-    distinct = np.unique(m.view(np.uint64)).size
     assert len(blocks) > 1                  # a new block past the value cap
-    assert sum(map(len, calls)) > distinct  # mirrored rows formatted again past their block
+    assert sum(blocks) == len(io.DistinctRows(m).first) < len(m)
     assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(m)
 
 
