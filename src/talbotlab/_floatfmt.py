@@ -1,8 +1,9 @@
 """``repr`` of every entry of a float64 array, without a Python call per value.
 
-``csv_text(matrix)`` gives the rows of a matrix as comma-separated lines of
-``repr(float(v))`` for each entry ``v``, as ASCII ``bytes``: for every
-float64, NaN payloads, signed zeros and infinities included.  The digits come from Schubfach
+``csv_text(matrix, columns)`` gives the rows of a matrix, their entries laid
+out by ``columns``, as comma-separated lines of ``repr(float(v))`` for each
+entry ``v``, in blocks of ASCII ``bytes``: for every float64, NaN payloads,
+signed zeros and infinities included.  The digits come from Schubfach
 (R. Giulietti, "The Schubfach way to render doubles", 2020): the shortest
 decimal inside the rounding interval of a value, the closest one if several
 have that length, ties to even, which are the digits ``repr`` prints.  The
@@ -11,7 +12,8 @@ the same under NumPy 1.24's promotion rules and NEP 50's.  The text is laid
 out as bytes in ``repr``'s two forms: positional while the decimal exponent
 of the leading digit is in ``[-4, 15]``, ``d.ddde±XX`` otherwise.  Each
 distinct bit pattern of a matrix is formatted once, into a row of NULs with
-a separator at its end; the lines gather those rows and drop the NULs.
+a separator at its end; the lines gather those rows, one item per entry,
+and drop the NULs.
 """
 
 from __future__ import annotations
@@ -189,25 +191,40 @@ def _texts(bits, text) -> None:
         text[order[a:b], :cols.size] = np.take(src[a:b], cols, axis=1)
 
 
-def csv_text(matrix) -> bytes:
-    """The rows of a 2-D array as ASCII CSV lines of ``repr(float(v))``:
-    each row's values joined by commas, each line ended by a newline.  Each
-    distinct float64 bit pattern is formatted once."""
+def csv_text(matrix, columns):
+    """The rows of a 2-D array as ASCII CSV lines of ``repr(float(v))``: the
+    line of row ``i`` holds ``matrix[i, columns]`` joined by commas, and ends
+    in a newline.  So ``matrix`` need hold each distinct column once.  The
+    lines come as ``bytes``, a block of whole lines of about ``_CHUNK``
+    values at a time.  Each distinct float64 bit pattern is formatted once."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    if not matrix.size:
-        return b"\n" * len(matrix)
-    values, inv = np.unique(matrix.view(np.uint64), return_inverse=True)
+    if not (matrix.size and len(columns)):
+        yield b"\n" * len(matrix)
+        return
+    shape = matrix.shape
+    # np.unique's values and inverse, with fewer copies held at once: the
+    # sorted bits replace the matrix, and go once their distinct values are out
+    bits = matrix.view(np.uint64).ravel()
+    del matrix
+    order = np.argsort(bits)
+    bits = bits[order]
+    new = np.empty(bits.size, dtype=bool)
+    new[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    values = bits[new]
+    del bits
+    inv = np.empty(new.size, dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    del order, new
     # each distinct value's text, padded with NULs, then its separator
     table = np.zeros((values.size, _WIDTH), dtype=np.uint8)
     table[:, -1] = ord(",")
     for a in range(0, values.size, _CHUNK):
         _texts(values[a:a + _CHUNK], table[a:a + _CHUNK])
-    inv = inv.reshape(matrix.shape)           # NumPy 1.x returns the inverse flat
-    step = max(1, _CHUNK // matrix.shape[1])  # rows of lines gathered at a time
-    lines = []
+    table = table.view(f"V{_WIDTH}").ravel()  # one item per text
+    inv = inv.reshape(shape)
+    step = max(1, _CHUNK // len(columns))     # rows of lines gathered at a time
     for a in range(0, len(inv), step):
-        text = table[inv[a:a + step]]
-        text[:, -1, -1] = ord("\n")
-        text = text.ravel()
-        lines.append(text[text != 0].tobytes())
-    return b"".join(lines)
+        text = table[np.take(inv[a:a + step], columns, axis=1)].view(np.uint8)
+        text[:, -1] = ord("\n")
+        yield text.tobytes().translate(None, b"\0")

@@ -8,7 +8,9 @@ the intensity that maps to full scale.
 
 from __future__ import annotations
 
+import errno
 import json
+from io import UnsupportedOperation
 from pathlib import Path
 
 import numpy as np
@@ -60,13 +62,13 @@ def write_sampled_csv(field: SampledField, path, config: dict | None = None) -> 
     from ._floatfmt import csv_text
     columns = (field.x(), field.values.real, field.values.imag)
     _write_csv(path, config, "x,re,im\n", (
-        csv_text(np.stack([c[a:a + _SAMPLED_ROWS] for c in columns], axis=1))
-        for a in range(0, field.n, _SAMPLED_ROWS)))
+        block for a in range(0, field.n, _SAMPLED_ROWS)
+        for block in csv_text(np.stack([c[a:a + _SAMPLED_ROWS] for c in columns], axis=1),
+                              range(3))))
 
 
-# values of the distinct rows that write_matrix_csv formats in one block: 85
-# rows of entangle's 3072-column carpet
-_TABLE_VALUES = 2 ** 18
+# values read at a time by the search for a share's distinct columns
+_SEARCH_VALUES = 2 ** 18
 
 
 def write_matrix_csv(matrix, path, config: dict | None = None) -> None:
@@ -81,7 +83,11 @@ def write_matrix_csv(matrix, path, config: dict | None = None) -> None:
     as in ``entangle``.
     """
     rows = matrix if isinstance(matrix, DistinctRows) else DistinctRows(matrix)
-    with open(path, "w+b") as fh:
+    try:
+        fh = open(path, "w+b")
+    except UnsupportedOperation as exc:  # a pipe, say; the error names no file
+        raise OSError(errno.ESPIPE, str(exc), str(path)) from None
+    with fh:
         end = fh.write(config_header(config).encode("ascii"))
         spans = []                 # distinct row -> (offset, length) of its line
         for k in rows.ids.tolist():
@@ -119,11 +125,47 @@ def _distinct_rows(bits: np.ndarray) -> tuple:
     return ids, first
 
 
+def _row_blocks(bits: np.ndarray, rows):
+    """``(a, bits[rows[a:b]])`` for blocks of about ``_SEARCH_VALUES`` values."""
+    step = max(1, _SEARCH_VALUES // max(1, bits.shape[1]))
+    for a in range(0, len(rows), step):
+        yield a, bits[rows[a:a + step]]
+
+
+def _column_keys(bits: np.ndarray, rows) -> np.ndarray:
+    """A fingerprint of each column of ``bits[rows]``: a sum over its rows of
+    each entry's bits, mixed with its row's place.  Equal columns have equal
+    keys; columns with equal keys are still compared bit for bit."""
+    keys = np.zeros(bits.shape[1], dtype=np.uint64)
+    for a, h in _row_blocks(bits, rows):
+        h += (np.arange(a + 1, a + 1 + len(h), dtype=np.uint64)
+              * np.uint64(0x9E3779B97F4A7C15))[:, None]
+        h ^= h >> np.uint64(31)
+        h *= np.uint64(0xBF58476D1CE4E5B9)
+        h ^= h >> np.uint64(29)
+        keys += h.sum(axis=0, dtype=np.uint64)
+    return keys
+
+
+def _distinct_columns(bits: np.ndarray, rows) -> tuple:
+    """``(ids, first)`` of ``_distinct_rows`` for the columns of
+    ``bits[rows]``, found by ``_column_keys`` and checked bit for bit; on a
+    collision of keys, by ``_distinct_rows`` of the transpose."""
+    _, first, ids = np.unique(_column_keys(bits, rows), return_index=True,
+                              return_inverse=True)
+    rank = np.argsort(np.argsort(first))      # numbered by first appearance
+    ids, first = rank[ids], np.sort(first)
+    if any(not np.array_equal(block[:, first[ids]], block)
+           for _, block in _row_blocks(bits, rows)):
+        return _distinct_rows(np.ascontiguousarray(bits[rows].T))
+    return ids, first
+
+
 class DistinctRows:
     """A real matrix and its distinct rows, numbered by first appearance
     (``ids`` and ``first`` of ``_distinct_rows``).  ``lines`` yields the CSV
-    line of each distinct row in that order, as ``bytes``; by default this
-    process formats them all, with ``format``."""
+    line of each distinct row in that order, as a bytes-like object; by
+    default this process formats them all, with ``format``."""
 
     def __init__(self, matrix):
         self.matrix = np.ascontiguousarray(matrix, dtype=float)
@@ -133,16 +175,19 @@ class DistinctRows:
         self.lines = self.format(0, len(self.first))
 
     def format(self, start: int, stop: int):
-        """The lines of distinct rows ``start`` to ``stop - 1``, in order,
-        formatted in blocks of up to ``_TABLE_VALUES`` values by ``csv_text``,
-        which formats each distinct value of a block once."""
+        """The lines of distinct rows ``start`` to ``stop - 1``, in order.
+        ``csv_text`` formats them from those rows' distinct columns alone."""
         # imported by the CSV writers alone, so that a command writing none,
         # such as ``bell``, does not load it
         from ._floatfmt import csv_text
-        block_rows = max(1, _TABLE_VALUES // max(1, self.shape[1]))
-        for a in range(start, stop, block_rows):
-            rows = self.matrix[self.first[a:min(a + block_rows, stop)]]
-            yield from csv_text(rows).splitlines(keepends=True)
+        rows = np.array(self.first[start:stop], dtype=np.intp)
+        columns, first = _distinct_columns(self.matrix.view(np.uint64), rows)
+        for block in csv_text(self.matrix[np.ix_(rows, first)], columns):
+            lines, a = memoryview(block), 0
+            while a < len(block):      # each line a view of its block, not a copy
+                b = block.index(b"\n", a) + 1
+                yield lines[a:b]
+                a = b
 
 
 def write_biphoton_csv(field: BiphotonField, path, config: dict | None = None) -> np.ndarray:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import talbotlab
-from talbotlab import commands, io as talbot_io
+from talbotlab import _floatfmt, commands, io as talbot_io
 from talbotlab import (BiphotonGaussian, PropagationSpec, SlitArray, SynthesizerGeometry,
                        entangled_coeffs, mode_propagate, periodic_comb, sample, talbot_length,
                        two_photon_field)
@@ -237,10 +237,10 @@ def test_entangle_forked_files_equal_the_serial_writes(tmp_path, monkeypatch, fo
 ])
 def test_entangle_shared_carpet_equals_the_serial_write(tmp_path, monkeypatch, forks,
                                                         buffer_bytes, held_bytes):
-    # blocks of 8 rows: the child's share of the 700-row carpet spans several,
-    # and some of its rows recur further down, where this process reads their
-    # lines back from the carpet file
-    monkeypatch.setattr(talbot_io, "_TABLE_VALUES", 8 * 700)
+    # lines gathered 8 rows at a time: the child's share of the 700-row carpet
+    # spans several blocks, and some of its rows recur further down, where this
+    # process reads their lines back from the carpet file
+    monkeypatch.setattr(_floatfmt, "_CHUNK", 8 * 700)
     monkeypatch.setattr(talbot_io, "open", functools.partial(open, buffering=buffer_bytes),
                         raising=False)
     monkeypatch.setattr(commands, "_HELD_BYTES", held_bytes)
@@ -329,6 +329,7 @@ def test_unseekable_csv_target_exits_2_with_one_line(tmp_path):
     err = proc.stderr.splitlines()
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(err) == 1 and err[0].startswith("cannot write "), proc.stderr
+    assert str(out / "carpet.csv") in err[0]   # the file, not its directory
 
 
 def test_cli_runs_numpy_with_one_blas_thread(tmp_path):

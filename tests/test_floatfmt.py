@@ -14,12 +14,14 @@ import talbotlab
 from talbotlab import _floatfmt
 
 
-def csv_text(matrix) -> str:
-    """``_floatfmt.csv_text``, whose ASCII bytes are decoded here alone, so
-    that every oracle below is plain ``repr`` text."""
-    text = _floatfmt.csv_text(matrix)
-    assert isinstance(text, bytes)
-    return text.decode("ascii")
+def csv_text(matrix, columns=None) -> str:
+    """``_floatfmt.csv_text``'s blocks joined, their ASCII bytes decoded here
+    alone, so that every oracle below is plain ``repr`` text."""
+    if columns is None:
+        columns = np.arange(np.shape(matrix)[1])
+    blocks = list(_floatfmt.csv_text(matrix, columns))
+    assert all(isinstance(block, bytes) for block in blocks)
+    return b"".join(blocks).decode("ascii")
 
 
 def reprs(values) -> list:
@@ -138,6 +140,22 @@ def test_csv_text_joins_each_row_like_repr(shape):
         expected = "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
         assert csv_text(values) == expected
         assert csv_text(np.asfortranarray(values)) == expected
+
+
+@pytest.mark.parametrize("gather", [1, 7, 2 ** 12])
+def test_csv_text_lays_out_lines_by_column_ids(monkeypatch, gather):
+    # a matrix of distinct columns and the column of each entry give the
+    # lines of the full matrix, in blocks of whole lines
+    monkeypatch.setattr(_floatfmt, "_CHUNK", gather)
+    rng = np.random.default_rng(21)
+    core = from_bits(pool_draws(rng, (9, 4)))
+    columns = np.array([3, 0, 0, 2, 1, 3, 3, 0])
+    full = core[:, columns]
+    expected = "".join(",".join(map(repr, row)) + "\n" for row in full.tolist())
+    assert csv_text(core, columns) == csv_text(full) == expected
+    assert len(list(_floatfmt.csv_text(core, columns))) == (9 if gather < columns.size else 1)
+    assert csv_text(core, columns[:0]) == "\n" * 9
+    assert csv_text(core[:0], columns) == ""
 
 
 def test_powers_of_ten_table_is_built_on_first_csv_write(tmp_path):

@@ -21,6 +21,19 @@ def oracle_matrix_csv(matrix) -> bytes:
                    for row in np.asarray(matrix, dtype=float)).encode()
 
 
+def oracle_lines(rows, start: int, stop: int, block_values: int = 2 ** 18) -> list:
+    """The lines of distinct rows ``start`` to ``stop - 1`` by the slow path
+    that ``DistinctRows.format`` replaced: ``csv_text`` of blocks of whole
+    distinct rows, every column formatted, each block split back into lines."""
+    block_rows = max(1, block_values // max(1, rows.shape[1]))
+    lines = []
+    for a in range(start, stop, block_rows):
+        block = rows.matrix[rows.first[a:min(a + block_rows, stop)]]
+        text = b"".join(_floatfmt.csv_text(block, np.arange(rows.shape[1])))
+        lines += text.splitlines(keepends=True)
+    return lines
+
+
 def test_sampled_csv_format(tmp_path):
     field = SampledField(-1.0, 0.5, np.array([1 + 2j, 3 - 4j, 0.5, 0.5]))
     path = tmp_path / "field.csv"
@@ -122,6 +135,7 @@ STRUCTURED = {
     "strided": _mirrored(60, 30)[::3, 1::2],
     "reversed-rows": _mirrored()[::-1],
     "integer": np.tile(np.arange(-6, 6).reshape(3, 4), (4, 1)),
+    "no-columns": np.zeros((3, 0)),
 }
 
 
@@ -150,6 +164,52 @@ def test_matrix_csv_survives_row_key_collisions(tmp_path, monkeypatch, case):
     assert path.read_bytes() == oracle_matrix_csv(STRUCTURED[case])
 
 
+@pytest.mark.parametrize("case", sorted(STRUCTURED))
+def test_matrix_csv_survives_column_key_collisions(tmp_path, monkeypatch, case):
+    # every column fingerprint equal: the bit-for-bit check finds the
+    # collision, and the columns are told apart by the exact path
+    monkeypatch.setattr(io, "_column_keys",
+                        lambda bits, rows: np.zeros(bits.shape[1], dtype=np.uint64))
+    path = tmp_path / "m.csv"
+    write_matrix_csv(STRUCTURED[case], path)
+    assert path.read_bytes() == oracle_matrix_csv(STRUCTURED[case])
+
+
+@pytest.mark.parametrize("gather_rows", [1, 3])
+@pytest.mark.parametrize("share", [0.3, 1.0])
+@pytest.mark.parametrize("case", sorted(STRUCTURED))
+def test_distinct_rows_format_equals_the_block_path(monkeypatch, case, share, gather_rows):
+    # the lines of a share, formatted from its distinct columns, against the
+    # slow path, for both shares of a split as entangle makes it
+    rows = io.DistinctRows(STRUCTURED[case])
+    monkeypatch.setattr(_floatfmt, "_CHUNK", gather_rows * rows.shape[1])
+    count = len(rows.first)
+    split = count - int(count * share)
+    for start, stop in ((0, split), (split, count)):
+        lines = list(rows.format(start, stop))
+        assert all(isinstance(line, memoryview) for line in lines)
+        assert [bytes(line) for line in lines] == oracle_lines(rows, start, stop)
+
+
+def test_distinct_columns_keep_near_twin_columns_apart(monkeypatch):
+    # columns that differ only by the sign of a zero, the sign of a NaN or its
+    # payload: told apart by their fingerprints, with no exact fallback, and
+    # numbered as the row search numbers the rows of the transpose
+    m = np.hstack([_near_twins().T, _near_twins().T[:, ::-1]])
+    rows = io.DistinctRows(m)
+    bits = rows.matrix.view(np.uint64)
+    for start, stop in ((0, len(rows.first)), (1, 3)):
+        picked = np.array(rows.first[start:stop])
+        oracle_ids, oracle_first = io._distinct_rows(np.ascontiguousarray(bits[picked].T))
+        with monkeypatch.context() as patched:
+            patched.setattr(io, "_distinct_rows", lambda bits: pytest.fail("fell back"))
+            ids, first = io._distinct_columns(bits, picked)
+        assert ids.tolist() == oracle_ids.tolist() and list(first) == oracle_first
+        assert [bytes(line) for line in rows.format(start, stop)] == oracle_lines(rows, start,
+                                                                                  stop)
+    assert len(io._distinct_columns(bits, np.array(rows.first))[1]) == 6
+
+
 def _counting_format(monkeypatch) -> list:
     """Bit patterns of the values handed to each call of the formatter's ``_texts``."""
     calls, texts = [], _floatfmt._texts
@@ -169,17 +229,17 @@ def _buffered(monkeypatch, buffer_bytes: int) -> None:
                         raising=False)
 
 
-@pytest.mark.parametrize("table_values, buffer_bytes", [
-    (1, 2 ** 26),      # every block holds one row; a buffer larger than the file
+@pytest.mark.parametrize("gather_values, buffer_bytes", [
+    (1, 2 ** 26),      # lines gathered one row at a time; a buffer larger than the file
     (7, 2 ** 26),      # blocks of a few values: several blocks per matrix
     (2 ** 19, 0),      # a raw file: every repeat is read back from the disk
     (2 ** 19, 100),    # a buffer shorter than one line
     (7, 0),            # repeats outlive their block
 ])
 @pytest.mark.parametrize("case", sorted(STRUCTURED))
-def test_matrix_csv_equals_oracle_past_each_cap(tmp_path, monkeypatch, case, table_values,
+def test_matrix_csv_equals_oracle_past_each_cap(tmp_path, monkeypatch, case, gather_values,
                                                 buffer_bytes):
-    monkeypatch.setattr(io, "_TABLE_VALUES", table_values)
+    monkeypatch.setattr(_floatfmt, "_CHUNK", gather_values)
     _buffered(monkeypatch, buffer_bytes)
     path = tmp_path / "m.csv"
     write_matrix_csv(STRUCTURED[case], path)
@@ -187,28 +247,41 @@ def test_matrix_csv_equals_oracle_past_each_cap(tmp_path, monkeypatch, case, tab
 
 
 def test_matrix_csv_caps_are_crossed(tmp_path, monkeypatch):
-    # each distinct row reaches the formatter once; repeats are read back
-    monkeypatch.setattr(io, "_TABLE_VALUES", 7)
-    blocks, csv_text = [], _floatfmt.csv_text
+    # the formatter gets the distinct rows' distinct columns alone, formats
+    # each of their distinct values once, and gathers the lines in several
+    # blocks; repeated rows are read back
+    monkeypatch.setattr(_floatfmt, "_CHUNK", 7)
+    calls = _counting_format(monkeypatch)
+    cores, blocks, csv_text = [], [], _floatfmt.csv_text
 
-    def counted_text(block):
-        blocks.append(len(block))
-        return csv_text(block)
+    def counted_text(matrix, columns):
+        cores.append((np.array(matrix), columns))
+        for block in csv_text(matrix, columns):
+            blocks.append(block)
+            yield block
 
     monkeypatch.setattr(_floatfmt, "csv_text", counted_text)
     m = _mirrored()
+    m = np.hstack([m, m[:, ::-1], m[:, :5]])
     write_matrix_csv(m, tmp_path / "m.csv")
-    assert len(blocks) > 1                  # a new block past the value cap
-    assert sum(blocks) == len(io.DistinctRows(m).first) < len(m)
     assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(m)
+    distinct = m[io.DistinctRows(m).first]
+    [(core, columns)] = cores
+    core_bits = core.view(np.uint64)
+    assert core.shape == (len(distinct), 12) and len(distinct) < len(m)
+    assert np.unique(core_bits, axis=1).shape[1] == 12      # each column once
+    assert np.array_equal(core_bits[:, columns], distinct.view(np.uint64))
+    values = sum(calls, [])
+    assert len(values) == len(set(values)) == np.unique(m.view(np.uint64)).size
+    assert len(blocks) == len(distinct) > 1                 # one row per gather
 
 
 @pytest.mark.parametrize("share", [0.3, 1.0])
 @pytest.mark.parametrize("case", sorted(STRUCTURED))
 def test_matrix_csv_lines_split_at_any_distinct_row(tmp_path, monkeypatch, case, share):
-    # the lines of the last distinct rows made apart, in blocks of their own,
-    # as the writer child of ``entangle`` makes them
-    monkeypatch.setattr(io, "_TABLE_VALUES", 7)
+    # the lines of the last distinct rows made apart, from a value table of
+    # their own, as the writer child of ``entangle`` makes them
+    monkeypatch.setattr(_floatfmt, "_CHUNK", 7)
     rows = io.DistinctRows(STRUCTURED[case])
     count = len(rows.first)
     split = count - int(count * share)
@@ -218,9 +291,9 @@ def test_matrix_csv_lines_split_at_any_distinct_row(tmp_path, monkeypatch, case,
     assert path.read_bytes() == oracle_matrix_csv(STRUCTURED[case])
 
 
-@pytest.mark.parametrize("table_values", [7, 2 ** 18])
+@pytest.mark.parametrize("gather_values", [7, 2 ** 18])
 @pytest.mark.parametrize("case", sorted(STRUCTURED))
-def test_matrix_csv_takes_a_flat_unique_inverse(tmp_path, monkeypatch, case, table_values):
+def test_matrix_csv_takes_a_flat_unique_inverse(tmp_path, monkeypatch, case, gather_values):
     # NumPy before 2.0 returns np.unique's inverse flat, not in its input's shape
     plain_unique = np.unique
 
@@ -231,7 +304,7 @@ def test_matrix_csv_takes_a_flat_unique_inverse(tmp_path, monkeypatch, case, tab
         return out
 
     monkeypatch.setattr(np, "unique", flat_unique)
-    monkeypatch.setattr(io, "_TABLE_VALUES", table_values)
+    monkeypatch.setattr(_floatfmt, "_CHUNK", gather_values)
     path = tmp_path / "m.csv"
     write_matrix_csv(STRUCTURED[case], path)
     assert path.read_bytes() == oracle_matrix_csv(STRUCTURED[case])
