@@ -9,7 +9,6 @@ the ``constraints`` report never loads NumPy or the numerical layers.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import os
 import sys
@@ -24,8 +23,8 @@ from .errors import InvalidSpec, TalbotLabError, report_failure
 from .fields import (PropagationSpec, SampledField, centered_axis, check_entries,
                      get_profile, mode_propagate, periodic_comb, sample, sampling_matrix,
                      unit_power)
-from .io import (DistinctRows, bell_result_to_json, write_biphoton_csv, write_density_csv,
-                 write_matrix_csv, write_pgm, write_sampled_csv, write_scan_csv)
+from .io import (bell_result_to_json, write_biphoton_csv, write_density_csv, write_matrix_csv,
+                 write_pgm, write_sampled_csv, write_scan_csv)
 from .spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry,
                    apply_dslit, entangled_coeffs, initial_biphoton_field,
                    render_synthesized, synthesize_single, two_photon_density)
@@ -131,26 +130,17 @@ def cmd_entangle(cfg: dict, out: Path) -> int:
                                          config=csv_cfg)
             write_pgm(density, out / f"entangle_{name}.pgm", config=cfg)
             del density
+        write_pgm(carpet, out / "entangle_carpet.pgm", config=cfg)
 
-    # a child writes the initial and slit stages, then formats the carpet's
-    # last distinct rows, while this process writes the carpet
-    rows = DistinctRows(carpet)
-    count = len(rows.first)
-    split = count - int(count * _CHILD_SHARE)
-    pid, piped = _write_aside(write_fields, rows.format(split, count), out)
+    # a child writes the initial and slit stages and the carpet's heatmap,
+    # while this process writes the carpet CSV
+    pid = _write_aside(write_fields, out)
     fields.clear()
-    if piped is not None:
-        rows.lines = itertools.chain(rows.format(0, split), _read_lines(piped, count - split))
-    code = 1
     try:
         x0 = float(x[0])
-        write_density_csv(rows, out / "entangle_carpet.csv", (x0, dx, x0, dx), config=cfg)
-        write_pgm(carpet, out / "entangle_carpet.pgm", config=cfg)
-        code = 0
-    except _Unsent:  # the child stopped before it sent its lines, and said why
-        pass
+        write_density_csv(carpet, out / "entangle_carpet.csv", (x0, dx, x0, dx), config=cfg)
     finally:
-        code = _reap(pid, piped) or code
+        code = _reap(pid)
     if code:
         return code
     print(f"entangle: initial, post-slit and carpet densities written to {out}"
@@ -158,47 +148,25 @@ def cmd_entangle(cfg: dict, out: Path) -> int:
     return 0
 
 
-# the share of the carpet's distinct rows whose lines the writer child formats:
-# the rows that first appear last, which the carpet write reaches last.  At the
-# defaults, on two cores, 0.2 ran fastest of 0.1 to 0.4, and no share from 0.1
-# to 0.3 ran faster once each share was formatted from its distinct columns.
-_CHILD_SHARE = 0.2
-
-
-class _Unsent(Exception):
-    """The writer child closed its pipe before it sent all of its lines."""
-
-
-def _write_aside(write, lines, out: Path) -> tuple:
-    """Run ``write()`` in a forked child, which then sends ``lines`` to this
-    process through a pipe; return the child's pid and the pipe's read end.
-    Where ``os.fork`` does not exist, run ``write()`` here and return
-    ``(None, None)``: this process then formats every line itself.
+def _write_aside(write, out: Path) -> int | None:
+    """Run ``write()`` in a forked child and return its pid.  Where
+    ``os.fork`` does not exist, run ``write()`` here and return ``None``.
 
     The child leaves through ``os._exit``, never back into its caller, with the
     exit code ``cli`` would give: 0, or that of ``report_failure`` after its one
-    line on stderr.  If ``write()`` fails, it sends nothing.  If this process
-    closes the read end first, the child stops sending and exits quietly.
+    line on stderr.
     """
     if not hasattr(os, "fork"):
         write()
-        return None, None
+        return None
     sys.stdout.flush()  # else the child's copy of the buffers could be written twice
     sys.stderr.flush()
-    r, w = os.pipe()
     pid = os.fork()
     if pid:
-        os.close(w)
-        return pid, open(r, "rb")
-    os.close(r)
+        return pid
     code = 1
     try:
         write()
-        try:  # close() flushes, so the with's exit can raise it too
-            with open(w, "wb", buffering=_HELD_BYTES) as pipe:
-                pipe.writelines(lines)
-        except BrokenPipeError:  # the reader failed, and reports its own failure
-            pass
         code = 0
     except (TalbotLabError, OSError) as exc:
         code = report_failure(exc, out)
@@ -209,27 +177,10 @@ def _write_aside(write, lines, out: Path) -> tuple:
         os._exit(code)
 
 
-# bytes of lines the writer child holds before it waits for this process to
-# read them: the child's whole share at the defaults (15 MB), so that making
-# them need not wait for the reader
-_HELD_BYTES = 2 ** 24
-
-
-def _read_lines(pipe, count: int):
-    """The ``count`` lines the writer child sends; ``_Unsent`` at an early end."""
-    for _ in range(count):
-        line = pipe.readline()
-        if not line:
-            raise _Unsent
-        yield line
-
-
-def _reap(pid: int | None, piped) -> int:
-    """Close the read end of ``_write_aside``'s pipe, so that a child still
-    sending does not block, and wait for the child; its exit code, 0 without a child."""
+def _reap(pid: int | None) -> int:
+    """Wait for ``_write_aside``'s child; its exit code, 0 without a child."""
     if pid is None:
         return 0
-    piped.close()
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code < 0:
         print(f"file writer {pid} killed by signal {-code}", file=sys.stderr)

@@ -24,7 +24,6 @@ __all__ = [
     "config_header",
     "write_sampled_csv",
     "write_matrix_csv",
-    "DistinctRows",
     "write_biphoton_csv",
     "write_density_csv",
     "write_pgm",
@@ -67,7 +66,7 @@ def write_sampled_csv(field: SampledField, path, config: dict | None = None) -> 
                               range(3))))
 
 
-# values read at a time by the search for a share's distinct columns
+# values read at a time by the search for the distinct rows' distinct columns
 _SEARCH_VALUES = 2 ** 18
 
 
@@ -78,11 +77,11 @@ def write_matrix_csv(matrix, path, config: dict | None = None) -> None:
     values are told apart by their float64 bit patterns, so ``-0.0``,
     ``0.0`` and every NaN payload stay apart.  Each distinct row is formatted
     into a line once; a repeat reads that line back from the file being
-    written, which must therefore be seekable.  ``matrix`` may be a
-    ``DistinctRows``, whose ``lines`` may come in part from another process,
-    as in ``entangle``.
+    written, which must therefore be seekable.
     """
-    rows = matrix if isinstance(matrix, DistinctRows) else DistinctRows(matrix)
+    matrix = np.ascontiguousarray(matrix, dtype=float)
+    ids, first = _distinct_rows(matrix.view(np.uint64))
+    lines = _distinct_lines(matrix, first)
     try:
         fh = open(path, "w+b")
     except UnsupportedOperation as exc:  # a pipe, say; the error names no file
@@ -90,14 +89,14 @@ def write_matrix_csv(matrix, path, config: dict | None = None) -> None:
     with fh:
         end = fh.write(config_header(config).encode("ascii"))
         spans = []                 # distinct row -> (offset, length) of its line
-        for k in rows.ids.tolist():
+        for k in ids.tolist():
             if k < len(spans):
                 start, size = spans[k]
                 fh.seek(start)
                 line = fh.read(size)
                 fh.seek(end)
             else:
-                line = next(rows.lines)
+                line = next(lines)
                 spans.append((end, len(line)))
             end += fh.write(line)
 
@@ -161,33 +160,21 @@ def _distinct_columns(bits: np.ndarray, rows) -> tuple:
     return ids, first
 
 
-class DistinctRows:
-    """A real matrix and its distinct rows, numbered by first appearance
-    (``ids`` and ``first`` of ``_distinct_rows``).  ``lines`` yields the CSV
-    line of each distinct row in that order, as a bytes-like object; by
-    default this process formats them all, with ``format``."""
-
-    def __init__(self, matrix):
-        self.matrix = np.ascontiguousarray(matrix, dtype=float)
-        # read as a matrix's own: write_density_csv takes the shape, np.size the size
-        self.shape, self.size = self.matrix.shape, self.matrix.size
-        self.ids, self.first = _distinct_rows(self.matrix.view(np.uint64))
-        self.lines = self.format(0, len(self.first))
-
-    def format(self, start: int, stop: int):
-        """The lines of distinct rows ``start`` to ``stop - 1``, in order.
-        ``csv_text`` formats them from those rows' distinct columns alone."""
-        # imported by the CSV writers alone, so that a command writing none,
-        # such as ``bell``, does not load it
-        from ._floatfmt import csv_text
-        rows = np.array(self.first[start:stop], dtype=np.intp)
-        columns, first = _distinct_columns(self.matrix.view(np.uint64), rows)
-        for block in csv_text(self.matrix[np.ix_(rows, first)], columns):
-            lines, a = memoryview(block), 0
-            while a < len(block):      # each line a view of its block, not a copy
-                b = block.index(b"\n", a) + 1
-                yield lines[a:b]
-                a = b
+def _distinct_lines(matrix: np.ndarray, first):
+    """The CSV lines of the rows ``first`` of ``matrix`` (the first row of
+    each distinct row), in order, each a ``memoryview``.  ``csv_text``
+    formats them from those rows' distinct columns alone."""
+    # imported by the CSV writers alone, so that a command writing none,
+    # such as ``bell``, does not load it
+    from ._floatfmt import csv_text
+    rows = np.array(first, dtype=np.intp)
+    columns, first_columns = _distinct_columns(matrix.view(np.uint64), rows)
+    for block in csv_text(matrix[np.ix_(rows, first_columns)], columns):
+        lines, a = memoryview(block), 0
+        while a < len(block):      # each line a view of its block, not a copy
+            b = block.index(b"\n", a) + 1
+            yield lines[a:b]
+            a = b
 
 
 def write_biphoton_csv(field: BiphotonField, path, config: dict | None = None) -> np.ndarray:
@@ -208,8 +195,7 @@ def write_biphoton_csv(field: BiphotonField, path, config: dict | None = None) -
 def write_density_csv(density: np.ndarray, path, grid: tuple,
                       config: dict | None = None) -> None:
     """Two-photon density as row-major CSV plus JSON grid sidecar; ``grid`` is
-    ``(x0_1, dx1, x0_2, dx2)``, the first coordinate and pitch of each axis.
-    ``density`` may be a ``DistinctRows``, as for ``write_matrix_csv``."""
+    ``(x0_1, dx1, x0_2, dx2)``, the first coordinate and pitch of each axis."""
     path = Path(path)
     x0_1, dx1, x0_2, dx2 = grid
     meta = {

@@ -18,12 +18,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import talbotlab
-from talbotlab import _floatfmt, commands, io as talbot_io
+from talbotlab import _floatfmt, io as talbot_io
 from talbotlab import (BiphotonGaussian, PropagationSpec, SlitArray, SynthesizerGeometry,
                        entangled_coeffs, mode_propagate, periodic_comb, sample, talbot_length,
                        two_photon_field)
 from talbotlab.cli import DEFAULTS, main
 from talbotlab.io import write_biphoton_csv, write_pgm
+from talbotlab.spdc import two_photon_density
 
 
 def run(args):
@@ -216,9 +217,15 @@ def forks(monkeypatch):
     return pids
 
 
-def test_entangle_forked_files_equal_the_serial_writes(tmp_path, monkeypatch, forks):
-    # a child writes the initial and slit stages; without os.fork the same
-    # writes run one after the other in this process
+@pytest.mark.parametrize("raw", [False, True], ids=["buffered", "raw"])
+def test_entangle_forked_files_equal_the_serial_writes(tmp_path, monkeypatch, forks, raw):
+    # a child writes the initial and slit stages and the carpet heatmap; without
+    # os.fork the same writes run one after the other in this process
+    if raw:  # raw files, lines gathered 8 of the 700 rows at a time: each
+        # carpet repeat is read back from the disk, across gather blocks
+        monkeypatch.setattr(_floatfmt, "_CHUNK", 8 * 700)
+        monkeypatch.setattr(talbot_io, "open", functools.partial(open, buffering=0),
+                            raising=False)
     forked, serial = tmp_path / "forked", tmp_path / "serial"
     assert run(SMALL_ENTANGLE + ["--out-dir", str(forked)]) == 0
     assert len(forks) == 1
@@ -230,38 +237,26 @@ def test_entangle_forked_files_equal_the_serial_writes(tmp_path, monkeypatch, fo
         assert (forked / name).read_bytes() == (serial / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("buffer_bytes, held_bytes", [
-    (2 ** 26, commands._HELD_BYTES),
-    (0, 0),            # raw files: each carpet repeat is read back from the disk, and
-                       # the child's pipe is unbuffered, so it waits after each line
-])
-def test_entangle_shared_carpet_equals_the_serial_write(tmp_path, monkeypatch, forks,
-                                                        buffer_bytes, held_bytes):
-    # lines gathered 8 rows at a time: the child's share of the 700-row carpet
-    # spans several blocks, and some of its rows recur further down, where this
-    # process reads their lines back from the carpet file
-    monkeypatch.setattr(_floatfmt, "_CHUNK", 8 * 700)
-    monkeypatch.setattr(talbot_io, "open", functools.partial(open, buffering=buffer_bytes),
-                        raising=False)
-    monkeypatch.setattr(commands, "_HELD_BYTES", held_bytes)
-    piped, read_lines = [], commands._read_lines
+def test_entangle_formats_each_carpet_value_once_in_one_process(tmp_path, monkeypatch, forks):
+    # the command formats the whole carpet CSV, each distinct value once; the
+    # child's calls stay in the child
+    texts, formatted = _floatfmt._texts, []
 
-    def counted_read(pipe, count):
-        for line in read_lines(pipe, count):
-            piped.append(line)
-            yield line
+    def counted(bits, text):
+        formatted.extend(bits.tolist())
+        texts(bits, text)
 
-    monkeypatch.setattr(commands, "_read_lines", counted_read)
-    forked, serial = tmp_path / "forked", tmp_path / "serial"
-    assert run(SMALL_ENTANGLE + ["--out-dir", str(forked)]) == 0
+    monkeypatch.setattr(_floatfmt, "_texts", counted)
+    assert run(SMALL_ENTANGLE + ["--out-dir", str(tmp_path)]) == 0
     assert len(forks) == 1
-    monkeypatch.delattr(os, "fork")
-    assert run(SMALL_ENTANGLE + ["--out-dir", str(serial)]) == 0
-    for name in sorted(p.name for p in serial.iterdir()):
-        assert (forked / name).read_bytes() == (serial / name).read_bytes(), name
-    assert len(piped) > 2 * 8
-    lines = (forked / "entangle_carpet.csv").read_bytes().splitlines(keepends=True)
-    assert any(lines.count(line) > 1 for line in piped)
+    cfg = {**DEFAULTS["entangle"], "carpet_window_cells": 10, "carpet_samples_per_cell": 70}
+    s = cfg["spacing"]
+    coeffs = entangled_coeffs(3, s, BiphotonGaussian(cfg["kappa_plus"] * s,
+                                                     cfg["kappa_minus"] * s))
+    geom = SynthesizerGeometry.for_dimension(3, s, spike_width=cfg["spike_width"] * s)
+    carpet = two_photon_density(coeffs, SlitArray(3, s, cfg["slit_width"] * s), geom,
+                                samples_per_cell=70, cells=10)[2]
+    assert sorted(formatted) == np.unique(carpet.view(np.uint64)).tolist()
 
 
 @pytest.mark.parametrize("blocked", [None, "entangle_slits.csv", "entangle_carpet.csv"])
@@ -279,8 +274,8 @@ def test_entangle_leaves_no_open_pipe_and_no_child(blocked, tmp_path, capfd, for
     with pytest.raises(ChildProcessError):  # reaped: no child left to wait for
         os.waitpid(forks[0], os.WNOHANG)
     assert len(capfd.readouterr().err.splitlines()) == (1 if blocked else 0)
-    # a child that fails sends no lines, and this process stops at the first it needs
-    assert (out / "entangle_carpet.pgm").exists() == (blocked is None)
+    # the child writes the carpet heatmap after the slit stage, whatever this process does
+    assert (out / "entangle_carpet.pgm").exists() == (blocked != "entangle_slits.csv")
 
 
 def test_entangle_prints_one_line_through_a_pipe(tmp_path):

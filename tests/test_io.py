@@ -1,7 +1,6 @@
 """Serialization formats: CSV, PGM, JSON and determinism."""
 
 import functools
-import itertools
 import json
 
 import numpy as np
@@ -21,15 +20,15 @@ def oracle_matrix_csv(matrix) -> bytes:
                    for row in np.asarray(matrix, dtype=float)).encode()
 
 
-def oracle_lines(rows, start: int, stop: int, block_values: int = 2 ** 18) -> list:
-    """The lines of distinct rows ``start`` to ``stop - 1`` by the slow path
-    that ``DistinctRows.format`` replaced: ``csv_text`` of blocks of whole
-    distinct rows, every column formatted, each block split back into lines."""
-    block_rows = max(1, block_values // max(1, rows.shape[1]))
+def oracle_lines(matrix, first, block_values: int = 2 ** 18) -> list:
+    """The lines of the rows ``first`` by the slow path that
+    ``io._distinct_lines`` replaced: ``csv_text`` of blocks of whole rows,
+    every column formatted, each block split back into lines."""
+    cols = matrix.shape[1]
+    block_rows = max(1, block_values // max(1, cols))
     lines = []
-    for a in range(start, stop, block_rows):
-        block = rows.matrix[rows.first[a:min(a + block_rows, stop)]]
-        text = b"".join(_floatfmt.csv_text(block, np.arange(rows.shape[1])))
+    for a in range(0, len(first), block_rows):
+        text = b"".join(_floatfmt.csv_text(matrix[first[a:a + block_rows]], np.arange(cols)))
         lines += text.splitlines(keepends=True)
     return lines
 
@@ -179,16 +178,16 @@ def test_matrix_csv_survives_column_key_collisions(tmp_path, monkeypatch, case):
 @pytest.mark.parametrize("share", [0.3, 1.0])
 @pytest.mark.parametrize("case", sorted(STRUCTURED))
 def test_distinct_rows_format_equals_the_block_path(monkeypatch, case, share, gather_rows):
-    # the lines of a share, formatted from its distinct columns, against the
-    # slow path, for both shares of a split as entangle makes it
-    rows = io.DistinctRows(STRUCTURED[case])
-    monkeypatch.setattr(_floatfmt, "_CHUNK", gather_rows * rows.shape[1])
-    count = len(rows.first)
-    split = count - int(count * share)
-    for start, stop in ((0, split), (split, count)):
-        lines = list(rows.format(start, stop))
+    # the lines of a contiguous run of distinct rows, formatted from its
+    # distinct columns, against the slow path, for both runs of a split
+    m = np.ascontiguousarray(STRUCTURED[case], dtype=float)
+    monkeypatch.setattr(_floatfmt, "_CHUNK", gather_rows * m.shape[1])
+    first = io._distinct_rows(m.view(np.uint64))[1]
+    split = len(first) - int(len(first) * share)
+    for start, stop in ((0, split), (split, len(first))):
+        lines = list(io._distinct_lines(m, first[start:stop]))
         assert all(isinstance(line, memoryview) for line in lines)
-        assert [bytes(line) for line in lines] == oracle_lines(rows, start, stop)
+        assert [bytes(line) for line in lines] == oracle_lines(m, first[start:stop])
 
 
 def test_distinct_columns_keep_near_twin_columns_apart(monkeypatch):
@@ -196,18 +195,18 @@ def test_distinct_columns_keep_near_twin_columns_apart(monkeypatch):
     # payload: told apart by their fingerprints, with no exact fallback, and
     # numbered as the row search numbers the rows of the transpose
     m = np.hstack([_near_twins().T, _near_twins().T[:, ::-1]])
-    rows = io.DistinctRows(m)
-    bits = rows.matrix.view(np.uint64)
-    for start, stop in ((0, len(rows.first)), (1, 3)):
-        picked = np.array(rows.first[start:stop])
+    bits = m.view(np.uint64)
+    first = io._distinct_rows(bits)[1]
+    for start, stop in ((0, len(first)), (1, 3)):
+        picked = np.array(first[start:stop])
         oracle_ids, oracle_first = io._distinct_rows(np.ascontiguousarray(bits[picked].T))
         with monkeypatch.context() as patched:
             patched.setattr(io, "_distinct_rows", lambda bits: pytest.fail("fell back"))
-            ids, first = io._distinct_columns(bits, picked)
-        assert ids.tolist() == oracle_ids.tolist() and list(first) == oracle_first
-        assert [bytes(line) for line in rows.format(start, stop)] == oracle_lines(rows, start,
-                                                                                  stop)
-    assert len(io._distinct_columns(bits, np.array(rows.first))[1]) == 6
+            ids, first_columns = io._distinct_columns(bits, picked)
+        assert ids.tolist() == oracle_ids.tolist() and list(first_columns) == oracle_first
+        assert ([bytes(line) for line in io._distinct_lines(m, first[start:stop])]
+                == oracle_lines(m, first[start:stop]))
+    assert len(io._distinct_columns(bits, np.array(first))[1]) == 6
 
 
 def _counting_format(monkeypatch) -> list:
@@ -247,9 +246,9 @@ def test_matrix_csv_equals_oracle_past_each_cap(tmp_path, monkeypatch, case, gat
 
 
 def test_matrix_csv_caps_are_crossed(tmp_path, monkeypatch):
-    # the formatter gets the distinct rows' distinct columns alone, formats
-    # each of their distinct values once, and gathers the lines in several
-    # blocks; repeated rows are read back
+    # _distinct_lines calls the formatter once, with the distinct rows'
+    # distinct columns alone; it formats each of their distinct values once
+    # and gathers the lines in several blocks; repeated rows are read back
     monkeypatch.setattr(_floatfmt, "_CHUNK", 7)
     calls = _counting_format(monkeypatch)
     cores, blocks, csv_text = [], [], _floatfmt.csv_text
@@ -265,7 +264,7 @@ def test_matrix_csv_caps_are_crossed(tmp_path, monkeypatch):
     m = np.hstack([m, m[:, ::-1], m[:, :5]])
     write_matrix_csv(m, tmp_path / "m.csv")
     assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(m)
-    distinct = m[io.DistinctRows(m).first]
+    distinct = m[io._distinct_rows(m.view(np.uint64))[1]]
     [(core, columns)] = cores
     core_bits = core.view(np.uint64)
     assert core.shape == (len(distinct), 12) and len(distinct) < len(m)
@@ -274,40 +273,6 @@ def test_matrix_csv_caps_are_crossed(tmp_path, monkeypatch):
     values = sum(calls, [])
     assert len(values) == len(set(values)) == np.unique(m.view(np.uint64)).size
     assert len(blocks) == len(distinct) > 1                 # one row per gather
-
-
-@pytest.mark.parametrize("share", [0.3, 1.0])
-@pytest.mark.parametrize("case", sorted(STRUCTURED))
-def test_matrix_csv_lines_split_at_any_distinct_row(tmp_path, monkeypatch, case, share):
-    # the lines of the last distinct rows made apart, from a value table of
-    # their own, as the writer child of ``entangle`` makes them
-    monkeypatch.setattr(_floatfmt, "_CHUNK", 7)
-    rows = io.DistinctRows(STRUCTURED[case])
-    count = len(rows.first)
-    split = count - int(count * share)
-    rows.lines = itertools.chain(rows.format(0, split), rows.format(split, count))
-    path = tmp_path / "m.csv"
-    write_matrix_csv(rows, path)
-    assert path.read_bytes() == oracle_matrix_csv(STRUCTURED[case])
-
-
-@pytest.mark.parametrize("gather_values", [7, 2 ** 18])
-@pytest.mark.parametrize("case", sorted(STRUCTURED))
-def test_matrix_csv_takes_a_flat_unique_inverse(tmp_path, monkeypatch, case, gather_values):
-    # NumPy before 2.0 returns np.unique's inverse flat, not in its input's shape
-    plain_unique = np.unique
-
-    def flat_unique(*args, **kwargs):
-        out = plain_unique(*args, **kwargs)
-        if kwargs.get("return_inverse"):
-            out = (out[0], out[1].ravel(), *out[2:])
-        return out
-
-    monkeypatch.setattr(np, "unique", flat_unique)
-    monkeypatch.setattr(_floatfmt, "_CHUNK", gather_values)
-    path = tmp_path / "m.csv"
-    write_matrix_csv(STRUCTURED[case], path)
-    assert path.read_bytes() == oracle_matrix_csv(STRUCTURED[case])
 
 
 @pytest.mark.parametrize("m", [
