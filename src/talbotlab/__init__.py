@@ -18,18 +18,14 @@ _EXPORTS = {
                     "bell"),
     **dict.fromkeys(("HardwareSpec", "gate_distances", "max_dimension", "mutual_information",
                      "talbot_length"), "constraints"),
-    **dict.fromkeys(("AliasingRisk", "BinMisalignment", "GridMismatch", "InvalidSpec",
-                     "NonNormalized", "NotCoprime", "TalbotLabError", "UnderResolved"),
-                    "errors"),
-    **dict.fromkeys(("GAUSSIAN", "TOPHAT", "BiphotonField", "ModeField", "PropagationSpec",
-                     "SampledField", "SlitProfile", "biphoton_propagate", "fidelity",
-                     "fresnel_propagate", "get_profile", "mode_propagate", "overlap",
-                     "periodic_comb", "sample"), "fields"),
-    **dict.fromkeys(("GaussCoeffs", "QuditState", "QuditUnitary", "TalbotGeometry",
-                     "bin_outcome_map", "closed_form_phases", "decode", "encode",
+    **dict.fromkeys(("AliasingRisk", "BinMisalignment", "InvalidSpec", "NonNormalized",
+                     "NotCoprime", "TalbotLabError", "UnderResolved"), "errors"),
+    **dict.fromkeys(("BiphotonField", "ModeField", "PropagationSpec", "SampledField",
+                     "biphoton_propagate", "mode_propagate", "periodic_comb", "sample"),
+                    "fields"),
+    **dict.fromkeys(("GaussCoeffs", "QuditUnitary", "TalbotGeometry", "bin_outcome_map",
                      "gate_distance_fraction", "gauss_coeffs", "measurement_basis",
-                     "measurement_phases", "measurement_unitary", "phase_gate", "talbot_gate"),
-                    "qudits"),
+                     "measurement_phases", "measurement_unitary"), "qudits"),
     **dict.fromkeys(("BiphotonGaussian", "CoeffMatrix", "SlitArray", "SynthesizerGeometry",
                      "apply_dslit", "biphoton_amplitude", "entangled_coeffs",
                      "initial_biphoton_field", "maximally_entangled", "render_synthesized",

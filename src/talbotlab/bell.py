@@ -243,7 +243,7 @@ def bell_field(
         cells += d - cells % d  # keep the window commensurate with the period
     x, basis = comb_basis(slits, geom, samples_per_cell, cells, envelope)
     modes = schmidt_modes(x, basis, coeffs)
-    tgeom = geom.talbot_geometry(d, slits.width, profile=slits.profile)
+    tgeom = geom.talbot_geometry(d, slits.width)
     tables, diagnostics = joint_prob_field(x, modes, tgeom)
     return cglmp_value(tables, provenance={
         "route": "field",

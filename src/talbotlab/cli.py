@@ -39,7 +39,6 @@ DEFAULTS = {
         "spacing": 1.0,
         "slit_width": 0.05,
         "spike_width": 0.05,
-        "profile": "gaussian",
         "amplitudes": "uniform",
         "samples_per_cell": 64,
         "cells": 24,

@@ -21,8 +21,7 @@ from .bell import bell_point, bell_scan
 from .constraints import talbot_length
 from .errors import InvalidSpec, TalbotLabError, report_failure
 from .fields import (PropagationSpec, SampledField, centered_axis, check_entries,
-                     get_profile, mode_propagate, periodic_comb, sample, sampling_matrix,
-                     unit_power)
+                     mode_propagate, periodic_comb, sample, sampling_matrix, unit_power)
 from .io import (bell_result_to_json, write_biphoton_csv, write_density_csv, write_matrix_csv,
                  write_pgm, write_sampled_csv, write_scan_csv)
 from .spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry,
@@ -78,10 +77,8 @@ def cmd_carpet(cfg: dict, out: Path) -> int:
 def cmd_synth(cfg: dict, out: Path) -> int:
     dim, spacing = cfg["dimension"], cfg["spacing"]
     spc, cells = cfg["samples_per_cell"], cfg["cells"]
-    profile = get_profile(cfg["profile"])
     amps = _parse_amplitudes(cfg["amplitudes"], dim)
-    slits = SlitArray(dim, spacing, cfg["slit_width"] * spacing,
-                      profile=profile, amplitudes=amps)
+    slits = SlitArray(dim, spacing, cfg["slit_width"] * spacing, amplitudes=amps)
     geom = SynthesizerGeometry.for_dimension(dim, spacing,
                                              spike_width=cfg["spike_width"] * spacing)
     dx = spacing / spc

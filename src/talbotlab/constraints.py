@@ -65,8 +65,9 @@ class HardwareSpec:
 def max_dimension(spec: HardwareSpec, illuminated_slits: int = 100) -> int:
     """Largest encodable dimension for a required number of illuminated slits.
 
-    Uses the longer modulator side; the threshold (default 100) is the
-    empirical slit count below which revival fidelity degrades.
+    Uses the longer modulator side.  The threshold (default 100) is an
+    assumed input, the number of slits a revival is taken to need; nothing
+    here derives it.
     """
     if illuminated_slits < 1:
         raise InvalidSpec("slit threshold must be positive")

@@ -15,10 +15,6 @@ class AliasingRisk(TalbotLabError):
     """The requested propagation would alias on the given grid."""
 
 
-class GridMismatch(TalbotLabError):
-    """Two sampled fields do not share the same grid."""
-
-
 class UnderResolved(TalbotLabError):
     """The grid is too coarse for the structure it must represent."""
 

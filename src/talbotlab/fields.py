@@ -1,17 +1,19 @@
 """Complex scalar fields and unitary paraxial propagation.
 
-Two representations are used throughout the package:
+Three representations are used throughout the package:
 
-* ``SampledField`` -- complex amplitude on a uniform transverse grid,
-  propagated with the band-limited spectral (Fresnel transfer function)
-  method.
 * ``ModeField`` -- a periodic wavefunction stored as truncated Fourier
   coefficients, propagated exactly by multiplying each mode with its
-  quadratic phase.
+  quadratic phase; ``periodic_comb`` builds one from Gaussian slits and
+  ``sample`` evaluates it on a grid.
+* ``SampledField`` -- complex amplitude on a uniform transverse grid.
+* ``BiphotonField`` -- two-photon amplitude on the tensor grid of two axes.
 
-Both propagators conserve total probability.  The spectral transfer
-function is ``exp(i k z) * exp(-i pi lambda z f^2)``; the mode propagator
-multiplies coefficient ``n`` by ``exp(-i pi n^2 z / z_T)`` with
+Grids are propagated axis by axis with the band-limited spectral (Fresnel
+transfer function) method, guarded against aliasing.  Both propagators
+conserve total probability.  The spectral transfer function is
+``exp(i k z) * exp(-i pi lambda z f^2)``; the mode propagator multiplies
+coefficient ``n`` by ``exp(-i pi n^2 z / z_T)`` with
 ``z_T = period^2 / wavelength`` the Talbot length.
 """
 
@@ -19,31 +21,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .constraints import talbot_length
-from .errors import AliasingRisk, GridMismatch, InvalidSpec, UnderResolved
+from .errors import AliasingRisk, InvalidSpec, UnderResolved
 
 __all__ = [
     "SampledField",
     "BiphotonField",
     "ModeField",
     "PropagationSpec",
-    "SlitProfile",
-    "GAUSSIAN",
-    "TOPHAT",
-    "get_profile",
+    "gaussian_amplitude",
+    "gaussian_transform",
     "centered_axis",
-    "fresnel_propagate",
     "biphoton_propagate",
     "mode_propagate",
     "periodic_comb",
     "sampling_matrix",
     "sample",
-    "overlap",
-    "fidelity",
 ]
 
 
@@ -107,27 +104,8 @@ class SampledField:
         """Sample coordinates."""
         return self.x0 + self.dx * np.arange(self.n)
 
-    def power(self) -> float:
-        """Total probability sum(|values|^2) * dx."""
-        return _grid_power(self.values, self.dx)
-
     def normalized(self) -> "SampledField":
         return SampledField(self.x0, self.dx, unit_power(self.values.copy(), self.dx))
-
-    def restricted(self, lo: float, hi: float) -> "SampledField":
-        """Sub-field on [lo, hi], re-normalized (detection on a finite window)."""
-        xs = self.x()
-        sel = (xs >= lo) & (xs <= hi)
-        if sel.sum() < 2:
-            raise InvalidSpec("restriction window contains fewer than 2 samples")
-        return SampledField(float(xs[sel][0]), self.dx, self.values[sel]).normalized()
-
-    def same_grid(self, other: "SampledField") -> bool:
-        return (
-            self.n == other.n
-            and math.isclose(self.dx, other.dx, rel_tol=1e-9, abs_tol=0.0)
-            and math.isclose(self.x0, other.x0, rel_tol=1e-9, abs_tol=1e-9 * self.dx)
-        )
 
 
 @dataclass(frozen=True)
@@ -156,10 +134,6 @@ class BiphotonField:
 
     def power(self) -> float:
         return _grid_power(self.values, self.dx1, self.dx2)
-
-    def normalized(self) -> "BiphotonField":
-        return BiphotonField(self.x0_1, self.dx1, self.x0_2, self.dx2,
-                             unit_power(self.values.copy(), self.dx1, self.dx2))
 
 
 def _abs2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -228,9 +202,6 @@ class ModeField:
         m = self.max_mode
         return np.arange(-m, m + 1)
 
-    def power(self) -> float:
-        return _grid_power(self.coeffs)
-
     def normalized(self) -> "ModeField":
         return ModeField(self.period, self.offset, unit_power(self.coeffs.copy()))
 
@@ -250,23 +221,11 @@ class PropagationSpec:
 
 
 # ---------------------------------------------------------------------------
-# slit profiles
+# the Gaussian slit
 
 
-@dataclass(frozen=True)
-class SlitProfile:
-    """Transmission profile of a single slit, pluggable by name.
-
-    ``amplitude(x, width)`` evaluates the profile, ``transform(k, width)``
-    its continuous Fourier transform at wavenumber ``k``.
-    """
-
-    name: str
-    amplitude: Callable[[np.ndarray, float], np.ndarray]
-    transform: Callable[[np.ndarray, float], np.ndarray]
-
-
-def _gaussian_amplitude(x: np.ndarray, w: float) -> np.ndarray:
+def gaussian_amplitude(x: np.ndarray, w: float) -> np.ndarray:
+    """Transmission ``exp(-x^2 / (2 w^2))`` of a Gaussian slit of width w."""
     two_w2 = 2.0 * w * w
     if not 0 < two_w2 < math.inf:
         raise InvalidSpec(f"Gaussian slit width {w:g} has no finite, nonzero square")
@@ -274,27 +233,10 @@ def _gaussian_amplitude(x: np.ndarray, w: float) -> np.ndarray:
         return np.exp(-np.square(x) / two_w2)
 
 
-def _gaussian_transform(k: np.ndarray, w: float) -> np.ndarray:
+def gaussian_transform(k: np.ndarray, w: float) -> np.ndarray:
+    """Continuous Fourier transform of :func:`gaussian_amplitude` at wavenumber k."""
     with np.errstate(over="ignore"):  # (k w)^2 overflows only where the transform is 0
         return w * math.sqrt(2.0 * math.pi) * np.exp(-np.square(k) * w * w / 2.0)
-
-
-GAUSSIAN = SlitProfile("gaussian", _gaussian_amplitude, _gaussian_transform)
-
-TOPHAT = SlitProfile(
-    "tophat",
-    lambda x, w: (np.abs(x) <= w / 2.0).astype(float),
-    lambda k, w: w * np.sinc(np.asarray(k) * w / (2.0 * math.pi)),
-)
-
-_PROFILES = {p.name: p for p in (GAUSSIAN, TOPHAT)}
-
-
-def get_profile(name: str) -> SlitProfile:
-    try:
-        return _PROFILES[name]
-    except (KeyError, TypeError):
-        raise InvalidSpec(f"unknown slit profile {name!r}; expected one of {sorted(_PROFILES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -375,35 +317,6 @@ def _propagate_axis(values: np.ndarray, dx: float, spec: PropagationSpec,
     return np.fft.ifft(spectrum, axis=axis)
 
 
-def fresnel_propagate(field: SampledField, spec: PropagationSpec) -> SampledField:
-    """Propagate a sampled field by the spectral Fresnel method.
-
-    Parameters
-    ----------
-    field : SampledField
-        Input field; expected normalized.
-    spec : PropagationSpec
-        Wavelength and non-negative distance.
-
-    Returns
-    -------
-    SampledField
-        The propagated field on the same grid.  ``z = 0`` returns the input
-        unchanged.  Total probability is conserved (unitary transfer
-        function).
-
-    Raises
-    ------
-    AliasingRisk
-        If the transfer-function phase would wrap faster than pi per
-        frequency sample at the grid edge, or the field spectrum rides the
-        Nyquist edge.
-    """
-    if spec.distance == 0.0:
-        return field
-    return SampledField(field.x0, field.dx, _propagate_axis(field.values, field.dx, spec, 0))
-
-
 def biphoton_propagate(field: BiphotonField, spec: PropagationSpec) -> BiphotonField:
     """Propagate both photon axes of a biphoton field by the same distance."""
     if spec.distance == 0.0:
@@ -429,20 +342,15 @@ def mode_propagate(field: ModeField, spec: PropagationSpec) -> ModeField:
 
 
 # ---------------------------------------------------------------------------
-# periodic combs, sampling, overlaps
+# periodic combs and sampling
 
 
-def periodic_comb(
-    period: float,
-    width: float,
-    offsets: Sequence[float],
-    amplitudes: Sequence[complex],
-    profile: SlitProfile = GAUSSIAN,
-) -> ModeField:
+def periodic_comb(period: float, width: float, offsets: Sequence[float],
+                  amplitudes: Sequence[complex]) -> ModeField:
     """Periodic superposition of slit combs as a normalized ModeField.
 
     The one-period restriction is ``sum_d amplitudes[d] * S(x - offsets[d])``
-    with ``S`` the slit profile of the given width.  The mode truncation M is
+    with ``S`` the Gaussian slit of the given width.  The mode truncation M is
     the smallest for which the discarded coefficient mass is below
     ``MASS_TOL`` of the total.
     """
@@ -459,7 +367,7 @@ def periodic_comb(
         n = np.arange(-m, m + 1)
         check_entries("comb spectrum", n.size, offsets.size)
         with np.errstate(over="ignore", invalid="ignore"):  # checked through the total
-            shape = profile.transform(n * k, width).astype(complex)
+            shape = gaussian_transform(n * k, width).astype(complex)
             structure = (amplitudes[None, :] * np.exp(-1j * np.outer(n * k, offsets))).sum(axis=1)
             coeffs = shape * structure
             p = np.abs(coeffs) ** 2
@@ -474,7 +382,7 @@ def periodic_comb(
         if m >= MAX_ORDERS:
             raise InvalidSpec(
                 f"mode truncation did not converge below mass {MASS_TOL:g} "
-                f"within {MAX_ORDERS} modes (profile {profile.name!r})"
+                f"within {MAX_ORDERS} modes"
             )
         m *= 2
     # trim to the smallest symmetric truncation honoring the mass rule
@@ -515,40 +423,11 @@ def sampling_matrix(field: ModeField, samples_per_period: int, periods: int) -> 
     return x, dx, np.exp(1j * np.outer(x - field.offset, field.modes()) * k)
 
 
-def sample(
-    field: ModeField,
-    samples_per_period: int = 64,
-    periods: int = 128,
-    taper_periods: int = 0,
-) -> SampledField:
+def sample(field: ModeField, samples_per_period: int, periods: int) -> SampledField:
     """Evaluate a ModeField on a centred grid spanning ``periods`` periods.
 
     The grid and its resolution guard are those of :func:`sampling_matrix`.
-    With ``taper_periods > 0`` a raised-cosine ramp over that many periods
-    is applied at each window edge, modelling finite illumination.  The
-    result is normalized over the window.
+    The result is normalized over the window.
     """
     x, dx, matrix = sampling_matrix(field, samples_per_period, periods)
-    vals = matrix @ field.coeffs
-    if taper_periods:
-        if 2 * taper_periods > periods:
-            raise InvalidSpec("taper longer than the window")
-        edge = taper_periods * samples_per_period
-        w = np.ones(x.size)
-        ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(edge) / edge))
-        w[:edge] = ramp
-        w[-edge:] = ramp[::-1]
-        vals = vals * w
-    return SampledField(float(x[0]), dx, vals).normalized()
-
-
-def overlap(a: SampledField, b: SampledField) -> complex:
-    """Inner product ``sum conj(a) * b * dx`` of two fields on one grid."""
-    if not a.same_grid(b):
-        raise GridMismatch("overlap requires identical grids")
-    return complex((a.values.conj() * b.values).sum() * a.dx)
-
-
-def fidelity(a: SampledField, b: SampledField) -> float:
-    """|<a|b>|^2 normalized by both powers."""
-    return abs(overlap(a, b)) ** 2 / (a.power() * b.power())
+    return SampledField(float(x[0]), dx, matrix @ field.coeffs).normalized()

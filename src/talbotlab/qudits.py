@@ -4,8 +4,9 @@ A qudit of dimension D is carried by D periodic wavefunctions mutually
 displaced by ``period / D``.  Free propagation over the fractional revival
 distance ``2 z_T / (c D)`` (``c = 1`` for odd D, ``c = 2`` for even D)
 realizes a D x D unitary whose coefficients are Gauss sums; a pixelated
-phase mask realizes diagonal phase gates.  Together they map the
-Fourier-type measurement bases used in Bell tests onto the detector bins.
+phase mask before it multiplies each level by a phase.  Together they map
+the Fourier-type measurement bases used in Bell tests onto the detector
+bins, which ``bin_weights`` lays over the sample grid.
 """
 
 from __future__ import annotations
@@ -18,27 +19,18 @@ import numpy as np
 
 from .constraints import parity_constant
 from .errors import BinMisalignment, InvalidSpec, NotCoprime
-from .fields import (GAUSSIAN, ModeField, SampledField, SlitProfile, _freeze,
-                     periodic_comb)
+from .fields import _freeze, gaussian_amplitude
 
 __all__ = [
     "GaussCoeffs",
-    "QuditState",
     "QuditUnitary",
     "TalbotGeometry",
     "gauss_coeffs",
-    "talbot_gate",
     "gate_distance_fraction",
-    "phase_gate",
     "measurement_phases",
-    "closed_form_phases",
     "measurement_basis",
     "measurement_unitary",
     "bin_outcome_map",
-    "encode",
-    "basis_field",
-    "decode",
-    "decode_with_capture",
 ]
 
 _ATOL = 1e-12
@@ -55,35 +47,6 @@ class GaussCoeffs:
         if abs((np.abs(v) ** 2).sum() - 1.0) > _ATOL:
             raise InvalidSpec("revival amplitudes must have unit total weight")
         object.__setattr__(self, "values", _freeze(v))
-
-
-@dataclass(frozen=True)
-class QuditState:
-    """Unit vector in the Talbot computational basis."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
-        if a.ndim != 1 or a.size < 2:
-            raise InvalidSpec("a qudit needs at least 2 amplitudes")
-        if abs((np.abs(a) ** 2).sum() - 1.0) > _ATOL:
-            raise InvalidSpec("state must have unit norm")
-        object.__setattr__(self, "amplitudes", _freeze(a))
-
-    @property
-    def dimension(self) -> int:
-        return self.amplitudes.size
-
-    @classmethod
-    def basis(cls, dimension: int, index: int) -> "QuditState":
-        v = np.zeros(dimension, dtype=complex)
-        v[index % dimension] = 1.0
-        return cls(v)
-
-    @classmethod
-    def uniform(cls, dimension: int) -> "QuditState":
-        return cls(np.full(dimension, 1.0 / math.sqrt(dimension), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -126,6 +89,11 @@ def gate_distance_fraction(dimension: int) -> float:
 
 @lru_cache(maxsize=None)
 def _talbot_gate_matrix(dimension: int) -> np.ndarray:
+    """Read-only unitary realized on the Talbot basis by propagating ``2 z_T / (c D)``.
+
+    Equals ``sum_j a_{c j} X^j`` with the Gauss amplitudes of fraction
+    ``1 / (c D)``; ``c`` is 1 for odd and 2 for even dimension.
+    """
     c = parity_constant(dimension)
     a = gauss_coeffs(1, c * dimension).values
     d = np.arange(dimension)
@@ -134,47 +102,12 @@ def _talbot_gate_matrix(dimension: int) -> np.ndarray:
     return _freeze(m)
 
 
-def talbot_gate(dimension: int) -> QuditUnitary:
-    """Unitary realized on the Talbot basis by propagating ``2 z_T / (c D)``.
-
-    Equals ``sum_j a_{c j} X^j`` with the Gauss amplitudes of fraction
-    ``1 / (c D)``; ``c`` is 1 for odd and 2 for even dimension.
-    """
-    if dimension < 2:
-        raise InvalidSpec("dimension must be >= 2")
-    return QuditUnitary(_talbot_gate_matrix(dimension))
-
-
-def phase_gate(thetas) -> QuditUnitary:
-    """Diagonal gate ``diag(exp(i theta_d))``."""
-    t = np.asarray(thetas, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise InvalidSpec("thetas must be a vector of length >= 2")
-    return QuditUnitary(np.diag(np.exp(1j * t)))
-
-
-def closed_form_phases(dimension: int, gamma: float) -> np.ndarray:
-    """Quadratic closed-form phase ansatz for the measurement mask.
-
-    For even dimensions this equals :func:`measurement_phases` up to 2 pi.
-    For odd dimensions it does not diagonalize the propagation-based
-    measurement and is retained only for diagnostics.
-    """
-    d = np.arange(dimension)
-    if dimension % 2 == 0:
-        raw = np.pi / 4 - 2 * np.pi * gamma * d / dimension - np.pi * d * d / dimension
-    else:
-        raw = (np.pi / 4 * (dimension - 1) - 2 * np.pi * gamma * d / dimension
-               - np.pi * d * d * (dimension + 1) ** 2 / dimension)
-    return np.mod(raw, 2.0 * np.pi)
-
-
 def measurement_phases(dimension: int, gamma: float) -> np.ndarray:
     """Mask phases that make Talbot-gate propagation a basis measurement.
 
-    The phases are derived directly from the gate coefficients: with
-    ``theta_d = -arg(T[0, d]) - 2 pi gamma d / D`` the combined operation
-    ``talbot_gate @ phase_gate(theta)`` sends every vector of the
+    The phases are derived directly from the coefficients of the gate matrix
+    T: with ``theta_d = -arg(T[0, d]) - 2 pi gamma d / D`` the combined
+    operation ``T @ diag(exp(i theta))`` sends every vector of the
     Fourier-type measurement family with offset ``gamma`` to a computational
     basis state (up to a phase).  Reduced modulo 2 pi.
     """
@@ -231,14 +164,15 @@ def bin_outcome_map(dimension: int, side: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# continuous encoding
+# detector geometry
 
 
 @dataclass(frozen=True)
 class TalbotGeometry:
     """Geometry of the qudit encoding: period, slit width, dimension.
 
-    Basis state d is a slit comb displaced by ``origin + d * period / D``.
+    Basis state d is a comb of Gaussian slits displaced by
+    ``origin + d * period / D``, and detector bin d is centred there.
     Construction verifies that adjacent basis wavefunctions are nearly
     orthogonal (overlap below 1e-4), which bounds the slit width well under
     ``period / D``.
@@ -247,7 +181,6 @@ class TalbotGeometry:
     period: float
     slit_width: float
     dimension: int
-    profile: SlitProfile = GAUSSIAN
     origin: float = 0.0
 
     def __post_init__(self):
@@ -268,29 +201,14 @@ class TalbotGeometry:
     def _adjacent_overlap(self) -> float:
         step = self.period / self.dimension
         x = np.linspace(-step, step, 2049)
-        s0 = self.profile.amplitude(x, self.slit_width)
-        s1 = self.profile.amplitude(x - step, self.slit_width)
+        s0 = gaussian_amplitude(x, self.slit_width)
+        s1 = gaussian_amplitude(x - step, self.slit_width)
         norm = (np.abs(s0) ** 2).sum()
         return float(abs((np.conj(s0) * s1).sum()) / norm) if norm > 0 else 0.0
 
     @property
     def offset_step(self) -> float:
         return self.period / self.dimension
-
-    def offsets(self) -> np.ndarray:
-        return self.origin + self.offset_step * np.arange(self.dimension)
-
-
-def encode(state: QuditState, geom: TalbotGeometry) -> ModeField:
-    """Continuous encoding: one period carries ``sum_d c_d S(x - x_d)``."""
-    if state.dimension != geom.dimension:
-        raise InvalidSpec("state dimension does not match the geometry")
-    return periodic_comb(geom.period, geom.slit_width, geom.offsets(),
-                         state.amplitudes, profile=geom.profile)
-
-
-def basis_field(geom: TalbotGeometry, index: int) -> ModeField:
-    return encode(QuditState.basis(geom.dimension, index), geom)
 
 
 def bin_weights(x: np.ndarray, dx: float, origin: float, bin_width: float,
@@ -322,31 +240,3 @@ def bin_weights(x: np.ndarray, dx: float, origin: float, bin_width: float,
     w[cut, edge % dimension] += (hi[cut] - edge) / span
     return w
 
-
-def decode_with_capture(field: SampledField, geom: TalbotGeometry) -> tuple:
-    """Detector binning; returns (renormalized probabilities, captured power).
-
-    Probability d integrates ``|field|^2`` over bins of width period/D
-    centered on the basis offsets, summed over every period in the window.
-    The window must span an integer number of periods.
-    """
-    xs = field.x()
-    span = field.n * field.dx
-    n_per = span / geom.period
-    if abs(n_per - round(n_per)) > field.dx / geom.period:
-        raise BinMisalignment(
-            f"window spans {n_per:.4f} periods; detector bins need an integer count"
-        )
-    w = bin_weights(xs, field.dx, geom.origin, geom.offset_step, geom.dimension)
-    intensity = np.abs(field.values) ** 2 * field.dx
-    raw = w.T @ intensity
-    captured = float(raw.sum())
-    if captured <= 0:
-        raise InvalidSpec("no power captured by the detector bins")
-    return raw / captured, captured
-
-
-def decode(field: SampledField, geom: TalbotGeometry) -> np.ndarray:
-    """Renormalized outcome probabilities of detector binning."""
-    probs, _ = decode_with_capture(field, geom)
-    return probs

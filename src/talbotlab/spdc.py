@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, UnderResolved
-from .fields import (GAUSSIAN, MASS_TOL, MAX_ORDERS, BiphotonField, ModeField,
-                     SlitProfile, _abs2, _density_power, _freeze, _grid_power, _unit_root,
-                     centered_axis, check_entries, periodic_comb, unit_power)
+from .fields import (MASS_TOL, MAX_ORDERS, BiphotonField, ModeField, _abs2, _density_power,
+                     _freeze, _grid_power, _unit_root, centered_axis, check_entries,
+                     gaussian_amplitude, periodic_comb, unit_power)
 from .qudits import TalbotGeometry
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "schmidt_modes",
     "two_photon_field",
     "two_photon_density",
-    "schmidt_spectrum",
 ]
 
 
@@ -78,7 +77,7 @@ def biphoton_amplitude(model: BiphotonGaussian, x1, x2):
 
 @dataclass(frozen=True)
 class SlitArray:
-    """D identical slits of width ``width`` spaced by ``spacing``.
+    """D identical Gaussian slits of width ``width`` spaced by ``spacing``.
 
     ``amplitudes`` are the complex illumination weights of the slits
     (uniform when omitted); they are stored normalized.  The array is
@@ -88,7 +87,6 @@ class SlitArray:
     count: int
     spacing: float
     width: float
-    profile: SlitProfile = GAUSSIAN
     amplitudes: np.ndarray | None = None
 
     def __post_init__(self):
@@ -112,11 +110,11 @@ class SlitArray:
 
 
 def _tooth_sum(slits: SlitArray, x: np.ndarray, centers, weights) -> np.ndarray:
-    """``sum_j weights[j] S(x - centers[j])`` with S the slit profile: the aperture
+    """``sum_j weights[j] S(x - centers[j])`` with S the Gaussian slit: the aperture
     and every comb column (weights A_m, or ones for an ideal comb) are this sum."""
     out = np.zeros(x.shape, dtype=complex)
     for center, weight in zip(centers, weights):
-        out += weight * slits.profile.amplitude(x - center, slits.width)
+        out += weight * gaussian_amplitude(x - center, slits.width)
     return out
 
 
@@ -163,11 +161,9 @@ class SynthesizerGeometry:
         focal = dimension * spacing * spacing / lam
         return cls(focal, lam, spacing, spike)
 
-    def talbot_geometry(self, dimension: int, slit_width: float,
-                        profile: SlitProfile = GAUSSIAN) -> TalbotGeometry:
+    def talbot_geometry(self, dimension: int, slit_width: float) -> TalbotGeometry:
         origin = -(dimension - 1) / 2.0 * self.effective_period / dimension
-        return TalbotGeometry(self.effective_period, slit_width, dimension,
-                              profile=profile, origin=origin)
+        return TalbotGeometry(self.effective_period, slit_width, dimension, origin=origin)
 
 
 @dataclass(frozen=True)
@@ -269,7 +265,7 @@ def synthesize_single(slits: SlitArray, geom: SynthesizerGeometry) -> ModeField:
     :func:`render_synthesized` for the finite, envelope-weighted profile.
     """
     return periodic_comb(geom.effective_period, slits.width, slits.positions(),
-                         slits.amplitudes, profile=slits.profile)
+                         slits.amplitudes)
 
 
 def _comb_columns(slits: SlitArray, geom: SynthesizerGeometry, x: np.ndarray,
@@ -463,17 +459,3 @@ def schmidt_modes(x: np.ndarray, basis: np.ndarray, coeffs: CoeffMatrix) -> tupl
     q, r = np.linalg.qr(basis * np.sqrt(x[1] - x[0]))
     left, s, right = np.linalg.svd(r @ coeffs.values @ r.T)
     return q @ left, s / np.linalg.norm(s), q @ right.T
-
-
-def schmidt_spectrum(coeffs: CoeffMatrix) -> tuple:
-    """Singular values of the coefficient matrix and the entanglement entropy.
-
-    Returns ``(values, entropy_bits)`` with values non-increasing, their
-    squares summing to one, and ``entropy = -sum v^2 log2 v^2``.
-    """
-    vals = np.linalg.svd(coeffs.values, compute_uv=False)
-    p = vals ** 2
-    p = p / p.sum()
-    nz = p[p > 1e-300]
-    entropy = float(-(nz * np.log2(nz)).sum())
-    return vals, entropy

@@ -6,7 +6,3 @@ import pytest
 def rng():
     return np.random.default_rng(20240817)
 
-
-def random_state(rng, dimension: int) -> np.ndarray:
-    v = rng.normal(size=dimension) + 1j * rng.normal(size=dimension)
-    return v / np.linalg.norm(v)

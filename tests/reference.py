@@ -1,0 +1,158 @@
+"""Reference implementations the tests compare the package against.
+
+None of these is on a command's path.  Each keeps the arithmetic it had as
+a library function, so an oracle test measures the same quantity it always
+did: single-photon grid propagation, overlaps, the gate and phase-gate
+matrices, the quadratic closed-form mask phases, continuous encoding and
+detector decoding of one qudit, and the tapered window of finite
+illumination.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from talbotlab.errors import BinMisalignment, InvalidSpec
+from talbotlab.fields import (BiphotonField, ModeField, PropagationSpec, SampledField,
+                              _grid_power, _propagate_axis, periodic_comb, sampling_matrix,
+                              unit_power)
+from talbotlab.qudits import QuditUnitary, TalbotGeometry, _talbot_gate_matrix, bin_weights
+
+
+# ---------------------------------------------------------------------------
+# sampled fields
+
+
+def fresnel_propagate(field: SampledField, spec: PropagationSpec) -> SampledField:
+    """The spectral Fresnel step of the Bell field route, on one sampled field.
+
+    ``z = 0`` returns the input unchanged.  Raises ``AliasingRisk`` through
+    the route's own guard.
+    """
+    if spec.distance == 0.0:
+        return field
+    return SampledField(field.x0, field.dx, _propagate_axis(field.values, field.dx, spec, 0))
+
+
+def power(field: SampledField) -> float:
+    """Total probability ``sum |values|^2 dx``."""
+    return _grid_power(field.values, field.dx)
+
+
+def normalized_pair(field: BiphotonField) -> BiphotonField:
+    """A two-photon field divided by the root of its power, out of place."""
+    return BiphotonField(field.x0_1, field.dx1, field.x0_2, field.dx2,
+                         unit_power(field.values.copy(), field.dx1, field.dx2))
+
+
+def restricted(field: SampledField, lo: float, hi: float) -> SampledField:
+    """Sub-field on [lo, hi], re-normalized (detection on a finite window)."""
+    xs = field.x()
+    sel = (xs >= lo) & (xs <= hi)
+    if sel.sum() < 2:
+        raise InvalidSpec("restriction window contains fewer than 2 samples")
+    return SampledField(float(xs[sel][0]), field.dx, field.values[sel]).normalized()
+
+
+def overlap(a: SampledField, b: SampledField) -> complex:
+    """Inner product ``sum conj(a) * b * dx`` of two fields on one grid."""
+    if not (a.n == b.n
+            and math.isclose(a.dx, b.dx, rel_tol=1e-9, abs_tol=0.0)
+            and math.isclose(a.x0, b.x0, rel_tol=1e-9, abs_tol=1e-9 * a.dx)):
+        raise ValueError("overlap requires identical grids")
+    return complex((a.values.conj() * b.values).sum() * a.dx)
+
+
+def fidelity(a: SampledField, b: SampledField) -> float:
+    """|<a|b>|^2 normalized by both powers."""
+    return abs(overlap(a, b)) ** 2 / (power(a) * power(b))
+
+
+def tapered_sample(field: ModeField, samples_per_period: int, periods: int,
+                   taper_periods: int) -> SampledField:
+    """``fields.sample`` with a raised-cosine ramp over ``taper_periods``
+    periods at each window edge, modelling finite illumination."""
+    x, dx, matrix = sampling_matrix(field, samples_per_period, periods)
+    vals = matrix @ field.coeffs
+    if not 1 <= 2 * taper_periods <= periods:
+        raise InvalidSpec("taper empty or longer than the window")
+    edge = taper_periods * samples_per_period
+    w = np.ones(x.size)
+    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(edge) / edge))
+    w[:edge] = ramp
+    w[-edge:] = ramp[::-1]
+    return SampledField(float(x[0]), dx, vals * w).normalized()
+
+
+# ---------------------------------------------------------------------------
+# qudit gates
+
+
+def talbot_gate(dimension: int) -> QuditUnitary:
+    """Unitary realized on the Talbot basis by propagating ``2 z_T / (c D)``."""
+    if dimension < 2:
+        raise InvalidSpec("dimension must be >= 2")
+    return QuditUnitary(_talbot_gate_matrix(dimension))
+
+
+def phase_gate(thetas) -> QuditUnitary:
+    """Diagonal gate ``diag(exp(i theta_d))``."""
+    t = np.asarray(thetas, dtype=float)
+    if t.ndim != 1 or t.size < 2:
+        raise InvalidSpec("thetas must be a vector of length >= 2")
+    return QuditUnitary(np.diag(np.exp(1j * t)))
+
+
+def closed_form_phases(dimension: int, gamma: float) -> np.ndarray:
+    """Quadratic closed-form phase ansatz for the measurement mask.
+
+    For even dimensions this equals ``measurement_phases`` up to 2 pi.  For
+    odd dimensions it does not diagonalize the propagation-based
+    measurement.
+    """
+    d = np.arange(dimension)
+    if dimension % 2 == 0:
+        raw = np.pi / 4 - 2 * np.pi * gamma * d / dimension - np.pi * d * d / dimension
+    else:
+        raw = (np.pi / 4 * (dimension - 1) - 2 * np.pi * gamma * d / dimension
+               - np.pi * d * d * (dimension + 1) ** 2 / dimension)
+    return np.mod(raw, 2.0 * np.pi)
+
+
+# ---------------------------------------------------------------------------
+# continuous encoding and detection of one qudit
+
+
+def encode(amplitudes, geom: TalbotGeometry) -> ModeField:
+    """Continuous encoding: one period carries ``sum_d c_d S(x - x_d)``,
+    with ``x_d = origin + d * period / D``."""
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    if amplitudes.shape != (geom.dimension,):
+        raise InvalidSpec("state dimension does not match the geometry")
+    offsets = geom.origin + geom.offset_step * np.arange(geom.dimension)
+    return periodic_comb(geom.period, geom.slit_width, offsets, amplitudes)
+
+
+def decode(field: SampledField, geom: TalbotGeometry) -> tuple:
+    """Detector binning: ``(renormalized probabilities, captured power)``.
+
+    Probability d integrates ``|field|^2`` over bins of width period/D
+    centered on the basis offsets, summed over every period in the window.
+    The window must span an integer number of periods.
+    """
+    xs = field.x()
+    span = field.n * field.dx
+    n_per = span / geom.period
+    if abs(n_per - round(n_per)) > field.dx / geom.period:
+        raise BinMisalignment(
+            f"window spans {n_per:.4f} periods; detector bins need an integer count"
+        )
+    w = bin_weights(xs, field.dx, geom.origin, geom.offset_step, geom.dimension)
+    intensity = np.abs(field.values) ** 2 * field.dx
+    raw = w.T @ intensity
+    captured = float(raw.sum())
+    if captured <= 0:
+        raise InvalidSpec("no power captured by the detector bins")
+    return raw / captured, captured

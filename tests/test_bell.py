@@ -193,8 +193,7 @@ def test_no_signaling_and_normalization_for_random_states(seed, dim):
 def test_gate_route_probabilities_match_measurement_unitaries(rng):
     # replacing the measurement unitaries by mask + gate propagation in the
     # matrix picture changes no joint probability beyond rounding
-    from talbotlab import (bin_outcome_map, measurement_phases, phase_gate,
-                          talbot_gate)
+    from reference import phase_gate, talbot_gate
     for dim in (2, 3, 4, 5):
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         from talbotlab import CoeffMatrix
