@@ -16,16 +16,16 @@ _EXPORTS = {
     **dict.fromkeys(("BellResult", "ScanRow", "bell_analytic", "bell_field", "bell_point",
                      "bell_scan", "cglmp_value", "joint_prob_analytic", "joint_prob_field"),
                     "bell"),
-    **dict.fromkeys(("HardwareSpec", "gate_distances", "max_dimension", "mutual_information",
-                     "talbot_length"), "constraints"),
+    **dict.fromkeys(("gate_distances", "max_dimension", "mutual_information", "talbot_length"),
+                    "constraints"),
     **dict.fromkeys(("AliasingRisk", "BinMisalignment", "InvalidSpec", "NonNormalized",
                      "NotCoprime", "TalbotLabError", "UnderResolved"), "errors"),
     **dict.fromkeys(("BiphotonField", "ModeField", "PropagationSpec", "SampledField",
                      "biphoton_propagate", "mode_propagate", "periodic_comb", "sample"),
                     "fields"),
-    **dict.fromkeys(("GaussCoeffs", "QuditUnitary", "TalbotGeometry", "bin_outcome_map",
-                     "gate_distance_fraction", "gauss_coeffs", "measurement_basis",
-                     "measurement_phases", "measurement_unitary"), "qudits"),
+    **dict.fromkeys(("TalbotGeometry", "bin_outcome_map", "gate_distance_fraction",
+                     "gauss_coeffs", "measurement_basis", "measurement_phases",
+                     "measurement_unitary"), "qudits"),
     **dict.fromkeys(("BiphotonGaussian", "CoeffMatrix", "SlitArray", "SynthesizerGeometry",
                      "apply_dslit", "biphoton_amplitude", "entangled_coeffs",
                      "initial_biphoton_field", "maximally_entangled", "render_synthesized",

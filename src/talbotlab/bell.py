@@ -83,7 +83,7 @@ def _validate_table(table: np.ndarray) -> np.ndarray:
 def _measurement_matrix(dimension: int, gamma: float, side: str) -> np.ndarray:
     """Read-only matrix of :func:`~talbotlab.qudits.measurement_unitary`,
     kept for the four settings of the dimension in use."""
-    return measurement_unitary(dimension, gamma, side).matrix
+    return measurement_unitary(dimension, gamma, side)
 
 
 def joint_prob_analytic(coeffs: CoeffMatrix, alpha: float, beta: float) -> np.ndarray:
@@ -125,6 +125,8 @@ def joint_prob_field(x: np.ndarray, modes: tuple, geom: TalbotGeometry) -> tuple
     dx = x[1] - x[0]
 
     lam = geom.period / 100.0
+    # constraints.gate_distances writes this 2 z_T / (c D) in another order; a shared
+    # helper would change the last bit of one of them, so each keeps its own
     spec = PropagationSpec(lam, gate_distance_fraction(d) * geom.period ** 2 / lam)
     step = geom.offset_step
     cell = np.floor((x - geom.origin + step / 2.0) / step).astype(int) % d

@@ -85,8 +85,10 @@ DEFAULTS = {
 }
 
 
-# integer keys that need at least 2: a carpet spans two z steps, a CGLMP test two levels
-_LEAST_2 = {("carpet", "z_steps"), ("bell", "dimension"), ("bell-scan", "dimensions")}
+# integer keys that need at least 2: a carpet spans two z steps, a CGLMP test or a gate
+# two levels
+_LEAST_2 = {("carpet", "z_steps"), ("bell", "dimension"), ("bell-scan", "dimensions"),
+            ("constraints", "dimension")}
 
 
 def _integer(key: str, value, least: int = 1) -> int:
@@ -124,7 +126,7 @@ def _resolve(key: str, value, default, least: int):
         return [(_number("kappa_plus", _list(key, p, length=2)[0]),
                  _number("kappa_minus", p[1], zero_ok=True)) for p in _list(key, value)]
     if default is None:  # constraints.dimension, where unset means the largest D
-        return None if value is None else _integer(key, value)
+        return None if value is None else _integer(key, value, least)
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise InvalidSpec(f"{key} must be true or false, got {value!r}")
@@ -191,14 +193,17 @@ def _out_dir(args) -> Path:
 
 
 def cmd_constraints(cfg: dict, args) -> int:
-    spec = hw.HardwareSpec(cfg["pixel_pitch"], cfg["pixels"], cfg["wavelength"])
-    d_max = hw.max_dimension(spec, cfg["threshold"])
-    dim = max(d_max, 1) if cfg["dimension"] is None else cfg["dimension"]
-    dists = hw.gate_distances(spec.pixel_pitch, dim, spec.wavelength)
+    pixels, threshold = cfg["pixels"], cfg["threshold"]
+    d_max = hw.max_dimension(pixels, threshold)
+    dim = d_max if cfg["dimension"] is None else cfg["dimension"]
+    if dim < 2:
+        raise InvalidSpec(f"a {max(pixels)}-pixel side at a threshold of {threshold} slits"
+                          f" encodes at most D = {d_max}; a gate needs D >= 2")
+    dists = hw.gate_distances(cfg["pixel_pitch"], dim, cfg["wavelength"])
     info = hw.mutual_information(dim)
     report = {"max_dimension": d_max, "dimension": dim, **dists,
               "mutual_information_bits": info}
-    print(f"max encodable dimension (threshold {cfg['threshold']} slits): {d_max}")
+    print(f"max encodable dimension (threshold {threshold} slits): {d_max}")
     print(f"at D={dim}:")
     print(f"  talbot length        : {dists['talbot_length'] * 1e3:.4f} mm")
     print(f"  gate distance        : {dists['gate_distance'] * 1e3:.4f} mm")

@@ -12,7 +12,6 @@ import math
 from .errors import InvalidSpec
 
 __all__ = [
-    "HardwareSpec",
     "talbot_length",
     "parity_constant",
     "max_dimension",
@@ -39,39 +38,15 @@ def parity_constant(dimension: int) -> int:
     return 1 if dimension % 2 else 2
 
 
-class HardwareSpec:
-    """Pixel pitch, pixel counts and working wavelength of the modulator/camera.
-
-    Read-only once built.  A plain class rather than a frozen dataclass, so
-    that the NumPy-free start of ``constraints`` does not import ``dataclasses``.
-    """
-
-    __slots__ = ("pixel_pitch", "pixels", "wavelength")
-
-    def __init__(self, pixel_pitch: float, pixels: tuple, wavelength: float):
-        n1, n2 = pixels
-        if min(pixel_pitch, wavelength) <= 0 or min(n1, n2) < 1:
-            raise InvalidSpec("pitch, wavelength and pixel counts must be positive")
-        for name, value in zip(self.__slots__, (pixel_pitch, pixels, wavelength)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"HardwareSpec is read-only; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"HardwareSpec is read-only; cannot delete {name!r}")
-
-
-def max_dimension(spec: HardwareSpec, illuminated_slits: int = 100) -> int:
+def max_dimension(pixels: tuple, illuminated_slits: int) -> int:
     """Largest encodable dimension for a required number of illuminated slits.
 
-    Uses the longer modulator side.  The threshold (default 100) is an
-    assumed input, the number of slits a revival is taken to need; nothing
-    here derives it.
+    Uses the longer modulator side.  The threshold is an assumed input, the
+    number of slits a revival is taken to need; nothing here derives it.
     """
-    if illuminated_slits < 1:
-        raise InvalidSpec("slit threshold must be positive")
-    return max(spec.pixels) // illuminated_slits
+    if min(*pixels, illuminated_slits) < 1:
+        raise InvalidSpec("pixel counts and slit threshold must be >= 1")
+    return max(pixels) // illuminated_slits
 
 
 def mutual_information(dimension: int) -> float:
@@ -95,6 +70,8 @@ def gate_distances(pixel_pitch: float, dimension: int, wavelength: float) -> dic
     g = 2 if dimension % 2 else 1
     return {
         "talbot_length": z_t,
+        # bell.joint_prob_field writes this in another order; a shared helper would
+        # change the last bit of one of them, so each keeps its own
         "gate_distance": 2.0 * z_t / (c * dimension),
         "gate_distance_alt": z_t / (g * dimension),
     }

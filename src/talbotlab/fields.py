@@ -177,13 +177,12 @@ def unit_power(values: np.ndarray, *steps: float) -> np.ndarray:
 class ModeField:
     """Periodic wavefunction as truncated Fourier coefficients.
 
-    The field is ``sum_n coeffs[n] * exp(i n k (x - offset))`` with
+    The field is ``sum_n coeffs[n] * exp(i n k x)`` with
     ``k = 2 pi / period`` and symmetric mode indices ``-M..M``.  One period
     carries unit probability when ``sum |coeffs|^2 == 1``.
     """
 
     period: float
-    offset: float
     coeffs: np.ndarray  # length 2M+1, index 0 is mode -M
 
     def __post_init__(self):
@@ -203,7 +202,7 @@ class ModeField:
         return np.arange(-m, m + 1)
 
     def normalized(self) -> "ModeField":
-        return ModeField(self.period, self.offset, unit_power(self.coeffs.copy()))
+        return ModeField(self.period, unit_power(self.coeffs.copy()))
 
 
 @dataclass(frozen=True)
@@ -338,7 +337,7 @@ def mode_propagate(field: ModeField, spec: PropagationSpec) -> ModeField:
     z_t = talbot_length(field.period, spec.wavelength)
     n = field.modes().astype(float)
     phase = np.exp(-1j * np.pi * np.mod(n * n * (spec.distance / z_t), 2.0))
-    return ModeField(field.period, field.offset, field.coeffs * phase)
+    return ModeField(field.period, field.coeffs * phase)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +396,13 @@ def periodic_comb(period: float, width: float, offsets: Sequence[float],
     while keep > 1 and discarded(keep - 1) < MASS_TOL * total:
         keep -= 1
     coeffs = coeffs[half - keep: half + keep + 1]
-    return ModeField(period, 0.0, coeffs).normalized()
+    return ModeField(period, coeffs).normalized()
 
 
 def sampling_matrix(field: ModeField, samples_per_period: int, periods: int) -> tuple:
     """``(x, dx, E)``: the centred grid of ``periods`` periods, its pitch, and
-    the matrix ``exp(i k (x - offset) n)`` that takes the field's coefficients,
-    or those of any field propagated from it, to its samples on that grid.
+    the matrix ``exp(i k x n)`` that takes the field's coefficients, or those
+    of any field propagated from it, to its samples on that grid.
 
     The grid must resolve the largest retained mode: ``samples_per_period``
     has to exceed twice the truncation order, else ``UnderResolved`` is raised.
@@ -420,7 +419,7 @@ def sampling_matrix(field: ModeField, samples_per_period: int, periods: int) -> 
     dx = field.period / samples_per_period
     x = centered_axis(n_samp, dx)
     k = 2.0 * np.pi / field.period
-    return x, dx, np.exp(1j * np.outer(x - field.offset, field.modes()) * k)
+    return x, dx, np.exp(1j * np.outer(x, field.modes()) * k)
 
 
 def sample(field: ModeField, samples_per_period: int, periods: int) -> SampledField:

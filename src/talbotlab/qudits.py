@@ -22,8 +22,6 @@ from .errors import BinMisalignment, InvalidSpec, NotCoprime
 from .fields import _freeze, gaussian_amplitude
 
 __all__ = [
-    "GaussCoeffs",
-    "QuditUnitary",
     "TalbotGeometry",
     "gauss_coeffs",
     "gate_distance_fraction",
@@ -36,37 +34,9 @@ __all__ = [
 _ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class GaussCoeffs:
-    """Fractional-revival amplitudes a_j for the fraction q/r."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if abs((np.abs(v) ** 2).sum() - 1.0) > _ATOL:
-            raise InvalidSpec("revival amplitudes must have unit total weight")
-        object.__setattr__(self, "values", _freeze(v))
-
-
-@dataclass(frozen=True)
-class QuditUnitary:
-    """D x D unitary matrix, verified on construction."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidSpec("matrix must be square")
-        err = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-        if err > _ATOL:
-            raise InvalidSpec(f"matrix is not unitary (max |U+U - 1| = {err:.2e})")
-        object.__setattr__(self, "matrix", _freeze(m))
-
-
-def gauss_coeffs(q: int, r: int) -> GaussCoeffs:
-    """Fractional-revival amplitudes ``a_j = (1/r) sum_n exp(-2 pi i (n^2 - j n) q / r)``.
+def gauss_coeffs(q: int, r: int) -> np.ndarray:
+    """Read-only fractional-revival amplitudes
+    ``a_j = (1/r) sum_n exp(-2 pi i (n^2 - j n) q / r)``, checked for unit total weight.
 
     After propagating a periodic field by ``2 (s + q/r) z_T`` it equals the
     superposition of copies shifted by ``j * period / r`` weighted by these
@@ -79,7 +49,9 @@ def gauss_coeffs(q: int, r: int) -> GaussCoeffs:
     n = np.arange(r)
     j = np.arange(r)[:, None]
     values = np.exp(-2j * np.pi * ((n * n - j * n) * q % r) / r).sum(axis=1) / r
-    return GaussCoeffs(values)
+    if abs((np.abs(values) ** 2).sum() - 1.0) > _ATOL:
+        raise InvalidSpec("revival amplitudes must have unit total weight")
+    return _freeze(values)
 
 
 def gate_distance_fraction(dimension: int) -> float:
@@ -95,7 +67,7 @@ def _talbot_gate_matrix(dimension: int) -> np.ndarray:
     ``1 / (c D)``; ``c`` is 1 for odd and 2 for even dimension.
     """
     c = parity_constant(dimension)
-    a = gauss_coeffs(1, c * dimension).values
+    a = gauss_coeffs(1, c * dimension)
     d = np.arange(dimension)
     # circulant: entry [row, col] = a_{c * ((row - col) mod D)}
     m = a[(c * ((d[:, None] - d[None, :]) % dimension))]
@@ -132,14 +104,19 @@ def measurement_basis(dimension: int, gamma: float, side: str) -> np.ndarray:
     return np.exp(2j * np.pi * d * (sign * f + gamma) / dimension) / math.sqrt(dimension)
 
 
-def measurement_unitary(dimension: int, gamma: float, side: str) -> QuditUnitary:
-    """Unitary mapping the measurement basis onto the computational basis.
+def measurement_unitary(dimension: int, gamma: float, side: str) -> np.ndarray:
+    """Read-only unitary mapping the measurement basis onto the computational
+    basis, checked for unitarity.
 
     Row f is the bra of the measurement eigenvector, so applying the matrix
     and reading out computational-basis probabilities implements the
     projective measurement with offset ``gamma``.
     """
-    return QuditUnitary(measurement_basis(dimension, gamma, side).conj().T)
+    m = measurement_basis(dimension, gamma, side).conj().T
+    err = np.abs(m.conj().T @ m - np.eye(dimension)).max()
+    if err > _ATOL:
+        raise InvalidSpec(f"matrix is not unitary (max |U+U - 1| = {err:.2e})")
+    return _freeze(m)
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ from talbotlab.errors import BinMisalignment, InvalidSpec
 from talbotlab.fields import (BiphotonField, ModeField, PropagationSpec, SampledField,
                               _grid_power, _propagate_axis, periodic_comb, sampling_matrix,
                               unit_power)
-from talbotlab.qudits import QuditUnitary, TalbotGeometry, _talbot_gate_matrix, bin_weights
+from talbotlab.qudits import TalbotGeometry, _talbot_gate_matrix, bin_weights
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +90,19 @@ def tapered_sample(field: ModeField, samples_per_period: int, periods: int,
 # qudit gates
 
 
-def talbot_gate(dimension: int) -> QuditUnitary:
+def talbot_gate(dimension: int) -> np.ndarray:
     """Unitary realized on the Talbot basis by propagating ``2 z_T / (c D)``."""
     if dimension < 2:
         raise InvalidSpec("dimension must be >= 2")
-    return QuditUnitary(_talbot_gate_matrix(dimension))
+    return _talbot_gate_matrix(dimension)
 
 
-def phase_gate(thetas) -> QuditUnitary:
+def phase_gate(thetas) -> np.ndarray:
     """Diagonal gate ``diag(exp(i theta_d))``."""
     t = np.asarray(thetas, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise InvalidSpec("thetas must be a vector of length >= 2")
-    return QuditUnitary(np.diag(np.exp(1j * t)))
+    return np.diag(np.exp(1j * t))
 
 
 def closed_form_phases(dimension: int, gamma: float) -> np.ndarray:

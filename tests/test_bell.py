@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from talbotlab import (AliasingRisk, BiphotonField, BiphotonGaussian,
                        NonNormalized, PropagationSpec, SlitArray,
                        SynthesizerGeometry, bell_analytic, bell_field, bell_scan,
                        biphoton_propagate, bell_point, bin_outcome_map, cglmp_value,
-                       entangled_coeffs, gate_distance_fraction,
+                       entangled_coeffs, gate_distance_fraction, gate_distances,
                        joint_prob_analytic, joint_prob_field,
-                       maximally_entangled, measurement_phases, two_photon_field)
+                       maximally_entangled, measurement_phases, measurement_unitary,
+                       talbot_length, two_photon_field)
 from talbotlab.bell import SETTING_OFFSETS, SETTING_PAIRS
 from talbotlab.qudits import bin_weights
 from talbotlab.spdc import comb_basis, schmidt_modes
@@ -200,8 +202,8 @@ def test_gate_route_probabilities_match_measurement_unitaries(rng):
         coeffs = CoeffMatrix(m / np.linalg.norm(m))
         for alpha, beta in SETTING_OFFSETS.values():
             direct = joint_prob_analytic(coeffs, alpha, beta)
-            ga = talbot_gate(dim).matrix @ phase_gate(measurement_phases(dim, alpha)).matrix
-            gb = talbot_gate(dim).matrix @ phase_gate(measurement_phases(dim, beta)).matrix
+            ga = talbot_gate(dim) @ phase_gate(measurement_phases(dim, alpha))
+            gb = talbot_gate(dim) @ phase_gate(measurement_phases(dim, beta))
             bins = np.abs(ga @ coeffs.values @ gb.T) ** 2
             relabeled = np.zeros_like(bins)
             relabeled[np.ix_(bin_outcome_map(dim, "A"), bin_outcome_map(dim, "B"))] = bins
@@ -258,6 +260,33 @@ def test_field_route_measures_each_side_setting_once(monkeypatch):
     result = bell_field(coeffs, slits, geom, samples_per_cell=64, cells=24)
     assert calls == {"_propagate_axis": 4, "bin_weights": 1}
     assert len(result.tables) == len(result.provenance["diagnostics"]) == 4
+
+
+def test_both_gate_distance_sites_agree_with_the_fraction_of_the_talbot_length(monkeypatch):
+    # the field route and constraints.gate_distances each write 2 z_T / (c D) in their own
+    # order; a shared helper would change the last bit of one, so both are held to the rule
+    class Stop(Exception):
+        pass
+
+    def stop(wavelength, distance):
+        specs.append((wavelength, distance))
+        raise Stop
+
+    monkeypatch.setattr(bell, "PropagationSpec", stop)
+    seen = []
+    for d in range(2, 65):
+        for period in (0.5 * d, 1.0 * d, 2.0 * d, 3.0 * d):
+            specs = []
+            with pytest.raises(Stop):
+                joint_prob_field(np.arange(2.0), (None, np.ones(d), None),
+                                 SimpleNamespace(period=period))
+            (lam, distance), = specs
+            seen.append(distance / (gate_distance_fraction(d) * talbot_length(period, lam)))
+        pitch, lam = 10e-6, 800e-9
+        distance = gate_distances(pitch, d, lam)["gate_distance"]
+        seen.append(distance / (gate_distance_fraction(d) * talbot_length(pitch * d, lam)))
+    assert len(seen) == 63 * 5
+    assert max(abs(r - 1.0) for r in seen) <= 1e-15
 
 
 def test_field_route_with_grating_envelope_stays_close():
@@ -444,3 +473,11 @@ def test_scan_builds_each_dimensions_unitaries_once(monkeypatch):
     assert len(calls) <= 4 * len(dims)
     assert cache.cache_info().maxsize == bell._UNITARY_CACHE
     assert cache.cache_info().currsize <= bell._UNITARY_CACHE
+
+
+def test_measurement_matrix_is_one_read_only_array_for_every_caller():
+    bell._measurement_matrix.cache_clear()
+    first = bell._measurement_matrix(3, 0.25, "B")
+    assert bell._measurement_matrix(3, 0.25, "B") is first
+    assert not first.flags.writeable
+    assert first.tobytes() == measurement_unitary(3, 0.25, "B").tobytes()

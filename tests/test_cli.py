@@ -137,7 +137,7 @@ def test_carpet_basis_state_fractional_columns(tmp_path):
     density = csv_rows(tmp_path / "carpet.csv")
     z0, z13 = density[0], density[8]  # z = (8/24) * 2 z_T = 2 z_T / 3
     from talbotlab import gauss_coeffs
-    weights = np.abs(gauss_coeffs(1, 3).values) ** 2
+    weights = np.abs(gauss_coeffs(1, 3)) ** 2
     predicted = sum(w * np.roll(z0, j * 32) for j, w in enumerate(weights))
     assert np.abs(z13 - predicted).max() < 1e-4 * z0.max()
     # full revival at the end of the span
@@ -428,6 +428,9 @@ CONFIG_ERRORS = [
     "bell --set dimension=1",
     "bell-scan --set dimensions=[1,2]",
     "constraints --set dimension=0",
+    "constraints --set dimension=1",
+    "constraints --set threshold=5000",  # at most D = 0 on the default panel
+    "constraints --set pixels=[1,1]",
     "bell --set dimension=2.5",
     "bell --set envelope=maybe",
     "bell --set spacing=-1",

@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from talbotlab import (HardwareSpec, InvalidSpec, gate_distances,
-                       max_dimension, mutual_information)
+from talbotlab import InvalidSpec, gate_distances, max_dimension, mutual_information
 from talbotlab.fields import talbot_length
 
 
@@ -27,20 +26,23 @@ def test_talbot_length_identity():
 
 
 def test_max_dimension_reference_panel():
-    spec = HardwareSpec(10e-6, (1080, 1920), 800e-9)
-    assert max_dimension(spec) == 19
+    assert max_dimension((1080, 1920), 100) == 19
 
 
 def test_max_dimension_degenerate_and_linear():
-    assert max_dimension(HardwareSpec(10e-6, (1, 100), 800e-9)) == 1
-    base = HardwareSpec(10e-6, (1080, 1920), 800e-9)
-    doubled = HardwareSpec(10e-6, (1080, 3840), 800e-9)
-    assert max_dimension(doubled) == 2 * max_dimension(base)
+    assert max_dimension((1, 100), 100) == 1
+    assert max_dimension((1080, 3840), 100) == 2 * max_dimension((1080, 1920), 100)
 
 
 def test_max_dimension_threshold_is_a_parameter():
-    spec = HardwareSpec(10e-6, (1080, 1920), 800e-9)
-    assert max_dimension(spec, illuminated_slits=50) == 38
+    assert max_dimension((1080, 1920), illuminated_slits=50) == 38
+
+
+@pytest.mark.parametrize("pixels, threshold", [((0, 1920), 100), ((1080, -1), 100),
+                                               ((1080, 1920), 0)])
+def test_max_dimension_needs_positive_counts(pixels, threshold):
+    with pytest.raises(InvalidSpec):
+        max_dimension(pixels, threshold)
 
 
 def test_mutual_information_values():
@@ -58,7 +60,7 @@ def test_gate_distance_conventions_disagree_for_odd_dimensions():
 
 def test_invalid_hardware_rejected():
     with pytest.raises(InvalidSpec):
-        HardwareSpec(-1e-6, (100, 100), 800e-9)
+        gate_distances(-1e-6, 3, 800e-9)
     with pytest.raises(InvalidSpec):
         mutual_information(0)
 
@@ -69,12 +71,3 @@ def test_talbot_length_must_be_positive_and_finite(period, wavelength):
     # 1e-200 / 1e300 underflows to 0, which would make every distance z = 0
     with pytest.raises(InvalidSpec):
         talbot_length(period, wavelength)
-
-
-def test_hardware_spec_is_read_only():
-    spec = HardwareSpec(10e-6, (1080, 1920), 800e-9)
-    assert (spec.pixel_pitch, spec.pixels, spec.wavelength) == (10e-6, (1080, 1920), 800e-9)
-    with pytest.raises(AttributeError):
-        spec.pixel_pitch = 1.0
-    with pytest.raises(AttributeError):
-        del spec.pixels

@@ -161,7 +161,7 @@ def test_mode_zero_distance_identity():
 def test_mode_unitarity_and_semigroup(za, zb, seed):
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
-    field = ModeField(PERIOD, 0.0, coeffs).normalized()
+    field = ModeField(PERIOD, coeffs).normalized()
     one = mode_propagate(field, PropagationSpec(WAVELENGTH, (za + zb) * Z_T))
     two = mode_propagate(
         mode_propagate(field, PropagationSpec(WAVELENGTH, za * Z_T)),
@@ -184,14 +184,14 @@ def test_mode_matches_fresnel_on_common_grid():
 
 
 def test_single_mode_samples_to_constant_amplitude():
-    field = ModeField(PERIOD, 0.0, np.array([0.0, 1.0, 0.0], dtype=complex))
+    field = ModeField(PERIOD, np.array([0.0, 1.0, 0.0], dtype=complex))
     out = sample(field, 16, 4)
     assert np.abs(out.values - out.values[0]).max() < 1e-12
 
 
 def test_symmetric_pair_is_cosine_with_known_zeros():
     coeffs = np.array([1.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    field = ModeField(PERIOD, 0.0, coeffs)
+    field = ModeField(PERIOD, coeffs)
     out = sample(field, 64, 4)
     xs = out.x()
     expected = np.cos(2 * np.pi * xs / PERIOD)
@@ -212,7 +212,7 @@ def test_sample_matches_direct_series_summation():
     xs = out.x()
     direct = np.zeros(out.n, dtype=complex)
     for n, c in zip(field.modes(), field.coeffs):
-        direct = direct + c * np.exp(1j * n * k * (xs - field.offset))
+        direct = direct + c * np.exp(1j * n * k * xs)
     direct /= math.sqrt((np.abs(direct) ** 2).sum() * out.dx)
     assert np.abs(out.values - direct).max() < 1e-12
 

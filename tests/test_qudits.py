@@ -12,6 +12,7 @@ from talbotlab import (BinMisalignment, InvalidSpec, NotCoprime,
                        gate_distance_fraction, gauss_coeffs,
                        measurement_basis, measurement_phases,
                        measurement_unitary, mode_propagate, sample, talbot_length)
+from talbotlab import qudits
 from talbotlab.qudits import bin_weights
 
 GAMMAS = (0.0, 0.5, 0.25, -0.25)
@@ -27,24 +28,24 @@ def basis_comb(geom, index):
 
 
 def test_full_revival_is_trivial():
-    assert np.allclose(gauss_coeffs(1, 1).values, [1.0], atol=1e-12)
+    assert np.allclose(gauss_coeffs(1, 1), [1.0], atol=1e-12)
 
 
 def test_half_revival_is_a_pure_shift():
     # two-term evaluation by hand: a = (0, 1)
-    np.testing.assert_allclose(gauss_coeffs(1, 2).values, [0.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(gauss_coeffs(1, 2), [0.0, 1.0], atol=1e-12)
 
 
 def test_quarter_revival_amplitudes():
     # four-term evaluation by hand
     expected = np.array([(1 - 1j) / 2, 0.0, (1 + 1j) / 2, 0.0])
-    np.testing.assert_allclose(gauss_coeffs(1, 4).values, expected, atol=1e-12)
+    np.testing.assert_allclose(gauss_coeffs(1, 4), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("dimension", range(2, 9))
 def test_gauss_norm_and_even_support(dimension):
     c = 1 if dimension % 2 else 2
-    a = gauss_coeffs(1, c * dimension).values
+    a = gauss_coeffs(1, c * dimension)
     assert abs((np.abs(a) ** 2).sum() - 1.0) < 1e-12
     if dimension % 2 == 0:
         assert np.abs(a[1::2]).max() < 1e-12  # only even orders survive
@@ -62,8 +63,23 @@ def test_gauss_norm_for_random_coprime_pairs(q, r):
         with pytest.raises(NotCoprime):
             gauss_coeffs(q, r)
         return
-    a = gauss_coeffs(q, r).values
+    a = gauss_coeffs(q, r)
     assert abs((np.abs(a) ** 2).sum() - 1.0) < 1e-12
+
+
+def test_gauss_coeffs_and_measurement_unitary_are_read_only():
+    for array in (gauss_coeffs(1, 6), measurement_unitary(3, 0.25, "B")):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_gauss_coeffs_and_measurement_unitary_check_every_value(monkeypatch):
+    # with no tolerance left, the unit-weight and unitarity checks refuse any value
+    monkeypatch.setattr(qudits, "_ATOL", -1.0)
+    with pytest.raises(InvalidSpec, match="unit total weight"):
+        gauss_coeffs(1, 3)
+    with pytest.raises(InvalidSpec, match="not unitary"):
+        measurement_unitary(3, 0.0, "A")
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +89,12 @@ def test_gauss_norm_for_random_coprime_pairs(q, r):
 def test_qubit_gate_matrix():
     expected = np.array([[(1 - 1j) / 2, (1 + 1j) / 2],
                          [(1 + 1j) / 2, (1 - 1j) / 2]])
-    np.testing.assert_allclose(talbot_gate(2).matrix, expected, atol=1e-12)
+    np.testing.assert_allclose(talbot_gate(2), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("dimension", range(2, 10))
 def test_gate_unitarity(dimension):
-    u = talbot_gate(dimension).matrix
+    u = talbot_gate(dimension)
     assert np.abs(u.conj().T @ u - np.eye(dimension)).max() < 1e-12
 
 
@@ -96,13 +112,13 @@ def test_gate_matches_field_propagation_oracle():
     ]
     matrix = np.array([[overlap(fields[i], propagated[j]) for j in range(dimension)]
                        for i in range(dimension)])
-    assert np.abs(matrix - talbot_gate(dimension).matrix).max() < 1e-9
+    assert np.abs(matrix - talbot_gate(dimension)).max() < 1e-9
 
 
 def test_phase_gate_trivial_cases():
     dim = 4
-    assert np.abs(phase_gate(np.zeros(dim)).matrix - np.eye(dim)).max() < 1e-12
-    z = phase_gate(2 * np.pi * np.arange(dim) / dim).matrix
+    assert np.abs(phase_gate(np.zeros(dim)) - np.eye(dim)).max() < 1e-12
+    z = phase_gate(2 * np.pi * np.arange(dim) / dim)
     roots = np.exp(2j * np.pi * np.arange(dim) / dim)
     assert np.abs(z - np.diag(roots)).max() < 1e-12
 
@@ -137,7 +153,7 @@ def test_even_phases_equal_quadratic_closed_form(dimension, gamma):
 def test_odd_quadratic_closed_form_fails_the_mapping(dimension):
     # the printed quadratic ansatz does not diagonalize the propagation
     # measurement for odd dimensions; the solved phases must
-    m = talbot_gate(dimension).matrix @ np.diag(
+    m = talbot_gate(dimension) @ np.diag(
         np.exp(1j * closed_form_phases(dimension, 0.0)))
     amp = np.abs(m @ measurement_basis(dimension, 0.0, "A"))
     assert not np.allclose(amp.max(axis=0), 1.0, atol=1e-6)
@@ -148,8 +164,7 @@ def test_odd_quadratic_closed_form_fails_the_mapping(dimension):
 @pytest.mark.parametrize("dimension", range(2, 8))
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_mapping_sends_measurement_basis_to_detector_bins(dimension, gamma):
-    m = talbot_gate(dimension).matrix @ phase_gate(
-        measurement_phases(dimension, gamma)).matrix
+    m = talbot_gate(dimension) @ phase_gate(measurement_phases(dimension, gamma))
     for side in ("A", "B"):
         transformed = m @ measurement_basis(dimension, gamma, side)
         column_peaks = np.abs(transformed).max(axis=0)
@@ -166,18 +181,17 @@ def test_mapping_sends_measurement_basis_to_detector_bins(dimension, gamma):
 def test_probability_equivalence_of_gate_route(dimension, gamma, rng):
     v = rng.normal(size=dimension) + 1j * rng.normal(size=dimension)
     v /= np.linalg.norm(v)
-    m = talbot_gate(dimension).matrix @ phase_gate(
-        measurement_phases(dimension, gamma)).matrix
+    m = talbot_gate(dimension) @ phase_gate(measurement_phases(dimension, gamma))
     for side in ("A", "B"):
         bins = np.abs(m @ v) ** 2
         relabeled = np.zeros(dimension)
         relabeled[bin_outcome_map(dimension, side)] = bins
-        direct = np.abs(measurement_unitary(dimension, gamma, side).matrix @ v) ** 2
+        direct = np.abs(measurement_unitary(dimension, gamma, side) @ v) ** 2
         np.testing.assert_allclose(relabeled, direct, atol=1e-10)
 
 
 def test_measurement_unitary_qubit_is_hadamard():
-    u = measurement_unitary(2, 0.0, "A").matrix
+    u = measurement_unitary(2, 0.0, "A")
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     phase = u[0, 0] / h[0, 0]
     assert abs(abs(phase) - 1.0) < 1e-12
@@ -188,7 +202,7 @@ def test_measurement_unitary_qubit_is_hadamard():
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_measurement_unitary_defining_property(dimension, side, rng):
     gamma = float(rng.uniform(-0.5, 0.5))
-    u = measurement_unitary(dimension, gamma, side).matrix
+    u = measurement_unitary(dimension, gamma, side)
     basis = measurement_basis(dimension, gamma, side)
     for f in range(dimension):
         image = u @ basis[:, f]
@@ -255,7 +269,7 @@ def test_decode_gate_path_matches_matrix_route(rng):
     z = gate_distance_fraction(dimension) * talbot_length(period, lam)
     field = mode_propagate(encode(v, geom), PropagationSpec(lam, z))
     probs, _ = decode(sample(field, 96, 32), geom)
-    expected = np.abs(talbot_gate(dimension).matrix @ v) ** 2
+    expected = np.abs(talbot_gate(dimension) @ v) ** 2
     assert np.abs(probs - expected).max() < 1e-3
 
 

@@ -10,8 +10,8 @@ from pathlib import Path
 import talbotlab
 
 # the counts this suite last saw; lower them when the surface shrinks
-SETTABLE_VALUES = 28
-EXPORTS = 50
+SETTABLE_VALUES = 27
+EXPORTS = 47
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
