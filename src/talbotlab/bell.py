@@ -227,18 +227,18 @@ def bell_field(
     coeffs: CoeffMatrix,
     slits: SlitArray,
     geom: SynthesizerGeometry,
-    samples_per_cell: int = 64,
-    cells: int = 64,
-    envelope: bool = False,
+    samples_per_cell: int,
+    cells: int,
+    envelope: bool,
 ) -> BellResult:
     """Field-route Bell evaluation: synthesize the pair state, then measure.
 
     The per-photon comb basis B is built on the grid once, the pair state
     ``B C B^T`` is factorised into Schmidt modes once, and each side's modes
     are measured once at each of its two settings, which gives the four
-    tables.  With ``envelope=False`` (default) the combs are ideal periodic
-    ones on a window commensurate with the effective period, where the
-    routes agree closest.
+    tables.  With ``envelope=False`` the combs are ideal periodic ones on a
+    window commensurate with the effective period, where the routes agree
+    closest.
     """
     d = coeffs.dimension
     if cells % d != 0:
@@ -267,15 +267,21 @@ class ScanRow:
     value: float
 
 
-def bell_point(dimension: int, kappa_plus: float, kappa_minus: float, spacing: float = 1.0,
-               route: str = "analytic", slit_width: float = 0.05,
-               **field_kwargs) -> BellResult:
+# slit width, grid and envelope of each field-route point of bell_scan: the
+# defaults of the ``bell`` command, which ``bell-scan`` has no keys for
+_SCAN_FIELD_POINT = {"slit_width": 0.05, "samples_per_cell": 64, "cells": 64,
+                    "envelope": False}
+
+
+def bell_point(dimension: int, kappa_plus: float, kappa_minus: float, spacing: float,
+               route: str, slit_width: float, samples_per_cell: int, cells: int,
+               envelope: bool) -> BellResult:
     """Bell evaluation of the pair state behind a D-slit source.
 
     Source widths and slit width are in units of the slit spacing;
     ``kappa_minus = 0`` selects the ideal maximally entangled state.  The
-    field route takes the slit width and ``field_kwargs`` (grid and
-    envelope options of :func:`bell_field`); the analytic route ignores them.
+    field route takes the slit width and the grid and envelope options of
+    :func:`bell_field`; the analytic route ignores them.
     """
     if kappa_minus == 0.0:
         coeffs = maximally_entangled(dimension)
@@ -286,26 +292,28 @@ def bell_point(dimension: int, kappa_plus: float, kappa_minus: float, spacing: f
         return bell_analytic(coeffs)
     if route == "field":
         slits = SlitArray(dimension, spacing, slit_width * spacing)
-        geom = SynthesizerGeometry.for_dimension(dimension, spacing)
-        return bell_field(coeffs, slits, geom, **field_kwargs)
+        geom = SynthesizerGeometry.for_dimension(dimension, spacing, 0.05 * spacing)
+        return bell_field(coeffs, slits, geom, samples_per_cell, cells, envelope)
     raise InvalidSpec("route must be 'analytic' or 'field'")
 
 
-def bell_scan(dimensions, kappa_pairs, spacing: float = 1.0, route: str = "analytic") -> list:
+def bell_scan(dimensions, kappa_pairs, spacing: float, route: str) -> list:
     """Bell parameter over a grid of dimensions and source widths.
 
     ``kappa_pairs`` is a sequence of ``(kappa_plus, kappa_minus)`` in units
     of the slit spacing; ``kappa_minus = 0`` marks the ideal maximally
     entangled reference row.  Rows follow the input grid, dimensions
-    varying fastest.  Each point is :func:`bell_point` with its default
-    slit width and field grid; the points are evaluated one dimension at a
-    time, so the analytic route builds each dimension's measurement
-    unitaries once, and the order of evaluation changes no row.
+    varying fastest.  Each point is :func:`bell_point` with the slit width,
+    field grid and envelope that the ``bell`` command defaults to; the
+    points are evaluated one dimension at a time, so the analytic route
+    builds each dimension's measurement unitaries once, and the order of
+    evaluation changes no row.
     """
     dims = list(dimensions)
     pairs = [(kp, km, BiphotonGaussian(kp, km).correlation if km != 0.0 else 1.0)
              for kp, km in kappa_pairs]
-    values = [[bell_point(dim, kp, km, spacing, route).value for kp, km, _ in pairs]
+    values = [[bell_point(dim, kp, km, spacing, route, **_SCAN_FIELD_POINT).value
+               for kp, km, _ in pairs]
               for dim in dims]
     return [ScanRow(dim, kp, km, correlation, route, values[i][p])
             for p, (kp, km, correlation) in enumerate(pairs)

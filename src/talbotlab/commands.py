@@ -113,7 +113,7 @@ def cmd_entangle(cfg: dict, out: Path) -> int:
     # the z = 0 carpet as a density built in row blocks, with no n x n complex grid
     x, dx, carpet = two_photon_density(coeffs, slits, geom,
                                        samples_per_cell=cfg["carpet_samples_per_cell"],
-                                       cells=cfg["carpet_window_cells"])
+                                       cells=cfg["carpet_window_cells"], envelope=True)
 
     # no name holds a stage's complex grid while it is written: write_biphoton_csv
     # frees it once it has the density, before any CSV text is formatted

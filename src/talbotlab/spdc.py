@@ -146,20 +146,20 @@ class SynthesizerGeometry:
 
     @classmethod
     def for_dimension(cls, dimension: int, spacing: float,
-                      spike_width: float | None = None) -> "SynthesizerGeometry":
+                      spike_width: float) -> "SynthesizerGeometry":
         """Geometry whose effective period is ``dimension * spacing``.
 
         That choice makes the slit lattice coincide with the Talbot-basis
         offsets, so the synthesizer output encodes a qudit.  The grating
         period is set to the slit spacing and the wavelength to a hundredth
-        of it; the focal length follows.
+        of it; the focal length follows.  ``spike_width`` is the width of
+        the grating's spikes, a length like ``spacing``.
         """
         if dimension < 1 or spacing <= 0:
             raise InvalidSpec("dimension must be >= 1 and spacing positive")
         lam = spacing / 100.0
-        spike = spike_width if spike_width is not None else 0.05 * spacing
         focal = dimension * spacing * spacing / lam
-        return cls(focal, lam, spacing, spike)
+        return cls(focal, lam, spacing, spike_width)
 
     def talbot_geometry(self, dimension: int, slit_width: float) -> TalbotGeometry:
         origin = -(dimension - 1) / 2.0 * self.effective_period / dimension
@@ -369,9 +369,9 @@ def two_photon_field(
     coeffs: CoeffMatrix,
     slits: SlitArray,
     geom: SynthesizerGeometry,
-    samples_per_cell: int = 64,
-    cells: int = 64,
-    envelope: bool = True,
+    samples_per_cell: int,
+    cells: int,
+    envelope: bool,
 ) -> BiphotonField:
     """Two-photon comb state on a square grid.
 
@@ -415,9 +415,9 @@ def two_photon_density(
     coeffs: CoeffMatrix,
     slits: SlitArray,
     geom: SynthesizerGeometry,
-    samples_per_cell: int = 64,
-    cells: int = 64,
-    envelope: bool = True,
+    samples_per_cell: int,
+    cells: int,
+    envelope: bool,
 ) -> tuple:
     """``(x, dx, |Psi|^2)``: the density of :func:`two_photon_field`, bit for bit,
     without its n x n complex grid.

@@ -9,17 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from talbotlab import bell
-from talbotlab import (AliasingRisk, BiphotonField, BiphotonGaussian,
-                       NonNormalized, PropagationSpec, SlitArray,
-                       SynthesizerGeometry, bell_analytic, bell_field, bell_scan,
-                       biphoton_propagate, bell_point, bin_outcome_map, cglmp_value,
-                       entangled_coeffs, gate_distance_fraction, gate_distances,
-                       joint_prob_analytic, joint_prob_field,
-                       maximally_entangled, measurement_phases, measurement_unitary,
-                       talbot_length, two_photon_field)
-from talbotlab.bell import SETTING_OFFSETS, SETTING_PAIRS
-from talbotlab.qudits import bin_weights
-from talbotlab.spdc import comb_basis, schmidt_modes
+from talbotlab.bell import (SETTING_OFFSETS, SETTING_PAIRS, bell_analytic, bell_field, bell_point,
+                            bell_scan, cglmp_value, joint_prob_analytic, joint_prob_field)
+from talbotlab.constraints import gate_distances, talbot_length
+from talbotlab.errors import AliasingRisk, NonNormalized
+from talbotlab.fields import BiphotonField, PropagationSpec, biphoton_propagate
+from talbotlab.qudits import (bin_outcome_map, bin_weights, gate_distance_fraction,
+                              measurement_phases, measurement_unitary)
+from talbotlab.spdc import (BiphotonGaussian, CoeffMatrix, SlitArray, SynthesizerGeometry,
+                            comb_basis, entangled_coeffs, maximally_entangled, schmidt_modes,
+                            two_photon_field)
 
 # frozen oracle values -------------------------------------------------------
 # I_2 is 2 sqrt(2); I_3 was pre-registered from the independent geometric-sum
@@ -97,7 +96,6 @@ def test_qubit_tables_match_hand_computed_chsh_values():
 def test_product_state_table_factorizes():
     v = np.array([0.6, 0.8j, 0.0])
     coeffs_matrix = np.outer(v, v.conj())
-    from talbotlab import CoeffMatrix
     table = joint_prob_analytic(CoeffMatrix(coeffs_matrix), 0.0, 0.25)
     pa = table.sum(axis=1)
     pb = table.sum(axis=0)
@@ -179,7 +177,6 @@ def test_deterministic_local_strategies_respect_the_classical_bound(dimension):
 def test_no_signaling_and_normalization_for_random_states(seed, dim):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    from talbotlab import CoeffMatrix
     coeffs = CoeffMatrix(m / np.linalg.norm(m))
     tables = analytic_tables(coeffs)
     for t in tables:
@@ -198,7 +195,6 @@ def test_gate_route_probabilities_match_measurement_unitaries(rng):
     from reference import phase_gate, talbot_gate
     for dim in (2, 3, 4, 5):
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        from talbotlab import CoeffMatrix
         coeffs = CoeffMatrix(m / np.linalg.norm(m))
         for alpha, beta in SETTING_OFFSETS.values():
             direct = joint_prob_analytic(coeffs, alpha, beta)
@@ -218,8 +214,9 @@ def test_gate_route_probabilities_match_measurement_unitaries(rng):
 def test_field_route_small_grid_agrees_with_analytic(dimension):
     coeffs = maximally_entangled(dimension)
     slits = SlitArray(dimension, 1.0, 0.05)
-    geom = SynthesizerGeometry.for_dimension(dimension, 1.0)
-    field_result = bell_field(coeffs, slits, geom, samples_per_cell=64, cells=24)
+    geom = SynthesizerGeometry.for_dimension(dimension, 1.0, 0.05)
+    field_result = bell_field(coeffs, slits, geom, samples_per_cell=64, cells=24,
+                              envelope=False)
     analytic_result = bell_analytic(coeffs)
     assert abs(field_result.value - analytic_result.value) < 0.02
     for tf, ta in zip(field_result.tables, analytic_result.tables):
@@ -227,10 +224,9 @@ def test_field_route_small_grid_agrees_with_analytic(dimension):
 
 
 def test_field_route_product_state_factorizes():
-    from talbotlab import CoeffMatrix
     coeffs = CoeffMatrix(np.diag([1.0, 0.0]).astype(complex))
     slits = SlitArray(2, 1.0, 0.05)
-    geom = SynthesizerGeometry.for_dimension(2, 1.0)
+    geom = SynthesizerGeometry.for_dimension(2, 1.0, 0.05)
     x, basis = comb_basis(slits, geom, samples_per_cell=64, cells=24, envelope=False)
     tgeom = geom.talbot_geometry(2, 0.05)
     tables, diagnostics = joint_prob_field(x, schmidt_modes(x, basis, coeffs), tgeom)
@@ -256,8 +252,8 @@ def test_field_route_measures_each_side_setting_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(bell, name, counted(name))
     coeffs = entangled_coeffs(3, 1.0, BiphotonGaussian(9.0, 1.0))
-    slits, geom = SlitArray(3, 1.0, 0.05), SynthesizerGeometry.for_dimension(3, 1.0)
-    result = bell_field(coeffs, slits, geom, samples_per_cell=64, cells=24)
+    slits, geom = SlitArray(3, 1.0, 0.05), SynthesizerGeometry.for_dimension(3, 1.0, 0.05)
+    result = bell_field(coeffs, slits, geom, samples_per_cell=64, cells=24, envelope=False)
     assert calls == {"_propagate_axis": 4, "bin_weights": 1}
     assert len(result.tables) == len(result.provenance["diagnostics"]) == 4
 
@@ -332,7 +328,7 @@ def dense_joint_table(psi, gamma_a, gamma_b, geom):
     }
 
 
-def _pair(dimension, slit_width=0.05, spike_width=None):
+def _pair(dimension, slit_width=0.05, spike_width=0.05):
     return (SlitArray(dimension, 1.0, slit_width),
             SynthesizerGeometry.for_dimension(dimension, 1.0, spike_width=spike_width))
 
@@ -367,7 +363,7 @@ def test_factored_and_dense_guards_trip_on_the_same_grids(cells, trips):
     coeffs = maximally_entangled(3)
     slits, geom = _pair(3)
     tgeom = geom.talbot_geometry(3, slits.width)
-    psi = two_photon_field(coeffs, slits, geom, samples_per_cell=64, cells=cells)
+    psi = two_photon_field(coeffs, slits, geom, samples_per_cell=64, cells=cells, envelope=True)
     x, basis = comb_basis(slits, geom, 64, cells, envelope=True)
     routes = (lambda: dense_joint_table(psi, *SETTING_OFFSETS[1, 1], tgeom),
               lambda: joint_prob_field(x, schmidt_modes(x, basis, coeffs), tgeom))
@@ -386,7 +382,7 @@ def test_factored_and_dense_guards_trip_on_the_same_grids(cells, trips):
 def test_scan_rows_ordered_and_monotone_in_correlation():
     dims = [2, 3, 4]
     pairs = [(9.0, 0.0), (9.0, 0.1), (9.0, 0.3)]
-    rows = bell_scan(dims, pairs)
+    rows = bell_scan(dims, pairs, 1.0, "analytic")
     assert [(r.dimension, r.kappa_plus, r.kappa_minus) for r in rows] == [
         (d, kp, km) for kp, km in pairs for d in dims
     ]
@@ -397,7 +393,7 @@ def test_scan_rows_ordered_and_monotone_in_correlation():
 
 
 def test_scan_maximally_entangled_row_approaches_ceiling():
-    rows = bell_scan(range(2, 9), [(9.0, 0.0)])
+    rows = bell_scan(range(2, 9), [(9.0, 0.0)], 1.0, "analytic")
     values = [r.value for r in rows]
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values[-1] < QUANTUM_CEILING
@@ -406,7 +402,7 @@ def test_scan_maximally_entangled_row_approaches_ceiling():
 
 def test_finite_correlation_has_interior_maximum():
     km = 9.0 * math.sqrt((1 - 0.998) / (1 + 0.998))
-    rows = bell_scan(range(2, 13), [(9.0, km)])
+    rows = bell_scan(range(2, 13), [(9.0, km)], 1.0, "analytic")
     values = [r.value for r in rows]
     peak = int(np.argmax(values))
     assert 0 < peak < len(values) - 1
@@ -416,8 +412,8 @@ def test_field_route_matches_analytic_over_the_criterion_6_scan():
     dims = range(2, 13)
     pairs = [(9.0, 0.0)] + [(9.0, 9.0 * math.sqrt((1 - r) / (1 + r)))
                             for r in (0.998, 0.9998, 0.99998)]
-    field_rows = bell_scan(dims, pairs, route="field")
-    analytic_rows = bell_scan(dims, pairs)
+    field_rows = bell_scan(dims, pairs, 1.0, "field")
+    analytic_rows = bell_scan(dims, pairs, 1.0, "analytic")
     assert len(field_rows) == len(analytic_rows) == 44
     for f, a in zip(field_rows, analytic_rows):
         assert (f.dimension, f.kappa_minus) == (a.dimension, a.kappa_minus)
@@ -447,12 +443,13 @@ def test_qutrit_table_matches_explicit_kernel_summation():
 @pytest.mark.parametrize("as_generator", [False, True])
 def test_scan_equals_each_point_bit_for_bit_in_kappa_major_order(as_generator):
     dims = range(2, 65)
-    rows = bell_scan((d for d in dims) if as_generator else dims, FIG_PAIRS)
+    rows = bell_scan((d for d in dims) if as_generator else dims, FIG_PAIRS, 1.0, "analytic")
     expected = []
     for kp, km in FIG_PAIRS:
         for d in dims:
             bell._measurement_matrix.cache_clear()  # each point from fresh unitaries
-            expected.append((d, kp, km, bell_point(d, kp, km).value))
+            point = bell_point(d, kp, km, 1.0, "analytic", **bell._SCAN_FIELD_POINT)
+            expected.append((d, kp, km, point.value))
     assert [(r.dimension, r.kappa_plus, r.kappa_minus, r.value) for r in rows] == expected
 
 
@@ -469,7 +466,7 @@ def test_scan_builds_each_dimensions_unitaries_once(monkeypatch):
     monkeypatch.setattr(bell, "measurement_unitary", counted)
     cache.cache_clear()
     dims = [2, 3, 5, 8, 3]
-    bell_scan(dims, FIG_PAIRS[:3])
+    bell_scan(dims, FIG_PAIRS[:3], 1.0, "analytic")
     assert len(calls) <= 4 * len(dims)
     assert cache.cache_info().maxsize == bell._UNITARY_CACHE
     assert cache.cache_info().currsize <= bell._UNITARY_CACHE

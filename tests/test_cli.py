@@ -2,7 +2,6 @@
 
 import contextlib
 import functools
-import importlib
 import io
 import json
 import math
@@ -19,12 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 import talbotlab
 from talbotlab import _floatfmt, io as talbot_io
-from talbotlab import (BiphotonGaussian, PropagationSpec, SlitArray, SynthesizerGeometry,
-                       entangled_coeffs, mode_propagate, periodic_comb, sample, talbot_length,
-                       two_photon_field)
 from talbotlab.cli import DEFAULTS, main
+from talbotlab.constraints import talbot_length
+from talbotlab.fields import PropagationSpec, mode_propagate, periodic_comb, sample
 from talbotlab.io import write_biphoton_csv, write_pgm
-from talbotlab.spdc import two_photon_density
+from talbotlab.spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry, entangled_coeffs,
+                            two_photon_density, two_photon_field)
 
 
 def run(args):
@@ -136,7 +135,7 @@ def test_carpet_basis_state_fractional_columns(tmp_path):
                 "--set", "periods=3", "--set", "samples_per_period=96"]) == 0
     density = csv_rows(tmp_path / "carpet.csv")
     z0, z13 = density[0], density[8]  # z = (8/24) * 2 z_T = 2 z_T / 3
-    from talbotlab import gauss_coeffs
+    from talbotlab.qudits import gauss_coeffs
     weights = np.abs(gauss_coeffs(1, 3)) ** 2
     predicted = sum(w * np.roll(z0, j * 32) for j, w in enumerate(weights))
     assert np.abs(z13 - predicted).max() < 1e-4 * z0.max()
@@ -188,7 +187,7 @@ def test_entangle_carpet_equals_the_dense_field_files(tmp_path):
                                                      cfg["kappa_minus"] * s))
     geom = SynthesizerGeometry.for_dimension(3, s, spike_width=cfg["spike_width"] * s)
     carpet = two_photon_field(coeffs, SlitArray(3, s, cfg["slit_width"] * s), geom,
-                              samples_per_cell=70, cells=10)
+                              samples_per_cell=70, cells=10, envelope=True)
     oracle = tmp_path / "oracle"
     oracle.mkdir()
     density = write_biphoton_csv(carpet, oracle / "entangle_carpet.csv", config=cfg)
@@ -255,7 +254,7 @@ def test_entangle_formats_each_carpet_value_once_in_one_process(tmp_path, monkey
                                                      cfg["kappa_minus"] * s))
     geom = SynthesizerGeometry.for_dimension(3, s, spike_width=cfg["spike_width"] * s)
     carpet = two_photon_density(coeffs, SlitArray(3, s, cfg["slit_width"] * s), geom,
-                                samples_per_cell=70, cells=10)[2]
+                                samples_per_cell=70, cells=10, envelope=True)[2]
     assert sorted(formatted) == np.unique(carpet.view(np.uint64)).tolist()
 
 
@@ -520,14 +519,6 @@ def test_config_errors_and_constraints_load_no_numpy(tmp_path):
     assert seen == [[code, False, False] for _, code in cases]
 
 
-def test_package_exports_resolve_to_their_home_objects():
-    for name, module in talbotlab._EXPORTS.items():
-        home = importlib.import_module(f"talbotlab.{module}")
-        assert getattr(talbotlab, name) is getattr(home, name), name
-    with pytest.raises(AttributeError):
-        talbotlab.no_such_name
-
-
 def test_flat_grating_envelope_passes_only_the_zeroth_order(tmp_path):
     # spikes far wider than the grating period leave only the m = 0 order, whose
     # overflowing neighbours underflow to 0 without a warning: the output is the aperture
@@ -540,14 +531,17 @@ def test_flat_grating_envelope_passes_only_the_zeroth_order(tmp_path):
 
 
 def test_bell_and_bell_scan_agree_off_unit_spacing(tmp_path):
-    widths = ["--set", "spacing=2"]
-    assert run(["bell", "--out-dir", str(tmp_path), "--set", "kappa_plus=9",
-                "--set", "kappa_minus=1"] + widths) == 0
-    assert run(["bell-scan", "--out-dir", str(tmp_path), "--set", "dimensions=[3]",
-                "--set", "kappa_pairs=[[9,1]]"] + widths) == 0
-    single = json.loads((tmp_path / "bell.json").read_text())["I"]
-    row = (tmp_path / "bell_scan.csv").read_text().splitlines()[2].split(",")
-    assert abs(float(row[5]) - single) < 1e-12
+    # a field-route scan point takes bell's default slit width, grid and envelope
+    # from a constant of its own: equal text on both sides pins it to DEFAULTS["bell"]
+    for route in ("analytic", "field"):
+        out = tmp_path / route
+        common = ["--out-dir", str(out), "--set", "spacing=2", "--set", f"route={route}"]
+        assert run(["bell", *common, "--set", "kappa_plus=9", "--set", "kappa_minus=1"]) == 0
+        assert run(["bell-scan", *common, "--set", "dimensions=[3]",
+                    "--set", "kappa_pairs=[[9,1]]"]) == 0
+        single = json.loads((out / "bell.json").read_text())["I"]
+        row = (out / "bell_scan.csv").read_text().splitlines()[2].split(",")
+        assert repr(single) == row[5], route
 
 
 # digits are left out of the free text so that it never parses as a number:

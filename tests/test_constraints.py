@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from talbotlab import InvalidSpec, gate_distances, max_dimension, mutual_information
+from talbotlab.constraints import gate_distances, max_dimension, mutual_information
+from talbotlab.errors import InvalidSpec
 from talbotlab.fields import talbot_length
 
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import fidelity, fresnel_propagate, overlap, power, restricted, tapered_sample
-from talbotlab import (AliasingRisk, BiphotonField, InvalidSpec, ModeField, PropagationSpec,
-                       SampledField, UnderResolved, biphoton_propagate, mode_propagate,
-                       periodic_comb, sample, talbot_length)
-from talbotlab.fields import gaussian_transform
+from talbotlab.constraints import talbot_length
+from talbotlab.errors import AliasingRisk, InvalidSpec, UnderResolved
+from talbotlab.fields import (BiphotonField, ModeField, PropagationSpec, SampledField,
+                              biphoton_propagate, gaussian_transform, mode_propagate,
+                              periodic_comb, sample)
 
 PERIOD = 1.0
 WAVELENGTH = 0.01

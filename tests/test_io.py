@@ -6,12 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from talbotlab import (SampledField, bell_analytic, initial_biphoton_field,
-                       maximally_entangled, BiphotonGaussian)
 from talbotlab import _floatfmt, io
-from talbotlab.io import (bell_result_to_json, write_biphoton_csv, write_matrix_csv,
-                          write_pgm, write_sampled_csv, write_scan_csv)
-from talbotlab.bell import ScanRow
+from talbotlab.bell import ScanRow, bell_analytic
+from talbotlab.fields import SampledField
+from talbotlab.io import (bell_result_to_json, write_biphoton_csv, write_matrix_csv, write_pgm,
+                          write_sampled_csv, write_scan_csv)
+from talbotlab.spdc import BiphotonGaussian, initial_biphoton_field, maximally_entangled
 
 
 def oracle_matrix_csv(matrix) -> bytes:

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import closed_form_phases, decode, encode, overlap, phase_gate, talbot_gate
-from talbotlab import (BinMisalignment, InvalidSpec, NotCoprime,
-                       PropagationSpec, SampledField, TalbotGeometry, bin_outcome_map,
-                       gate_distance_fraction, gauss_coeffs,
-                       measurement_basis, measurement_phases,
-                       measurement_unitary, mode_propagate, sample, talbot_length)
 from talbotlab import qudits
-from talbotlab.qudits import bin_weights
+from talbotlab.constraints import talbot_length
+from talbotlab.errors import BinMisalignment, InvalidSpec, NotCoprime
+from talbotlab.fields import PropagationSpec, SampledField, mode_propagate, sample
+from talbotlab.qudits import (TalbotGeometry, bin_outcome_map, bin_weights, gate_distance_fraction,
+                              gauss_coeffs, measurement_basis, measurement_phases,
+                              measurement_unitary)
 
 GAMMAS = (0.0, 0.5, 0.25, -0.25)
 

@@ -7,16 +7,13 @@ import numpy as np
 import pytest
 
 from reference import encode, fidelity, normalized_pair
-from talbotlab import (BiphotonGaussian, CoeffMatrix,
-                       InvalidSpec, SlitArray, SynthesizerGeometry,
-                       UnderResolved, apply_dslit, biphoton_amplitude,
-                       entangled_coeffs,
-                       initial_biphoton_field, maximally_entangled,
-                       render_synthesized, sample,
-                       synthesize_single, two_photon_field, BiphotonField)
-from talbotlab.fields import gaussian_amplitude
-from talbotlab.spdc import (_block_rows, _comb_columns, comb_basis, grating_envelope,
-                            schmidt_modes, two_photon_density)
+from talbotlab.errors import InvalidSpec, UnderResolved
+from talbotlab.fields import BiphotonField, gaussian_amplitude, sample
+from talbotlab.spdc import (BiphotonGaussian, CoeffMatrix, SlitArray, SynthesizerGeometry,
+                            _block_rows, _comb_columns, apply_dslit, biphoton_amplitude,
+                            comb_basis, entangled_coeffs, grating_envelope, initial_biphoton_field,
+                            maximally_entangled, render_synthesized, schmidt_modes,
+                            synthesize_single, two_photon_density, two_photon_field)
 
 S = 1.0  # slit spacing; the natural length unit of this module
 # np.trapz before NumPy 2.0; pyproject.toml allows NumPy 1.24
@@ -146,7 +143,7 @@ def test_synthesizer_effective_period():
     geom = SynthesizerGeometry(focal_length=300.0, wavelength=0.01,
                                grating_period=1.0, spike_width=0.05)
     assert abs(geom.effective_period - 3.0) < 1e-12
-    geom2 = SynthesizerGeometry.for_dimension(3, S)
+    geom2 = SynthesizerGeometry.for_dimension(3, S, 0.05 * S)
     assert abs(geom2.effective_period - 3.0 * S) < 1e-12
 
 
@@ -154,14 +151,14 @@ def test_synthesizer_lengths_must_stay_finite():
     # the focal length D s^2 / lambda overflows for s = 1e300; a grating period of
     # 1e200 with a finite focal length has a square that overflows
     with pytest.raises(InvalidSpec):
-        SynthesizerGeometry.for_dimension(3, 1e300)
+        SynthesizerGeometry.for_dimension(3, 1e300, 0.05 * 1e300)
     with pytest.raises(InvalidSpec):
         grating_envelope(SynthesizerGeometry(1.0, 1.0, 1e200, 1.0))
 
 
 def test_synthesized_state_equals_direct_encoding():
     slits = SlitArray(3, S, 0.05 * S)
-    geom = SynthesizerGeometry.for_dimension(3, S)
+    geom = SynthesizerGeometry.for_dimension(3, S, 0.05 * S)
     via_synth = synthesize_single(slits, geom)
     uniform = np.full(3, 1.0 / math.sqrt(3), dtype=complex)
     via_encode = encode(uniform, geom.talbot_geometry(3, 0.05 * S))
@@ -201,7 +198,7 @@ def test_render_memory_stays_linear_in_the_grid():
     # the 1536 x 4000 comb basis would take 98 MB; the slit-by-slit sum needs O(n)
     dimension = 4000
     slits = SlitArray(dimension, S, 0.05 * S)
-    geom = SynthesizerGeometry.for_dimension(dimension, S)
+    geom = SynthesizerGeometry.for_dimension(dimension, S, 0.05 * S)
     x = axis(24, 64)
     tracemalloc.start()
     try:
@@ -215,7 +212,7 @@ def test_render_memory_stays_linear_in_the_grid():
 
 def test_rendered_comb_peak_spacing():
     slits = SlitArray(3, S, 0.05 * S, amplitudes=np.array([1.0, 0.0, 0.0]))
-    geom = SynthesizerGeometry.for_dimension(3, S)
+    geom = SynthesizerGeometry.for_dimension(3, S, 0.05 * S)
     x = axis(24, 64)
     rendered = np.abs(render_synthesized(slits, geom, x)) ** 2
     peaks = []
@@ -285,8 +282,8 @@ def test_coeffs_match_brute_force_overlap_integrals():
 def test_product_coefficients_give_product_field():
     c = CoeffMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
     slits = SlitArray(3, S, 0.05 * S)
-    geom = SynthesizerGeometry.for_dimension(3, S)
-    psi = two_photon_field(c, slits, geom, samples_per_cell=64, cells=24)
+    geom = SynthesizerGeometry.for_dimension(3, S, 0.05 * S)
+    psi = two_photon_field(c, slits, geom, samples_per_cell=64, cells=24, envelope=True)
     # rank-1 check via SVD of the grid
     sv = np.linalg.svd(psi.values, compute_uv=False)
     assert sv[1] / sv[0] < 1e-10
@@ -295,7 +292,7 @@ def test_product_coefficients_give_product_field():
 def test_marginal_is_periodic_comb():
     c = maximally_entangled(3)
     slits = SlitArray(3, S, 0.05 * S)
-    geom = SynthesizerGeometry.for_dimension(3, S)
+    geom = SynthesizerGeometry.for_dimension(3, S, 0.05 * S)
     psi = two_photon_field(c, slits, geom, samples_per_cell=64, cells=24,
                            envelope=False)
     marginal = (np.abs(psi.values) ** 2).sum(axis=1)
@@ -325,7 +322,7 @@ def test_two_photon_field_is_the_normalized_dense_grid_bit_for_bit(envelope):
 def pair_state(dimension):
     coeffs = entangled_coeffs(dimension, S, BiphotonGaussian(9.0 * S, 1.0 * S))
     slits = SlitArray(dimension, S, 0.2 * S)
-    return coeffs, slits, SynthesizerGeometry.for_dimension(dimension, S)
+    return coeffs, slits, SynthesizerGeometry.for_dimension(dimension, S, 0.05 * S)
 
 
 @pytest.mark.parametrize("envelope", [False, True])
@@ -350,7 +347,7 @@ def test_two_photon_density_holds_no_complex_grid():
     for build in (two_photon_density, two_photon_field):
         tracemalloc.start()
         try:
-            build(coeffs, slits, geom, spc, cells)
+            build(coeffs, slits, geom, spc, cells, True)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -405,7 +402,7 @@ def test_two_photon_field_matches_optical_pipeline():
 
     comb = two_photon_field(
         maximally_entangled_like(model, dimension, slits), slits, geom,
-        samples_per_cell=spc, cells=cells)
+        samples_per_cell=spc, cells=cells, envelope=True)
     num = abs((comb.values.conj() * pipeline).sum() * dx * dx) ** 2
     assert num >= 0.995
 
