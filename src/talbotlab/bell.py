@@ -20,7 +20,7 @@ for the maximally correlated state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -65,7 +65,7 @@ class BellResult:
     tables: tuple  # four D x D arrays ordered as SETTING_PAIRS
     j_values: tuple
     value: float
-    provenance: dict = dc_field(default_factory=dict)
+    provenance: dict
 
 
 def _validate_table(table: np.ndarray) -> np.ndarray:
@@ -173,7 +173,7 @@ def _cyclic_diagonal_sums(table: np.ndarray) -> np.ndarray:
     return table[(j[:, None] + j) % d, j].sum(axis=1)
 
 
-def cglmp_value(tables, provenance: dict | None = None) -> BellResult:
+def cglmp_value(tables, provenance: dict) -> BellResult:
     """Bell parameter of the four joint tables.
 
     ``tables`` are ordered as ``SETTING_PAIRS``.  For each
@@ -213,7 +213,7 @@ def cglmp_value(tables, provenance: dict | None = None) -> BellResult:
         tables=tabs,
         j_values=tuple(j_values),
         value=float(value),
-        provenance=dict(provenance or {}),
+        provenance=dict(provenance),
     )
 
 
@@ -254,6 +254,8 @@ def bell_field(
         "cells": cells,
         "envelope": envelope,
         "diagnostics": diagnostics,
+        # the grating's spike width enters through the envelope alone
+        **({"spike_width": geom.spike_width} if envelope else {}),
     })
 
 

@@ -68,8 +68,8 @@ def cmd_carpet(cfg: dict, out: Path) -> int:
         spec = PropagationSpec(wavelength, frac * z_t)
         row = unit_power(matrix @ mode_propagate(field, spec).coeffs, dx)
         density[i] = np.abs(row) ** 2
-    write_matrix_csv(density, out / "carpet.csv", config=cfg)
-    write_pgm(density, out / "carpet.pgm", config=cfg)
+    write_matrix_csv(density, out / "carpet.csv", cfg)
+    write_pgm(density, out / "carpet.pgm", cfg)
     print(f"carpet: {steps} x {spp * periods} density written to {out}")
     return 0
 
@@ -86,11 +86,9 @@ def cmd_synth(cfg: dict, out: Path) -> int:
     output = render_synthesized(slits, geom, x)  # first: its comb basis is size-checked
     aperture = slits.transmission(x)
     ideal = sample(synthesize_single(slits, geom), spc * dim, cells // dim or 1)
-    write_sampled_csv(SampledField(float(x[0]), dx, aperture), out / "synth_input.csv",
-                      config=cfg)
-    write_sampled_csv(SampledField(float(x[0]), dx, output), out / "synth_output.csv",
-                      config=cfg)
-    write_sampled_csv(ideal, out / "synth_ideal.csv", config=cfg)
+    write_sampled_csv(SampledField(float(x[0]), dx, aperture), out / "synth_input.csv", cfg)
+    write_sampled_csv(SampledField(float(x[0]), dx, output), out / "synth_output.csv", cfg)
+    write_sampled_csv(ideal, out / "synth_ideal.csv", cfg)
     print(f"synth: aperture, synthesized and ideal profiles written to {out}")
     return 0
 
@@ -123,11 +121,10 @@ def cmd_entangle(cfg: dict, out: Path) -> int:
     def write_fields():
         for name, csv_cfg in (("initial", cfg),
                               ("slits", {**cfg, "transmitted_fraction": transmitted})):
-            density = write_biphoton_csv(fields.pop(name), out / f"entangle_{name}.csv",
-                                         config=csv_cfg)
-            write_pgm(density, out / f"entangle_{name}.pgm", config=cfg)
+            density = write_biphoton_csv(fields.pop(name), out / f"entangle_{name}.csv", csv_cfg)
+            write_pgm(density, out / f"entangle_{name}.pgm", cfg)
             del density
-        write_pgm(carpet, out / "entangle_carpet.pgm", config=cfg)
+        write_pgm(carpet, out / "entangle_carpet.pgm", cfg)
 
     # a child writes the initial and slit stages and the carpet's heatmap,
     # while this process writes the carpet CSV
@@ -135,7 +132,7 @@ def cmd_entangle(cfg: dict, out: Path) -> int:
     fields.clear()
     try:
         x0 = float(x[0])
-        write_density_csv(carpet, out / "entangle_carpet.csv", (x0, dx, x0, dx), config=cfg)
+        write_density_csv(carpet, out / "entangle_carpet.csv", (x0, dx, x0, dx), cfg)
     finally:
         code = _reap(pid)
     if code:
@@ -204,7 +201,7 @@ def cmd_bell_scan(cfg: dict, out: Path) -> int:
         pairs = [(9.0, 0.0)] + [(9.0, 9.0 * math.sqrt((1.0 - r) / (1.0 + r)))
                                 for r in (0.99998, 0.9998, 0.998)]
     rows = bell_scan(cfg["dimensions"], pairs, spacing=cfg["spacing"], route=cfg["route"])
-    write_scan_csv(rows, out / "bell_scan.csv", config=cfg)
+    write_scan_csv(rows, out / "bell_scan.csv", cfg)
     print(f"bell-scan: {len(rows)} rows written to {out / 'bell_scan.csv'}")
     return 0
 

@@ -1,9 +1,9 @@
 """Deterministic file emission: CSV tables, PGM heatmaps, JSON records.
 
-Every writer produces byte-identical output for identical inputs.  CSV
-files may carry ``#``-prefixed comment lines embedding the resolved
-configuration; PGM heatmaps are binary 8-bit with a comment line stating
-the intensity that maps to full scale.
+Every writer produces byte-identical output for identical inputs.  Each
+CSV file and PGM heatmap carries a ``# config:`` comment line embedding the
+resolved configuration of its run; PGM heatmaps are binary 8-bit with a
+further comment line stating the intensity that maps to full scale.
 """
 
 from __future__ import annotations
@@ -38,15 +38,12 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def config_header(config: dict | None) -> str:
-    if not config:
-        return ""
+def config_header(config: dict) -> str:
     return "# config: " + json.dumps(config, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _write_csv(path, config: dict | None, header: str, lines) -> None:
-    """Config comment, column header line (or ""), then ``lines``, ASCII bytes
-    each."""
+def _write_csv(path, config: dict, header: str, lines) -> None:
+    """Config comment, column header line, then ``lines``, ASCII bytes each."""
     with open(path, "wb") as fh:
         fh.write((config_header(config) + header).encode("ascii"))
         fh.writelines(lines)
@@ -56,7 +53,7 @@ def _write_csv(path, config: dict | None, header: str, lines) -> None:
 _SAMPLED_ROWS = 2 ** 14
 
 
-def write_sampled_csv(field: SampledField, path, config: dict | None = None) -> None:
+def write_sampled_csv(field: SampledField, path, config: dict) -> None:
     """Sampled field as ``x,re,im`` rows."""
     from ._floatfmt import csv_text
     columns = (field.x(), field.values.real, field.values.imag)
@@ -70,7 +67,7 @@ def write_sampled_csv(field: SampledField, path, config: dict | None = None) -> 
 _SEARCH_VALUES = 2 ** 18
 
 
-def write_matrix_csv(matrix, path, config: dict | None = None) -> None:
+def write_matrix_csv(matrix, path, config: dict) -> None:
     """Real matrix as row-major CSV, one matrix row per line.
 
     The bytes equal those of ``format_float`` on every entry.  Rows and
@@ -177,7 +174,7 @@ def _distinct_lines(matrix: np.ndarray, first):
             a = b
 
 
-def write_biphoton_csv(field: BiphotonField, path, config: dict | None = None) -> np.ndarray:
+def write_biphoton_csv(field: BiphotonField, path, config: dict) -> np.ndarray:
     """Biphoton density |values|^2 as row-major CSV plus JSON grid sidecar.
 
     Returns the density it wrote.  The complex grid can be freed before the
@@ -188,12 +185,11 @@ def write_biphoton_csv(field: BiphotonField, path, config: dict | None = None) -
     np.square(density, out=density)
     grid = (field.x0_1, field.dx1, field.x0_2, field.dx2)
     del field
-    write_density_csv(density, path, grid, config=config)
+    write_density_csv(density, path, grid, config)
     return density
 
 
-def write_density_csv(density: np.ndarray, path, grid: tuple,
-                      config: dict | None = None) -> None:
+def write_density_csv(density: np.ndarray, path, grid: tuple, config: dict) -> None:
     """Two-photon density as row-major CSV plus JSON grid sidecar; ``grid`` is
     ``(x0_1, dx1, x0_2, dx2)``, the first coordinate and pitch of each axis."""
     path = Path(path)
@@ -206,10 +202,9 @@ def write_density_csv(density: np.ndarray, path, grid: tuple,
         "dx2": dx2,
         "n2": density.shape[1],
         "content": "row-major |amplitude|^2; rows follow axis 1",
+        "config": config,
     }
-    if config:
-        meta["config"] = config
-    write_matrix_csv(density, path, config=config)
+    write_matrix_csv(density, path, config)
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
 
@@ -218,11 +213,11 @@ def write_density_csv(density: np.ndarray, path, grid: tuple,
 _PGM_VALUES = 2 ** 18
 
 
-def write_pgm(matrix: np.ndarray, path, config: dict | None = None) -> None:
+def write_pgm(matrix: np.ndarray, path, config: dict) -> None:
     """8-bit binary PGM with linear intensity mapping.
 
     Comment lines record the intensity mapped to 255 (so the scaling is
-    recoverable) and, when given, the resolved configuration.  Not-a-number
+    recoverable) and the resolved configuration.  Not-a-number
     entries are rejected.  Pixels are scaled and written in row blocks.
     """
     m = np.asarray(matrix, dtype=float)
@@ -233,10 +228,8 @@ def write_pgm(matrix: np.ndarray, path, config: dict | None = None) -> None:
     top = float(m.max())
     if top <= 0:
         top = 1.0
-    header = f"P5\n# full scale = {format_float(top)}\n"
-    if config:
-        header += config_header(config)
-    header += f"{m.shape[1]} {m.shape[0]}\n255\n"
+    header = (f"P5\n# full scale = {format_float(top)}\n{config_header(config)}"
+              f"{m.shape[1]} {m.shape[0]}\n255\n")
     rows = max(1, _PGM_VALUES // max(1, m.shape[1]))
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
@@ -266,7 +259,7 @@ def bell_result_to_json(result: BellResult) -> str:
     return json.dumps(payload, sort_keys=True, indent=1)
 
 
-def write_scan_csv(rows, path, config: dict | None = None) -> None:
+def write_scan_csv(rows, path, config: dict) -> None:
     """Scan rows as CSV with the fixed header D,kappa_plus,kappa_minus,R,route,I_D."""
     _write_csv(path, config, "D,kappa_plus,kappa_minus,R,route,I_D\n", (
         f"{r.dimension},{format_float(r.kappa_plus)},{format_float(r.kappa_minus)},"

@@ -158,7 +158,7 @@ class TalbotGeometry:
     period: float
     slit_width: float
     dimension: int
-    origin: float = 0.0
+    origin: float
 
     def __post_init__(self):
         if self.dimension < 2:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, UnderResolved
-from .fields import (MASS_TOL, MAX_ORDERS, BiphotonField, ModeField, _abs2, _density_power,
-                     _freeze, _grid_power, _unit_root, centered_axis, check_entries,
-                     gaussian_amplitude, periodic_comb, unit_power)
+from .fields import (MASS_TOL, MAX_ENTRIES, MAX_ORDERS, BiphotonField, ModeField, _abs2,
+                     _density_power, _freeze, _grid_power, _unit_root, centered_axis,
+                     check_entries, gaussian_amplitude, periodic_comb, unit_power)
 from .qudits import TalbotGeometry
 
 __all__ = [
@@ -192,6 +192,18 @@ class CoeffMatrix:
 SAMPLES_PER_SLIT_WIDTH = 8
 
 
+def _check_resolution(slits: SlitArray, dx: float, per_width: int, refusal: str) -> None:
+    """Raise ``UnderResolved(refusal)`` when pitch ``dx`` gives fewer than ``per_width``
+    samples per slit width, naming the least n whose pitch ``spacing / n`` passes, capped at
+    the size bound ``MAX_ENTRIES``.  n solves the test in floats, which may round across an
+    integer, so the test picks n - 1 or n; n > 2, as a slit is narrower than its spacing."""
+    least = per_width * (1.0 - 1e-9)
+    if slits.width / dx < least:
+        n = math.ceil(min(least * slits.spacing / slits.width, MAX_ENTRIES - 1))
+        n = next((k for k in (n - 1, n) if not slits.width / (slits.spacing / k) < least), n + 1)
+        raise UnderResolved(f"{refusal}; use at least {n} samples per slit spacing")
+
+
 def initial_biphoton_field(model: BiphotonGaussian, x1: np.ndarray,
                            x2: np.ndarray) -> BiphotonField:
     """Source amplitude sampled on the tensor grid of two coordinate axes."""
@@ -211,11 +223,8 @@ def apply_dslit(field: BiphotonField, slits: SlitArray) -> tuple:
     ``SAMPLES_PER_SLIT_WIDTH`` samples per slit width.
     """
     for dx in (field.dx1, field.dx2):
-        if slits.width / dx < SAMPLES_PER_SLIT_WIDTH * (1.0 - 1e-9):
-            raise UnderResolved(
-                f"slit width {slits.width:g} sampled with fewer than "
-                f"{SAMPLES_PER_SLIT_WIDTH} points (dx = {dx:g})"
-            )
+        _check_resolution(slits, dx, SAMPLES_PER_SLIT_WIDTH, f"slit width {slits.width:g} sampled"
+                          f" with fewer than {SAMPLES_PER_SLIT_WIDTH} points (dx = {dx:g})")
     t1 = slits.transmission(field.x1())
     t2 = slits.transmission(field.x2())
     masked = field.values * t1[:, None]
@@ -351,10 +360,8 @@ def comb_basis(slits: SlitArray, geom: SynthesizerGeometry, samples_per_cell: in
     the comb anchored at slit d with unit power.  Needs 3 samples per slit width.
     """
     dx = slits.spacing / samples_per_cell
-    if slits.width / dx < 3 * (1.0 - 1e-9):
-        raise UnderResolved(
-            f"slit width {slits.width:g} needs at least 3 samples (dx = {dx:g})"
-        )
+    _check_resolution(slits, dx, 3, f"slit width {slits.width:g} needs at least 3 samples"
+                                    f" (dx = {dx:g})")
     x = centered_axis(samples_per_cell * cells, dx)
     check_entries("comb basis", x.size, slits.count)
     basis = np.empty((x.size, slits.count), dtype=complex)

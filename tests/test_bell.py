@@ -12,7 +12,7 @@ from talbotlab import bell
 from talbotlab.bell import (SETTING_OFFSETS, SETTING_PAIRS, bell_analytic, bell_field, bell_point,
                             bell_scan, cglmp_value, joint_prob_analytic, joint_prob_field)
 from talbotlab.constraints import gate_distances, talbot_length
-from talbotlab.errors import AliasingRisk, NonNormalized
+from talbotlab.errors import AliasingRisk, NonNormalized, TalbotLabError
 from talbotlab.fields import BiphotonField, PropagationSpec, biphoton_propagate
 from talbotlab.qudits import (bin_outcome_map, bin_weights, gate_distance_fraction,
                               measurement_phases, measurement_unitary)
@@ -127,7 +127,7 @@ def test_value_increases_with_dimension_below_ceiling():
 
 def test_uniform_tables_give_zero():
     uniform = [np.full((4, 4), 1.0 / 16.0)] * 4
-    result = cglmp_value(uniform)
+    result = cglmp_value(uniform, {})
     assert abs(result.value) < 1e-12
     assert all(abs(j) < 1e-12 for j in result.j_values)
 
@@ -147,7 +147,7 @@ def test_cglmp_value_equals_per_k_oracle_bit_for_bit(layout):
                 big[::2, ::3] = t
                 t = big[::2, ::3]
             tables.append(t)
-        result = cglmp_value(tables)
+        result = cglmp_value(tables, {})
         j_values, value = cglmp_oracle(tables)
         assert result.j_values == j_values, d
         assert result.value == value, d
@@ -157,7 +157,7 @@ def test_cglmp_value_equals_per_k_oracle_bit_for_bit(layout):
 def test_non_normalized_table_rejected():
     bad = [np.full((3, 3), 0.1)] * 4
     with pytest.raises(NonNormalized):
-        cglmp_value(bad)
+        cglmp_value(bad, {})
 
 
 @pytest.mark.parametrize("dimension", [2, 3])
@@ -169,7 +169,7 @@ def test_deterministic_local_strategies_respect_the_classical_bound(dimension):
             t = np.zeros((dimension, dimension))
             t[a_choice, b_choice] = 1.0
             tables.append(t)
-        assert cglmp_value(tables).value <= 2.0 + 1e-12
+        assert cglmp_value(tables, {}).value <= 2.0 + 1e-12
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6))
@@ -298,6 +298,15 @@ def test_field_route_with_grating_envelope_stays_close():
         assert np.abs(tf - ta).max() < 1e-2
 
 
+@pytest.mark.parametrize("envelope", [False, True])
+def test_field_provenance_names_the_spike_width_the_envelope_used(envelope):
+    # bell_point's grating spikes are 0.05 slit spacings wide; they shape the
+    # comb only through the envelope, and the provenance names them only then
+    result = bell_point(3, 9.0, 1.0, 2.0, "field", slit_width=0.05, samples_per_cell=64,
+                        cells=24, envelope=envelope)
+    assert result.provenance.get("spike_width") == (0.05 * 2.0 if envelope else None)
+
+
 # ---------------------------------------------------------------------------
 # dense oracle of the field route: the pair state on the full two-photon grid
 
@@ -418,6 +427,28 @@ def test_field_route_matches_analytic_over_the_criterion_6_scan():
     for f, a in zip(field_rows, analytic_rows):
         assert (f.dimension, f.kappa_minus) == (a.dimension, a.kappa_minus)
         assert abs(f.value - a.value) < 1e-9
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dimension=st.integers(2, 9), kappa_plus=st.sampled_from([1.0, 3.0, 9.0, 20.0]),
+       kappa_minus=st.sampled_from([0.0, 0.3, 1.0, 3.0]), spacing=st.sampled_from([0.5, 1.0, 2.0]),
+       slit_width=st.sampled_from([0.02, 0.05, 0.1, 0.2]),
+       samples_per_cell=st.sampled_from([16, 24, 32, 64, 100]),
+       cells=st.sampled_from([8, 13, 24, 48, 64]))
+def test_fuzzed_field_route_agrees_with_analytic_or_refuses(dimension, kappa_plus, kappa_minus,
+                                                            spacing, slit_width,
+                                                            samples_per_cell, cells):
+    # a field-route point either raises one of the package's own errors or
+    # matches the matrix route to 1e-9 on its commensurate, envelope-free window
+    point = (dimension, kappa_plus, kappa_minus, spacing)
+    grid = dict(slit_width=slit_width, samples_per_cell=samples_per_cell, cells=cells,
+                envelope=False)
+    analytic = bell_point(*point, route="analytic", **grid).value
+    try:
+        field = bell_point(*point, route="field", **grid).value
+    except TalbotLabError:
+        return
+    assert abs(field - analytic) < 1e-9
 
 
 def test_qutrit_table_matches_explicit_kernel_summation():

@@ -173,6 +173,50 @@ def test_entangle_pipeline_files(tmp_path):
     assert 0 < meta["config"]["transmitted_fraction"] < 1
 
 
+# a small run of every command: the values it sets, and the files it writes
+EVERY_COMMAND = {
+    "carpet": ({"z_steps": 8}, ["carpet.csv", "carpet.pgm"]),
+    "synth": ({}, ["synth_ideal.csv", "synth_input.csv", "synth_output.csv"]),
+    "entangle": ({"initial_window_cells": 8, "slit_window_cells": 4, "carpet_window_cells": 6},
+                 [f"entangle_{stage}.{kind}" for stage in ("carpet", "initial", "slits")
+                  for kind in ("csv", "csv.json", "pgm")]),
+    "bell": ({}, ["bell.json"]),
+    "bell-scan": ({"dimensions": [2, 3]}, ["bell_scan.csv"]),
+    "constraints": ({}, ["constraints.json"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_COMMAND))
+def test_every_file_records_the_resolved_config(command, tmp_path):
+    # each CSV opens with a "# config:" line and each PGM carries one; each
+    # sidecar, bell.json and constraints.json holds the config: every file
+    # names the resolved configuration of the run that wrote it
+    overrides, names = EVERY_COMMAND[command]
+    argv = [command, "--out-dir", str(tmp_path)]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    assert run(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    resolved = json.loads(json.dumps({**DEFAULTS[command], **overrides}))
+    comment = b"# config: "
+    for path in tmp_path.iterdir():
+        if path.suffix == ".csv":
+            first = path.read_bytes().split(b"\n", 1)[0]
+            assert first.startswith(comment), path.name
+            recorded = json.loads(first[len(comment):])
+        elif path.suffix == ".pgm":
+            header = path.read_bytes().split(b"\n255\n", 1)[0].split(b"\n")
+            [line] = [line for line in header if line.startswith(comment)]
+            recorded = json.loads(line[len(comment):])
+        elif path.name == "bell.json":
+            recorded = json.loads(path.read_text())["provenance"]["config"]
+        else:  # a CSV's grid sidecar, or constraints.json
+            recorded = json.loads(path.read_text())["config"]
+        if path.name.startswith("entangle_slits.csv"):  # the CSV and its sidecar
+            assert 0 < recorded.pop("transmitted_fraction") <= 1
+        assert recorded == resolved, path.name
+
+
 def test_entangle_carpet_equals_the_dense_field_files(tmp_path):
     # 700 carpet rows: the density's row blocks end in a short one
     overrides = {"initial_window_cells": 8, "slit_window_cells": 2,
@@ -259,7 +303,7 @@ def test_entangle_formats_each_carpet_value_once_in_one_process(tmp_path, monkey
 
 
 @pytest.mark.parametrize("blocked", [None, "entangle_slits.csv", "entangle_carpet.csv"])
-def test_entangle_leaves_no_open_pipe_and_no_child(blocked, tmp_path, capfd, forks):
+def test_entangle_leaves_no_open_file_and_no_child(blocked, tmp_path, capfd, forks):
     # after a write that succeeds, or fails in the child or in this process
     if not os.path.isdir("/proc/self/fd"):
         pytest.skip("no /proc/self/fd to count open files in")

@@ -172,7 +172,7 @@ def test_powers_of_ten_table_is_built_on_first_csv_write(tmp_path):
         "from talbotlab import _floatfmt\n"
         "built = lambda: _floatfmt._pow10_table.cache_info().currsize\n"
         "seen.append(built())\n"
-        "talbotlab.io.write_matrix_csv([[0.5]], 'm.csv')\n"
+        "talbotlab.io.write_matrix_csv([[0.5]], 'm.csv', {})\n"
         "seen.append(built())\n"
         "print(json.dumps(seen))\n"
     )
@@ -184,4 +184,4 @@ def test_powers_of_ten_table_is_built_on_first_csv_write(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [False, 0, False, 0, 1]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bell.json", "m.csv"]
-    assert (tmp_path / "m.csv").read_text() == "0.5\n"
+    assert (tmp_path / "m.csv").read_text() == "# config: {}\n0.5\n"

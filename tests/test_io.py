@@ -13,6 +13,10 @@ from talbotlab.io import (bell_result_to_json, write_biphoton_csv, write_matrix_
                           write_sampled_csv, write_scan_csv)
 from talbotlab.spdc import BiphotonGaussian, initial_biphoton_field, maximally_entangled
 
+# the configuration every writer records, and the comment line it writes for it
+CONFIG = {"case": "demo"}
+HEADER = b'# config: {"case":"demo"}\n'
+
 
 def oracle_matrix_csv(matrix) -> bytes:
     """The plain writer: every entry through repr, one row per line."""
@@ -52,8 +56,8 @@ def test_sampled_csv_equals_per_value_oracle(tmp_path, monkeypatch, rows_per_blo
     values[:4] = [complex(0.0, -0.0), complex(-0.0, np.nan), complex(np.inf, -np.inf), 1e-300]
     field = SampledField(-1.25, 0.1, values)
     path = tmp_path / "field.csv"
-    write_sampled_csv(field, path)
-    assert path.read_text() == "x,re,im\n" + "".join(
+    write_sampled_csv(field, path, CONFIG)
+    assert path.read_text() == HEADER.decode() + "x,re,im\n" + "".join(
         f"{x!r},{v.real!r},{v.imag!r}\n" for x, v in zip(field.x().tolist(), values.tolist()))
 
 
@@ -71,8 +75,8 @@ def test_matrix_csv_special_values_bytes(tmp_path):
     path = tmp_path / "special.csv"
     write_matrix_csv(np.array([[-0.0, 0.0, np.nan, nan_neg],
                                [np.inf, -np.inf, 5e-324, -5e-324],
-                               [0.1, 0.1, -0.0, 0.0]]), path)
-    assert path.read_bytes() == (b"-0.0,0.0,nan,nan\n"
+                               [0.1, 0.1, -0.0, 0.0]]), path, CONFIG)
+    assert path.read_bytes() == (HEADER + b"-0.0,0.0,nan,nan\n"
                                  b"inf,-inf,5e-324,-5e-324\n"
                                  b"0.1,0.1,-0.0,0.0\n")
 
@@ -95,8 +99,8 @@ def _repeated(rows, cols=7, seed=0):
         "fortran", "transposed", "integer", "no-columns"])
 def test_matrix_csv_equals_per_value_oracle(tmp_path, matrix):
     path = tmp_path / "m.csv"
-    write_matrix_csv(matrix, path)
-    assert path.read_bytes() == oracle_matrix_csv(matrix)
+    write_matrix_csv(matrix, path, CONFIG)
+    assert path.read_bytes() == HEADER + oracle_matrix_csv(matrix)
 
 
 def _mirrored(rows=40, cols=12, seed=3):
@@ -141,16 +145,17 @@ STRUCTURED = {
 @pytest.mark.parametrize("case", sorted(STRUCTURED))
 def test_matrix_csv_structured_equals_oracle(tmp_path, case):
     path = tmp_path / "m.csv"
-    write_matrix_csv(STRUCTURED[case], path)
-    assert path.read_bytes() == oracle_matrix_csv(STRUCTURED[case])
+    write_matrix_csv(STRUCTURED[case], path, CONFIG)
+    assert path.read_bytes() == HEADER + oracle_matrix_csv(STRUCTURED[case])
 
 
 def test_matrix_csv_keeps_near_twin_rows_apart(tmp_path):
     path = tmp_path / "twins.csv"
     m = _near_twins()
-    write_matrix_csv(m, path)
+    write_matrix_csv(m, path, CONFIG)
     lines = path.read_bytes().splitlines()
-    assert lines[0] == b"0.0,1.0,0.5" and lines[1] == b"-0.0,1.0,0.5"
+    assert lines[0] == HEADER.rstrip()
+    assert lines[1] == b"0.0,1.0,0.5" and lines[2] == b"-0.0,1.0,0.5"
     bits = np.ascontiguousarray(m).view(np.uint64)
     assert len(io._distinct_rows(bits)[1]) == 6
 
@@ -159,8 +164,8 @@ def test_matrix_csv_keeps_near_twin_rows_apart(tmp_path):
 def test_matrix_csv_survives_row_key_collisions(tmp_path, monkeypatch, case):
     monkeypatch.setattr(io, "_row_key", lambda row: 0)
     path = tmp_path / "m.csv"
-    write_matrix_csv(STRUCTURED[case], path)
-    assert path.read_bytes() == oracle_matrix_csv(STRUCTURED[case])
+    write_matrix_csv(STRUCTURED[case], path, CONFIG)
+    assert path.read_bytes() == HEADER + oracle_matrix_csv(STRUCTURED[case])
 
 
 @pytest.mark.parametrize("case", sorted(STRUCTURED))
@@ -170,14 +175,14 @@ def test_matrix_csv_survives_column_key_collisions(tmp_path, monkeypatch, case):
     monkeypatch.setattr(io, "_column_keys",
                         lambda bits, rows: np.zeros(bits.shape[1], dtype=np.uint64))
     path = tmp_path / "m.csv"
-    write_matrix_csv(STRUCTURED[case], path)
-    assert path.read_bytes() == oracle_matrix_csv(STRUCTURED[case])
+    write_matrix_csv(STRUCTURED[case], path, CONFIG)
+    assert path.read_bytes() == HEADER + oracle_matrix_csv(STRUCTURED[case])
 
 
 @pytest.mark.parametrize("gather_rows", [1, 3])
 @pytest.mark.parametrize("share", [0.3, 1.0])
 @pytest.mark.parametrize("case", sorted(STRUCTURED))
-def test_distinct_rows_format_equals_the_block_path(monkeypatch, case, share, gather_rows):
+def test_distinct_lines_equal_the_per_value_repr(monkeypatch, case, share, gather_rows):
     # the lines of a contiguous run of distinct rows, formatted from its
     # distinct columns, against the slow path, for both runs of a split
     m = np.ascontiguousarray(STRUCTURED[case], dtype=float)
@@ -241,8 +246,8 @@ def test_matrix_csv_equals_oracle_past_each_cap(tmp_path, monkeypatch, case, gat
     monkeypatch.setattr(_floatfmt, "_CHUNK", gather_values)
     _buffered(monkeypatch, buffer_bytes)
     path = tmp_path / "m.csv"
-    write_matrix_csv(STRUCTURED[case], path)
-    assert path.read_bytes() == oracle_matrix_csv(STRUCTURED[case])
+    write_matrix_csv(STRUCTURED[case], path, CONFIG)
+    assert path.read_bytes() == HEADER + oracle_matrix_csv(STRUCTURED[case])
 
 
 def test_matrix_csv_caps_are_crossed(tmp_path, monkeypatch):
@@ -262,8 +267,8 @@ def test_matrix_csv_caps_are_crossed(tmp_path, monkeypatch):
     monkeypatch.setattr(_floatfmt, "csv_text", counted_text)
     m = _mirrored()
     m = np.hstack([m, m[:, ::-1], m[:, :5]])
-    write_matrix_csv(m, tmp_path / "m.csv")
-    assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(m)
+    write_matrix_csv(m, tmp_path / "m.csv", CONFIG)
+    assert (tmp_path / "m.csv").read_bytes() == HEADER + oracle_matrix_csv(m)
     distinct = m[io._distinct_rows(m.view(np.uint64))[1]]
     [(core, columns)] = cores
     core_bits = core.view(np.uint64)
@@ -282,10 +287,10 @@ def test_matrix_csv_caps_are_crossed(tmp_path, monkeypatch):
 ], ids=["repeats", "all-distinct", "distinct-rows-repeated"])
 def test_matrix_csv_formats_each_distinct_value_once(tmp_path, monkeypatch, m):
     calls = _counting_format(monkeypatch)
-    write_matrix_csv(m, tmp_path / "m.csv")
+    write_matrix_csv(m, tmp_path / "m.csv", CONFIG)
     values = sum(calls, [])
     assert len(values) == len(set(values)) == np.unique(m.view(np.uint64)).size
-    assert (tmp_path / "m.csv").read_bytes() == oracle_matrix_csv(m)
+    assert (tmp_path / "m.csv").read_bytes() == HEADER + oracle_matrix_csv(m)
 
 
 def test_biphoton_csv_with_sidecar(tmp_path):
@@ -293,11 +298,12 @@ def test_biphoton_csv_with_sidecar(tmp_path):
     x = np.linspace(-4, 4, 33)
     field = initial_biphoton_field(model, x, x)
     path = tmp_path / "pair.csv"
-    density = write_biphoton_csv(field, path)
+    density = write_biphoton_csv(field, path, CONFIG)
     assert np.array_equal(density, np.abs(field.values) ** 2)
-    assert path.read_bytes() == oracle_matrix_csv(density)
+    assert path.read_bytes() == HEADER + oracle_matrix_csv(density)
     meta = json.loads((tmp_path / "pair.csv.json").read_text())
     assert meta["n1"] == 33 and meta["n2"] == 33
+    assert meta["config"] == CONFIG
     rows = [r for r in path.read_text().splitlines() if not r.startswith("#")]
     assert len(rows) == 33
     assert len(rows[0].split(",")) == 33
@@ -306,7 +312,7 @@ def test_biphoton_csv_with_sidecar(tmp_path):
 def test_pgm_header_and_payload(tmp_path):
     mat = np.array([[0.0, 0.5], [1.0, 2.0]])
     path = tmp_path / "map.pgm"
-    write_pgm(mat, path)
+    write_pgm(mat, path, CONFIG)
     raw = path.read_bytes()
     header, payload = raw.rsplit(b"\n255\n", 1)
     assert header.startswith(b"P5\n# full scale = 2.0")
@@ -321,7 +327,7 @@ def test_pgm_payload_equals_out_of_place_scaling(tmp_path):
     values = np.concatenate([halves, [0.0, -0.0, -1.0, -top, top, top / 2, 1e-300]])
     m = np.resize(values, (7, values.size))
     path = tmp_path / "halves.pgm"
-    write_pgm(m, path)
+    write_pgm(m, path, CONFIG)
     expected = np.round(np.clip(m / top, 0, 1) * 255).astype(np.uint8)
     assert path.read_bytes().rsplit(b"\n255\n", 1)[1] == expected.tobytes()
 
@@ -331,7 +337,7 @@ def test_pgm_payload_is_the_same_in_row_blocks(tmp_path, monkeypatch, block_valu
     monkeypatch.setattr(io, "_PGM_VALUES", block_values)
     m = np.random.default_rng(7).random((13, 9)) * 3
     path = tmp_path / "blocks.pgm"
-    write_pgm(m, path)
+    write_pgm(m, path, CONFIG)
     expected = np.round(np.clip(m / m.max(), 0, 1) * 255).astype(np.uint8)
     assert path.read_bytes().rsplit(b"\n255\n", 1)[1] == expected.tobytes()
 

@@ -103,7 +103,7 @@ def test_gate_matches_field_propagation_oracle():
     # back onto the basis combs
     dimension = 3
     period, lam = float(dimension), 0.01
-    geom = TalbotGeometry(period, 0.01, dimension)
+    geom = TalbotGeometry(period, 0.01, dimension, 0.0)
     z = gate_distance_fraction(dimension) * talbot_length(period, lam)
     fields = [sample(basis_comb(geom, d), 512, 8) for d in range(dimension)]
     propagated = [
@@ -216,11 +216,11 @@ def test_measurement_unitary_defining_property(dimension, side, rng):
 
 def test_geometry_rejects_wide_slits():
     with pytest.raises(InvalidSpec):
-        TalbotGeometry(1.0, 0.4, 3)
+        TalbotGeometry(1.0, 0.4, 3, 0.0)
 
 
 def test_encode_basis_state_single_comb():
-    geom = TalbotGeometry(3.0, 0.05, 3)
+    geom = TalbotGeometry(3.0, 0.05, 3, 0.0)
     field = basis_comb(geom, 0)
     assert abs((np.abs(field.coeffs) ** 2).sum() - 1.0) < 1e-12
     grid = sample(field, 96, 4)
@@ -234,7 +234,7 @@ def test_encode_basis_state_single_comb():
 @pytest.mark.parametrize("dimension", [2, 3, 5, 7])
 def test_decode_encode_roundtrip(dimension):
     period = float(dimension)
-    geom = TalbotGeometry(period, 0.05, dimension)
+    geom = TalbotGeometry(period, 0.05, dimension, 0.0)
     spp = 64 * dimension  # resolves every retained mode
     for d in range(dimension):
         grid = sample(basis_comb(geom, d), spp, 16)
@@ -247,7 +247,7 @@ def test_decode_encode_roundtrip_literal_five_percent_of_period():
     # slit width 0.05 * period stays decodable for small dimensions
     for dimension in (2, 3):
         period = float(dimension)
-        geom = TalbotGeometry(period, 0.05 * period, dimension)
+        geom = TalbotGeometry(period, 0.05 * period, dimension, 0.0)
         grid = sample(basis_comb(geom, 1), 96, 16)
         probs, _ = decode(grid, geom)
         assert probs[1] > 1.0 - 1e-4
@@ -256,14 +256,14 @@ def test_decode_encode_roundtrip_literal_five_percent_of_period():
 def test_decode_uniform_intensity():
     n, dx = 1024, 3.0 / 256
     field = SampledField(-n * dx / 2, dx, np.ones(n, dtype=complex)).normalized()
-    geom = TalbotGeometry(3.0, 0.05, 3)
+    geom = TalbotGeometry(3.0, 0.05, 3, 0.0)
     np.testing.assert_allclose(decode(field, geom)[0], np.full(3, 1 / 3), atol=1e-12)
 
 
 def test_decode_gate_path_matches_matrix_route(rng):
     dimension = 3
     period, lam = 3.0, 0.01
-    geom = TalbotGeometry(period, 0.05, dimension)
+    geom = TalbotGeometry(period, 0.05, dimension, 0.0)
     v = rng.normal(size=dimension) + 1j * rng.normal(size=dimension)
     v /= np.linalg.norm(v)
     z = gate_distance_fraction(dimension) * talbot_length(period, lam)
@@ -274,7 +274,7 @@ def test_decode_gate_path_matches_matrix_route(rng):
 
 
 def test_decode_requires_integer_periods():
-    geom = TalbotGeometry(3.0, 0.05, 3)
+    geom = TalbotGeometry(3.0, 0.05, 3, 0.0)
     grid = sample(basis_comb(geom, 0), 96, 16)
     clipped = SampledField(grid.x0, grid.dx, grid.values[:-7])
     with pytest.raises(BinMisalignment):
@@ -282,7 +282,7 @@ def test_decode_requires_integer_periods():
 
 
 def test_decode_rejects_unresolvable_bins():
-    geom = TalbotGeometry(3.0, 0.004, 64)  # bins below two sample pitches
+    geom = TalbotGeometry(3.0, 0.004, 64, 0.0)  # bins below two sample pitches
     n, dx = 64, 3.0 / 64
     field = SampledField(-1.5, dx, np.ones(n, dtype=complex)).normalized()
     with pytest.raises(BinMisalignment):
@@ -323,7 +323,7 @@ def test_bin_weights_equal_the_per_sample_loop(rng):
 
 
 def test_decode_with_capture_reports_window_power():
-    geom = TalbotGeometry(3.0, 0.05, 3)
+    geom = TalbotGeometry(3.0, 0.05, 3, 0.0)
     grid = sample(basis_comb(geom, 2), 96, 16)
     probs, captured = decode(grid, geom)
     assert abs(captured - 1.0) < 1e-9
@@ -331,7 +331,7 @@ def test_decode_with_capture_reports_window_power():
 
 
 def test_encode_uniform_gives_three_equal_interleaved_combs():
-    geom = TalbotGeometry(3.0, 0.05, 3)
+    geom = TalbotGeometry(3.0, 0.05, 3, 0.0)
     grid = sample(encode(np.full(3, 1.0 / math.sqrt(3), dtype=complex), geom), 96, 8)
     np.testing.assert_allclose(decode(grid, geom)[0], 1.0 / 3.0, atol=1e-9)
     # the intensity repeats every third of the period

@@ -1,6 +1,7 @@
 """Pair-source model, apertures, synthesizers and the coefficient matrix."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -116,6 +117,50 @@ def test_aperture_rejects_coarse_grids():
         apply_dslit(field, SlitArray(3, S, 0.05 * S))
 
 
+@pytest.mark.parametrize("width, comb_least, aperture_least",
+                         [(0.05, 60, 160), (0.07, 43, 115), (0.033, 91, 243)])
+def test_refusals_name_the_least_samples_per_spacing_that_pass(width, comb_least,
+                                                               aperture_least):
+    # the count a refusal states passes its guard, and one sample fewer does not
+    slits = SlitArray(3, S, width * S)
+    geom = SynthesizerGeometry.for_dimension(3, S, 0.05 * S)
+    model = BiphotonGaussian(9.0 * S, 1.0 * S)
+
+    def comb(samples_per_cell):
+        comb_basis(slits, geom, samples_per_cell, 4, envelope=False)
+
+    def aperture(samples_per_cell):
+        x = axis(4, samples_per_cell)
+        apply_dslit(initial_biphoton_field(model, x, x), slits)
+
+    for stage, expected in ((comb, comb_least), (aperture, aperture_least)):
+        with pytest.raises(UnderResolved) as refused:
+            stage(2)
+        stated = re.fullmatch(r"slit width .*; use at least (\d+) samples per slit spacing",
+                              str(refused.value))
+        assert stated and int(stated.group(1)) == expected
+        stage(expected)
+        with pytest.raises(UnderResolved):
+            stage(expected - 1)
+
+
+@pytest.mark.parametrize("width, expected", [(3 / (60 * (1 + 5e-10)), 60),
+                                             (0.05999999994, 51),
+                                             (0.07142857135714285, 42)])
+def test_refusal_count_holds_where_the_float_bound_rounds(width, expected):
+    # widths at the guard's 1e-9 margin: one that the margin alone moves from
+    # 61 samples to 60, and two where the bound solved in floats rounds to the
+    # wrong side of an integer; the stated count passes and one fewer fails
+    slits = SlitArray(3, S, width * S)
+    geom = SynthesizerGeometry.for_dimension(3, S, 0.05 * S)
+    stated = f"; use at least {expected} samples per slit spacing$"
+    with pytest.raises(UnderResolved, match=stated):
+        comb_basis(slits, geom, 2, 4, envelope=False)
+    comb_basis(slits, geom, expected, 4, envelope=False)
+    with pytest.raises(UnderResolved):
+        comb_basis(slits, geom, expected - 1, 4, envelope=False)
+
+
 def test_source_and_aperture_equal_the_out_of_place_normalisation_bit_for_bit():
     # the in-place normalisation keeps the arithmetic of BiphotonField.normalized
     model = BiphotonGaussian(9.0 * S, 0.5 * S)
@@ -179,8 +224,7 @@ def test_single_order_grating_reproduces_the_aperture():
     assert num / den > 0.98  # zeroth order dominates a wide-spike grating
 
 
-# the ids name the slit profile, which is Gaussian
-@pytest.mark.parametrize("dimension", [1, 3, 7, 64], ids=lambda d: f"{d}-gaussian")
+@pytest.mark.parametrize("dimension", [1, 3, 7, 64])
 def test_render_equals_the_comb_basis_times_the_amplitudes(dimension):
     # oracle: the n x D basis of envelope-weighted comb columns, applied at once
     rng = np.random.default_rng(dimension)
