@@ -303,7 +303,7 @@ def test_entangle_formats_each_carpet_value_once_in_one_process(tmp_path, monkey
 
 
 @pytest.mark.parametrize("blocked", [None, "entangle_slits.csv", "entangle_carpet.csv"])
-def test_entangle_leaves_no_open_file_and_no_child(blocked, tmp_path, capfd, forks):
+def test_entangle_leaves_no_open_pipe_and_no_child(blocked, tmp_path, capfd, forks):
     # after a write that succeeds, or fails in the child or in this process
     if not os.path.isdir("/proc/self/fd"):
         pytest.skip("no /proc/self/fd to count open files in")

@@ -224,7 +224,8 @@ def test_single_order_grating_reproduces_the_aperture():
     assert num / den > 0.98  # zeroth order dominates a wide-spike grating
 
 
-@pytest.mark.parametrize("dimension", [1, 3, 7, 64])
+# the ids name the slit profile, which is Gaussian
+@pytest.mark.parametrize("dimension", [1, 3, 7, 64], ids=lambda d: f"{d}-gaussian")
 def test_render_equals_the_comb_basis_times_the_amplitudes(dimension):
     # oracle: the n x D basis of envelope-weighted comb columns, applied at once
     rng = np.random.default_rng(dimension)
