@@ -105,9 +105,9 @@ def cmd_entangle(cfg: dict, out: Path) -> int:
 
     # every stage and its guards run before the first file is written
     x_a = axis(cfg["initial_window_cells"], cfg["initial_samples_per_cell"])
-    initial = initial_biphoton_field(model, x_a, x_a)
+    initial = initial_biphoton_field(model, x_a)
     x_c = axis(cfg["slit_window_cells"], cfg["slit_samples_per_cell"])
-    after, transmitted = apply_dslit(initial_biphoton_field(model, x_c, x_c), slits)
+    after, transmitted = apply_dslit(initial_biphoton_field(model, x_c), slits)
     # the z = 0 carpet as a density built in row blocks, with no n x n complex grid
     x, dx, carpet = two_photon_density(coeffs, slits, geom,
                                        samples_per_cell=cfg["carpet_samples_per_cell"],
@@ -131,8 +131,7 @@ def cmd_entangle(cfg: dict, out: Path) -> int:
     pid = _write_aside(write_fields, out)
     fields.clear()
     try:
-        x0 = float(x[0])
-        write_density_csv(carpet, out / "entangle_carpet.csv", (x0, dx, x0, dx), cfg)
+        write_density_csv(carpet, out / "entangle_carpet.csv", (float(x[0]), dx), cfg)
     finally:
         code = _reap(pid)
     if code:

@@ -7,7 +7,7 @@ Three representations are used throughout the package:
   quadratic phase; ``periodic_comb`` builds one from Gaussian slits and
   ``sample`` evaluates it on a grid.
 * ``SampledField`` -- complex amplitude on a uniform transverse grid.
-* ``BiphotonField`` -- two-photon amplitude on the tensor grid of two axes.
+* ``BiphotonField`` -- two-photon amplitude on the square grid of one axis.
 
 Grids are propagated axis by axis with the band-limited spectral (Fresnel
 transfer function) method, guarded against aliasing.  Both propagators
@@ -104,36 +104,28 @@ class SampledField:
         """Sample coordinates."""
         return self.x0 + self.dx * np.arange(self.n)
 
-    def normalized(self) -> "SampledField":
-        return SampledField(self.x0, self.dx, unit_power(self.values.copy(), self.dx))
-
 
 @dataclass(frozen=True)
 class BiphotonField:
-    """Two-photon complex amplitude on the tensor grid of two 1-D grids."""
+    """Two-photon complex amplitude on the square grid ``x0 + dx * arange(n)`` of both photons."""
 
-    x0_1: float
-    dx1: float
-    x0_2: float
-    dx2: float
+    x0: float
+    dx: float
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 2 or min(vals.shape) < 2:
-            raise InvalidSpec("values must be a 2-D array, at least 2x2")
-        if not (self.dx1 > 0 and self.dx2 > 0):
-            raise InvalidSpec("dx1 and dx2 must be positive")
+        if vals.ndim != 2 or vals.shape[0] != vals.shape[1] or vals.shape[0] < 2:
+            raise InvalidSpec("values must be a square 2-D array, at least 2x2")
+        if not self.dx > 0:
+            raise InvalidSpec("dx must be positive")
         object.__setattr__(self, "values", _freeze(vals))
 
-    def x1(self) -> np.ndarray:
-        return self.x0_1 + self.dx1 * np.arange(self.values.shape[0])
-
-    def x2(self) -> np.ndarray:
-        return self.x0_2 + self.dx2 * np.arange(self.values.shape[1])
+    def x(self) -> np.ndarray:
+        return self.x0 + self.dx * np.arange(self.values.shape[0])
 
     def power(self) -> float:
-        return _grid_power(self.values, self.dx1, self.dx2)
+        return _grid_power(self.values, self.dx, self.dx)
 
 
 def _abs2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -200,9 +192,6 @@ class ModeField:
     def modes(self) -> np.ndarray:
         m = self.max_mode
         return np.arange(-m, m + 1)
-
-    def normalized(self) -> "ModeField":
-        return ModeField(self.period, unit_power(self.coeffs.copy()))
 
 
 @dataclass(frozen=True)
@@ -320,9 +309,9 @@ def biphoton_propagate(field: BiphotonField, spec: PropagationSpec) -> BiphotonF
     """Propagate both photon axes of a biphoton field by the same distance."""
     if spec.distance == 0.0:
         return field
-    vals = _propagate_axis(field.values, field.dx1, spec, 0)
-    vals = _propagate_axis(vals, field.dx2, spec, 1)
-    return BiphotonField(field.x0_1, field.dx1, field.x0_2, field.dx2, vals)
+    vals = _propagate_axis(field.values, field.dx, spec, 0)
+    vals = _propagate_axis(vals, field.dx, spec, 1)
+    return BiphotonField(field.x0, field.dx, vals)
 
 
 def mode_propagate(field: ModeField, spec: PropagationSpec) -> ModeField:
@@ -396,7 +385,7 @@ def periodic_comb(period: float, width: float, offsets: Sequence[float],
     while keep > 1 and discarded(keep - 1) < MASS_TOL * total:
         keep -= 1
     coeffs = coeffs[half - keep: half + keep + 1]
-    return ModeField(period, coeffs).normalized()
+    return ModeField(period, unit_power(coeffs))
 
 
 def sampling_matrix(field: ModeField, samples_per_period: int, periods: int) -> tuple:
@@ -429,4 +418,4 @@ def sample(field: ModeField, samples_per_period: int, periods: int) -> SampledFi
     The result is normalized over the window.
     """
     x, dx, matrix = sampling_matrix(field, samples_per_period, periods)
-    return SampledField(float(x[0]), dx, matrix @ field.coeffs).normalized()
+    return SampledField(float(x[0]), dx, unit_power(matrix @ field.coeffs, dx))

@@ -183,27 +183,19 @@ def write_biphoton_csv(field: BiphotonField, path, config: dict) -> np.ndarray:
     """
     density = np.abs(field.values)
     np.square(density, out=density)
-    grid = (field.x0_1, field.dx1, field.x0_2, field.dx2)
+    grid = (field.x0, field.dx)
     del field
     write_density_csv(density, path, grid, config)
     return density
 
 
 def write_density_csv(density: np.ndarray, path, grid: tuple, config: dict) -> None:
-    """Two-photon density as row-major CSV plus JSON grid sidecar; ``grid`` is
-    ``(x0_1, dx1, x0_2, dx2)``, the first coordinate and pitch of each axis."""
+    """Two-photon density on a square grid as row-major CSV plus JSON grid sidecar;
+    ``grid`` is ``(x0, dx)``, the first coordinate and pitch of both axes."""
     path = Path(path)
-    x0_1, dx1, x0_2, dx2 = grid
-    meta = {
-        "x0_1": x0_1,
-        "dx1": dx1,
-        "n1": density.shape[0],
-        "x0_2": x0_2,
-        "dx2": dx2,
-        "n2": density.shape[1],
-        "content": "row-major |amplitude|^2; rows follow axis 1",
-        "config": config,
-    }
+    (x0, dx), (n1, n2) = grid, density.shape
+    meta = {"x0_1": x0, "dx1": dx, "n1": n1, "x0_2": x0, "dx2": dx, "n2": n2,
+            "content": "row-major |amplitude|^2; rows follow axis 1", "config": config}
     write_matrix_csv(density, path, config)
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constraints import parity_constant
 from .errors import BinMisalignment, InvalidSpec, NotCoprime
-from .fields import _freeze, gaussian_amplitude
+from .fields import _freeze
 
 __all__ = [
     "TalbotGeometry",
@@ -144,6 +144,15 @@ def bin_outcome_map(dimension: int, side: str) -> np.ndarray:
 # detector geometry
 
 
+# largest overlap of adjacent basis wavefunctions that a geometry may have
+MAX_OVERLAP = 1e-4
+
+
+def _adjacent_overlap(ratio: float) -> float:
+    """Overlap of two Gaussian slits ``ratio`` widths apart; ``ratio ** 2`` raises on overflow."""
+    return math.exp(-ratio * ratio / 4.0)
+
+
 @dataclass(frozen=True)
 class TalbotGeometry:
     """Geometry of the qudit encoding: period, slit width, dimension.
@@ -151,8 +160,9 @@ class TalbotGeometry:
     Basis state d is a comb of Gaussian slits displaced by
     ``origin + d * period / D``, and detector bin d is centred there.
     Construction verifies that adjacent basis wavefunctions are nearly
-    orthogonal (overlap below 1e-4), which bounds the slit width well under
-    ``period / D``.
+    orthogonal: their overlap ``exp(-(step / width)^2 / 4)``, with ``step =
+    period / D``, may not exceed ``MAX_OVERLAP``, which bounds the slit width
+    at about 0.165 ``step``.
     """
 
     period: float
@@ -166,22 +176,17 @@ class TalbotGeometry:
         if not (self.period > 0 and self.slit_width > 0):
             raise InvalidSpec("period and slit width must be positive")
         step = self.period / self.dimension
-        if not self.slit_width < step:
-            raise InvalidSpec("slit width must be below period / dimension")
-        ov = self._adjacent_overlap()
-        if ov > 1e-4:
+        ov = _adjacent_overlap(step / self.slit_width)
+        if ov > MAX_OVERLAP:
+            # the widest slit that passes, from exp(-1 / (4 w^2)) = MAX_OVERLAP, in steps
+            # rounded down to four digits, and one digit lower if the guard refuses that
+            w = math.floor(1e4 / (2.0 * math.sqrt(-math.log(MAX_OVERLAP)))) / 1e4
+            w = w if _adjacent_overlap(1.0 / w) <= MAX_OVERLAP else w - 1e-4
             raise InvalidSpec(
-                f"adjacent basis overlap {ov:.2e} > 1e-4; narrow the slits "
-                f"(width {self.slit_width:g} vs spacing {step:g})"
+                f"adjacent basis overlap {ov:.2e} > 1e-4; narrow the slits"
+                f" (width {self.slit_width:g} vs spacing {step:g}); use a slit width of"
+                f" at most {w:g} slit spacings"
             )
-
-    def _adjacent_overlap(self) -> float:
-        step = self.period / self.dimension
-        x = np.linspace(-step, step, 2049)
-        s0 = gaussian_amplitude(x, self.slit_width)
-        s1 = gaussian_amplitude(x - step, self.slit_width)
-        norm = (np.abs(s0) ** 2).sum()
-        return float(abs((np.conj(s0) * s1).sum()) / norm) if norm > 0 else 0.0
 
     @property
     def offset_step(self) -> float:

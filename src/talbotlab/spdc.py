@@ -194,25 +194,26 @@ SAMPLES_PER_SLIT_WIDTH = 8
 
 def _check_resolution(slits: SlitArray, dx: float, per_width: int, refusal: str) -> None:
     """Raise ``UnderResolved(refusal)`` when pitch ``dx`` gives fewer than ``per_width``
-    samples per slit width, naming the least n whose pitch ``spacing / n`` passes, capped at
-    the size bound ``MAX_ENTRIES``.  n solves the test in floats, which may round across an
+    samples per slit width, naming the least n whose pitch ``spacing / n`` passes, below the
+    size bound ``MAX_ENTRIES``.  n solves the test in floats, which may round across an
     integer, so the test picks n - 1 or n; n > 2, as a slit is narrower than its spacing."""
     least = per_width * (1.0 - 1e-9)
     if slits.width / dx < least:
         n = math.ceil(min(least * slits.spacing / slits.width, MAX_ENTRIES - 1))
         n = next((k for k in (n - 1, n) if not slits.width / (slits.spacing / k) < least), n + 1)
-        raise UnderResolved(f"{refusal}; use at least {n} samples per slit spacing")
+        advice = (f"use at least {n} samples per slit spacing" if n < MAX_ENTRIES
+                  else "no grid within the 2**25-entry bound resolves the slit")
+        raise UnderResolved(f"{refusal}; {advice}")
 
 
-def initial_biphoton_field(model: BiphotonGaussian, x1: np.ndarray,
-                           x2: np.ndarray) -> BiphotonField:
-    """Source amplitude sampled on the tensor grid of two coordinate axes."""
-    check_entries("biphoton grid", x1.size, x2.size)
-    if min(x1.size, x2.size) < 2:
+def initial_biphoton_field(model: BiphotonGaussian, x: np.ndarray) -> BiphotonField:
+    """Source amplitude sampled on the square grid of one coordinate axis."""
+    check_entries("biphoton grid", x.size, x.size)
+    if x.size < 2:
         raise InvalidSpec("a biphoton grid axis needs at least 2 samples")
-    dx1, dx2 = float(x1[1] - x1[0]), float(x2[1] - x2[0])
-    vals = biphoton_amplitude(model, x1[:, None], x2[None, :]).astype(complex)
-    return BiphotonField(float(x1[0]), dx1, float(x2[0]), dx2, unit_power(vals, dx1, dx2))
+    dx = float(x[1] - x[0])
+    vals = biphoton_amplitude(model, x[:, None], x[None, :]).astype(complex)
+    return BiphotonField(float(x[0]), dx, unit_power(vals, dx, dx))
 
 
 def apply_dslit(field: BiphotonField, slits: SlitArray) -> tuple:
@@ -222,20 +223,18 @@ def apply_dslit(field: BiphotonField, slits: SlitArray) -> tuple:
     Raises ``UnderResolved`` when the grid does not carry at least
     ``SAMPLES_PER_SLIT_WIDTH`` samples per slit width.
     """
-    for dx in (field.dx1, field.dx2):
-        _check_resolution(slits, dx, SAMPLES_PER_SLIT_WIDTH, f"slit width {slits.width:g} sampled"
-                          f" with fewer than {SAMPLES_PER_SLIT_WIDTH} points (dx = {dx:g})")
-    t1 = slits.transmission(field.x1())
-    t2 = slits.transmission(field.x2())
-    masked = field.values * t1[:, None]
-    masked *= t2[None, :]
-    power = _grid_power(masked, field.dx1, field.dx2)
+    dx = field.dx
+    _check_resolution(slits, dx, SAMPLES_PER_SLIT_WIDTH, f"slit width {slits.width:g} sampled"
+                      f" with fewer than {SAMPLES_PER_SLIT_WIDTH} points (dx = {dx:g})")
+    t = slits.transmission(field.x())
+    masked = field.values * t[:, None]
+    masked *= t[None, :]
+    power = _grid_power(masked, dx, dx)
     transmitted = power / field.power()
     if transmitted <= 0:
         raise InvalidSpec("aperture blocked the entire field")
     masked /= _unit_root(power)
-    out = BiphotonField(field.x0_1, field.dx1, field.x0_2, field.dx2, masked)
-    return out, float(transmitted)
+    return BiphotonField(field.x0, dx, masked), float(transmitted)
 
 
 def grating_envelope(geom: SynthesizerGeometry) -> tuple:
@@ -389,8 +388,7 @@ def two_photon_field(
     which is the periodic idealization used for route comparisons.
     """
     x, dx, basis = _pair_basis(coeffs, slits, geom, samples_per_cell, cells, envelope)
-    vals = unit_power(basis @ coeffs.values @ basis.T, dx, dx)
-    return BiphotonField(float(x[0]), dx, float(x[0]), dx, vals)
+    return BiphotonField(float(x[0]), dx, unit_power(basis @ coeffs.values @ basis.T, dx, dx))
 
 
 def _pair_basis(coeffs: CoeffMatrix, slits: SlitArray, geom: SynthesizerGeometry,

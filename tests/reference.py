@@ -4,8 +4,8 @@ None of these is on a command's path.  Each keeps the arithmetic it had as
 a library function, so an oracle test measures the same quantity it always
 did: single-photon grid propagation, overlaps, the gate and phase-gate
 matrices, the quadratic closed-form mask phases, continuous encoding and
-detector decoding of one qudit, and the tapered window of finite
-illumination.
+detector decoding of one qudit, the tapered window of finite illumination,
+and the adjacent-slit overlap integrated on a grid.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from talbotlab.errors import BinMisalignment, InvalidSpec
 from talbotlab.fields import (BiphotonField, ModeField, PropagationSpec, SampledField,
-                              _grid_power, _propagate_axis, periodic_comb, sampling_matrix,
-                              unit_power)
+                              _grid_power, _propagate_axis, gaussian_amplitude, periodic_comb,
+                              sampling_matrix, unit_power)
 from talbotlab.qudits import TalbotGeometry, _talbot_gate_matrix, bin_weights
 
 
@@ -43,8 +43,7 @@ def power(field: SampledField) -> float:
 
 def normalized_pair(field: BiphotonField) -> BiphotonField:
     """A two-photon field divided by the root of its power, out of place."""
-    return BiphotonField(field.x0_1, field.dx1, field.x0_2, field.dx2,
-                         unit_power(field.values.copy(), field.dx1, field.dx2))
+    return BiphotonField(field.x0, field.dx, unit_power(field.values.copy(), field.dx, field.dx))
 
 
 def restricted(field: SampledField, lo: float, hi: float) -> SampledField:
@@ -53,7 +52,7 @@ def restricted(field: SampledField, lo: float, hi: float) -> SampledField:
     sel = (xs >= lo) & (xs <= hi)
     if sel.sum() < 2:
         raise InvalidSpec("restriction window contains fewer than 2 samples")
-    return SampledField(float(xs[sel][0]), field.dx, field.values[sel]).normalized()
+    return SampledField(float(xs[sel][0]), field.dx, unit_power(field.values[sel], field.dx))
 
 
 def overlap(a: SampledField, b: SampledField) -> complex:
@@ -83,7 +82,7 @@ def tapered_sample(field: ModeField, samples_per_period: int, periods: int,
     ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(edge) / edge))
     w[:edge] = ramp
     w[-edge:] = ramp[::-1]
-    return SampledField(float(x[0]), dx, vals * w).normalized()
+    return SampledField(float(x[0]), dx, unit_power(vals * w, dx))
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +122,17 @@ def closed_form_phases(dimension: int, gamma: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # continuous encoding and detection of one qudit
+
+
+def integrated_overlap(step: float, width: float) -> float:
+    """Overlap of two Gaussian slits ``step`` apart, as a 2049-point sum over
+    ``[-step, step]`` normalised by the first slit's power there: the guard of
+    ``TalbotGeometry`` before its closed form ``exp(-(step / width)^2 / 4)``."""
+    x = np.linspace(-step, step, 2049)
+    s0 = gaussian_amplitude(x, width)
+    s1 = gaussian_amplitude(x - step, width)
+    norm = (np.abs(s0) ** 2).sum()
+    return float(abs((np.conj(s0) * s1).sum()) / norm) if norm > 0 else 0.0
 
 
 def encode(amplitudes, geom: TalbotGeometry) -> ModeField:

@@ -317,15 +317,14 @@ def dense_joint_table(psi, gamma_a, gamma_b, geom):
     lam = geom.period / 100.0
     spec = PropagationSpec(lam, gate_distance_fraction(d) * geom.period ** 2 / lam)
     step = geom.offset_step
-    x = psi.x1()
+    x = psi.x()
     cell = np.floor((x - geom.origin + step / 2.0) / step).astype(int) % d
     mask_a = np.exp(1j * measurement_phases(d, gamma_a))[cell]
     mask_b = np.exp(1j * measurement_phases(d, gamma_b))[cell]
     masked = psi.values * mask_a[:, None] * mask_b[None, :]
-    work = biphoton_propagate(BiphotonField(psi.x0_1, psi.dx1, psi.x0_2, psi.dx2, masked),
-                              spec)
-    w = bin_weights(x, psi.dx1, geom.origin, step, d)
-    intensity = np.abs(work.values) ** 2 * psi.dx1 * psi.dx2
+    work = biphoton_propagate(BiphotonField(psi.x0, psi.dx, masked), spec)
+    w = bin_weights(x, psi.dx, geom.origin, step, d)
+    intensity = np.abs(work.values) ** 2 * psi.dx * psi.dx
     table = np.zeros((d, d))
     table[np.ix_(bin_outcome_map(d, "A"), bin_outcome_map(d, "B"))] = w.T @ intensity @ w
     captured = table.sum()

@@ -1,11 +1,10 @@
 """Command-line interface: behavior, formats, determinism, exit codes."""
 
-import contextlib
 import functools
-import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,16 +13,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import talbotlab
 from talbotlab import _floatfmt, io as talbot_io
 from talbotlab.cli import DEFAULTS, main
 from talbotlab.constraints import talbot_length
-from talbotlab.fields import PropagationSpec, mode_propagate, periodic_comb, sample
+from talbotlab.errors import UnderResolved
+from talbotlab.fields import MAX_ENTRIES, PropagationSpec, mode_propagate, periodic_comb, sample
 from talbotlab.io import write_biphoton_csv, write_pgm
-from talbotlab.spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry, entangled_coeffs,
-                            two_photon_density, two_photon_field)
+from talbotlab.spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry, _check_resolution,
+                            entangled_coeffs, two_photon_density, two_photon_field)
 
 
 def run(args):
@@ -70,6 +70,25 @@ def test_entangle_guard_trip_leaves_no_files(setting, tmp_path, capsys):
     assert run(["entangle", "--out-dir", str(tmp_path), "--set", setting]) == 3
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert list(tmp_path.glob("entangle_*")) == []
+
+
+@pytest.mark.parametrize("width", ["1e-9", "5e-324", repr(3 / (MAX_ENTRIES - 1))])
+def test_slit_refusal_states_a_count_only_within_the_size_bound(width, tmp_path, capsys):
+    # 1e-9 and 5e-324 need more than 2**25 samples per slit spacing; the third
+    # width needs 2**25 - 1, which passes the guard, while one sample fewer does not
+    assert run(["bell", "--out-dir", str(tmp_path), "--set", "route=field",
+                "--set", f"slit_width={width}"]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    if float(width) < 1e-8:
+        assert line.endswith("; no grid within the 2**25-entry bound resolves the slit")
+        return
+    stated = re.search(r"; use at least (\d+) samples per slit spacing$", line)
+    count = int(stated.group(1))
+    assert count == MAX_ENTRIES - 1
+    slits = SlitArray(3, 1.0, float(width))
+    _check_resolution(slits, 1.0 / count, 3, "")
+    with pytest.raises(UnderResolved):
+        _check_resolution(slits, 1.0 / (count - 1), 3, "")
 
 
 def test_carpet_emission_and_determinism(tmp_path):
@@ -303,7 +322,7 @@ def test_entangle_formats_each_carpet_value_once_in_one_process(tmp_path, monkey
 
 
 @pytest.mark.parametrize("blocked", [None, "entangle_slits.csv", "entangle_carpet.csv"])
-def test_entangle_leaves_no_open_pipe_and_no_child(blocked, tmp_path, capfd, forks):
+def test_entangle_leaves_no_open_file_and_no_child(blocked, tmp_path, capfd, forks):
     # after a write that succeeds, or fails in the child or in this process
     if not os.path.isdir("/proc/self/fd"):
         pytest.skip("no /proc/self/fd to count open files in")
@@ -599,32 +618,78 @@ _NUMBER = st.one_of(st.floats(min_value=0.0), st.integers(min_value=0), _ANY)
 _DIMENSION = st.one_of(st.integers(min_value=2, max_value=64), st.integers(max_value=64),
                        st.floats(max_value=64), _TEXT, st.booleans(), st.none())
 _PIXELS = st.one_of(st.lists(st.integers(min_value=0), min_size=2, max_size=2), _ANY)
-_FUZZED = {
-    "bell": {"dimension": _DIMENSION, "kappa_plus": _NUMBER, "kappa_minus": _NUMBER,
-             "spacing": _NUMBER, "slit_width": _NUMBER, "cells": _NUMBER,
-             "envelope": _ANY},
-    "constraints": {"pixel_pitch": _NUMBER, "pixels": _PIXELS, "wavelength": _NUMBER,
-                    "threshold": _NUMBER, "dimension": _NUMBER},
-}
+
+
+def _mostly(valid, other):
+    """Nine draws in ten from ``valid``, the tenth from ``other``."""
+    return st.integers(min_value=0, max_value=9).flatmap(lambda k: valid if k else other)
+
+
+# a window of a few cells and samples, or a value that is refused: a size far past
+# the 2**25-entry bound must be refused before anything of that size is allocated
+_REFUSED_SIZE = st.one_of(st.sampled_from([10 ** 12, 1e300]), st.integers(max_value=0),
+                          st.floats(max_value=8), _TEXT)
+_CELLS = _mostly(st.integers(min_value=1, max_value=8), _REFUSED_SIZE)
+_SAMPLES = _mostly(st.integers(min_value=1, max_value=64), _REFUSED_SIZE)
+_SMALL_DIMENSION = _mostly(st.integers(min_value=1, max_value=8), _REFUSED_SIZE)
+# a length or width of the order of the defaults, or any _NUMBER
+_LENGTH = _mostly(st.floats(min_value=1e-3, max_value=1e3), _NUMBER)
+_WIDTH = _mostly(st.floats(min_value=0.01, max_value=0.5), _NUMBER)
+_STATE = _mostly(st.sampled_from(["uniform", "basis:0", "basis:2"]),
+                 st.one_of(st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=8),
+                           _ANY))
+_ENVELOPE = _mostly(st.booleans(), _ANY)
+# (command, settings that keep its window small, strategies of the keys it draws);
+# a drawn value replaces the setting of its key
+_FUZZED = [
+    ("bell", {}, {"dimension": _DIMENSION, "kappa_plus": _NUMBER, "kappa_minus": _NUMBER,
+                  "spacing": _NUMBER, "slit_width": _NUMBER, "cells": _NUMBER,
+                  "envelope": _ANY}),
+    ("bell", {"route": "field", "slit_width": 0.1, "samples_per_cell": 32, "cells": 8},
+     {"dimension": _SMALL_DIMENSION, "kappa_plus": _LENGTH, "kappa_minus": _LENGTH,
+      "spacing": _LENGTH, "slit_width": _WIDTH, "samples_per_cell": _SAMPLES,
+      "cells": _CELLS, "envelope": _ENVELOPE}),
+    ("carpet", {"samples_per_period": 64, "periods": 2, "z_steps": 8},
+     {"period": _LENGTH, "wavelength": _LENGTH, "slit_width": _WIDTH,
+      "dimension": _SMALL_DIMENSION, "state": _STATE, "samples_per_period": _SAMPLES,
+      "periods": _CELLS, "z_steps": _CELLS}),
+    ("synth", {"samples_per_cell": 32, "cells": 8},
+     {"dimension": _SMALL_DIMENSION, "spacing": _LENGTH, "slit_width": _WIDTH,
+      "spike_width": _WIDTH, "amplitudes": _STATE, "samples_per_cell": _SAMPLES,
+      "cells": _CELLS}),
+    ("entangle", {"slit_width": 0.25, "initial_window_cells": 4, "slit_window_cells": 2,
+                  "slit_samples_per_cell": 32, "carpet_window_cells": 4,
+                  "carpet_samples_per_cell": 32},
+     {"dimension": _SMALL_DIMENSION, "spacing": _LENGTH, "kappa_plus": _LENGTH,
+      "kappa_minus": _LENGTH, "slit_width": _WIDTH, "spike_width": _WIDTH,
+      "initial_window_cells": _CELLS, "initial_samples_per_cell": _SAMPLES,
+      "slit_window_cells": _CELLS, "slit_samples_per_cell": _SAMPLES,
+      "carpet_window_cells": _CELLS, "carpet_samples_per_cell": _SAMPLES}),
+    ("constraints", {}, {"pixel_pitch": _NUMBER, "pixels": _PIXELS, "wavelength": _NUMBER,
+                         "threshold": _NUMBER, "dimension": _NUMBER}),
+]
 
 
 @st.composite
 def _fuzzed_command(draw):
-    name = draw(st.sampled_from(sorted(_FUZZED)))
-    keys = draw(st.lists(st.sampled_from(sorted(_FUZZED[name])), unique=True, max_size=4))
+    name, small, strategies = draw(st.sampled_from(_FUZZED))
+    keys = draw(st.lists(st.sampled_from(sorted(strategies)), unique=True, max_size=4))
     argv = [name]
-    for key in keys:
-        value = draw(_FUZZED[name][key])
+    for key, value in {**small, **{key: draw(strategies[key]) for key in keys}}.items():
         argv += ["--set", f"{key}={value if isinstance(value, str) else json.dumps(value)}"]
     return argv
 
 
-@settings(max_examples=150, deadline=None)
-@given(_fuzzed_command())
-def test_fuzzed_settings_exit_cleanly(argv):
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
+# capfd, not a redirect of sys.stderr: it also holds what entangle's forked writer prints
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_fuzzed_command())
+def test_fuzzed_settings_exit_cleanly(argv, capfd):
+    capfd.readouterr()
+    with tempfile.TemporaryDirectory() as out:
         code = run(argv + ["--out-dir", out])
+    err = capfd.readouterr().err
     assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+    if code:
+        assert len(err.splitlines()) == 1, err

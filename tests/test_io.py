@@ -296,7 +296,7 @@ def test_matrix_csv_formats_each_distinct_value_once(tmp_path, monkeypatch, m):
 def test_biphoton_csv_with_sidecar(tmp_path):
     model = BiphotonGaussian(2.0, 0.7)
     x = np.linspace(-4, 4, 33)
-    field = initial_biphoton_field(model, x, x)
+    field = initial_biphoton_field(model, x)
     path = tmp_path / "pair.csv"
     density = write_biphoton_csv(field, path, CONFIG)
     assert np.array_equal(density, np.abs(field.values) ** 2)
@@ -366,7 +366,7 @@ def test_scan_csv_header_and_determinism(tmp_path):
     assert lines[2].split(",")[0] == "2"
 
 
-def test_pgm_embeds_config_when_given(tmp_path):
+def test_pgm_embeds_config(tmp_path):
     path = tmp_path / "cfg.pgm"
     write_pgm(np.ones((2, 2)), path, config={"periods": 4})
     head = path.read_bytes().split(b"\n255\n")[0]

@@ -1,16 +1,18 @@
 """Gauss-sum coefficients, gates, measurement mapping, encode/decode, detector bins."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import closed_form_phases, decode, encode, overlap, phase_gate, talbot_gate
+from reference import (closed_form_phases, decode, encode, integrated_overlap, overlap, phase_gate,
+                       talbot_gate)
 from talbotlab import qudits
 from talbotlab.constraints import talbot_length
 from talbotlab.errors import BinMisalignment, InvalidSpec, NotCoprime
-from talbotlab.fields import PropagationSpec, SampledField, mode_propagate, sample
+from talbotlab.fields import PropagationSpec, SampledField, mode_propagate, sample, unit_power
 from talbotlab.qudits import (TalbotGeometry, bin_outcome_map, bin_weights, gate_distance_fraction,
                               gauss_coeffs, measurement_basis, measurement_phases,
                               measurement_unitary)
@@ -219,6 +221,42 @@ def test_geometry_rejects_wide_slits():
         TalbotGeometry(1.0, 0.4, 3, 0.0)
 
 
+def test_overlap_guard_refuses_every_width_the_integrated_overlap_refuses():
+    # the closed form exp(-(step / w)^2 / 4) against the 2049-point sum it replaced:
+    # within 1e-4 relative up to 0.17 steps, and admitting no width the sum refuses
+    ratios = np.concatenate([np.linspace(0.01, 0.99, 99), np.linspace(0.16, 0.17, 101)])
+    for period, dimension in ((1.0, 2), (3.0, 3), (0.2, 5), (7.5, 7)):
+        step = period / dimension
+        for ratio in ratios:
+            width = ratio * step
+            oracle = integrated_overlap(step, width)
+            if ratio <= 0.17:
+                closed = qudits._adjacent_overlap(step / width)
+                assert math.isclose(closed, oracle, rel_tol=1e-4), (period, dimension, ratio)
+            try:
+                TalbotGeometry(period, width, dimension, 0.0)
+            except InvalidSpec:
+                continue
+            assert oracle <= qudits.MAX_OVERLAP, (period, dimension, ratio)
+
+
+@pytest.mark.parametrize("spacing", [1.0, 0.3])
+@pytest.mark.parametrize("dimension", [2, 3, 7])
+def test_overlap_refusal_names_the_widest_slit_that_passes(dimension, spacing):
+    # 1 / (2 sqrt(ln 10^4)) = 0.16475... spacings, rounded down: that width
+    # passes the guard and one 1% wider does not
+    period = dimension * spacing
+    with pytest.raises(InvalidSpec) as refused:
+        TalbotGeometry(period, 0.3 * spacing, dimension, 0.0)
+    stated = re.fullmatch(r"adjacent basis overlap .*; use a slit width of at most"
+                          r" ([0-9.]+) slit spacings", str(refused.value))
+    widest = float(stated.group(1))
+    assert widest == 0.1647
+    TalbotGeometry(period, widest * spacing, dimension, 0.0)
+    with pytest.raises(InvalidSpec):
+        TalbotGeometry(period, 1.01 * widest * spacing, dimension, 0.0)
+
+
 def test_encode_basis_state_single_comb():
     geom = TalbotGeometry(3.0, 0.05, 3, 0.0)
     field = basis_comb(geom, 0)
@@ -255,7 +293,7 @@ def test_decode_encode_roundtrip_literal_five_percent_of_period():
 
 def test_decode_uniform_intensity():
     n, dx = 1024, 3.0 / 256
-    field = SampledField(-n * dx / 2, dx, np.ones(n, dtype=complex)).normalized()
+    field = SampledField(-n * dx / 2, dx, unit_power(np.ones(n, dtype=complex), dx))
     geom = TalbotGeometry(3.0, 0.05, 3, 0.0)
     np.testing.assert_allclose(decode(field, geom)[0], np.full(3, 1 / 3), atol=1e-12)
 
@@ -284,7 +322,7 @@ def test_decode_requires_integer_periods():
 def test_decode_rejects_unresolvable_bins():
     geom = TalbotGeometry(3.0, 0.004, 64, 0.0)  # bins below two sample pitches
     n, dx = 64, 3.0 / 64
-    field = SampledField(-1.5, dx, np.ones(n, dtype=complex)).normalized()
+    field = SampledField(-1.5, dx, unit_power(np.ones(n, dtype=complex), dx))
     with pytest.raises(BinMisalignment):
         decode(field, geom)
 

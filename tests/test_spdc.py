@@ -66,11 +66,11 @@ def test_amplitude_peak_symmetry_and_norm():
 def test_high_correlation_concentrates_on_diagonal_pairs():
     model = BiphotonGaussian(9.0 * S, S / 6.0)
     slits = SlitArray(3, S, 0.05 * S)
-    field = initial_biphoton_field(model, axis(8, 160), axis(8, 160))
+    field = initial_biphoton_field(model, axis(8, 160))
     out, transmitted = apply_dslit(field, slits)
     assert 0 < transmitted < 1
-    x1, x2 = out.x1(), out.x2()
-    dens = np.abs(out.values) ** 2 * out.dx1 * out.dx2
+    x1 = x2 = out.x()
+    dens = np.abs(out.values) ** 2 * out.dx * out.dx
     diag = dens[np.abs(x1[:, None] - x2[None, :]) < S / 2].sum()
     assert diag > 0.99
 
@@ -78,10 +78,10 @@ def test_high_correlation_concentrates_on_diagonal_pairs():
 def test_moderate_correlation_illuminates_all_pairs():
     model = BiphotonGaussian(9.0 * S, S)
     slits = SlitArray(3, S, 0.05 * S)
-    field = initial_biphoton_field(model, axis(8, 160), axis(8, 160))
+    field = initial_biphoton_field(model, axis(8, 160))
     out, _ = apply_dslit(field, slits)
-    x1, x2 = out.x1(), out.x2()
-    dens = np.abs(out.values) ** 2 * out.dx1 * out.dx2
+    x1 = x2 = out.x()
+    dens = np.abs(out.values) ** 2 * out.dx * out.dx
     positions = slits.positions()
     for p1 in positions:
         for p2 in positions:
@@ -92,12 +92,12 @@ def test_moderate_correlation_illuminates_all_pairs():
 def test_wide_open_aperture_leaves_field_unchanged():
     model = BiphotonGaussian(4.0, 1.0)
     x = axis(16, 16)
-    field = initial_biphoton_field(model, x, x)
+    field = initial_biphoton_field(model, x)
     slits = SlitArray(1, 1000.0, 500.0)
     out, transmitted = apply_dslit(field, slits)
     assert transmitted > 0.999
     overlap2 = abs((out.values.conj() * field.values).sum()
-                   * out.dx1 * out.dx2) ** 2
+                   * out.dx * out.dx) ** 2
     assert overlap2 > 0.999
 
 
@@ -112,7 +112,7 @@ def test_aperture_rejects_amplitudes_without_a_finite_norm(amplitudes):
 def test_aperture_rejects_coarse_grids():
     model = BiphotonGaussian(4.0, 1.0)
     x = axis(16, 8)
-    field = initial_biphoton_field(model, x, x)
+    field = initial_biphoton_field(model, x)
     with pytest.raises(UnderResolved):
         apply_dslit(field, SlitArray(3, S, 0.05 * S))
 
@@ -131,7 +131,7 @@ def test_refusals_name_the_least_samples_per_spacing_that_pass(width, comb_least
 
     def aperture(samples_per_cell):
         x = axis(4, samples_per_cell)
-        apply_dslit(initial_biphoton_field(model, x, x), slits)
+        apply_dslit(initial_biphoton_field(model, x), slits)
 
     for stage, expected in ((comb, comb_least), (aperture, aperture_least)):
         with pytest.raises(UnderResolved) as refused:
@@ -166,18 +166,16 @@ def test_source_and_aperture_equal_the_out_of_place_normalisation_bit_for_bit():
     model = BiphotonGaussian(9.0 * S, 0.5 * S)
     x = axis(8, 40)
     dx = float(x[1] - x[0])
-    field = initial_biphoton_field(model, x, x)
-    source = BiphotonField(float(x[0]), dx, float(x[0]), dx,
-                           biphoton_amplitude(model, x[:, None], x[None, :]))
+    field = initial_biphoton_field(model, x)
+    source = BiphotonField(float(x[0]), dx, biphoton_amplitude(model, x[:, None], x[None, :]))
     assert field.values.tobytes() == normalized_pair(source).values.tobytes()
     slits = SlitArray(3, S, 0.3 * S)
-    t1, t2 = slits.transmission(field.x1()), slits.transmission(field.x2())
-    masked = BiphotonField(float(x[0]), dx, float(x[0]), dx,
-                           field.values * t1[:, None] * t2[None, :])
+    t = slits.transmission(field.x())
+    masked = BiphotonField(float(x[0]), dx, field.values * t[:, None] * t[None, :])
     out, transmitted = apply_dslit(field, slits)
     assert out.values.tobytes() == normalized_pair(masked).values.tobytes()
     assert transmitted == masked.power() / field.power()
-    assert (out.x0_1, out.dx1, out.x0_2, out.dx2) == (float(x[0]), dx, float(x[0]), dx)
+    assert (out.x0, out.dx) == (float(x[0]), dx)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +222,7 @@ def test_single_order_grating_reproduces_the_aperture():
     assert num / den > 0.98  # zeroth order dominates a wide-spike grating
 
 
-# the ids name the slit profile, which is Gaussian
-@pytest.mark.parametrize("dimension", [1, 3, 7, 64], ids=lambda d: f"{d}-gaussian")
+@pytest.mark.parametrize("dimension", [1, 3, 7, 64])
 def test_render_equals_the_comb_basis_times_the_amplitudes(dimension):
     # oracle: the n x D basis of envelope-weighted comb columns, applied at once
     rng = np.random.default_rng(dimension)
@@ -358,10 +355,10 @@ def test_two_photon_field_is_the_normalized_dense_grid_bit_for_bit(envelope):
     x, basis = comb_basis(slits, geom, 20, 12, envelope)
     dx = S / 20  # on this grid, regrouping the power's dx * dx changes bits
     vals = basis @ coeffs.values @ basis.T
-    expected = normalized_pair(BiphotonField(float(x[0]), dx, float(x[0]), dx, vals))
+    expected = normalized_pair(BiphotonField(float(x[0]), dx, vals))
     out_of_place = vals / math.sqrt(float((np.abs(vals) ** 2).sum() * dx * dx))
     assert psi.values.tobytes() == expected.values.tobytes() == out_of_place.tobytes()
-    assert (psi.x0_1, psi.dx1, psi.x0_2, psi.dx2) == (float(x[0]), dx, float(x[0]), dx)
+    assert (psi.x0, psi.dx) == (float(x[0]), dx)
 
 
 def pair_state(dimension):
@@ -380,7 +377,7 @@ def test_two_photon_density_is_the_dense_density_bit_for_bit(dimension, envelope
     psi = two_photon_field(coeffs, slits, geom, spc, cells, envelope)
     x, dx, density = two_photon_density(coeffs, slits, geom, spc, cells, envelope)
     assert density.tobytes() == (np.abs(psi.values) ** 2).tobytes()
-    assert (float(x[0]), dx) == (psi.x0_1, psi.dx1) == (psi.x0_2, psi.dx2)
+    assert (float(x[0]), dx) == (psi.x0, psi.dx)
 
 
 def test_two_photon_density_holds_no_complex_grid():
