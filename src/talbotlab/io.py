@@ -20,8 +20,6 @@ from .errors import InvalidSpec
 from .fields import BiphotonField, SampledField
 
 __all__ = [
-    "format_float",
-    "config_header",
     "write_sampled_csv",
     "write_matrix_csv",
     "write_biphoton_csv",
@@ -32,20 +30,14 @@ __all__ = [
 ]
 
 
-def format_float(x: float) -> str:
-    """Shortest round-trip decimal representation.  The CSV writers format
-    arrays with ``_floatfmt``, which gives the same text."""
-    return repr(float(x))
-
-
-def config_header(config: dict) -> str:
+def _config_header(config: dict) -> str:
     return "# config: " + json.dumps(config, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _write_csv(path, config: dict, header: str, lines) -> None:
     """Config comment, column header line, then ``lines``, ASCII bytes each."""
     with open(path, "wb") as fh:
-        fh.write((config_header(config) + header).encode("ascii"))
+        fh.write((_config_header(config) + header).encode("ascii"))
         fh.writelines(lines)
 
 
@@ -70,7 +62,7 @@ _SEARCH_VALUES = 2 ** 18
 def write_matrix_csv(matrix, path, config: dict) -> None:
     """Real matrix as row-major CSV, one matrix row per line.
 
-    The bytes equal those of ``format_float`` on every entry.  Rows and
+    The bytes equal those of ``repr(float(v))`` on every entry.  Rows and
     values are told apart by their float64 bit patterns, so ``-0.0``,
     ``0.0`` and every NaN payload stay apart.  Each distinct row is formatted
     into a line once; a repeat reads that line back from the file being
@@ -84,7 +76,7 @@ def write_matrix_csv(matrix, path, config: dict) -> None:
     except UnsupportedOperation as exc:  # a pipe, say; the error names no file
         raise OSError(errno.ESPIPE, str(exc), str(path)) from None
     with fh:
-        end = fh.write(config_header(config).encode("ascii"))
+        end = fh.write(_config_header(config).encode("ascii"))
         spans = []                 # distinct row -> (offset, length) of its line
         for k in ids.tolist():
             if k < len(spans):
@@ -220,7 +212,7 @@ def write_pgm(matrix: np.ndarray, path, config: dict) -> None:
     top = float(m.max())
     if top <= 0:
         top = 1.0
-    header = (f"P5\n# full scale = {format_float(top)}\n{config_header(config)}"
+    header = (f"P5\n# full scale = {top!r}\n{_config_header(config)}"
               f"{m.shape[1]} {m.shape[0]}\n255\n")
     rows = max(1, _PGM_VALUES // max(1, m.shape[1]))
     with open(path, "wb") as fh:
@@ -254,6 +246,6 @@ def bell_result_to_json(result: BellResult) -> str:
 def write_scan_csv(rows, path, config: dict) -> None:
     """Scan rows as CSV with the fixed header D,kappa_plus,kappa_minus,R,route,I_D."""
     _write_csv(path, config, "D,kappa_plus,kappa_minus,R,route,I_D\n", (
-        f"{r.dimension},{format_float(r.kappa_plus)},{format_float(r.kappa_minus)},"
-        f"{format_float(r.correlation)},{r.route},{format_float(r.value)}\n".encode("ascii")
+        f"{r.dimension},{float(r.kappa_plus)!r},{float(r.kappa_minus)!r},"
+        f"{float(r.correlation)!r},{r.route},{float(r.value)!r}\n".encode("ascii")
         for r in rows))

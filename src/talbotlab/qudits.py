@@ -60,24 +60,21 @@ def gate_distance_fraction(dimension: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _talbot_gate_matrix(dimension: int) -> np.ndarray:
-    """Read-only unitary realized on the Talbot basis by propagating ``2 z_T / (c D)``.
-
-    Equals ``sum_j a_{c j} X^j`` with the Gauss amplitudes of fraction
-    ``1 / (c D)``; ``c`` is 1 for odd and 2 for even dimension.
+def _talbot_gate_row(dimension: int) -> np.ndarray:
+    """Read-only first row ``T[0, d] = a_{c ((-d) mod D)}`` of the circulant
+    ``T = sum_j a_{c j} X^j`` realized on the Talbot basis by propagating
+    ``2 z_T / (c D)``: ``a`` are the Gauss amplitudes of fraction ``1 / (c D)``,
+    and ``c`` is 1 for odd and 2 for even dimension.
     """
     c = parity_constant(dimension)
     a = gauss_coeffs(1, c * dimension)
-    d = np.arange(dimension)
-    # circulant: entry [row, col] = a_{c * ((row - col) mod D)}
-    m = a[(c * ((d[:, None] - d[None, :]) % dimension))]
-    return _freeze(m)
+    return _freeze(a[c * (-np.arange(dimension) % dimension)])
 
 
 def measurement_phases(dimension: int, gamma: float) -> np.ndarray:
     """Mask phases that make Talbot-gate propagation a basis measurement.
 
-    The phases are derived directly from the coefficients of the gate matrix
+    The phases are derived directly from the first row of the gate matrix
     T: with ``theta_d = -arg(T[0, d]) - 2 pi gamma d / D`` the combined
     operation ``T @ diag(exp(i theta))`` sends every vector of the
     Fourier-type measurement family with offset ``gamma`` to a computational
@@ -85,7 +82,7 @@ def measurement_phases(dimension: int, gamma: float) -> np.ndarray:
     """
     if dimension < 2:
         raise InvalidSpec("dimension must be >= 2")
-    t_row = _talbot_gate_matrix(dimension)[0, :]
+    t_row = _talbot_gate_row(dimension)
     d = np.arange(dimension)
     return np.mod(-np.angle(t_row) - 2 * np.pi * gamma * d / dimension, 2.0 * np.pi)
 
@@ -119,25 +116,19 @@ def measurement_unitary(dimension: int, gamma: float, side: str) -> np.ndarray:
     return _freeze(m)
 
 
-@lru_cache(maxsize=None)
 def bin_outcome_map(dimension: int, side: str) -> np.ndarray:
     """Detector-bin to outcome relabeling of the propagation-based measurement.
 
     The gate-plus-mask measurement deposits eigenvector f into one
-    well-defined bin; the permutation depends only on the parity of the
-    dimension and the side convention.  ``outcome = map[bin]`` makes the
-    propagation route agree with :func:`measurement_unitary` outcome by
-    outcome.
+    well-defined bin; ``outcome = map[bin]`` makes the propagation route
+    agree with :func:`measurement_unitary` outcome by outcome.  The
+    permutation is ``map[b] = b h mod D`` on side "A" and ``-b h mod D`` on
+    side "B", with ``h = (D + 1) / 2`` for odd and ``h = 1`` for even D.
     """
-    m = _talbot_gate_matrix(dimension) @ np.diag(np.exp(1j * measurement_phases(dimension, 0.0)))
-    basis = measurement_basis(dimension, 0.0, side)
-    amp = np.abs(m @ basis)
-    if not np.allclose(amp.max(axis=0), 1.0, atol=1e-9):
-        raise InvalidSpec(f"measurement mapping failed for D={dimension}")
-    bin_of_outcome = amp.argmax(axis=0)
-    out = np.empty(dimension, dtype=int)
-    out[bin_of_outcome] = np.arange(dimension)
-    return _freeze(out)
+    if side not in ("A", "B"):
+        raise InvalidSpec("side must be 'A' or 'B'")
+    h = (dimension + 1) // 2 if dimension % 2 else 1
+    return _freeze((h if side == "A" else -h) * np.arange(dimension) % dimension)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ import math
 
 import numpy as np
 
+from talbotlab.constraints import parity_constant
 from talbotlab.errors import BinMisalignment, InvalidSpec
 from talbotlab.fields import (BiphotonField, ModeField, PropagationSpec, SampledField,
                               _grid_power, _propagate_axis, gaussian_amplitude, periodic_comb,
                               sampling_matrix, unit_power)
-from talbotlab.qudits import TalbotGeometry, _talbot_gate_matrix, bin_weights
+from talbotlab.qudits import TalbotGeometry, bin_weights, gauss_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +91,18 @@ def tapered_sample(field: ModeField, samples_per_period: int, periods: int,
 
 
 def talbot_gate(dimension: int) -> np.ndarray:
-    """Unitary realized on the Talbot basis by propagating ``2 z_T / (c D)``."""
+    """Unitary realized on the Talbot basis by propagating ``2 z_T / (c D)``.
+
+    Equals ``sum_j a_{c j} X^j`` with the Gauss amplitudes of fraction
+    ``1 / (c D)``; ``c`` is 1 for odd and 2 for even dimension.
+    """
     if dimension < 2:
         raise InvalidSpec("dimension must be >= 2")
-    return _talbot_gate_matrix(dimension)
+    c = parity_constant(dimension)
+    a = gauss_coeffs(1, c * dimension)
+    d = np.arange(dimension)
+    # circulant: entry [row, col] = a_{c * ((row - col) mod D)}
+    return a[c * ((d[:, None] - d[None, :]) % dimension)]
 
 
 def phase_gate(thetas) -> np.ndarray:

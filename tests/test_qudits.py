@@ -178,6 +178,32 @@ def test_mapping_sends_measurement_basis_to_detector_bins(dimension, gamma):
         np.testing.assert_array_equal(perm, np.argsort(bin_outcome_map(dimension, side)))
 
 
+@pytest.mark.parametrize("dimension", range(2, 65))
+def test_bin_outcome_map_equals_the_derived_permutation(dimension):
+    # the derivation the closed form replaced: the bin that gate and mask send
+    # each gamma = 0 eigenvector to, inverted into a bin-to-outcome map
+    m = talbot_gate(dimension) @ phase_gate(measurement_phases(dimension, 0.0))
+    for side in ("A", "B"):
+        amp = np.abs(m @ measurement_basis(dimension, 0.0, side))
+        np.testing.assert_allclose(amp.max(axis=0), 1.0, atol=1e-9)
+        derived = np.empty(dimension, dtype=int)
+        derived[amp.argmax(axis=0)] = np.arange(dimension)
+        np.testing.assert_array_equal(bin_outcome_map(dimension, side), derived)
+
+
+@pytest.mark.parametrize("dimension", range(2, 65))
+def test_gate_row_is_the_first_row_of_the_gate(dimension):
+    row = qudits._talbot_gate_row(dimension)
+    expected = talbot_gate(dimension)[0]
+    assert row.dtype == expected.dtype and not row.flags.writeable
+    np.testing.assert_array_equal(row.view(np.uint64), expected.view(np.uint64))
+
+
+def test_bin_outcome_map_refuses_an_unknown_side():
+    with pytest.raises(InvalidSpec, match="side must be"):
+        bin_outcome_map(3, "C")
+
+
 @pytest.mark.parametrize("dimension", range(2, 8))
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_probability_equivalence_of_gate_route(dimension, gamma, rng):
