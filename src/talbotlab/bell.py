@@ -30,9 +30,8 @@ from .fields import PropagationSpec, _propagate_axis, check_entries
 from .qudits import (TalbotGeometry, bin_outcome_map, bin_weights,
                      gate_distance_fraction, measurement_phases,
                      measurement_unitary)
-from .spdc import (BiphotonGaussian, CoeffMatrix, SlitArray,
-                   SynthesizerGeometry, comb_basis, entangled_coeffs,
-                   maximally_entangled, schmidt_modes)
+from .spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry, comb_basis,
+                   entangled_coeffs, maximally_entangled, schmidt_modes)
 
 __all__ = [
     "BellResult",
@@ -86,17 +85,17 @@ def _measurement_matrix(dimension: int, gamma: float, side: str) -> np.ndarray:
     return measurement_unitary(dimension, gamma, side)
 
 
-def joint_prob_analytic(coeffs: CoeffMatrix, alpha: float, beta: float) -> np.ndarray:
+def joint_prob_analytic(coeffs: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """Joint outcome table of the two measurement unitaries on the pair state.
 
     Entry (i, j) is the probability that side A reports outcome i at offset
     alpha while side B reports j at offset beta.  Sums to one at machine
     precision.
     """
-    d = coeffs.dimension
+    d = len(coeffs)
     u_a = _measurement_matrix(d, alpha, "A")
     u_b = _measurement_matrix(d, beta, "B")
-    amps = u_a @ coeffs.values @ u_b.T
+    amps = u_a @ coeffs @ u_b.T
     return np.abs(amps) ** 2
 
 
@@ -217,14 +216,14 @@ def cglmp_value(tables, provenance: dict) -> BellResult:
     )
 
 
-def bell_analytic(coeffs: CoeffMatrix) -> BellResult:
+def bell_analytic(coeffs: np.ndarray) -> BellResult:
     """Matrix-route Bell evaluation of a coefficient matrix."""
     tables = [joint_prob_analytic(coeffs, *SETTING_OFFSETS[pair]) for pair in SETTING_PAIRS]
-    return cglmp_value(tables, provenance={"route": "analytic", "dimension": coeffs.dimension})
+    return cglmp_value(tables, provenance={"route": "analytic", "dimension": len(coeffs)})
 
 
 def bell_field(
-    coeffs: CoeffMatrix,
+    coeffs: np.ndarray,
     slits: SlitArray,
     geom: SynthesizerGeometry,
     samples_per_cell: int,
@@ -240,7 +239,7 @@ def bell_field(
     window commensurate with the effective period, where the routes agree
     closest.
     """
-    d = coeffs.dimension
+    d = len(coeffs)
     if cells % d != 0:
         cells += d - cells % d  # keep the window commensurate with the period
     x, basis = comb_basis(slits, geom, samples_per_cell, cells, envelope)

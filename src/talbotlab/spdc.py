@@ -25,7 +25,6 @@ __all__ = [
     "BiphotonGaussian",
     "SlitArray",
     "SynthesizerGeometry",
-    "CoeffMatrix",
     "biphoton_amplitude",
     "initial_biphoton_field",
     "apply_dslit",
@@ -49,8 +48,13 @@ class BiphotonGaussian:
     kappa_minus: float
 
     def __post_init__(self):
-        if not all(k > 0 and 0 < k * k < math.inf for k in (self.kappa_plus, self.kappa_minus)):
-            raise InvalidSpec("kappa_plus and kappa_minus must be positive, with finite squares")
+        for name in ("kappa_plus", "kappa_minus"):
+            k = getattr(self, name)
+            if not k > 0:
+                raise InvalidSpec(f"{name} must be positive, got {k!r}")
+            if not 0 < k * k < math.inf:
+                raise InvalidSpec(f"{name} = {k!r} is positive, but its square "
+                                  + ("underflows to 0" if k * k == 0 else "overflows"))
 
     @property
     def correlation(self) -> float:
@@ -166,23 +170,15 @@ class SynthesizerGeometry:
         return TalbotGeometry(self.effective_period, slit_width, dimension, origin=origin)
 
 
-@dataclass(frozen=True)
-class CoeffMatrix:
-    """Coefficient matrix of the entangled two-qudit comb state."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.values, dtype=complex)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise InvalidSpec("coefficient matrix must be square")
-        if not abs((np.abs(c) ** 2).sum() - 1.0) <= 1e-12:
-            raise InvalidSpec("coefficient matrix must have unit Frobenius norm")
-        object.__setattr__(self, "values", _freeze(c))
-
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[0]
+def _coeff_matrix(values) -> np.ndarray:
+    """``values`` as the read-only complex D x D coefficient matrix of a two-qudit
+    comb state, once checked square with unit Frobenius norm."""
+    c = np.asarray(values, dtype=complex)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise InvalidSpec("coefficient matrix must be square")
+    if not abs((np.abs(c) ** 2).sum() - 1.0) <= 1e-12:
+        raise InvalidSpec("coefficient matrix must have unit Frobenius norm")
+    return _freeze(c)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +312,9 @@ def render_synthesized(slits: SlitArray, geom: SynthesizerGeometry,
 
 
 def entangled_coeffs(dimension: int, spacing: float,
-                     model: BiphotonGaussian) -> CoeffMatrix:
-    """Coefficient matrix of the two-qudit comb state behind twin synthesizers.
+                     model: BiphotonGaussian) -> np.ndarray:
+    """Read-only D x D coefficient matrix of the two-qudit comb state behind twin
+    synthesizers.
 
     With slit indices centered on the beam axis the matrix is the source
     amplitude on the slit lattice,
@@ -343,13 +340,13 @@ def entangled_coeffs(dimension: int, spacing: float,
         norm = np.linalg.norm(c)
     if not norm > 0:  # every amplitude underflowed, or NaN from an infinite inv_dp2
         raise InvalidSpec("source widths and spacing leave no representable amplitude")
-    return CoeffMatrix(c / norm)
+    return _coeff_matrix(c / norm)
 
 
-def maximally_entangled(dimension: int) -> CoeffMatrix:
-    """Ideal coefficient matrix: identity over sqrt(D)."""
+def maximally_entangled(dimension: int) -> np.ndarray:
+    """Ideal read-only coefficient matrix: identity over sqrt(D)."""
     check_entries("coefficient matrix", dimension, dimension)
-    return CoeffMatrix(np.eye(dimension) / math.sqrt(dimension))
+    return _coeff_matrix(np.eye(dimension) / math.sqrt(dimension))
 
 
 def comb_basis(slits: SlitArray, geom: SynthesizerGeometry, samples_per_cell: int,
@@ -372,7 +369,7 @@ def comb_basis(slits: SlitArray, geom: SynthesizerGeometry, samples_per_cell: in
 
 
 def two_photon_field(
-    coeffs: CoeffMatrix,
+    coeffs: np.ndarray,
     slits: SlitArray,
     geom: SynthesizerGeometry,
     samples_per_cell: int,
@@ -388,13 +385,13 @@ def two_photon_field(
     which is the periodic idealization used for route comparisons.
     """
     x, dx, basis = _pair_basis(coeffs, slits, geom, samples_per_cell, cells, envelope)
-    return BiphotonField(float(x[0]), dx, unit_power(basis @ coeffs.values @ basis.T, dx, dx))
+    return BiphotonField(float(x[0]), dx, unit_power(basis @ coeffs @ basis.T, dx, dx))
 
 
-def _pair_basis(coeffs: CoeffMatrix, slits: SlitArray, geom: SynthesizerGeometry,
+def _pair_basis(coeffs: np.ndarray, slits: SlitArray, geom: SynthesizerGeometry,
                 samples_per_cell: int, cells: int, envelope: bool) -> tuple:
     """``(x, dx, B)`` of the two-photon grid, once its size is checked."""
-    if slits.count != coeffs.dimension:
+    if slits.count != len(coeffs):
         raise InvalidSpec("slit count must match the coefficient dimension")
     n = samples_per_cell * cells
     check_entries("two-photon grid", n, n)
@@ -417,7 +414,7 @@ def _block_rows(n: int, dimension: int) -> int:
 
 
 def two_photon_density(
-    coeffs: CoeffMatrix,
+    coeffs: np.ndarray,
     slits: SlitArray,
     geom: SynthesizerGeometry,
     samples_per_cell: int,
@@ -433,9 +430,9 @@ def two_photon_density(
     power and writes its density over the first.
     """
     x, dx, basis = _pair_basis(coeffs, slits, geom, samples_per_cell, cells, envelope)
-    left = basis @ coeffs.values
+    left = basis @ coeffs
     density = np.empty((x.size, x.size))
-    buf = np.empty((_block_rows(x.size, coeffs.dimension), x.size), dtype=complex)
+    buf = np.empty((_block_rows(x.size, len(coeffs)), x.size), dtype=complex)
 
     def blocks():
         for start in range(0, x.size, buf.shape[0]):
@@ -452,15 +449,15 @@ def two_photon_density(
     return x, dx, density
 
 
-def schmidt_modes(x: np.ndarray, basis: np.ndarray, coeffs: CoeffMatrix) -> tuple:
+def schmidt_modes(x: np.ndarray, basis: np.ndarray, coeffs: np.ndarray) -> tuple:
     """``(u_a, s, u_b)``: the pair state ``B C B^T`` on grid x as ``u_a diag(s) u_b^T``.
 
     ``B sqrt(dx) = Q R`` and ``R C R^T = L diag(s) Rh`` give ``u_a = Q L`` and
     ``u_b = Q Rh^T``, orthonormal Schmidt-mode columns on each axis (unit norm
     in the sample sum), with the Schmidt values ``s`` scaled to unit norm.
     """
-    if basis.shape != (x.size, coeffs.dimension):
+    if basis.shape != (x.size, len(coeffs)):
         raise InvalidSpec("comb basis must hold one column per qudit level")
     q, r = np.linalg.qr(basis * np.sqrt(x[1] - x[0]))
-    left, s, right = np.linalg.svd(r @ coeffs.values @ r.T)
+    left, s, right = np.linalg.svd(r @ coeffs @ r.T)
     return q @ left, s / np.linalg.norm(s), q @ right.T

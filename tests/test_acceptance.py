@@ -191,7 +191,7 @@ def test_criterion_7_spdc_model():
                          * biphoton_amplitude(model, x1, x2)).real
                 oracle[i1, i2] = trapezoid(trapezoid(mode * state, axis=1), axis=0)
         oracle /= np.linalg.norm(oracle)
-        predicted = entangled_coeffs(dim, spacing, model).values.real
+        predicted = entangled_coeffs(dim, spacing, model).real
         mask = oracle > 1e-3 * oracle.max()
         rel = np.abs(predicted[mask] - oracle[mask]) / oracle[mask]
         assert rel.max() < 0.02

@@ -16,7 +16,7 @@ from talbotlab.errors import AliasingRisk, NonNormalized, TalbotLabError
 from talbotlab.fields import BiphotonField, PropagationSpec, biphoton_propagate
 from talbotlab.qudits import (bin_outcome_map, bin_weights, gate_distance_fraction,
                               measurement_phases, measurement_unitary)
-from talbotlab.spdc import (BiphotonGaussian, CoeffMatrix, SlitArray, SynthesizerGeometry,
+from talbotlab.spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry,
                             comb_basis, entangled_coeffs, maximally_entangled, schmidt_modes,
                             two_photon_field)
 
@@ -96,7 +96,7 @@ def test_qubit_tables_match_hand_computed_chsh_values():
 def test_product_state_table_factorizes():
     v = np.array([0.6, 0.8j, 0.0])
     coeffs_matrix = np.outer(v, v.conj())
-    table = joint_prob_analytic(CoeffMatrix(coeffs_matrix), 0.0, 0.25)
+    table = joint_prob_analytic(coeffs_matrix, 0.0, 0.25)
     pa = table.sum(axis=1)
     pb = table.sum(axis=0)
     np.testing.assert_allclose(table, np.outer(pa, pb), atol=1e-12)
@@ -177,7 +177,7 @@ def test_deterministic_local_strategies_respect_the_classical_bound(dimension):
 def test_no_signaling_and_normalization_for_random_states(seed, dim):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    coeffs = CoeffMatrix(m / np.linalg.norm(m))
+    coeffs = m / np.linalg.norm(m)
     tables = analytic_tables(coeffs)
     for t in tables:
         assert abs(t.sum() - 1.0) < 1e-9
@@ -195,12 +195,12 @@ def test_gate_route_probabilities_match_measurement_unitaries(rng):
     from reference import phase_gate, talbot_gate
     for dim in (2, 3, 4, 5):
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        coeffs = CoeffMatrix(m / np.linalg.norm(m))
+        coeffs = m / np.linalg.norm(m)
         for alpha, beta in SETTING_OFFSETS.values():
             direct = joint_prob_analytic(coeffs, alpha, beta)
             ga = talbot_gate(dim) @ phase_gate(measurement_phases(dim, alpha))
             gb = talbot_gate(dim) @ phase_gate(measurement_phases(dim, beta))
-            bins = np.abs(ga @ coeffs.values @ gb.T) ** 2
+            bins = np.abs(ga @ coeffs @ gb.T) ** 2
             relabeled = np.zeros_like(bins)
             relabeled[np.ix_(bin_outcome_map(dim, "A"), bin_outcome_map(dim, "B"))] = bins
             assert np.abs(relabeled - direct).max() < 1e-10
@@ -224,7 +224,7 @@ def test_field_route_small_grid_agrees_with_analytic(dimension):
 
 
 def test_field_route_product_state_factorizes():
-    coeffs = CoeffMatrix(np.diag([1.0, 0.0]).astype(complex))
+    coeffs = np.diag([1.0, 0.0]).astype(complex)
     slits = SlitArray(2, 1.0, 0.05)
     geom = SynthesizerGeometry.for_dimension(2, 1.0, 0.05)
     x, basis = comb_basis(slits, geom, samples_per_cell=64, cells=24, envelope=False)
@@ -357,7 +357,7 @@ def test_factored_field_route_equals_the_dense_grid(case):
                         envelope=envelope)
     psi = two_photon_field(coeffs, slits, geom, samples_per_cell=spc,
                            cells=result.provenance["cells"], envelope=envelope)
-    tgeom = geom.talbot_geometry(coeffs.dimension, slits.width)
+    tgeom = geom.talbot_geometry(len(coeffs), slits.width)
     for pair, table, diag in zip(SETTING_PAIRS, result.tables,
                                  result.provenance["diagnostics"]):
         dense, dense_diag = dense_joint_table(psi, *SETTING_OFFSETS[pair], tgeom)
@@ -464,7 +464,7 @@ def test_qutrit_table_matches_explicit_kernel_summation():
                 for d2 in range(d):
                     bra_a = omega ** (-d1 * (i + alpha)) / math.sqrt(d)
                     bra_b = omega ** (d2 * (j - beta)) / math.sqrt(d)
-                    amp += bra_a * bra_b * coeffs.values[d1, d2]
+                    amp += bra_a * bra_b * coeffs[d1, d2]
             oracle[i, j] = abs(amp) ** 2
     table = joint_prob_analytic(coeffs, alpha, beta)
     np.testing.assert_allclose(table, oracle, atol=1e-12)

@@ -550,6 +550,19 @@ def test_bad_input_exits_2_with_one_message(command, tmp_path, monkeypatch, caps
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, reason", [
+    ("bell --set kappa_minus=1e-170", "kappa_minus = 1e-170 is positive, but its square"
+                                      " underflows to 0"),
+    ("bell-scan --set kappa_pairs=[[1e-200,1]]", "kappa_plus = 1e-200 is positive, but its"
+                                                 " square underflows to 0"),
+    ("bell --set kappa_minus=1e200", "kappa_minus = 1e+200 is positive, but its square overflows"),
+], ids=["bell-underflow", "bell-scan-underflow", "bell-overflow"])
+def test_source_width_refusal_names_the_width_and_the_bound(command, reason, tmp_path, capsys):
+    # each value is positive and finite; only its square leaves the floating-point range
+    assert run(command.split() + ["--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"invalid configuration: {reason}"]
+
+
 def test_basis_index_too_long_to_convert_exits_2(tmp_path, capsys):
     # int() refuses a decimal string of more than 4300 digits
     assert run(["carpet", "--out-dir", str(tmp_path), "--set", "state=basis:" + "1" * 5000]) == 2

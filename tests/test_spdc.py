@@ -10,8 +10,8 @@ import pytest
 from reference import encode, fidelity, normalized_pair
 from talbotlab.errors import InvalidSpec, UnderResolved
 from talbotlab.fields import BiphotonField, gaussian_amplitude, sample
-from talbotlab.spdc import (BiphotonGaussian, CoeffMatrix, SlitArray, SynthesizerGeometry,
-                            _block_rows, _comb_columns, apply_dslit, biphoton_amplitude,
+from talbotlab.spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry,
+                            _block_rows, _coeff_matrix, _comb_columns, apply_dslit, biphoton_amplitude,
                             comb_basis, entangled_coeffs, grating_envelope, initial_biphoton_field,
                             maximally_entangled, render_synthesized, schmidt_modes,
                             synthesize_single, two_photon_density, two_photon_field)
@@ -270,19 +270,39 @@ def test_rendered_comb_peak_spacing():
 # entangled coefficients
 
 
+@pytest.mark.parametrize("dimension", range(1, 9))
+def test_coefficient_matrices_are_read_only_complex_unit_norm_arrays(dimension):
+    made = [entangled_coeffs(dimension, S, BiphotonGaussian(kp * S, km * S))
+            for kp, km in ((9.0, 1.0), (40.0, 0.05), (1.0, 3.0))]
+    for c in made + [maximally_entangled(dimension)]:
+        assert c.dtype == complex and c.shape == (dimension, dimension)
+        assert abs((np.abs(c) ** 2).sum() - 1.0) <= 1e-12
+        with pytest.raises(ValueError):
+            c[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.ones((2, 3)) / math.sqrt(6.0), "coefficient matrix must be square"),
+    (1.01 * np.eye(2) / math.sqrt(2.0), "coefficient matrix must have unit Frobenius norm"),
+], ids=["2x3", "scaled"])
+def test_coefficient_matrix_refuses_a_non_square_or_unnormalised_matrix(values, message):
+    with pytest.raises(InvalidSpec, match=f"^{message}$"):
+        _coeff_matrix(values)
+
+
 def test_single_slit_matrix_is_trivial():
     c = entangled_coeffs(1, S, BiphotonGaussian(9.0, 1.0))
-    np.testing.assert_allclose(c.values, [[1.0]], atol=1e-12)
+    np.testing.assert_allclose(c, [[1.0]], atol=1e-12)
 
 
 def test_high_correlation_matrix_is_diagonal():
-    c = entangled_coeffs(4, S, BiphotonGaussian(40.0 * S, 0.05 * S)).values
+    c = entangled_coeffs(4, S, BiphotonGaussian(40.0 * S, 0.05 * S))
     off = c - np.diag(np.diag(c))
     assert np.abs(off).max() < 1e-6 * np.abs(np.diag(c)).min()
 
 
 def test_matrix_symmetry_exact():
-    c = entangled_coeffs(5, S, BiphotonGaussian(9.0 * S, S / 3.0)).values
+    c = entangled_coeffs(5, S, BiphotonGaussian(9.0 * S, S / 3.0))
     np.testing.assert_array_equal(c, c.T)
 
 
@@ -311,7 +331,7 @@ def test_coeffs_match_brute_force_overlap_integrals():
     model = BiphotonGaussian(9.0 * S, S / 6.0)
     width = 0.05 * min(S / 6.0, S)
     oracle = brute_force_coeffs(3, S, model, width)
-    c = entangled_coeffs(3, S, model).values.real
+    c = entangled_coeffs(3, S, model).real
     mask = oracle > 1e-3 * oracle.max()
     rel = np.abs(c[mask] - oracle[mask]) / oracle[mask]
     assert rel.max() < 0.02
@@ -322,7 +342,7 @@ def test_coeffs_match_brute_force_overlap_integrals():
 
 
 def test_product_coefficients_give_product_field():
-    c = CoeffMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
+    c = np.diag([1.0, 0.0, 0.0]).astype(complex)
     slits = SlitArray(3, S, 0.05 * S)
     geom = SynthesizerGeometry.for_dimension(3, S, 0.05 * S)
     psi = two_photon_field(c, slits, geom, samples_per_cell=64, cells=24, envelope=True)
@@ -354,7 +374,7 @@ def test_two_photon_field_is_the_normalized_dense_grid_bit_for_bit(envelope):
                            envelope=envelope)
     x, basis = comb_basis(slits, geom, 20, 12, envelope)
     dx = S / 20  # on this grid, regrouping the power's dx * dx changes bits
-    vals = basis @ coeffs.values @ basis.T
+    vals = basis @ coeffs @ basis.T
     expected = normalized_pair(BiphotonField(float(x[0]), dx, vals))
     out_of_place = vals / math.sqrt(float((np.abs(vals) ** 2).sum() * dx * dx))
     assert psi.values.tobytes() == expected.values.tobytes() == out_of_place.tobytes()
@@ -404,7 +424,7 @@ def test_schmidt_modes_factor_the_pair_state(kappa_minus):
     x, basis = comb_basis(slits, geom, 32, 12, envelope=True)
     u_a, s, u_b = schmidt_modes(x, basis, coeffs)
     dx = x[1] - x[0]
-    psi = basis @ coeffs.values @ basis.T * dx
+    psi = basis @ coeffs @ basis.T * dx
     psi /= np.linalg.norm(psi)
     np.testing.assert_allclose(u_a @ np.diag(s) @ u_b.T, psi, atol=1e-12)
     for u in (u_a, u_b):
