@@ -2,8 +2,8 @@
 
 Two independent routes produce the four joint-probability tables:
 
-* the matrix route applies the closed-form measurement unitaries to the
-  coefficient matrix;
+* the matrix route applies the measurements, each a DFT times a diagonal
+  phase, to the coefficient matrix by FFT;
 * the field route factorises the pair state ``B C B^T`` (B the per-photon
   comb basis) into Schmidt modes, masks each photon's modes with the
   pixelated measurement phases of its two settings, propagates them by the
@@ -21,16 +21,14 @@ for the maximally correlated state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidSpec, NonNormalized
 from .fields import PropagationSpec, _propagate_axis, check_entries
 from .qudits import (TalbotGeometry, bin_outcome_map, bin_weights,
-                     gate_distance_fraction, measurement_phases,
-                     measurement_unitary)
-from .spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry, comb_basis,
+                     gate_distance_fraction, measurement_phases)
+from .spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry, _source_widths, comb_basis,
                    entangled_coeffs, maximally_entangled, schmidt_modes)
 
 __all__ = [
@@ -48,12 +46,10 @@ __all__ = [
 ]
 
 SETTING_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
-# (alpha, beta) of each setting pair: the canonical alpha_a in {0, 1/2}, beta_b in {1/4, -1/4}
-SETTING_OFFSETS = {(a, b): ((0.0, 0.5)[a - 1], (0.25, -0.25)[b - 1]) for a, b in SETTING_PAIRS}
+_ALPHAS, _BETAS = (0.0, 0.5), (0.25, -0.25)  # the canonical offsets of each side's settings
+SETTING_OFFSETS = {(a, b): (_ALPHAS[a - 1], _BETAS[b - 1]) for a, b in SETTING_PAIRS}
 # largest |sum - 1| accepted for a joint table
 _NORM_TOL = 1e-6
-# measurement unitaries kept: the two offsets of each side at one dimension
-_UNITARY_CACHE = 4
 
 
 @dataclass(frozen=True)
@@ -78,25 +74,22 @@ def _validate_table(table: np.ndarray) -> np.ndarray:
     return t
 
 
-@lru_cache(maxsize=_UNITARY_CACHE)
-def _measurement_matrix(dimension: int, gamma: float, side: str) -> np.ndarray:
-    """Read-only matrix of :func:`~talbotlab.qudits.measurement_unitary`,
-    kept for the four settings of the dimension in use."""
-    return measurement_unitary(dimension, gamma, side)
+def joint_prob_analytic(coeffs: np.ndarray, alphas, betas) -> list:
+    """Joint tables ``|U_A C U_B^T|^2`` of the measurements of
+    :func:`~talbotlab.qudits.measurement_unitary` at side A's offsets ``alphas``
+    and side B's ``betas``, one per pair, alpha varying slowest; entry (i, j) is
+    the probability that A reports i while B reports j.
 
-
-def joint_prob_analytic(coeffs: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Joint outcome table of the two measurement unitaries on the pair state.
-
-    Entry (i, j) is the probability that side A reports outcome i at offset
-    alpha while side B reports j at offset beta.  Sums to one at machine
-    precision.
+    Each unitary is a DFT times a diagonal phase, so the product is C with its
+    rows weighted by ``exp(-2 pi i alpha d / D)`` and transformed by ``fft``, then
+    its columns weighted by ``exp(-2 pi i beta d / D)`` and transformed by ``ifft``.
     """
     d = len(coeffs)
-    u_a = _measurement_matrix(d, alpha, "A")
-    u_b = _measurement_matrix(d, beta, "B")
-    amps = u_a @ coeffs @ u_b.T
-    return np.abs(amps) ** 2
+    levels = np.arange(d)
+    lefts = [np.fft.fft(coeffs * np.exp(-2j * np.pi * alpha * levels / d)[:, None], axis=0)
+             for alpha in alphas]
+    phases = [np.exp(-2j * np.pi * beta * levels / d) for beta in betas]
+    return [np.abs(np.fft.ifft(left * phase, axis=1)) ** 2 for left in lefts for phase in phases]
 
 
 def joint_prob_field(x: np.ndarray, modes: tuple, geom: TalbotGeometry) -> tuple:
@@ -137,8 +130,8 @@ def joint_prob_field(x: np.ndarray, modes: tuple, geom: TalbotGeometry) -> tuple
         products = w.T @ (u[:, :, None] * u.conj()[:, None, :]).reshape(n, d * d)
         return products, np.abs(u) ** 2 @ s ** 2
 
-    side_a = [measured(u_a, SETTING_OFFSETS[a, 1][0]) for a in (1, 2)]
-    side_b = [measured(u_b, SETTING_OFFSETS[1, b][1]) for b in (1, 2)]
+    side_a = [measured(u_a, alpha) for alpha in _ALPHAS]
+    side_b = [measured(u_b, beta) for beta in _BETAS]
     pair_weights = np.outer(s, s).ravel()
     outcomes = np.ix_(bin_outcome_map(d, "A"), bin_outcome_map(d, "B"))
     straddling = w.max(axis=1) < 1.0 - 1e-12
@@ -218,8 +211,8 @@ def cglmp_value(tables, provenance: dict) -> BellResult:
 
 def bell_analytic(coeffs: np.ndarray) -> BellResult:
     """Matrix-route Bell evaluation of a coefficient matrix."""
-    tables = [joint_prob_analytic(coeffs, *SETTING_OFFSETS[pair]) for pair in SETTING_PAIRS]
-    return cglmp_value(tables, provenance={"route": "analytic", "dimension": len(coeffs)})
+    return cglmp_value(joint_prob_analytic(coeffs, _ALPHAS, _BETAS),
+                       provenance={"route": "analytic", "dimension": len(coeffs)})
 
 
 def bell_field(
@@ -287,7 +280,7 @@ def bell_point(dimension: int, kappa_plus: float, kappa_minus: float, spacing: f
     if kappa_minus == 0.0:
         coeffs = maximally_entangled(dimension)
     else:
-        model = BiphotonGaussian(kappa_plus * spacing, kappa_minus * spacing)
+        model = BiphotonGaussian(*_source_widths(kappa_plus, kappa_minus, spacing))
         coeffs = entangled_coeffs(dimension, spacing, model)
     if route == "analytic":
         return bell_analytic(coeffs)
@@ -305,17 +298,12 @@ def bell_scan(dimensions, kappa_pairs, spacing: float, route: str) -> list:
     of the slit spacing; ``kappa_minus = 0`` marks the ideal maximally
     entangled reference row.  Rows follow the input grid, dimensions
     varying fastest.  Each point is :func:`bell_point` with the slit width,
-    field grid and envelope that the ``bell`` command defaults to; the
-    points are evaluated one dimension at a time, so the analytic route
-    builds each dimension's measurement unitaries once, and the order of
-    evaluation changes no row.
+    field grid and envelope that the ``bell`` command defaults to.
     """
-    dims = list(dimensions)
     pairs = [(kp, km, BiphotonGaussian(kp, km).correlation if km != 0.0 else 1.0)
              for kp, km in kappa_pairs]
-    values = [[bell_point(dim, kp, km, spacing, route, **_SCAN_FIELD_POINT).value
-               for kp, km, _ in pairs]
-              for dim in dims]
-    return [ScanRow(dim, kp, km, correlation, route, values[i][p])
-            for p, (kp, km, correlation) in enumerate(pairs)
-            for i, dim in enumerate(dims)]
+    dims = list(dimensions)
+    return [ScanRow(dim, kp, km, correlation, route,
+                    bell_point(dim, kp, km, spacing, route, **_SCAN_FIELD_POINT).value)
+            for kp, km, correlation in pairs
+            for dim in dims]

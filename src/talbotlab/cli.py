@@ -4,8 +4,8 @@ Subcommands: ``carpet | synth | entangle | bell | bell-scan | constraints``.
 Each takes ``--config <json>`` plus ``--set key=value`` overrides; commands
 that emit files require ``--out-dir``.  All computation is deterministic:
 identical configurations produce byte-identical outputs.  Exit codes:
-0 success, 2 configuration or validation error or a file that cannot be
-written, 3 numerical guard trip.
+0 success, 2 configuration or validation error, a file that cannot be
+written or a run out of memory, 3 numerical guard trip.
 
 The whole configuration is checked before NumPy is imported: only a
 command that computes something loads the numerical layers (``commands``).
@@ -89,6 +89,8 @@ DEFAULTS = {
 # two levels
 _LEAST_2 = {("carpet", "z_steps"), ("bell", "dimension"), ("bell-scan", "dimensions"),
             ("constraints", "dimension")}
+# most table entries bell.json may hold, four D x D tables: D = 1024 peaks near 0.7 GB
+_BELL_TABLE_ENTRIES = 4 * 1024 ** 2
 
 
 def _integer(key: str, value, least: int = 1) -> int:
@@ -181,6 +183,10 @@ def _load_config(command: str, args) -> dict:
     for key in ("state", "amplitudes"):
         if key in cfg:
             _check_state(cfg[key], cfg["dimension"])
+    if command == "bell" and 4 * cfg["dimension"] ** 2 > _BELL_TABLE_ENTRIES:
+        raise InvalidSpec(f"bell.json would hold 4 D^2 table entries, above {_BELL_TABLE_ENTRIES}"
+                          f" (2**22) at D = {cfg['dimension']}; use a dimension of at most"
+                          f" {math.isqrt(_BELL_TABLE_ENTRIES // 4)}")
     return cfg
 
 
@@ -244,7 +250,7 @@ def main(argv=None) -> int:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         from .commands import COMMANDS  # the one import of the numerical layers
         return COMMANDS[args.command](cfg, out)
-    except (TalbotLabError, OSError) as exc:
+    except (TalbotLabError, OSError, MemoryError) as exc:
         return report_failure(exc, args.out_dir)
 
 

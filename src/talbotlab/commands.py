@@ -24,7 +24,7 @@ from .fields import (PropagationSpec, SampledField, centered_axis, check_entries
                      mode_propagate, periodic_comb, sample, sampling_matrix, unit_power)
 from .io import (bell_result_to_json, write_biphoton_csv, write_density_csv, write_matrix_csv,
                  write_pgm, write_sampled_csv, write_scan_csv)
-from .spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry,
+from .spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry, _source_widths,
                    apply_dslit, entangled_coeffs, initial_biphoton_field,
                    render_synthesized, synthesize_single, two_photon_density)
 
@@ -95,7 +95,7 @@ def cmd_synth(cfg: dict, out: Path) -> int:
 
 def cmd_entangle(cfg: dict, out: Path) -> int:
     dim, s = cfg["dimension"], cfg["spacing"]
-    model = BiphotonGaussian(cfg["kappa_plus"] * s, cfg["kappa_minus"] * s)
+    model = BiphotonGaussian(*_source_widths(cfg["kappa_plus"], cfg["kappa_minus"], s))
     coeffs = entangled_coeffs(dim, s, model)
     slits = SlitArray(dim, s, cfg["slit_width"] * s)
     geom = SynthesizerGeometry.for_dimension(dim, s, spike_width=cfg["spike_width"] * s)
@@ -161,7 +161,7 @@ def _write_aside(write, out: Path) -> int | None:
     try:
         write()
         code = 0
-    except (TalbotLabError, OSError) as exc:
+    except (TalbotLabError, OSError, MemoryError) as exc:
         code = report_failure(exc, out)
     except BaseException:  # the child's outermost frame: report, then exit 1
         traceback.print_exc()

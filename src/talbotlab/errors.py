@@ -23,10 +23,6 @@ class BinMisalignment(TalbotLabError):
     """Detector bins cannot be laid out consistently on the grid."""
 
 
-class NotCoprime(TalbotLabError):
-    """The integers defining a fractional revival are not coprime."""
-
-
 class NonNormalized(TalbotLabError):
     """A probability table does not sum to one."""
 
@@ -36,12 +32,14 @@ _GUARDS = (AliasingRisk, UnderResolved, BinMisalignment)
 
 def report_failure(exc: Exception, path) -> int:
     """Print the one-line message of a failed run on stderr and return its exit
-    code: 3 for a numerical guard, 2 for any other package error, and 2 for an
-    ``OSError`` met making or writing ``path`` (or the file the error names)."""
+    code: 3 for a numerical guard, 2 for any other package error or a ``MemoryError``,
+    and 2 for an ``OSError`` met making or writing ``path`` (or the file it names)."""
     if isinstance(exc, _GUARDS):
         message, code = f"numerical guard: {exc}", 3
     elif isinstance(exc, TalbotLabError):
         message, code = f"invalid configuration: {exc}", 2
+    elif isinstance(exc, MemoryError):
+        message, code = "out of memory; use a smaller configuration", 2
     else:
         message, code = f"cannot write {exc.filename or path}: {exc.strerror or exc}", 2
     print(message, file=sys.stderr, flush=True)

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .constraints import parity_constant
-from .errors import BinMisalignment, InvalidSpec, NotCoprime
+from .errors import BinMisalignment, InvalidSpec
 from .fields import _freeze
 
 __all__ = [
@@ -34,21 +33,19 @@ __all__ = [
 _ATOL = 1e-12
 
 
-def gauss_coeffs(q: int, r: int) -> np.ndarray:
+def gauss_coeffs(r: int) -> np.ndarray:
     """Read-only fractional-revival amplitudes
-    ``a_j = (1/r) sum_n exp(-2 pi i (n^2 - j n) q / r)``, checked for unit total weight.
+    ``a_j = (1/r) sum_n exp(-2 pi i (n^2 - j n) / r)``, checked for unit total weight.
 
-    After propagating a periodic field by ``2 (s + q/r) z_T`` it equals the
+    After propagating a periodic field by ``2 (s + 1/r) z_T`` it equals the
     superposition of copies shifted by ``j * period / r`` weighted by these
     amplitudes; they are independent of the integer ``s``.
     """
-    if r < 1 or q < 1:
-        raise InvalidSpec("q and r must be positive integers")
-    if math.gcd(q, r) != 1:
-        raise NotCoprime(f"gcd({q}, {r}) != 1")
+    if r < 1:
+        raise InvalidSpec("r must be a positive integer")
     n = np.arange(r)
     j = np.arange(r)[:, None]
-    values = np.exp(-2j * np.pi * ((n * n - j * n) * q % r) / r).sum(axis=1) / r
+    values = np.exp(-2j * np.pi * ((n * n - j * n) % r) / r).sum(axis=1) / r
     if abs((np.abs(values) ** 2).sum() - 1.0) > _ATOL:
         raise InvalidSpec("revival amplitudes must have unit total weight")
     return _freeze(values)
@@ -59,7 +56,6 @@ def gate_distance_fraction(dimension: int) -> float:
     return 2.0 / (parity_constant(dimension) * dimension)
 
 
-@lru_cache(maxsize=None)
 def _talbot_gate_row(dimension: int) -> np.ndarray:
     """Read-only first row ``T[0, d] = a_{c ((-d) mod D)}`` of the circulant
     ``T = sum_j a_{c j} X^j`` realized on the Talbot basis by propagating
@@ -67,7 +63,7 @@ def _talbot_gate_row(dimension: int) -> np.ndarray:
     and ``c`` is 1 for odd and 2 for even dimension.
     """
     c = parity_constant(dimension)
-    a = gauss_coeffs(1, c * dimension)
+    a = gauss_coeffs(c * dimension)
     return _freeze(a[c * (-np.arange(dimension) % dimension)])
 
 
@@ -92,13 +88,15 @@ def measurement_basis(dimension: int, gamma: float, side: str) -> np.ndarray:
 
     Side "A" uses the kernel ``exp(+2 pi i d (f + gamma) / D) / sqrt(D)``,
     side "B" the conjugate-ordered kernel ``exp(2 pi i d (-f + gamma) / D) / sqrt(D)``.
+    The integer part ``d (+-f)`` of the phase index is reduced mod D first.
     """
     if side not in ("A", "B"):
         raise InvalidSpec("side must be 'A' or 'B'")
     d = np.arange(dimension)[:, None]
     f = np.arange(dimension)[None, :]
-    sign = 1.0 if side == "A" else -1.0
-    return np.exp(2j * np.pi * d * (sign * f + gamma) / dimension) / math.sqrt(dimension)
+    sign = 1 if side == "A" else -1
+    index = (sign * d * f) % dimension + d * gamma
+    return np.exp(2j * np.pi * index / dimension) / math.sqrt(dimension)
 
 
 def measurement_unitary(dimension: int, gamma: float, side: str) -> np.ndarray:
@@ -107,7 +105,7 @@ def measurement_unitary(dimension: int, gamma: float, side: str) -> np.ndarray:
 
     Row f is the bra of the measurement eigenvector, so applying the matrix
     and reading out computational-basis probabilities implements the
-    projective measurement with offset ``gamma``.
+    projective measurement with offset ``gamma``.  No command builds it.
     """
     m = measurement_basis(dimension, gamma, side).conj().T
     err = np.abs(m.conj().T @ m - np.eye(dimension)).max()

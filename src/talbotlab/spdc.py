@@ -48,19 +48,28 @@ class BiphotonGaussian:
     kappa_minus: float
 
     def __post_init__(self):
-        for name in ("kappa_plus", "kappa_minus"):
-            k = getattr(self, name)
-            if not k > 0:
-                raise InvalidSpec(f"{name} must be positive, got {k!r}")
-            if not 0 < k * k < math.inf:
-                raise InvalidSpec(f"{name} = {k!r} is positive, but its square "
-                                  + ("underflows to 0" if k * k == 0 else "overflows"))
+        _source_widths(self.kappa_plus, self.kappa_minus, 1.0)
 
     @property
     def correlation(self) -> float:
         """Spatial correlation R = (k+^2 - k-^2) / (k+^2 + k-^2), in (-1, 1)."""
         kp2, km2 = self.kappa_plus ** 2, self.kappa_minus ** 2
         return (kp2 - km2) / (kp2 + km2)
+
+
+def _source_widths(kappa_plus: float, kappa_minus: float, spacing: float) -> tuple:
+    """The source widths in length units of ``kappa_plus`` and ``kappa_minus`` slit
+    spacings, each refused if not positive or if its square leaves the float range;
+    a refusal names the width as given, times ``spacing`` unless that is 1."""
+    for name, k in (("kappa_plus", kappa_plus), ("kappa_minus", kappa_minus)):
+        width = k * spacing
+        given = repr(k) if spacing == 1.0 else f"{k!r} (times spacing = {spacing!r})"
+        if not width > 0:
+            raise InvalidSpec(f"{name} must be positive, got {given}")
+        if not 0 < width * width < math.inf:
+            raise InvalidSpec(f"{name} = {given} is positive, but its square "
+                              + ("underflows to 0" if width * width == 0 else "overflows"))
+    return kappa_plus * spacing, kappa_minus * spacing
 
 
 def biphoton_amplitude(model: BiphotonGaussian, x1, x2):

@@ -99,7 +99,7 @@ def talbot_gate(dimension: int) -> np.ndarray:
     if dimension < 2:
         raise InvalidSpec("dimension must be >= 2")
     c = parity_constant(dimension)
-    a = gauss_coeffs(1, c * dimension)
+    a = gauss_coeffs(c * dimension)
     d = np.arange(dimension)
     # circulant: entry [row, col] = a_{c * ((row - col) mod D)}
     return a[c * ((d[:, None] - d[None, :]) % dimension)]

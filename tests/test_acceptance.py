@@ -52,11 +52,11 @@ def test_criterion_1_gauss_sum_identities():
     with criterion(1, 1.0, "Gauss-sum norms, gate unitarity, quarter-revival values"):
         for dim in range(2, 9):
             c = 1 if dim % 2 else 2
-            a = gauss_coeffs(1, c * dim)
+            a = gauss_coeffs(c * dim)
             assert abs((np.abs(a) ** 2).sum() - 1.0) < 1e-12
             u = talbot_gate(dim)
             assert np.abs(u.conj().T @ u - np.eye(dim)).max() < 1e-12
-        quarter = gauss_coeffs(1, 4)
+        quarter = gauss_coeffs(4)
         expected = np.array([(1 - 1j) / 2, 0.0, (1 + 1j) / 2, 0.0])
         assert np.abs(quarter - expected).max() < 1e-12
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from talbotlab import bell
+from talbotlab import bell, qudits
 from talbotlab.bell import (SETTING_OFFSETS, SETTING_PAIRS, bell_analytic, bell_field, bell_point,
                             bell_scan, cglmp_value, joint_prob_analytic, joint_prob_field)
 from talbotlab.constraints import gate_distances, talbot_length
@@ -45,7 +45,11 @@ def closed_form_max_ent(dimension: int) -> float:
 
 
 def analytic_tables(coeffs):
-    return [joint_prob_analytic(coeffs, *SETTING_OFFSETS[pair]) for pair in SETTING_PAIRS]
+    return joint_prob_analytic(coeffs, (0.0, 0.5), (0.25, -0.25))
+
+
+def one_table(coeffs, alpha, beta):
+    return joint_prob_analytic(coeffs, (alpha,), (beta,))[0]
 
 
 def _corr_a_equals_b_plus(table, k):
@@ -87,7 +91,7 @@ FIG_PAIRS = [(9.0, 0.0)] + [(9.0, 9.0 * math.sqrt((1.0 - r) / (1.0 + r)))
 def test_qubit_tables_match_hand_computed_chsh_values():
     # derived by hand from the geometric sum: diagonal (2 + sqrt 2)/8,
     # off-diagonal (2 - sqrt 2)/8 for the (1, 1) setting pair
-    table = joint_prob_analytic(maximally_entangled(2), *SETTING_OFFSETS[1, 1])
+    table = one_table(maximally_entangled(2), *SETTING_OFFSETS[1, 1])
     hi = (2.0 + math.sqrt(2.0)) / 8.0
     lo = (2.0 - math.sqrt(2.0)) / 8.0
     np.testing.assert_allclose(table, [[hi, lo], [lo, hi]], atol=1e-12)
@@ -96,7 +100,7 @@ def test_qubit_tables_match_hand_computed_chsh_values():
 def test_product_state_table_factorizes():
     v = np.array([0.6, 0.8j, 0.0])
     coeffs_matrix = np.outer(v, v.conj())
-    table = joint_prob_analytic(coeffs_matrix, 0.0, 0.25)
+    table = one_table(coeffs_matrix, 0.0, 0.25)
     pa = table.sum(axis=1)
     pb = table.sum(axis=0)
     np.testing.assert_allclose(table, np.outer(pa, pb), atol=1e-12)
@@ -197,7 +201,7 @@ def test_gate_route_probabilities_match_measurement_unitaries(rng):
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         coeffs = m / np.linalg.norm(m)
         for alpha, beta in SETTING_OFFSETS.values():
-            direct = joint_prob_analytic(coeffs, alpha, beta)
+            direct = one_table(coeffs, alpha, beta)
             ga = talbot_gate(dim) @ phase_gate(measurement_phases(dim, alpha))
             gb = talbot_gate(dim) @ phase_gate(measurement_phases(dim, beta))
             bins = np.abs(ga @ coeffs @ gb.T) ** 2
@@ -466,7 +470,7 @@ def test_qutrit_table_matches_explicit_kernel_summation():
                     bra_b = omega ** (d2 * (j - beta)) / math.sqrt(d)
                     amp += bra_a * bra_b * coeffs[d1, d2]
             oracle[i, j] = abs(amp) ** 2
-    table = joint_prob_analytic(coeffs, alpha, beta)
+    table = one_table(coeffs, alpha, beta)
     np.testing.assert_allclose(table, oracle, atol=1e-12)
 
 
@@ -477,34 +481,36 @@ def test_scan_equals_each_point_bit_for_bit_in_kappa_major_order(as_generator):
     expected = []
     for kp, km in FIG_PAIRS:
         for d in dims:
-            bell._measurement_matrix.cache_clear()  # each point from fresh unitaries
             point = bell_point(d, kp, km, 1.0, "analytic", **bell._SCAN_FIELD_POINT)
             expected.append((d, kp, km, point.value))
     assert [(r.dimension, r.kappa_plus, r.kappa_minus, r.value) for r in rows] == expected
 
 
-def test_scan_builds_each_dimensions_unitaries_once(monkeypatch):
-    calls = []
-    plain = bell.measurement_unitary
-    cache = bell._measurement_matrix
+@pytest.mark.parametrize("dimension", range(2, 65))
+def test_fft_tables_match_the_measurement_unitaries(dimension):
+    # oracle: |U_A C U_B^T|^2 with the dense measurement unitaries, on a random
+    # complex unit-norm C, at the canonical offsets and at four others, in the
+    # order of the tables: alpha varying slowest
+    rng = np.random.default_rng(dimension)
+    m = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(size=(dimension, dimension))
+    coeffs = m / np.linalg.norm(m)
+    alphas = (0.0, 0.5, 0.3, -1.7)
+    betas = (0.25, -0.25, 0.0, 2.6)
+    tables = joint_prob_analytic(coeffs, alphas, betas)
+    for (alpha, beta), table in zip(itertools.product(alphas, betas), tables):
+        u_a = measurement_unitary(dimension, alpha, "A")
+        u_b = measurement_unitary(dimension, beta, "B")
+        oracle = np.abs(u_a @ coeffs @ u_b.T) ** 2
+        assert np.abs(table - oracle).max() < 1e-12, (alpha, beta)
 
-    def counted(*args):
-        calls.append(args)
-        assert cache.cache_info().currsize <= bell._UNITARY_CACHE
-        return plain(*args)
 
-    monkeypatch.setattr(bell, "measurement_unitary", counted)
-    cache.cache_clear()
-    dims = [2, 3, 5, 8, 3]
-    bell_scan(dims, FIG_PAIRS[:3], 1.0, "analytic")
-    assert len(calls) <= 4 * len(dims)
-    assert cache.cache_info().maxsize == bell._UNITARY_CACHE
-    assert cache.cache_info().currsize <= bell._UNITARY_CACHE
+def test_no_command_path_builds_a_measurement_unitary(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a D x D measurement unitary was built")
 
-
-def test_measurement_matrix_is_one_read_only_array_for_every_caller():
-    bell._measurement_matrix.cache_clear()
-    first = bell._measurement_matrix(3, 0.25, "B")
-    assert bell._measurement_matrix(3, 0.25, "B") is first
-    assert not first.flags.writeable
-    assert first.tobytes() == measurement_unitary(3, 0.25, "B").tobytes()
+    monkeypatch.setattr(qudits, "measurement_unitary", refuse)
+    monkeypatch.setattr(qudits, "measurement_basis", refuse)
+    result = bell_point(3, 9.0, 1.0, 1.0, "analytic", **bell._SCAN_FIELD_POINT)
+    assert result.value > 0
+    rows = bell_scan(range(2, 65), FIG_PAIRS, 1.0, "analytic")
+    assert len(rows) == 63 * len(FIG_PAIRS)

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import talbotlab
 from talbotlab import _floatfmt, io as talbot_io
-from talbotlab.cli import DEFAULTS, main
+from talbotlab.cli import DEFAULTS, _load_config, build_parser, main
 from talbotlab.constraints import talbot_length
 from talbotlab.errors import UnderResolved
 from talbotlab.fields import MAX_ENTRIES, PropagationSpec, mode_propagate, periodic_comb, sample
@@ -155,7 +155,7 @@ def test_carpet_basis_state_fractional_columns(tmp_path):
     density = csv_rows(tmp_path / "carpet.csv")
     z0, z13 = density[0], density[8]  # z = (8/24) * 2 z_T = 2 z_T / 3
     from talbotlab.qudits import gauss_coeffs
-    weights = np.abs(gauss_coeffs(1, 3)) ** 2
+    weights = np.abs(gauss_coeffs(3)) ** 2
     predicted = sum(w * np.roll(z0, j * 32) for j, w in enumerate(weights))
     assert np.abs(z13 - predicted).max() < 1e-4 * z0.max()
     # full revival at the end of the span
@@ -561,6 +561,55 @@ def test_source_width_refusal_names_the_width_and_the_bound(command, reason, tmp
     # each value is positive and finite; only its square leaves the floating-point range
     assert run(command.split() + ["--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"invalid configuration: {reason}"]
+
+
+@pytest.mark.parametrize("command", [
+    "bell --set kappa_minus=1e-160 --set spacing=1e-10",
+    "bell-scan --set kappa_pairs=[[9,1e-160]] --set spacing=1e-10",
+    "entangle --set kappa_minus=1e-160 --set spacing=1e-10",
+], ids=["bell", "bell-scan", "entangle"])
+def test_source_width_refusal_names_the_value_given_and_the_spacing(command, tmp_path, capsys):
+    # the width in length units, 1e-170, is the product of the two values given
+    assert run(command.split() + ["--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid configuration: kappa_minus = 1e-160 (times spacing = 1e-10) is positive,"
+        " but its square underflows to 0"]
+
+
+def test_bell_refuses_tables_above_the_size_bound_naming_the_largest_dimension(tmp_path, capsys):
+    for route in ("analytic", "field"):
+        argv = ["bell", "--out-dir", str(tmp_path), "--set", "dimension=1025",
+                "--set", f"route={route}"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid configuration: bell.json would hold 4 D^2 table entries, above 4194304"
+            " (2**22) at D = 1025; use a dimension of at most 1024"]
+    assert not list(tmp_path.iterdir())
+    args = build_parser().parse_args(["bell", "--set", "dimension=1024"])
+    assert _load_config("bell", args)["dimension"] == 1024
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and os.path.exists("/proc/self/status")),
+                    reason="needs RLIMIT_AS and /proc/self/status")
+def test_out_of_memory_exits_2_with_one_line(tmp_path):
+    # the child caps its own address space 64 MB above what it has mapped once
+    # NumPy is loaded, so the D = 1024 tables cannot be allocated
+    script = (
+        "import re, resource, sys\n"
+        "import numpy, talbotlab.commands\n"
+        "from talbotlab.cli import main\n"
+        "size = int(re.search(r'VmSize:\\s+(\\d+) kB', open('/proc/self/status').read())[1])\n"
+        "cap = (size << 10) + (64 << 20)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "sys.exit(main(['bell', '--set', 'dimension=1024', '--out-dir', sys.argv[1]]))\n"
+    )
+    src = str(Path(talbotlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == ["out of memory; use a smaller configuration"]
+    assert not (tmp_path / "bell.json").exists()
 
 
 def test_basis_index_too_long_to_convert_exits_2(tmp_path, capsys):
