@@ -28,8 +28,8 @@ from .errors import InvalidSpec, NonNormalized
 from .fields import PropagationSpec, _propagate_axis, check_entries
 from .qudits import (TalbotGeometry, bin_outcome_map, bin_weights,
                      gate_distance_fraction, measurement_phases)
-from .spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry, _source_widths, comb_basis,
-                   entangled_coeffs, maximally_entangled, schmidt_modes)
+from .spdc import (BiphotonGaussian, SlitArray, _source_widths, comb_basis, entangled_coeffs,
+                   maximally_entangled, schmidt_modes)
 
 __all__ = [
     "BellResult",
@@ -218,36 +218,38 @@ def bell_analytic(coeffs: np.ndarray) -> BellResult:
 def bell_field(
     coeffs: np.ndarray,
     slits: SlitArray,
-    geom: SynthesizerGeometry,
     samples_per_cell: int,
     cells: int,
-    envelope: bool,
+    spike_width: float | None,
 ) -> BellResult:
     """Field-route Bell evaluation: synthesize the pair state, then measure.
 
     The per-photon comb basis B is built on the grid once, the pair state
     ``B C B^T`` is factorised into Schmidt modes once, and each side's modes
     are measured once at each of its two settings, which gives the four
-    tables.  With ``envelope=False`` the combs are ideal periodic ones on a
-    window commensurate with the effective period, where the routes agree
-    closest.
+    tables.  The combs carry the envelope of a grating with spikes
+    ``spike_width`` wide; with ``None`` they are ideal periodic ones on a
+    window commensurate with the period ``slits.period``, where the routes
+    agree closest.
     """
     d = len(coeffs)
     if cells % d != 0:
         cells += d - cells % d  # keep the window commensurate with the period
-    x, basis = comb_basis(slits, geom, samples_per_cell, cells, envelope)
+    # joint_prob_field's bound, checked before the basis and its factorisation are built
+    check_entries("binned column products", samples_per_cell * cells, d, d)
+    x, basis = comb_basis(slits, samples_per_cell, cells, spike_width)
     modes = schmidt_modes(x, basis, coeffs)
-    tgeom = geom.talbot_geometry(d, slits.width)
+    period = slits.period
+    tgeom = TalbotGeometry(period, slits.width, d, origin=-(d - 1) / 2.0 * period / d)
     tables, diagnostics = joint_prob_field(x, modes, tgeom)
     return cglmp_value(tables, provenance={
         "route": "field",
         "dimension": d,
         "samples_per_cell": samples_per_cell,
         "cells": cells,
-        "envelope": envelope,
+        "envelope": spike_width is not None,
         "diagnostics": diagnostics,
-        # the grating's spike width enters through the envelope alone
-        **({"spike_width": geom.spike_width} if envelope else {}),
+        **({"spike_width": spike_width} if spike_width is not None else {}),
     })
 
 
@@ -274,8 +276,8 @@ def bell_point(dimension: int, kappa_plus: float, kappa_minus: float, spacing: f
 
     Source widths and slit width are in units of the slit spacing;
     ``kappa_minus = 0`` selects the ideal maximally entangled state.  The
-    field route takes the slit width and the grid and envelope options of
-    :func:`bell_field`; the analytic route ignores them.
+    field route takes the slit width and the grid of :func:`bell_field`, and
+    with ``envelope`` the grating's spike width; the analytic route ignores them.
     """
     if kappa_minus == 0.0:
         coeffs = maximally_entangled(dimension)
@@ -286,8 +288,9 @@ def bell_point(dimension: int, kappa_plus: float, kappa_minus: float, spacing: f
         return bell_analytic(coeffs)
     if route == "field":
         slits = SlitArray(dimension, spacing, slit_width * spacing)
-        geom = SynthesizerGeometry.for_dimension(dimension, spacing, 0.05 * spacing)
-        return bell_field(coeffs, slits, geom, samples_per_cell, cells, envelope)
+        # the grating's spikes are 0.05 slit spacings wide; they enter only with the envelope
+        spike_width = 0.05 * spacing if envelope else None
+        return bell_field(coeffs, slits, samples_per_cell, cells, spike_width)
     raise InvalidSpec("route must be 'analytic' or 'field'")
 
 

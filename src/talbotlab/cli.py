@@ -7,8 +7,12 @@ identical configurations produce byte-identical outputs.  Exit codes:
 0 success, 2 configuration or validation error, a file that cannot be
 written or a run out of memory, 3 numerical guard trip.
 
-The whole configuration is checked before NumPy is imported: only a
-command that computes something loads the numerical layers (``commands``).
+The configuration's types, ranges and state strings are checked before
+NumPy is imported: only a command that computes something loads the
+numerical layers (``commands``).  The checks that need the numbers run
+after the import: explicit ``[re, im]`` amplitude lists, the array-size
+bound, and lengths whose squares or comb powers leave the floating-point
+range.
 """
 
 from __future__ import annotations

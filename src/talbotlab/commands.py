@@ -24,9 +24,9 @@ from .fields import (PropagationSpec, SampledField, centered_axis, check_entries
                      mode_propagate, periodic_comb, sample, sampling_matrix, unit_power)
 from .io import (bell_result_to_json, write_biphoton_csv, write_density_csv, write_matrix_csv,
                  write_pgm, write_sampled_csv, write_scan_csv)
-from .spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry, _source_widths,
-                   apply_dslit, entangled_coeffs, initial_biphoton_field,
-                   render_synthesized, synthesize_single, two_photon_density)
+from .spdc import (BiphotonGaussian, SlitArray, _source_widths, apply_dslit, entangled_coeffs,
+                   initial_biphoton_field, render_synthesized, synthesize_single,
+                   two_photon_density)
 
 
 def _parse_amplitudes(spec_value, dimension: int) -> np.ndarray:
@@ -79,13 +79,12 @@ def cmd_synth(cfg: dict, out: Path) -> int:
     spc, cells = cfg["samples_per_cell"], cfg["cells"]
     amps = _parse_amplitudes(cfg["amplitudes"], dim)
     slits = SlitArray(dim, spacing, cfg["slit_width"] * spacing, amplitudes=amps)
-    geom = SynthesizerGeometry.for_dimension(dim, spacing,
-                                             spike_width=cfg["spike_width"] * spacing)
     dx = spacing / spc
     x = centered_axis(spc * cells, dx)
-    output = render_synthesized(slits, geom, x)  # first: its comb basis is size-checked
+    # first: its comb basis is size-checked
+    output = render_synthesized(slits, x, spike_width=cfg["spike_width"] * spacing)
     aperture = slits.transmission(x)
-    ideal = sample(synthesize_single(slits, geom), spc * dim, cells // dim or 1)
+    ideal = sample(synthesize_single(slits), spc * dim, cells // dim or 1)
     write_sampled_csv(SampledField(float(x[0]), dx, aperture), out / "synth_input.csv", cfg)
     write_sampled_csv(SampledField(float(x[0]), dx, output), out / "synth_output.csv", cfg)
     write_sampled_csv(ideal, out / "synth_ideal.csv", cfg)
@@ -98,7 +97,6 @@ def cmd_entangle(cfg: dict, out: Path) -> int:
     model = BiphotonGaussian(*_source_widths(cfg["kappa_plus"], cfg["kappa_minus"], s))
     coeffs = entangled_coeffs(dim, s, model)
     slits = SlitArray(dim, s, cfg["slit_width"] * s)
-    geom = SynthesizerGeometry.for_dimension(dim, s, spike_width=cfg["spike_width"] * s)
 
     def axis(cells, spc):
         return centered_axis(cells * spc, s / spc)
@@ -109,9 +107,10 @@ def cmd_entangle(cfg: dict, out: Path) -> int:
     x_c = axis(cfg["slit_window_cells"], cfg["slit_samples_per_cell"])
     after, transmitted = apply_dslit(initial_biphoton_field(model, x_c), slits)
     # the z = 0 carpet as a density built in row blocks, with no n x n complex grid
-    x, dx, carpet = two_photon_density(coeffs, slits, geom,
+    x, dx, carpet = two_photon_density(coeffs, slits,
                                        samples_per_cell=cfg["carpet_samples_per_cell"],
-                                       cells=cfg["carpet_window_cells"], envelope=True)
+                                       cells=cfg["carpet_window_cells"],
+                                       spike_width=cfg["spike_width"] * s)
 
     # no name holds a stage's complex grid while it is written: write_biphoton_csv
     # frees it once it has the density, before any CSV text is formatted

@@ -19,12 +19,10 @@ from .errors import InvalidSpec, UnderResolved
 from .fields import (MASS_TOL, MAX_ENTRIES, MAX_ORDERS, BiphotonField, ModeField, _abs2,
                      _density_power, _freeze, _grid_power, _unit_root, centered_axis,
                      check_entries, gaussian_amplitude, periodic_comb, unit_power)
-from .qudits import TalbotGeometry
 
 __all__ = [
     "BiphotonGaussian",
     "SlitArray",
-    "SynthesizerGeometry",
     "biphoton_amplitude",
     "initial_biphoton_field",
     "apply_dslit",
@@ -95,6 +93,9 @@ class SlitArray:
     ``amplitudes`` are the complex illumination weights of the slits
     (uniform when omitted); they are stored normalized.  The array is
     centered on the optical axis: slit d sits at ``(d - (D-1)/2) * spacing``.
+    The lens--grating--lens synthesizer behind it is set by the slits alone:
+    its grating has period ``spacing``, and its output repeats the aperture
+    with ``period = D * spacing``, the Talbot qudit the slits encode.
     """
 
     count: int
@@ -107,12 +108,20 @@ class SlitArray:
             raise InvalidSpec("need at least one slit")
         if not self.spacing > self.width:
             raise InvalidSpec("slit spacing must exceed the slit width")
+        if not 0 < self.period < math.inf:
+            raise InvalidSpec(f"slit lattice period {self.count} x {self.spacing!r} must be"
+                              " positive and finite")
         amps = np.array(np.ones(self.count) if self.amplitudes is None else self.amplitudes,
                         dtype=complex)
         if amps.shape != (self.count,):
             raise InvalidSpec("amplitudes must have one entry per slit")
         # unit_power refuses a zero, NaN, infinite or overflowing norm
         object.__setattr__(self, "amplitudes", _freeze(unit_power(amps)))
+
+    @property
+    def period(self) -> float:
+        """Period ``D * spacing`` of the synthesizer output."""
+        return self.count * self.spacing
 
     def positions(self) -> np.ndarray:
         return (np.arange(self.count) - (self.count - 1) / 2.0) * self.spacing
@@ -129,54 +138,6 @@ def _tooth_sum(slits: SlitArray, x: np.ndarray, centers, weights) -> np.ndarray:
     for center, weight in zip(centers, weights):
         out += weight * gaussian_amplitude(x - center, slits.width)
     return out
-
-
-@dataclass(frozen=True)
-class SynthesizerGeometry:
-    """Lens--grating--lens synthesizer: two Fourier lenses around a comb grating.
-
-    The grating has period ``grating_period`` and Gaussian spikes of width
-    ``spike_width``; its Fourier orders reproduce the input aperture on a
-    lattice of period ``effective_period = focal_length * wavelength /
-    grating_period``.
-    """
-
-    focal_length: float
-    wavelength: float
-    grating_period: float
-    spike_width: float
-
-    def __post_init__(self):
-        lengths = (self.focal_length, self.wavelength, self.grating_period, self.spike_width)
-        if not all(0 < length < math.inf for length in lengths):
-            raise InvalidSpec("synthesizer focal length, wavelength, grating period and spike"
-                              " width must be positive and finite, got "
-                              + ", ".join(f"{length:g}" for length in lengths))
-
-    @property
-    def effective_period(self) -> float:
-        return self.focal_length * self.wavelength / self.grating_period
-
-    @classmethod
-    def for_dimension(cls, dimension: int, spacing: float,
-                      spike_width: float) -> "SynthesizerGeometry":
-        """Geometry whose effective period is ``dimension * spacing``.
-
-        That choice makes the slit lattice coincide with the Talbot-basis
-        offsets, so the synthesizer output encodes a qudit.  The grating
-        period is set to the slit spacing and the wavelength to a hundredth
-        of it; the focal length follows.  ``spike_width`` is the width of
-        the grating's spikes, a length like ``spacing``.
-        """
-        if dimension < 1 or spacing <= 0:
-            raise InvalidSpec("dimension must be >= 1 and spacing positive")
-        lam = spacing / 100.0
-        focal = dimension * spacing * spacing / lam
-        return cls(focal, lam, spacing, spike_width)
-
-    def talbot_geometry(self, dimension: int, slit_width: float) -> TalbotGeometry:
-        origin = -(dimension - 1) / 2.0 * self.effective_period / dimension
-        return TalbotGeometry(self.effective_period, slit_width, dimension, origin=origin)
 
 
 def _coeff_matrix(values) -> np.ndarray:
@@ -242,20 +203,21 @@ def apply_dslit(field: BiphotonField, slits: SlitArray) -> tuple:
     return BiphotonField(field.x0, dx, masked), float(transmitted)
 
 
-def grating_envelope(geom: SynthesizerGeometry) -> tuple:
+def grating_envelope(spacing: float, spike_width: float) -> tuple:
     """Fourier orders (m, A_m) of the comb grating, truncated by mass.
 
     ``A_m = exp(-(2 pi m sigma)^2 / (2 lg^2))`` for Gaussian spikes of width
-    sigma on a lattice of period lg.
+    sigma on a lattice of period lg, the slit spacing.
     """
-    if not geom.grating_period * geom.grating_period < math.inf:
-        raise InvalidSpec(f"grating period {geom.grating_period:g} has no finite square")
+    if not 0 < spike_width < math.inf:
+        raise InvalidSpec(f"grating spike width must be positive and finite, got {spike_width!r}")
+    if not 0 < spacing * spacing < math.inf:
+        raise InvalidSpec(f"grating period {spacing:g} has no finite, nonzero square")
     m = 8
     while True:
         mm = np.arange(-m, m + 1)
         with np.errstate(over="ignore"):  # (2 pi m sigma)^2 overflows only where A_m is 0
-            env = np.exp(-((2 * np.pi * mm * geom.spike_width) ** 2)
-                         / (2.0 * geom.grating_period ** 2))
+            env = np.exp(-((2 * np.pi * mm * spike_width) ** 2) / (2.0 * spacing ** 2))
         mass = env ** 2
         if mass[0] + mass[-1] < MASS_TOL * mass.sum() / (2 * m):
             break
@@ -269,31 +231,29 @@ def grating_envelope(geom: SynthesizerGeometry) -> tuple:
     return np.arange(-half, half + 1), env[m - half: m + half + 1]
 
 
-def synthesize_single(slits: SlitArray, geom: SynthesizerGeometry) -> ModeField:
+def synthesize_single(slits: SlitArray) -> ModeField:
     """Synthesizer output as an ideal periodic comb state.
 
-    The grating's Fourier orders replicate the aperture on the effective
-    lattice; the periodic part of the output is the effective-period
+    The grating's Fourier orders replicate the aperture on the output
+    lattice; the periodic part of the output is the ``slits.period``
     periodization of the aperture, returned as a normalized ModeField.  Use
     :func:`render_synthesized` for the finite, envelope-weighted profile.
     """
-    return periodic_comb(geom.effective_period, slits.width, slits.positions(),
-                         slits.amplitudes)
+    return periodic_comb(slits.period, slits.width, slits.positions(), slits.amplitudes)
 
 
-def _comb_columns(slits: SlitArray, geom: SynthesizerGeometry, x: np.ndarray,
-                  envelope: bool):
+def _comb_columns(slits: SlitArray, x: np.ndarray, spike_width: float | None):
     """Unnormalized comb columns on coordinates x, yielded one per slit d.
 
-    The teeth sit on the effective lattice ``positions[d] + m * period``.
-    With ``envelope`` they carry the grating order amplitudes A_m, else they
-    are uniform (the ideal periodic comb).  Teeth centred more than six slit
-    widths outside x are left out.
+    The teeth sit on the output lattice ``positions[d] + m * period``.  They
+    carry the order amplitudes A_m of a grating with spikes ``spike_width``
+    wide, or are uniform (the ideal periodic comb) when ``spike_width`` is
+    None.  Teeth centred more than six slit widths outside x are left out.
     """
-    period = geom.effective_period
+    period = slits.period
     lo, hi = x.min(), x.max()
-    if envelope:
-        mm, env = grating_envelope(geom)
+    if spike_width is not None:
+        mm, env = grating_envelope(slits.spacing, spike_width)
     else:
         half = int(math.ceil(max(-lo, hi) / period)) + 2
         mm = np.arange(-half, half + 1)
@@ -305,17 +265,17 @@ def _comb_columns(slits: SlitArray, geom: SynthesizerGeometry, x: np.ndarray,
         yield _tooth_sum(slits, x, centers[keep], env[keep])
 
 
-def render_synthesized(slits: SlitArray, geom: SynthesizerGeometry,
-                       x: np.ndarray) -> np.ndarray:
+def render_synthesized(slits: SlitArray, x: np.ndarray, spike_width: float) -> np.ndarray:
     """Finite synthesizer output on coordinates x, envelope-weighted comb.
 
-    Each grating order m contributes a copy of the aperture displaced by
-    ``m * effective_period`` and weighted by the order amplitude A_m.  The
-    output is summed slit by slit, so memory stays O(x.size) for any D.
+    Each order m of a grating with spikes ``spike_width`` wide contributes a
+    copy of the aperture displaced by ``m * slits.period`` and weighted by the
+    order amplitude A_m.  The output is summed slit by slit, so memory stays
+    O(x.size) for any D.
     """
     check_entries("comb basis", x.size, slits.count)  # the same work bound as the basis
     out = np.zeros(x.shape, dtype=complex)
-    for amp, column in zip(slits.amplitudes, _comb_columns(slits, geom, x, envelope=True)):
+    for amp, column in zip(slits.amplitudes, _comb_columns(slits, x, spike_width)):
         out += amp * column
     return out
 
@@ -358,11 +318,13 @@ def maximally_entangled(dimension: int) -> np.ndarray:
     return _coeff_matrix(np.eye(dimension) / math.sqrt(dimension))
 
 
-def comb_basis(slits: SlitArray, geom: SynthesizerGeometry, samples_per_cell: int,
-               cells: int, envelope: bool) -> tuple:
+def comb_basis(slits: SlitArray, samples_per_cell: int, cells: int,
+               spike_width: float | None) -> tuple:
     """``(x, B)``: the centred grid of ``cells`` slit spacings sampled
     ``samples_per_cell`` times each, and the n x D comb basis on it, column d
-    the comb anchored at slit d with unit power.  Needs 3 samples per slit width.
+    the comb anchored at slit d with unit power, enveloped by a grating with
+    spikes ``spike_width`` wide or ideal when that is None.  Needs 3 samples
+    per slit width.
     """
     dx = slits.spacing / samples_per_cell
     _check_resolution(slits, dx, 3, f"slit width {slits.width:g} needs at least 3 samples"
@@ -370,7 +332,7 @@ def comb_basis(slits: SlitArray, geom: SynthesizerGeometry, samples_per_cell: in
     x = centered_axis(samples_per_cell * cells, dx)
     check_entries("comb basis", x.size, slits.count)
     basis = np.empty((x.size, slits.count), dtype=complex)
-    for d, column in enumerate(_comb_columns(slits, geom, x, envelope)):
+    for d, column in enumerate(_comb_columns(slits, x, spike_width)):
         if not column.any():
             raise InvalidSpec("empty comb on the grid; enlarge the window")
         basis[:, d] = unit_power(column, dx)
@@ -380,31 +342,30 @@ def comb_basis(slits: SlitArray, geom: SynthesizerGeometry, samples_per_cell: in
 def two_photon_field(
     coeffs: np.ndarray,
     slits: SlitArray,
-    geom: SynthesizerGeometry,
     samples_per_cell: int,
     cells: int,
-    envelope: bool,
+    spike_width: float | None,
 ) -> BiphotonField:
     """Two-photon comb state on a square grid.
 
     ``Psi(x1, x2) = sum C[d1, d2] T_{d1}(x1) T_{d2}(x2)`` with T_d the comb
     wavefunction anchored at slit d.  The grid spans ``cells`` cells of one
     slit spacing sampled ``samples_per_cell`` times each, centered on the
-    axis.  With ``envelope=False`` the combs are ideal (uniform teeth),
+    axis.  With ``spike_width=None`` the combs are ideal (uniform teeth),
     which is the periodic idealization used for route comparisons.
     """
-    x, dx, basis = _pair_basis(coeffs, slits, geom, samples_per_cell, cells, envelope)
+    x, dx, basis = _pair_basis(coeffs, slits, samples_per_cell, cells, spike_width)
     return BiphotonField(float(x[0]), dx, unit_power(basis @ coeffs @ basis.T, dx, dx))
 
 
-def _pair_basis(coeffs: np.ndarray, slits: SlitArray, geom: SynthesizerGeometry,
-                samples_per_cell: int, cells: int, envelope: bool) -> tuple:
+def _pair_basis(coeffs: np.ndarray, slits: SlitArray, samples_per_cell: int, cells: int,
+                spike_width: float | None) -> tuple:
     """``(x, dx, B)`` of the two-photon grid, once its size is checked."""
     if slits.count != len(coeffs):
         raise InvalidSpec("slit count must match the coefficient dimension")
     n = samples_per_cell * cells
     check_entries("two-photon grid", n, n)
-    x, basis = comb_basis(slits, geom, samples_per_cell, cells, envelope)
+    x, basis = comb_basis(slits, samples_per_cell, cells, spike_width)
     return x, slits.spacing / samples_per_cell, basis
 
 
@@ -425,10 +386,9 @@ def _block_rows(n: int, dimension: int) -> int:
 def two_photon_density(
     coeffs: np.ndarray,
     slits: SlitArray,
-    geom: SynthesizerGeometry,
     samples_per_cell: int,
     cells: int,
-    envelope: bool,
+    spike_width: float | None,
 ) -> tuple:
     """``(x, dx, |Psi|^2)``: the density of :func:`two_photon_field`, bit for bit,
     without its n x n complex grid.
@@ -438,7 +398,7 @@ def two_photon_density(
     ``unit_power`` does; the second divides each block by the root of that
     power and writes its density over the first.
     """
-    x, dx, basis = _pair_basis(coeffs, slits, geom, samples_per_cell, cells, envelope)
+    x, dx, basis = _pair_basis(coeffs, slits, samples_per_cell, cells, spike_width)
     left = basis @ coeffs
     density = np.empty((x.size, x.size))
     buf = np.empty((_block_rows(x.size, len(coeffs)), x.size), dtype=complex)

@@ -144,6 +144,13 @@ def integrated_overlap(step: float, width: float) -> float:
     return float(abs((np.conj(s0) * s1).sum()) / norm) if norm > 0 else 0.0
 
 
+def slit_basis(slits) -> TalbotGeometry:
+    """The Talbot basis a synthesizer puts out behind ``slits``: period
+    ``D * spacing``, level d centred on slit d of the axis-centred array."""
+    d, period = slits.count, slits.period
+    return TalbotGeometry(period, slits.width, d, origin=-(d - 1) / 2.0 * period / d)
+
+
 def encode(amplitudes, geom: TalbotGeometry) -> ModeField:
     """Continuous encoding: one period carries ``sum_d c_d S(x - x_d)``,
     with ``x_d = origin + d * period / D``."""

@@ -17,7 +17,7 @@ from talbotlab.constraints import max_dimension, mutual_information, talbot_leng
 from talbotlab.fields import (PropagationSpec, gaussian_amplitude, mode_propagate, periodic_comb,
                               sample)
 from talbotlab.qudits import gauss_coeffs, measurement_basis, measurement_phases
-from talbotlab.spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry, biphoton_amplitude,
+from talbotlab.spdc import (BiphotonGaussian, SlitArray, biphoton_amplitude,
                             entangled_coeffs, maximally_entangled)
 
 GAMMAS = (0.0, 0.5, 0.25, -0.25)
@@ -124,9 +124,8 @@ def test_criterion_5_route_equivalence():
         for dim in (2, 3):
             coeffs = maximally_entangled(dim)
             slits = SlitArray(dim, 1.0, 0.05)
-            geom = SynthesizerGeometry.for_dimension(dim, 1.0, 0.05)
-            field_result = bell_field(coeffs, slits, geom,
-                                      samples_per_cell=64, cells=64, envelope=False)
+            field_result = bell_field(coeffs, slits,
+                                      samples_per_cell=64, cells=64, spike_width=None)
             analytic_result = bell_analytic(coeffs)
             _record(f"field max-ent D={dim}", field_result)
             assert abs(field_result.value - analytic_result.value) < 0.02

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import slit_basis
 from talbotlab import bell, qudits
 from talbotlab.bell import (SETTING_OFFSETS, SETTING_PAIRS, bell_analytic, bell_field, bell_point,
                             bell_scan, cglmp_value, joint_prob_analytic, joint_prob_field)
@@ -16,9 +17,8 @@ from talbotlab.errors import AliasingRisk, NonNormalized, TalbotLabError
 from talbotlab.fields import BiphotonField, PropagationSpec, biphoton_propagate
 from talbotlab.qudits import (bin_outcome_map, bin_weights, gate_distance_fraction,
                               measurement_phases, measurement_unitary)
-from talbotlab.spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry,
-                            comb_basis, entangled_coeffs, maximally_entangled, schmidt_modes,
-                            two_photon_field)
+from talbotlab.spdc import (BiphotonGaussian, SlitArray, comb_basis, entangled_coeffs,
+                            maximally_entangled, schmidt_modes, two_photon_field)
 
 # frozen oracle values -------------------------------------------------------
 # I_2 is 2 sqrt(2); I_3 was pre-registered from the independent geometric-sum
@@ -218,9 +218,7 @@ def test_gate_route_probabilities_match_measurement_unitaries(rng):
 def test_field_route_small_grid_agrees_with_analytic(dimension):
     coeffs = maximally_entangled(dimension)
     slits = SlitArray(dimension, 1.0, 0.05)
-    geom = SynthesizerGeometry.for_dimension(dimension, 1.0, 0.05)
-    field_result = bell_field(coeffs, slits, geom, samples_per_cell=64, cells=24,
-                              envelope=False)
+    field_result = bell_field(coeffs, slits, samples_per_cell=64, cells=24, spike_width=None)
     analytic_result = bell_analytic(coeffs)
     assert abs(field_result.value - analytic_result.value) < 0.02
     for tf, ta in zip(field_result.tables, analytic_result.tables):
@@ -230,9 +228,8 @@ def test_field_route_small_grid_agrees_with_analytic(dimension):
 def test_field_route_product_state_factorizes():
     coeffs = np.diag([1.0, 0.0]).astype(complex)
     slits = SlitArray(2, 1.0, 0.05)
-    geom = SynthesizerGeometry.for_dimension(2, 1.0, 0.05)
-    x, basis = comb_basis(slits, geom, samples_per_cell=64, cells=24, envelope=False)
-    tgeom = geom.talbot_geometry(2, 0.05)
+    x, basis = comb_basis(slits, samples_per_cell=64, cells=24, spike_width=None)
+    tgeom = slit_basis(slits)
     tables, diagnostics = joint_prob_field(x, schmidt_modes(x, basis, coeffs), tgeom)
     assert len(tables) == len(diagnostics) == len(SETTING_PAIRS)
     for table, diag in zip(tables, diagnostics):
@@ -256,8 +253,8 @@ def test_field_route_measures_each_side_setting_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(bell, name, counted(name))
     coeffs = entangled_coeffs(3, 1.0, BiphotonGaussian(9.0, 1.0))
-    slits, geom = SlitArray(3, 1.0, 0.05), SynthesizerGeometry.for_dimension(3, 1.0, 0.05)
-    result = bell_field(coeffs, slits, geom, samples_per_cell=64, cells=24, envelope=False)
+    slits = SlitArray(3, 1.0, 0.05)
+    result = bell_field(coeffs, slits, samples_per_cell=64, cells=24, spike_width=None)
     assert calls == {"_propagate_axis": 4, "bin_weights": 1}
     assert len(result.tables) == len(result.provenance["diagnostics"]) == 4
 
@@ -294,9 +291,7 @@ def test_field_route_with_grating_envelope_stays_close():
     # per-entry example tolerance
     coeffs = maximally_entangled(2)
     slits = SlitArray(2, 1.0, 0.1)
-    geom = SynthesizerGeometry.for_dimension(2, 1.0, spike_width=0.03)
-    field_result = bell_field(coeffs, slits, geom, samples_per_cell=32, cells=96,
-                              envelope=True)
+    field_result = bell_field(coeffs, slits, samples_per_cell=32, cells=96, spike_width=0.03)
     analytic_result = bell_analytic(coeffs)
     for tf, ta in zip(field_result.tables, analytic_result.tables):
         assert np.abs(tf - ta).max() < 1e-2
@@ -340,28 +335,23 @@ def dense_joint_table(psi, gamma_a, gamma_b, geom):
     }
 
 
-def _pair(dimension, slit_width=0.05, spike_width=0.05):
-    return (SlitArray(dimension, 1.0, slit_width),
-            SynthesizerGeometry.for_dimension(dimension, 1.0, spike_width=spike_width))
-
-
 ORACLE_CASES = {
-    "D2-ideal": (maximally_entangled(2), _pair(2), 64, 24, False),
-    "D3-ideal": (maximally_entangled(3), _pair(3), 64, 24, False),
-    "D5-kappa9-1": (entangled_coeffs(5, 1.0, BiphotonGaussian(9.0, 1.0)), _pair(5), 64, 24,
-                    False),
-    "D2-envelope": (maximally_entangled(2), _pair(2, 0.1, 0.03), 32, 96, True),
+    "D2-ideal": (maximally_entangled(2), SlitArray(2, 1.0, 0.05), 64, 24, None),
+    "D3-ideal": (maximally_entangled(3), SlitArray(3, 1.0, 0.05), 64, 24, None),
+    "D5-kappa9-1": (entangled_coeffs(5, 1.0, BiphotonGaussian(9.0, 1.0)),
+                    SlitArray(5, 1.0, 0.05), 64, 24, None),
+    "D2-envelope": (maximally_entangled(2), SlitArray(2, 1.0, 0.1), 32, 96, 0.03),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_factored_field_route_equals_the_dense_grid(case):
-    coeffs, (slits, geom), spc, cells, envelope = ORACLE_CASES[case]
-    result = bell_field(coeffs, slits, geom, samples_per_cell=spc, cells=cells,
-                        envelope=envelope)
-    psi = two_photon_field(coeffs, slits, geom, samples_per_cell=spc,
-                           cells=result.provenance["cells"], envelope=envelope)
-    tgeom = geom.talbot_geometry(len(coeffs), slits.width)
+    coeffs, slits, spc, cells, spike_width = ORACLE_CASES[case]
+    result = bell_field(coeffs, slits, samples_per_cell=spc, cells=cells,
+                        spike_width=spike_width)
+    psi = two_photon_field(coeffs, slits, samples_per_cell=spc,
+                           cells=result.provenance["cells"], spike_width=spike_width)
+    tgeom = slit_basis(slits)
     for pair, table, diag in zip(SETTING_PAIRS, result.tables,
                                  result.provenance["diagnostics"]):
         dense, dense_diag = dense_joint_table(psi, *SETTING_OFFSETS[pair], tgeom)
@@ -373,10 +363,10 @@ def test_factored_field_route_equals_the_dense_grid(case):
 @pytest.mark.parametrize("cells, trips", [(66, True), (48, False)])
 def test_factored_and_dense_guards_trip_on_the_same_grids(cells, trips):
     coeffs = maximally_entangled(3)
-    slits, geom = _pair(3)
-    tgeom = geom.talbot_geometry(3, slits.width)
-    psi = two_photon_field(coeffs, slits, geom, samples_per_cell=64, cells=cells, envelope=True)
-    x, basis = comb_basis(slits, geom, 64, cells, envelope=True)
+    slits = SlitArray(3, 1.0, 0.05)
+    tgeom = slit_basis(slits)
+    psi = two_photon_field(coeffs, slits, samples_per_cell=64, cells=cells, spike_width=0.05)
+    x, basis = comb_basis(slits, 64, cells, spike_width=0.05)
     routes = (lambda: dense_joint_table(psi, *SETTING_OFFSETS[1, 1], tgeom),
               lambda: joint_prob_field(x, schmidt_modes(x, basis, coeffs), tgeom))
     for route in routes:

@@ -22,7 +22,7 @@ from talbotlab.constraints import talbot_length
 from talbotlab.errors import UnderResolved
 from talbotlab.fields import MAX_ENTRIES, PropagationSpec, mode_propagate, periodic_comb, sample
 from talbotlab.io import write_biphoton_csv, write_pgm
-from talbotlab.spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry, _check_resolution,
+from talbotlab.spdc import (BiphotonGaussian, SlitArray, _check_resolution,
                             entangled_coeffs, two_photon_density, two_photon_field)
 
 
@@ -248,9 +248,8 @@ def test_entangle_carpet_equals_the_dense_field_files(tmp_path):
     s = cfg["spacing"]
     coeffs = entangled_coeffs(3, s, BiphotonGaussian(cfg["kappa_plus"] * s,
                                                      cfg["kappa_minus"] * s))
-    geom = SynthesizerGeometry.for_dimension(3, s, spike_width=cfg["spike_width"] * s)
-    carpet = two_photon_field(coeffs, SlitArray(3, s, cfg["slit_width"] * s), geom,
-                              samples_per_cell=70, cells=10, envelope=True)
+    carpet = two_photon_field(coeffs, SlitArray(3, s, cfg["slit_width"] * s),
+                              samples_per_cell=70, cells=10, spike_width=cfg["spike_width"] * s)
     oracle = tmp_path / "oracle"
     oracle.mkdir()
     density = write_biphoton_csv(carpet, oracle / "entangle_carpet.csv", config=cfg)
@@ -315,9 +314,9 @@ def test_entangle_formats_each_carpet_value_once_in_one_process(tmp_path, monkey
     s = cfg["spacing"]
     coeffs = entangled_coeffs(3, s, BiphotonGaussian(cfg["kappa_plus"] * s,
                                                      cfg["kappa_minus"] * s))
-    geom = SynthesizerGeometry.for_dimension(3, s, spike_width=cfg["spike_width"] * s)
-    carpet = two_photon_density(coeffs, SlitArray(3, s, cfg["slit_width"] * s), geom,
-                                samples_per_cell=70, cells=10, envelope=True)[2]
+    carpet = two_photon_density(coeffs, SlitArray(3, s, cfg["slit_width"] * s),
+                                samples_per_cell=70, cells=10,
+                                spike_width=cfg["spike_width"] * s)[2]
     assert sorted(formatted) == np.unique(carpet.view(np.uint64)).tolist()
 
 
@@ -535,6 +534,9 @@ REJECTED = CONFIG_ERRORS + [
     "carpet --set period=1e300",
     "carpet --set slit_width=1e300",
     "synth --set slit_width=1e-300",
+    # a grating period whose square underflows, and spikes that overflow to inf
+    "bell --set route=field --set envelope=true --set spacing=1e-320",
+    "synth --set spike_width=1e300 --set spacing=1e10",
 ]
 
 
@@ -657,16 +659,35 @@ def test_flat_grating_envelope_passes_only_the_zeroth_order(tmp_path):
 
 def test_bell_and_bell_scan_agree_off_unit_spacing(tmp_path):
     # a field-route scan point takes bell's default slit width, grid and envelope
-    # from a constant of its own: equal text on both sides pins it to DEFAULTS["bell"]
-    for route in ("analytic", "field"):
-        out = tmp_path / route
-        common = ["--out-dir", str(out), "--set", "spacing=2", "--set", f"route={route}"]
-        assert run(["bell", *common, "--set", "kappa_plus=9", "--set", "kappa_minus=1"]) == 0
-        assert run(["bell-scan", *common, "--set", "dimensions=[3]",
-                    "--set", "kappa_pairs=[[9,1]]"]) == 0
-        single = json.loads((out / "bell.json").read_text())["I"]
-        row = (out / "bell_scan.csv").read_text().splitlines()[2].split(",")
-        assert repr(single) == row[5], route
+    # from a constant of its own: equal text on both sides pins it to DEFAULTS["bell"];
+    # at spacing 0.1 the period D s is not a power of two times D
+    for spacing in ("2", "0.1"):
+        for route in ("analytic", "field"):
+            out = tmp_path / spacing / route
+            common = ["--out-dir", str(out), "--set", f"spacing={spacing}",
+                      "--set", f"route={route}"]
+            assert run(["bell", *common, "--set", "kappa_plus=9", "--set", "kappa_minus=1"]) == 0
+            assert run(["bell-scan", *common, "--set", "dimensions=[3]",
+                        "--set", "kappa_pairs=[[9,1]]"]) == 0
+            single = json.loads((out / "bell.json").read_text())["I"]
+            row = (out / "bell_scan.csv").read_text().splitlines()[2].split(",")
+            assert repr(single) == row[5], (spacing, route)
+
+
+@pytest.mark.parametrize("command", ["bell --set route=field --set dimension=300",
+                                     "bell-scan --set route=field --set dimensions=[300]"])
+def test_oversized_field_bell_is_refused_before_the_comb_basis(command, tmp_path, monkeypatch,
+                                                               capsys):
+    # 64 samples in each of 300 cells times D^2 binned products is far past the size
+    # bound; the refusal comes before the comb basis and its factorisation are built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("comb basis built for a refused grid")
+
+    monkeypatch.setattr("talbotlab.bell.comb_basis", unreachable)
+    assert run(command.split() + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"invalid configuration: binned column products would exceed \d+"
+                        r" \(2\*\*25\) array entries\n", err), err
 
 
 # digits are left out of the free text so that it never parses as a number:

@@ -7,12 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference import encode, fidelity, normalized_pair
+from reference import encode, fidelity, normalized_pair, slit_basis
 from talbotlab.errors import InvalidSpec, UnderResolved
 from talbotlab.fields import BiphotonField, gaussian_amplitude, sample
-from talbotlab.spdc import (BiphotonGaussian, SlitArray, SynthesizerGeometry,
-                            _block_rows, _coeff_matrix, _comb_columns, apply_dslit, biphoton_amplitude,
-                            comb_basis, entangled_coeffs, grating_envelope, initial_biphoton_field,
+from talbotlab.spdc import (BiphotonGaussian, SlitArray, _block_rows, _coeff_matrix,
+                            _comb_columns, apply_dslit, biphoton_amplitude, comb_basis,
+                            entangled_coeffs, grating_envelope, initial_biphoton_field,
                             maximally_entangled, render_synthesized, schmidt_modes,
                             synthesize_single, two_photon_density, two_photon_field)
 
@@ -123,11 +123,10 @@ def test_refusals_name_the_least_samples_per_spacing_that_pass(width, comb_least
                                                                aperture_least):
     # the count a refusal states passes its guard, and one sample fewer does not
     slits = SlitArray(3, S, width * S)
-    geom = SynthesizerGeometry.for_dimension(3, S, 0.05 * S)
     model = BiphotonGaussian(9.0 * S, 1.0 * S)
 
     def comb(samples_per_cell):
-        comb_basis(slits, geom, samples_per_cell, 4, envelope=False)
+        comb_basis(slits, samples_per_cell, 4, None)
 
     def aperture(samples_per_cell):
         x = axis(4, samples_per_cell)
@@ -152,13 +151,12 @@ def test_refusal_count_holds_where_the_float_bound_rounds(width, expected):
     # 61 samples to 60, and two where the bound solved in floats rounds to the
     # wrong side of an integer; the stated count passes and one fewer fails
     slits = SlitArray(3, S, width * S)
-    geom = SynthesizerGeometry.for_dimension(3, S, 0.05 * S)
     stated = f"; use at least {expected} samples per slit spacing$"
     with pytest.raises(UnderResolved, match=stated):
-        comb_basis(slits, geom, 2, 4, envelope=False)
-    comb_basis(slits, geom, expected, 4, envelope=False)
+        comb_basis(slits, 2, 4, None)
+    comb_basis(slits, expected, 4, None)
     with pytest.raises(UnderResolved):
-        comb_basis(slits, geom, expected - 1, 4, envelope=False)
+        comb_basis(slits, expected - 1, 4, None)
 
 
 def test_source_and_aperture_equal_the_out_of_place_normalisation_bit_for_bit():
@@ -183,39 +181,40 @@ def test_source_and_aperture_equal_the_out_of_place_normalisation_bit_for_bit():
 
 
 def test_synthesizer_effective_period():
-    geom = SynthesizerGeometry(focal_length=300.0, wavelength=0.01,
-                               grating_period=1.0, spike_width=0.05)
-    assert abs(geom.effective_period - 3.0) < 1e-12
-    geom2 = SynthesizerGeometry.for_dimension(3, S, 0.05 * S)
-    assert abs(geom2.effective_period - 3.0 * S) < 1e-12
+    # D slits spaced s (the grating's period) put out a lattice of period D s
+    for dimension, spacing in ((3, S), (3, 0.1), (7, 0.1), (5, 3.0)):
+        assert SlitArray(dimension, spacing, 0.05 * spacing).period == dimension * spacing
 
 
 def test_synthesizer_lengths_must_stay_finite():
-    # the focal length D s^2 / lambda overflows for s = 1e300; a grating period of
-    # 1e200 with a finite focal length has a square that overflows
-    with pytest.raises(InvalidSpec):
-        SynthesizerGeometry.for_dimension(3, 1e300, 0.05 * 1e300)
-    with pytest.raises(InvalidSpec):
-        grating_envelope(SynthesizerGeometry(1.0, 1.0, 1e200, 1.0))
+    # a lattice period D s that overflows would put a NaN tooth at 0 * inf; a grating's
+    # spike width must be a positive finite length, and its period have a finite square
+    for count, spacing in ((3, 1e308), (2 ** 1000, 1e30), (3, math.inf)):
+        with pytest.raises(InvalidSpec, match="period"):
+            SlitArray(count, spacing, 1.0)
+    for spike_width in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidSpec, match="spike width"):
+            grating_envelope(1.0, spike_width)
+    for spacing in (1e200, 1e-200):
+        with pytest.raises(InvalidSpec, match="no finite, nonzero square"):
+            grating_envelope(spacing, 1e-201)
 
 
 def test_synthesized_state_equals_direct_encoding():
-    slits = SlitArray(3, S, 0.05 * S)
-    geom = SynthesizerGeometry.for_dimension(3, S, 0.05 * S)
-    via_synth = synthesize_single(slits, geom)
-    uniform = np.full(3, 1.0 / math.sqrt(3), dtype=complex)
-    via_encode = encode(uniform, geom.talbot_geometry(3, 0.05 * S))
-    a = sample(via_synth, 128, 8)
-    b = sample(via_encode, 128, 8)
-    assert fidelity(a, b) >= 0.999
+    # also at a spacing that is not a power of two, where the period D * s rounds
+    for spacing in (S, 0.1):
+        slits = SlitArray(3, spacing, 0.05 * spacing)
+        uniform = np.full(3, 1.0 / math.sqrt(3), dtype=complex)
+        a = sample(synthesize_single(slits), 128, 8)
+        b = sample(encode(uniform, slit_basis(slits)), 128, 8)
+        assert fidelity(a, b) >= 0.999
 
 
 def test_single_order_grating_reproduces_the_aperture():
     # a grating with only its zeroth Fourier order passes the aperture through
     slits = SlitArray(3, S, 0.05 * S, amplitudes=np.array([1.0, 0.0, 0.0]))
-    geom = SynthesizerGeometry.for_dimension(3, S, spike_width=0.4 * S)
     x = axis(24, 64)
-    rendered = render_synthesized(slits, geom, x)
+    rendered = render_synthesized(slits, x, spike_width=0.4 * S)
     direct = slits.transmission(x)
     num = abs((rendered.conj() * direct).sum()) ** 2
     den = (np.abs(rendered) ** 2).sum() * (np.abs(direct) ** 2).sum()
@@ -228,10 +227,9 @@ def test_render_equals_the_comb_basis_times_the_amplitudes(dimension):
     rng = np.random.default_rng(dimension)
     amps = rng.normal(size=dimension) + 1j * rng.normal(size=dimension)
     slits = SlitArray(dimension, S, 0.08 * S, amplitudes=amps)
-    geom = SynthesizerGeometry.for_dimension(dimension, S, spike_width=0.1 * S)
     x = axis(13, 50)
-    oracle = np.column_stack(list(_comb_columns(slits, geom, x, True))) @ slits.amplitudes
-    rendered = render_synthesized(slits, geom, x)
+    oracle = np.column_stack(list(_comb_columns(slits, x, 0.1 * S))) @ slits.amplitudes
+    rendered = render_synthesized(slits, x, 0.1 * S)
     assert np.abs(oracle).max() > 0
     assert np.abs(rendered - oracle).max() <= 1e-15 * np.abs(oracle).max()
 
@@ -240,11 +238,10 @@ def test_render_memory_stays_linear_in_the_grid():
     # the 1536 x 4000 comb basis would take 98 MB; the slit-by-slit sum needs O(n)
     dimension = 4000
     slits = SlitArray(dimension, S, 0.05 * S)
-    geom = SynthesizerGeometry.for_dimension(dimension, S, 0.05 * S)
     x = axis(24, 64)
     tracemalloc.start()
     try:
-        rendered = render_synthesized(slits, geom, x)
+        rendered = render_synthesized(slits, x, 0.05 * S)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -253,17 +250,18 @@ def test_render_memory_stays_linear_in_the_grid():
 
 
 def test_rendered_comb_peak_spacing():
-    slits = SlitArray(3, S, 0.05 * S, amplitudes=np.array([1.0, 0.0, 0.0]))
-    geom = SynthesizerGeometry.for_dimension(3, S, 0.05 * S)
-    x = axis(24, 64)
-    rendered = np.abs(render_synthesized(slits, geom, x)) ** 2
-    peaks = []
-    for i in range(1, len(x) - 1):
-        if rendered[i] > rendered[i - 1] and rendered[i] > rendered[i + 1] \
-                and rendered[i] > 0.05 * rendered.max():
-            peaks.append(x[i])
-    gaps = np.diff(peaks)
-    np.testing.assert_allclose(gaps, geom.effective_period, atol=2 * (x[1] - x[0]))
+    for spacing in (S, 0.1):
+        slits = SlitArray(3, spacing, 0.05 * spacing, amplitudes=np.array([1.0, 0.0, 0.0]))
+        x = axis(24, 64) * (spacing / S)
+        rendered = np.abs(render_synthesized(slits, x, 0.05 * spacing)) ** 2
+        peaks = []
+        for i in range(1, len(x) - 1):
+            if rendered[i] > rendered[i - 1] and rendered[i] > rendered[i + 1] \
+                    and rendered[i] > 0.05 * rendered.max():
+                peaks.append(x[i])
+        gaps = np.diff(peaks)
+        assert len(gaps) >= 6
+        np.testing.assert_allclose(gaps, 3 * spacing, atol=2 * (x[1] - x[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +342,7 @@ def test_coeffs_match_brute_force_overlap_integrals():
 def test_product_coefficients_give_product_field():
     c = np.diag([1.0, 0.0, 0.0]).astype(complex)
     slits = SlitArray(3, S, 0.05 * S)
-    geom = SynthesizerGeometry.for_dimension(3, S, 0.05 * S)
-    psi = two_photon_field(c, slits, geom, samples_per_cell=64, cells=24, envelope=True)
+    psi = two_photon_field(c, slits, samples_per_cell=64, cells=24, spike_width=0.05 * S)
     # rank-1 check via SVD of the grid
     sv = np.linalg.svd(psi.values, compute_uv=False)
     assert sv[1] / sv[0] < 1e-10
@@ -354,9 +351,7 @@ def test_product_coefficients_give_product_field():
 def test_marginal_is_periodic_comb():
     c = maximally_entangled(3)
     slits = SlitArray(3, S, 0.05 * S)
-    geom = SynthesizerGeometry.for_dimension(3, S, 0.05 * S)
-    psi = two_photon_field(c, slits, geom, samples_per_cell=64, cells=24,
-                           envelope=False)
+    psi = two_photon_field(c, slits, samples_per_cell=64, cells=24, spike_width=None)
     marginal = (np.abs(psi.values) ** 2).sum(axis=1)
     period_samples = 3 * 64
     folded = marginal[: 7 * period_samples].reshape(7, period_samples)
@@ -367,12 +362,12 @@ def test_marginal_is_periodic_comb():
 @pytest.mark.parametrize("envelope", [False, True])
 def test_two_photon_field_is_the_normalized_dense_grid_bit_for_bit(envelope):
     # the in-place normalisation keeps the arithmetic of the out-of-place one
+    spike_width = 0.3 * S if envelope else None
     coeffs = entangled_coeffs(3, S, BiphotonGaussian(9.0 * S, 0.5 * S))
     slits = SlitArray(3, S, 0.3 * S)
-    geom = SynthesizerGeometry.for_dimension(3, S, spike_width=0.3 * S)
-    psi = two_photon_field(coeffs, slits, geom, samples_per_cell=20, cells=12,
-                           envelope=envelope)
-    x, basis = comb_basis(slits, geom, 20, 12, envelope)
+    psi = two_photon_field(coeffs, slits, samples_per_cell=20, cells=12,
+                           spike_width=spike_width)
+    x, basis = comb_basis(slits, 20, 12, spike_width)
     dx = S / 20  # on this grid, regrouping the power's dx * dx changes bits
     vals = basis @ coeffs @ basis.T
     expected = normalized_pair(BiphotonField(float(x[0]), dx, vals))
@@ -383,19 +378,18 @@ def test_two_photon_field_is_the_normalized_dense_grid_bit_for_bit(envelope):
 
 def pair_state(dimension):
     coeffs = entangled_coeffs(dimension, S, BiphotonGaussian(9.0 * S, 1.0 * S))
-    slits = SlitArray(dimension, S, 0.2 * S)
-    return coeffs, slits, SynthesizerGeometry.for_dimension(dimension, S, 0.05 * S)
+    return coeffs, SlitArray(dimension, S, 0.2 * S)
 
 
 @pytest.mark.parametrize("envelope", [False, True])
 @pytest.mark.parametrize("dimension", [2, 3, 5])
 def test_two_photon_density_is_the_dense_density_bit_for_bit(dimension, envelope):
     # 680 rows: full row blocks and a short last one
-    spc, cells = 20, 34
+    spc, cells, spike_width = 20, 34, 0.05 * S if envelope else None
     assert spc * cells % _block_rows(spc * cells, dimension)
-    coeffs, slits, geom = pair_state(dimension)
-    psi = two_photon_field(coeffs, slits, geom, spc, cells, envelope)
-    x, dx, density = two_photon_density(coeffs, slits, geom, spc, cells, envelope)
+    coeffs, slits = pair_state(dimension)
+    psi = two_photon_field(coeffs, slits, spc, cells, spike_width)
+    x, dx, density = two_photon_density(coeffs, slits, spc, cells, spike_width)
     assert density.tobytes() == (np.abs(psi.values) ** 2).tobytes()
     assert (float(x[0]), dx) == (psi.x0, psi.dx)
 
@@ -403,13 +397,13 @@ def test_two_photon_density_is_the_dense_density_bit_for_bit(dimension, envelope
 def test_two_photon_density_holds_no_complex_grid():
     spc, cells = 32, 60
     n = spc * cells
-    coeffs, slits, geom = pair_state(3)
+    coeffs, slits = pair_state(3)
     bound = 1.25 * 8 * n * n + 16 * _block_rows(n, 3) * n  # the density and one block
     peaks = []
     for build in (two_photon_density, two_photon_field):
         tracemalloc.start()
         try:
-            build(coeffs, slits, geom, spc, cells, True)
+            build(coeffs, slits, spc, cells, 0.05 * S)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -420,8 +414,7 @@ def test_two_photon_density_holds_no_complex_grid():
 def test_schmidt_modes_factor_the_pair_state(kappa_minus):
     coeffs = entangled_coeffs(3, S, BiphotonGaussian(9.0 * S, kappa_minus * S))
     slits = SlitArray(3, S, 0.1 * S)
-    geom = SynthesizerGeometry.for_dimension(3, S, spike_width=0.1 * S)
-    x, basis = comb_basis(slits, geom, 32, 12, envelope=True)
+    x, basis = comb_basis(slits, 32, 12, spike_width=0.1 * S)
     u_a, s, u_b = schmidt_modes(x, basis, coeffs)
     dx = x[1] - x[0]
     psi = basis @ coeffs @ basis.T * dx
@@ -440,7 +433,7 @@ def test_two_photon_field_matches_optical_pipeline():
     dimension = 2
     width = 0.15 * S
     slits = SlitArray(dimension, S, width)
-    geom = SynthesizerGeometry.for_dimension(dimension, S, spike_width=0.15 * S)
+    spike_width = 0.15 * S
     model = BiphotonGaussian(4.0 * S, 1.2 * S)  # slits narrow against both kappas
     spc, cells = 53, 40
     x = axis(cells, spc)
@@ -450,21 +443,23 @@ def test_two_photon_field_matches_optical_pipeline():
     src = biphoton_amplitude(model, x[:, None], x[None, :])
     masked = (slits.transmission(x)[:, None] * slits.transmission(x)[None, :] * src)
 
-    f_lens = geom.focal_length * geom.wavelength
+    # lenses of focal length f at wavelength lambda with f lambda = D s^2 around a
+    # grating of period s: the output repeats on the lattice f lambda / s = D s
+    f_lens = dimension * S * S
     freqs = np.fft.fftfreq(n, dx)
     u = f_lens * freqs  # transverse coordinate in the lens focal plane
-    teeth = np.arange(-200, 201) * geom.grating_period
+    teeth = np.arange(-200, 201) * S
     grating = np.zeros_like(u)
     for t in teeth:
-        grating += np.exp(-((u - t) ** 2) / (2.0 * geom.spike_width ** 2))
+        grating += np.exp(-((u - t) ** 2) / (2.0 * spike_width ** 2))
     spec = np.fft.fft2(masked)
     spec *= grating[:, None] * grating[None, :]
     pipeline = np.fft.ifft2(spec)
     pipeline /= math.sqrt((np.abs(pipeline) ** 2).sum() * dx * dx)
 
     comb = two_photon_field(
-        maximally_entangled_like(model, dimension, slits), slits, geom,
-        samples_per_cell=spc, cells=cells, envelope=True)
+        maximally_entangled_like(model, dimension, slits), slits,
+        samples_per_cell=spc, cells=cells, spike_width=spike_width)
     num = abs((comb.values.conj() * pipeline).sum() * dx * dx) ** 2
     assert num >= 0.995
 
