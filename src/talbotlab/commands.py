@@ -20,10 +20,10 @@ import numpy as np
 from .bell import bell_point, bell_scan
 from .constraints import talbot_length
 from .errors import InvalidSpec, TalbotLabError, report_failure
-from .fields import (PropagationSpec, SampledField, centered_axis, check_entries,
+from .fields import (PropagationSpec, SampledField, _abs2, centered_axis, check_entries,
                      mode_propagate, periodic_comb, sample, sampling_matrix, unit_power)
-from .io import (bell_result_to_json, write_biphoton_csv, write_density_csv, write_matrix_csv,
-                 write_pgm, write_sampled_csv, write_scan_csv)
+from .io import (bell_result_to_json, write_density_csv, write_matrix_csv, write_pgm,
+                 write_sampled_csv, write_scan_csv)
 from .spdc import (BiphotonGaussian, SlitArray, _source_widths, apply_dslit, entangled_coeffs,
                    initial_biphoton_field, render_synthesized, synthesize_single,
                    two_photon_density)
@@ -98,37 +98,35 @@ def cmd_entangle(cfg: dict, out: Path) -> int:
     coeffs = entangled_coeffs(dim, s, model)
     slits = SlitArray(dim, s, cfg["slit_width"] * s)
 
-    def axis(cells, spc):
-        return centered_axis(cells * spc, s / spc)
-
-    # every stage and its guards run before the first file is written
-    x_a = axis(cfg["initial_window_cells"], cfg["initial_samples_per_cell"])
-    initial = initial_biphoton_field(model, x_a)
-    x_c = axis(cfg["slit_window_cells"], cfg["slit_samples_per_cell"])
-    after, transmitted = apply_dslit(initial_biphoton_field(model, x_c), slits)
+    # every stage and its guards run before the first file is written, and each
+    # stage's complex grid gives way to its density as soon as they have run
+    x_a, dx_a, initial = initial_biphoton_field(model, s, cfg["initial_samples_per_cell"],
+                                                cfg["initial_window_cells"])
+    initial = _abs2(initial)
+    # the slit stage: the source on its own grid, then behind the slits
+    x_c, dx_c, after = initial_biphoton_field(model, s, cfg["slit_samples_per_cell"],
+                                              cfg["slit_window_cells"])
+    after, transmitted = apply_dslit(after, x_c, dx_c, slits)
+    after = _abs2(after)
+    stages = [("initial", initial, (float(x_a[0]), dx_a), cfg),
+              ("slits", after, (float(x_c[0]), dx_c), {**cfg, "transmitted_fraction": transmitted})]
+    del initial, after
     # the z = 0 carpet as a density built in row blocks, with no n x n complex grid
     x, dx, carpet = two_photon_density(coeffs, slits,
                                        samples_per_cell=cfg["carpet_samples_per_cell"],
                                        cells=cfg["carpet_window_cells"],
                                        spike_width=cfg["spike_width"] * s)
 
-    # no name holds a stage's complex grid while it is written: write_biphoton_csv
-    # frees it once it has the density, before any CSV text is formatted
-    fields = {"initial": initial, "slits": after}
-    del initial, after
-
-    def write_fields():
-        for name, csv_cfg in (("initial", cfg),
-                              ("slits", {**cfg, "transmitted_fraction": transmitted})):
-            density = write_biphoton_csv(fields.pop(name), out / f"entangle_{name}.csv", csv_cfg)
+    def write_stages():
+        for name, density, grid, csv_cfg in stages:
+            write_density_csv(density, out / f"entangle_{name}.csv", grid, csv_cfg)
             write_pgm(density, out / f"entangle_{name}.pgm", cfg)
-            del density
         write_pgm(carpet, out / "entangle_carpet.pgm", cfg)
 
     # a child writes the initial and slit stages and the carpet's heatmap,
     # while this process writes the carpet CSV
-    pid = _write_aside(write_fields, out)
-    fields.clear()
+    pid = _write_aside(write_stages, out)
+    stages.clear()  # the child has its own copy: the carpet CSV is written without them
     try:
         write_density_csv(carpet, out / "entangle_carpet.csv", (float(x[0]), dx), cfg)
     finally:

@@ -1,13 +1,15 @@
 """Complex scalar fields and unitary paraxial propagation.
 
-Three representations are used throughout the package:
+Two representations are used throughout the package:
 
 * ``ModeField`` -- a periodic wavefunction stored as truncated Fourier
   coefficients, propagated exactly by multiplying each mode with its
   quadratic phase; ``periodic_comb`` builds one from Gaussian slits and
   ``sample`` evaluates it on a grid.
 * ``SampledField`` -- complex amplitude on a uniform transverse grid.
-* ``BiphotonField`` -- two-photon amplitude on the square grid of one axis.
+
+A two-photon grid is a plain square array over one axis taken for both
+photons, passed with that axis or its pitch.
 
 Grids are propagated axis by axis with the band-limited spectral (Fresnel
 transfer function) method, guarded against aliasing.  Both propagators
@@ -30,7 +32,6 @@ from .errors import AliasingRisk, InvalidSpec, UnderResolved
 
 __all__ = [
     "SampledField",
-    "BiphotonField",
     "ModeField",
     "PropagationSpec",
     "gaussian_amplitude",
@@ -103,29 +104,6 @@ class SampledField:
     def x(self) -> np.ndarray:
         """Sample coordinates."""
         return self.x0 + self.dx * np.arange(self.n)
-
-
-@dataclass(frozen=True)
-class BiphotonField:
-    """Two-photon complex amplitude on the square grid ``x0 + dx * arange(n)`` of both photons."""
-
-    x0: float
-    dx: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1] or vals.shape[0] < 2:
-            raise InvalidSpec("values must be a square 2-D array, at least 2x2")
-        if not self.dx > 0:
-            raise InvalidSpec("dx must be positive")
-        object.__setattr__(self, "values", _freeze(vals))
-
-    def x(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.values.shape[0])
-
-    def power(self) -> float:
-        return _grid_power(self.values, self.dx, self.dx)
 
 
 def _abs2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -305,13 +283,13 @@ def _propagate_axis(values: np.ndarray, dx: float, spec: PropagationSpec,
     return np.fft.ifft(spectrum, axis=axis)
 
 
-def biphoton_propagate(field: BiphotonField, spec: PropagationSpec) -> BiphotonField:
-    """Propagate both photon axes of a biphoton field by the same distance."""
+def biphoton_propagate(values: np.ndarray, dx: float, spec: PropagationSpec) -> np.ndarray:
+    """Propagate both photon axes of a square two-photon grid of pitch ``dx`` by
+    the same distance, into a read-only array; ``z = 0`` returns ``values``."""
     if spec.distance == 0.0:
-        return field
-    vals = _propagate_axis(field.values, field.dx, spec, 0)
-    vals = _propagate_axis(vals, field.dx, spec, 1)
-    return BiphotonField(field.x0, field.dx, vals)
+        return values
+    values = _propagate_axis(values, dx, spec, 0)
+    return _freeze(_propagate_axis(values, dx, spec, 1))
 
 
 def mode_propagate(field: ModeField, spec: PropagationSpec) -> ModeField:

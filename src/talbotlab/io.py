@@ -17,7 +17,7 @@ import numpy as np
 
 from .bell import SETTING_OFFSETS, SETTING_PAIRS, BellResult
 from .errors import InvalidSpec
-from .fields import BiphotonField, SampledField
+from .fields import SampledField, _abs2
 
 __all__ = [
     "write_sampled_csv",
@@ -166,17 +166,10 @@ def _distinct_lines(matrix: np.ndarray, first):
             a = b
 
 
-def write_biphoton_csv(field: BiphotonField, path, config: dict) -> np.ndarray:
-    """Biphoton density |values|^2 as row-major CSV plus JSON grid sidecar.
-
-    Returns the density it wrote.  The complex grid can be freed before the
-    CSV is written: this function drops its reference to ``field`` once it
-    has the density, so a caller that keeps none frees it.
-    """
-    density = np.abs(field.values)
-    np.square(density, out=density)
-    grid = (field.x0, field.dx)
-    del field
+def write_biphoton_csv(values: np.ndarray, path, grid: tuple, config: dict) -> np.ndarray:
+    """The density ``|values|^2`` of a square two-photon grid, written by
+    :func:`write_density_csv` and returned."""
+    density = _abs2(values)
     write_density_csv(density, path, grid, config)
     return density
 

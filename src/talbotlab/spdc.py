@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, UnderResolved
-from .fields import (MASS_TOL, MAX_ENTRIES, MAX_ORDERS, BiphotonField, ModeField, _abs2,
-                     _density_power, _freeze, _grid_power, _unit_root, centered_axis,
-                     check_entries, gaussian_amplitude, periodic_comb, unit_power)
+from .fields import (MASS_TOL, MAX_ENTRIES, MAX_ORDERS, ModeField, _abs2, _density_power,
+                     _freeze, _grid_power, _unit_root, centered_axis, check_entries,
+                     gaussian_amplitude, periodic_comb, unit_power)
 
 __all__ = [
     "BiphotonGaussian",
@@ -172,35 +172,39 @@ def _check_resolution(slits: SlitArray, dx: float, per_width: int, refusal: str)
         raise UnderResolved(f"{refusal}; {advice}")
 
 
-def initial_biphoton_field(model: BiphotonGaussian, x: np.ndarray) -> BiphotonField:
-    """Source amplitude sampled on the square grid of one coordinate axis."""
+def initial_biphoton_field(model: BiphotonGaussian, spacing: float, samples_per_cell: int,
+                           cells: int) -> tuple:
+    """``(x, dx, psi)``: the centred axis of ``cells`` cells of ``spacing`` sampled
+    ``samples_per_cell`` times each, its pitch, and the source amplitude on the
+    square grid of that axis, normalised and read-only."""
+    dx = spacing / samples_per_cell
+    x = centered_axis(samples_per_cell * cells, dx)
     check_entries("biphoton grid", x.size, x.size)
     if x.size < 2:
         raise InvalidSpec("a biphoton grid axis needs at least 2 samples")
-    dx = float(x[1] - x[0])
     vals = biphoton_amplitude(model, x[:, None], x[None, :]).astype(complex)
-    return BiphotonField(float(x[0]), dx, unit_power(vals, dx, dx))
+    return x, dx, _freeze(unit_power(vals, dx, dx))
 
 
-def apply_dslit(field: BiphotonField, slits: SlitArray) -> tuple:
-    """Send each photon through the slit array.
+def apply_dslit(values: np.ndarray, x: np.ndarray, dx: float, slits: SlitArray) -> tuple:
+    """Send each photon of the square pair grid ``values`` on axis ``x`` of pitch
+    ``dx`` through the slit array.
 
-    Returns ``(masked field renormalized, transmitted power fraction)``.
-    Raises ``UnderResolved`` when the grid does not carry at least
+    Returns ``(masked grid renormalized and read-only, transmitted power
+    fraction)``.  Raises ``UnderResolved`` when the grid does not carry at least
     ``SAMPLES_PER_SLIT_WIDTH`` samples per slit width.
     """
-    dx = field.dx
     _check_resolution(slits, dx, SAMPLES_PER_SLIT_WIDTH, f"slit width {slits.width:g} sampled"
                       f" with fewer than {SAMPLES_PER_SLIT_WIDTH} points (dx = {dx:g})")
-    t = slits.transmission(field.x())
-    masked = field.values * t[:, None]
+    t = slits.transmission(x)
+    masked = values * t[:, None]
     masked *= t[None, :]
     power = _grid_power(masked, dx, dx)
-    transmitted = power / field.power()
+    transmitted = power / _grid_power(values, dx, dx)
     if transmitted <= 0:
         raise InvalidSpec("aperture blocked the entire field")
     masked /= _unit_root(power)
-    return BiphotonField(field.x0, dx, masked), float(transmitted)
+    return _freeze(masked), float(transmitted)
 
 
 def grating_envelope(spacing: float, spike_width: float) -> tuple:
@@ -345,8 +349,8 @@ def two_photon_field(
     samples_per_cell: int,
     cells: int,
     spike_width: float | None,
-) -> BiphotonField:
-    """Two-photon comb state on a square grid.
+) -> tuple:
+    """``(x, dx, Psi)``: the two-photon comb state on a square grid, read-only.
 
     ``Psi(x1, x2) = sum C[d1, d2] T_{d1}(x1) T_{d2}(x2)`` with T_d the comb
     wavefunction anchored at slit d.  The grid spans ``cells`` cells of one
@@ -355,7 +359,7 @@ def two_photon_field(
     which is the periodic idealization used for route comparisons.
     """
     x, dx, basis = _pair_basis(coeffs, slits, samples_per_cell, cells, spike_width)
-    return BiphotonField(float(x[0]), dx, unit_power(basis @ coeffs @ basis.T, dx, dx))
+    return x, dx, _freeze(unit_power(basis @ coeffs @ basis.T, dx, dx))
 
 
 def _pair_basis(coeffs: np.ndarray, slits: SlitArray, samples_per_cell: int, cells: int,

@@ -16,8 +16,8 @@ import numpy as np
 
 from talbotlab.constraints import parity_constant
 from talbotlab.errors import BinMisalignment, InvalidSpec
-from talbotlab.fields import (BiphotonField, ModeField, PropagationSpec, SampledField,
-                              _grid_power, _propagate_axis, gaussian_amplitude, periodic_comb,
+from talbotlab.fields import (ModeField, PropagationSpec, SampledField, _grid_power,
+                              _propagate_axis, gaussian_amplitude, periodic_comb,
                               sampling_matrix, unit_power)
 from talbotlab.qudits import TalbotGeometry, bin_weights, gauss_coeffs
 
@@ -42,9 +42,10 @@ def power(field: SampledField) -> float:
     return _grid_power(field.values, field.dx)
 
 
-def normalized_pair(field: BiphotonField) -> BiphotonField:
-    """A two-photon field divided by the root of its power, out of place."""
-    return BiphotonField(field.x0, field.dx, unit_power(field.values.copy(), field.dx, field.dx))
+def normalized_pair(values: np.ndarray, dx: float) -> np.ndarray:
+    """A square two-photon grid of pitch dx divided by the root of its power,
+    out of place."""
+    return unit_power(np.array(values, dtype=complex), dx, dx)
 
 
 def restricted(field: SampledField, lo: float, hi: float) -> SampledField:

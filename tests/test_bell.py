@@ -14,7 +14,7 @@ from talbotlab.bell import (SETTING_OFFSETS, SETTING_PAIRS, bell_analytic, bell_
                             bell_scan, cglmp_value, joint_prob_analytic, joint_prob_field)
 from talbotlab.constraints import gate_distances, talbot_length
 from talbotlab.errors import AliasingRisk, NonNormalized, TalbotLabError
-from talbotlab.fields import BiphotonField, PropagationSpec, biphoton_propagate
+from talbotlab.fields import PropagationSpec, biphoton_propagate
 from talbotlab.qudits import (bin_outcome_map, bin_weights, gate_distance_fraction,
                               measurement_phases, measurement_unitary)
 from talbotlab.spdc import (BiphotonGaussian, SlitArray, comb_basis, entangled_coeffs,
@@ -310,20 +310,21 @@ def test_field_provenance_names_the_spike_width_the_envelope_used(envelope):
 # dense oracle of the field route: the pair state on the full two-photon grid
 
 
-def dense_joint_table(psi, gamma_a, gamma_b, geom):
-    """Mask both axes of the n x n grid, propagate it, bin, relabel."""
+def dense_joint_table(pair, gamma_a, gamma_b, geom):
+    """Mask both axes of the n x n grid ``pair = (x, dx, psi)``, propagate it,
+    bin, relabel."""
+    x, dx, psi = pair
     d = geom.dimension
     lam = geom.period / 100.0
     spec = PropagationSpec(lam, gate_distance_fraction(d) * geom.period ** 2 / lam)
     step = geom.offset_step
-    x = psi.x()
     cell = np.floor((x - geom.origin + step / 2.0) / step).astype(int) % d
     mask_a = np.exp(1j * measurement_phases(d, gamma_a))[cell]
     mask_b = np.exp(1j * measurement_phases(d, gamma_b))[cell]
-    masked = psi.values * mask_a[:, None] * mask_b[None, :]
-    work = biphoton_propagate(BiphotonField(psi.x0, psi.dx, masked), spec)
-    w = bin_weights(x, psi.dx, geom.origin, step, d)
-    intensity = np.abs(work.values) ** 2 * psi.dx * psi.dx
+    masked = psi * mask_a[:, None] * mask_b[None, :]
+    work = biphoton_propagate(masked, dx, spec)
+    w = bin_weights(x, dx, geom.origin, step, d)
+    intensity = np.abs(work) ** 2 * dx * dx
     table = np.zeros((d, d))
     table[np.ix_(bin_outcome_map(d, "A"), bin_outcome_map(d, "B"))] = w.T @ intensity @ w
     captured = table.sum()

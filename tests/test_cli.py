@@ -16,13 +16,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import talbotlab
-from talbotlab import _floatfmt, io as talbot_io
+import talbotlab.commands  # imported here so that the dense-oracle test's patches reach it
+from reference import normalized_pair
+from talbotlab import _floatfmt, fields, io as talbot_io, spdc
 from talbotlab.cli import DEFAULTS, _load_config, build_parser, main
 from talbotlab.constraints import talbot_length
 from talbotlab.errors import UnderResolved
-from talbotlab.fields import MAX_ENTRIES, PropagationSpec, mode_propagate, periodic_comb, sample
+from talbotlab.fields import (MAX_ENTRIES, PropagationSpec, _grid_power, mode_propagate,
+                              periodic_comb, sample)
 from talbotlab.io import write_biphoton_csv, write_pgm
-from talbotlab.spdc import (BiphotonGaussian, SlitArray, _check_resolution,
+from talbotlab.spdc import (BiphotonGaussian, SlitArray, _check_resolution, biphoton_amplitude,
                             entangled_coeffs, two_photon_density, two_photon_field)
 
 
@@ -237,7 +240,9 @@ def test_every_file_records_the_resolved_config(command, tmp_path):
 
 
 def test_entangle_carpet_equals_the_dense_field_files(tmp_path):
-    # 700 carpet rows: the density's row blocks end in a short one
+    # all nine files against the dense grids of the three stages, each on the
+    # centred axis of pitch spacing / samples_per_cell; 700 carpet rows: the
+    # density's row blocks end in a short one
     overrides = {"initial_window_cells": 8, "slit_window_cells": 2,
                  "carpet_window_cells": 10, "carpet_samples_per_cell": 70}
     args = ["entangle", "--out-dir", str(tmp_path)]
@@ -246,16 +251,60 @@ def test_entangle_carpet_equals_the_dense_field_files(tmp_path):
     assert run(args) == 0
     cfg = {**DEFAULTS["entangle"], **overrides}
     s = cfg["spacing"]
-    coeffs = entangled_coeffs(3, s, BiphotonGaussian(cfg["kappa_plus"] * s,
-                                                     cfg["kappa_minus"] * s))
-    carpet = two_photon_field(coeffs, SlitArray(3, s, cfg["slit_width"] * s),
-                              samples_per_cell=70, cells=10, spike_width=cfg["spike_width"] * s)
+    model = BiphotonGaussian(cfg["kappa_plus"] * s, cfg["kappa_minus"] * s)
+    slits = SlitArray(3, s, cfg["slit_width"] * s)
     oracle = tmp_path / "oracle"
     oracle.mkdir()
-    density = write_biphoton_csv(carpet, oracle / "entangle_carpet.csv", config=cfg)
-    write_pgm(density, oracle / "entangle_carpet.pgm", config=cfg)
-    for name in ("entangle_carpet.csv", "entangle_carpet.csv.json", "entangle_carpet.pgm"):
+
+    def write(name, x, dx, values, csv_cfg):
+        density = write_biphoton_csv(values, oracle / f"entangle_{name}.csv",
+                                     (float(x[0]), dx), csv_cfg)
+        write_pgm(density, oracle / f"entangle_{name}.pgm", cfg)
+
+    def source(prefix):
+        cells, spc = cfg[f"{prefix}_window_cells"], cfg[f"{prefix}_samples_per_cell"]
+        dx = s / spc
+        x = -cells * spc * dx / 2.0 + dx * np.arange(cells * spc)
+        return x, dx, normalized_pair(biphoton_amplitude(model, x[:, None], x[None, :]), dx)
+
+    write("initial", *source("initial"), cfg)
+    x, dx, pair = source("slit")
+    t = slits.transmission(x)
+    masked = pair * t[:, None] * t[None, :]
+    transmitted = _grid_power(masked, dx, dx) / _grid_power(pair, dx, dx)
+    write("slits", x, dx, normalized_pair(masked, dx), {**cfg, "transmitted_fraction": transmitted})
+    coeffs = entangled_coeffs(3, s, model)
+    write("carpet", *two_photon_field(coeffs, slits, samples_per_cell=70, cells=10,
+                                      spike_width=cfg["spike_width"] * s), cfg)
+    names = sorted(p.name for p in oracle.iterdir())
+    assert len(names) == 9 and names == sorted(p.name for p in tmp_path.iterdir()
+                                               if p.is_file())
+    for name in names:
         assert (tmp_path / name).read_bytes() == (oracle / name).read_bytes(), name
+
+
+def test_no_command_path_runs_the_dense_pair_oracle(tmp_path, monkeypatch):
+    # the dense two-photon grid route stays in the package as the tests' oracle:
+    # patched to raise wherever a talbotlab module holds it, no command reaches it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command ran the dense two-photon grid route")
+
+    modules = [m for name, m in sys.modules.items()
+               if name == "talbotlab" or name.startswith("talbotlab.")]
+    for home, name in ((spdc, "two_photon_field"), (fields, "biphoton_propagate"),
+                       (talbot_io, "write_biphoton_csv")):
+        original = getattr(home, name)
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, refuse)
+    if hasattr(os, "fork"):
+        assert run(SMALL_ENTANGLE + ["--out-dir", str(tmp_path / "forked")]) == 0
+        monkeypatch.delattr(os, "fork")
+    assert run(SMALL_ENTANGLE + ["--out-dir", str(tmp_path / "serial")]) == 0
+    assert run(["bell", "--set", "route=field", "--set", "cells=12",
+                "--out-dir", str(tmp_path / "bell")]) == 0
+    assert run(["bell-scan", "--set", "route=field", "--set", "dimensions=[2,3]",
+                "--out-dir", str(tmp_path / "scan")]) == 0
 
 
 SMALL_ENTANGLE = ["entangle", "--set", "initial_window_cells=8", "--set", "slit_window_cells=2",

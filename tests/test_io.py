@@ -295,18 +295,18 @@ def test_matrix_csv_formats_each_distinct_value_once(tmp_path, monkeypatch, m):
 
 def test_biphoton_csv_with_sidecar(tmp_path):
     model = BiphotonGaussian(2.0, 0.7)
-    x = np.linspace(-4, 4, 33)
-    field = initial_biphoton_field(model, x)
+    x, dx, field = initial_biphoton_field(model, 1.0, 4, 8)
     path = tmp_path / "pair.csv"
-    density = write_biphoton_csv(field, path, CONFIG)
-    assert np.array_equal(density, np.abs(field.values) ** 2)
+    density = write_biphoton_csv(field, path, (float(x[0]), dx), CONFIG)
+    assert np.array_equal(density, np.abs(field) ** 2)
     assert path.read_bytes() == HEADER + oracle_matrix_csv(density)
     meta = json.loads((tmp_path / "pair.csv.json").read_text())
-    assert meta["n1"] == 33 and meta["n2"] == 33
+    assert meta["n1"] == 32 and meta["n2"] == 32
+    assert (meta["x0_1"], meta["dx1"]) == (meta["x0_2"], meta["dx2"]) == (-4.0, 0.25)
     assert meta["config"] == CONFIG
     rows = [r for r in path.read_text().splitlines() if not r.startswith("#")]
-    assert len(rows) == 33
-    assert len(rows[0].split(",")) == 33
+    assert len(rows) == 32
+    assert len(rows[0].split(",")) == 32
 
 
 def test_pgm_header_and_payload(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from reference import encode, fidelity, normalized_pair, slit_basis
 from talbotlab.errors import InvalidSpec, UnderResolved
-from talbotlab.fields import BiphotonField, gaussian_amplitude, sample
+from talbotlab.fields import _grid_power, gaussian_amplitude, sample
 from talbotlab.spdc import (BiphotonGaussian, SlitArray, _block_rows, _coeff_matrix,
                             _comb_columns, apply_dslit, biphoton_amplitude, comb_basis,
                             entangled_coeffs, grating_envelope, initial_biphoton_field,
@@ -66,11 +66,11 @@ def test_amplitude_peak_symmetry_and_norm():
 def test_high_correlation_concentrates_on_diagonal_pairs():
     model = BiphotonGaussian(9.0 * S, S / 6.0)
     slits = SlitArray(3, S, 0.05 * S)
-    field = initial_biphoton_field(model, axis(8, 160))
-    out, transmitted = apply_dslit(field, slits)
+    x, dx, field = initial_biphoton_field(model, S, 160, 8)
+    out, transmitted = apply_dslit(field, x, dx, slits)
     assert 0 < transmitted < 1
-    x1 = x2 = out.x()
-    dens = np.abs(out.values) ** 2 * out.dx * out.dx
+    x1 = x2 = x
+    dens = np.abs(out) ** 2 * dx * dx
     diag = dens[np.abs(x1[:, None] - x2[None, :]) < S / 2].sum()
     assert diag > 0.99
 
@@ -78,10 +78,10 @@ def test_high_correlation_concentrates_on_diagonal_pairs():
 def test_moderate_correlation_illuminates_all_pairs():
     model = BiphotonGaussian(9.0 * S, S)
     slits = SlitArray(3, S, 0.05 * S)
-    field = initial_biphoton_field(model, axis(8, 160))
-    out, _ = apply_dslit(field, slits)
-    x1 = x2 = out.x()
-    dens = np.abs(out.values) ** 2 * out.dx * out.dx
+    x, dx, field = initial_biphoton_field(model, S, 160, 8)
+    out, _ = apply_dslit(field, x, dx, slits)
+    x1 = x2 = x
+    dens = np.abs(out) ** 2 * dx * dx
     positions = slits.positions()
     for p1 in positions:
         for p2 in positions:
@@ -91,13 +91,11 @@ def test_moderate_correlation_illuminates_all_pairs():
 
 def test_wide_open_aperture_leaves_field_unchanged():
     model = BiphotonGaussian(4.0, 1.0)
-    x = axis(16, 16)
-    field = initial_biphoton_field(model, x)
+    x, dx, field = initial_biphoton_field(model, S, 16, 16)
     slits = SlitArray(1, 1000.0, 500.0)
-    out, transmitted = apply_dslit(field, slits)
+    out, transmitted = apply_dslit(field, x, dx, slits)
     assert transmitted > 0.999
-    overlap2 = abs((out.values.conj() * field.values).sum()
-                   * out.dx * out.dx) ** 2
+    overlap2 = abs((out.conj() * field).sum() * dx * dx) ** 2
     assert overlap2 > 0.999
 
 
@@ -111,10 +109,9 @@ def test_aperture_rejects_amplitudes_without_a_finite_norm(amplitudes):
 
 def test_aperture_rejects_coarse_grids():
     model = BiphotonGaussian(4.0, 1.0)
-    x = axis(16, 8)
-    field = initial_biphoton_field(model, x)
+    x, dx, field = initial_biphoton_field(model, S, 8, 16)
     with pytest.raises(UnderResolved):
-        apply_dslit(field, SlitArray(3, S, 0.05 * S))
+        apply_dslit(field, x, dx, SlitArray(3, S, 0.05 * S))
 
 
 @pytest.mark.parametrize("width, comb_least, aperture_least",
@@ -129,8 +126,8 @@ def test_refusals_name_the_least_samples_per_spacing_that_pass(width, comb_least
         comb_basis(slits, samples_per_cell, 4, None)
 
     def aperture(samples_per_cell):
-        x = axis(4, samples_per_cell)
-        apply_dslit(initial_biphoton_field(model, x), slits)
+        x, dx, source = initial_biphoton_field(model, S, samples_per_cell, 4)
+        apply_dslit(source, x, dx, slits)
 
     for stage, expected in ((comb, comb_least), (aperture, aperture_least)):
         with pytest.raises(UnderResolved) as refused:
@@ -160,20 +157,21 @@ def test_refusal_count_holds_where_the_float_bound_rounds(width, expected):
 
 
 def test_source_and_aperture_equal_the_out_of_place_normalisation_bit_for_bit():
-    # the in-place normalisation keeps the arithmetic of BiphotonField.normalized
+    # the in-place normalisation keeps the arithmetic of the out-of-place one,
+    # on the centred axis and the pitch spacing / samples_per_cell
     model = BiphotonGaussian(9.0 * S, 0.5 * S)
-    x = axis(8, 40)
-    dx = float(x[1] - x[0])
-    field = initial_biphoton_field(model, x)
-    source = BiphotonField(float(x[0]), dx, biphoton_amplitude(model, x[:, None], x[None, :]))
-    assert field.values.tobytes() == normalized_pair(source).values.tobytes()
+    x, dx, field = initial_biphoton_field(model, S, 40, 8)
+    assert x.tobytes() == axis(8, 40).tobytes()
+    assert dx == S / 40 != float(x[1] - x[0])  # a grid whose difference is off the pitch
+    source = biphoton_amplitude(model, x[:, None], x[None, :])
+    assert field.tobytes() == normalized_pair(source, dx).tobytes()
     slits = SlitArray(3, S, 0.3 * S)
-    t = slits.transmission(field.x())
-    masked = BiphotonField(float(x[0]), dx, field.values * t[:, None] * t[None, :])
-    out, transmitted = apply_dslit(field, slits)
-    assert out.values.tobytes() == normalized_pair(masked).values.tobytes()
-    assert transmitted == masked.power() / field.power()
-    assert (out.x0, out.dx) == (float(x[0]), dx)
+    t = slits.transmission(x)
+    masked = field * t[:, None] * t[None, :]
+    out, transmitted = apply_dslit(field, x, dx, slits)
+    assert out.tobytes() == normalized_pair(masked, dx).tobytes()
+    assert transmitted == _grid_power(masked, dx, dx) / _grid_power(field, dx, dx)
+    assert not field.flags.writeable and not out.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +340,17 @@ def test_coeffs_match_brute_force_overlap_integrals():
 def test_product_coefficients_give_product_field():
     c = np.diag([1.0, 0.0, 0.0]).astype(complex)
     slits = SlitArray(3, S, 0.05 * S)
-    psi = two_photon_field(c, slits, samples_per_cell=64, cells=24, spike_width=0.05 * S)
+    _, _, psi = two_photon_field(c, slits, samples_per_cell=64, cells=24, spike_width=0.05 * S)
     # rank-1 check via SVD of the grid
-    sv = np.linalg.svd(psi.values, compute_uv=False)
+    sv = np.linalg.svd(psi, compute_uv=False)
     assert sv[1] / sv[0] < 1e-10
 
 
 def test_marginal_is_periodic_comb():
     c = maximally_entangled(3)
     slits = SlitArray(3, S, 0.05 * S)
-    psi = two_photon_field(c, slits, samples_per_cell=64, cells=24, spike_width=None)
-    marginal = (np.abs(psi.values) ** 2).sum(axis=1)
+    _, _, psi = two_photon_field(c, slits, samples_per_cell=64, cells=24, spike_width=None)
+    marginal = (np.abs(psi) ** 2).sum(axis=1)
     period_samples = 3 * 64
     folded = marginal[: 7 * period_samples].reshape(7, period_samples)
     rel = np.abs(folded - folded[0]).max() / folded.max()
@@ -365,15 +363,14 @@ def test_two_photon_field_is_the_normalized_dense_grid_bit_for_bit(envelope):
     spike_width = 0.3 * S if envelope else None
     coeffs = entangled_coeffs(3, S, BiphotonGaussian(9.0 * S, 0.5 * S))
     slits = SlitArray(3, S, 0.3 * S)
-    psi = two_photon_field(coeffs, slits, samples_per_cell=20, cells=12,
-                           spike_width=spike_width)
+    x_psi, dx_psi, psi = two_photon_field(coeffs, slits, samples_per_cell=20, cells=12,
+                                          spike_width=spike_width)
     x, basis = comb_basis(slits, 20, 12, spike_width)
     dx = S / 20  # on this grid, regrouping the power's dx * dx changes bits
     vals = basis @ coeffs @ basis.T
-    expected = normalized_pair(BiphotonField(float(x[0]), dx, vals))
     out_of_place = vals / math.sqrt(float((np.abs(vals) ** 2).sum() * dx * dx))
-    assert psi.values.tobytes() == expected.values.tobytes() == out_of_place.tobytes()
-    assert (psi.x0, psi.dx) == (float(x[0]), dx)
+    assert psi.tobytes() == normalized_pair(vals, dx).tobytes() == out_of_place.tobytes()
+    assert x_psi.tobytes() == x.tobytes() and dx_psi == dx and not psi.flags.writeable
 
 
 def pair_state(dimension):
@@ -388,10 +385,10 @@ def test_two_photon_density_is_the_dense_density_bit_for_bit(dimension, envelope
     spc, cells, spike_width = 20, 34, 0.05 * S if envelope else None
     assert spc * cells % _block_rows(spc * cells, dimension)
     coeffs, slits = pair_state(dimension)
-    psi = two_photon_field(coeffs, slits, spc, cells, spike_width)
+    x_psi, dx_psi, psi = two_photon_field(coeffs, slits, spc, cells, spike_width)
     x, dx, density = two_photon_density(coeffs, slits, spc, cells, spike_width)
-    assert density.tobytes() == (np.abs(psi.values) ** 2).tobytes()
-    assert (float(x[0]), dx) == (psi.x0, psi.dx)
+    assert density.tobytes() == (np.abs(psi) ** 2).tobytes()
+    assert x.tobytes() == x_psi.tobytes() and dx == dx_psi
 
 
 def test_two_photon_density_holds_no_complex_grid():
@@ -457,10 +454,10 @@ def test_two_photon_field_matches_optical_pipeline():
     pipeline = np.fft.ifft2(spec)
     pipeline /= math.sqrt((np.abs(pipeline) ** 2).sum() * dx * dx)
 
-    comb = two_photon_field(
+    _, _, comb = two_photon_field(
         maximally_entangled_like(model, dimension, slits), slits,
         samples_per_cell=spc, cells=cells, spike_width=spike_width)
-    num = abs((comb.values.conj() * pipeline).sum() * dx * dx) ** 2
+    num = abs((comb.conj() * pipeline).sum() * dx * dx) ** 2
     assert num >= 0.995
 
 
