@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import InvalidSpec, NonNormalized
 from .fields import PropagationSpec, _propagate_axis, check_entries
-from .qudits import (TalbotGeometry, bin_outcome_map, bin_weights,
-                     gate_distance_fraction, measurement_phases)
+from .qudits import (bin_outcome_map, bin_weights, check_slit_overlap, gate_distance_fraction,
+                     measurement_phases)
 from .spdc import (BiphotonGaussian, SlitArray, _source_widths, comb_basis, entangled_coeffs,
                    maximally_entangled, schmidt_modes)
 
@@ -92,16 +92,17 @@ def joint_prob_analytic(coeffs: np.ndarray, alphas, betas) -> list:
     return [np.abs(np.fft.ifft(left * phase, axis=1)) ** 2 for left in lefts for phase in phases]
 
 
-def joint_prob_field(x: np.ndarray, modes: tuple, geom: TalbotGeometry) -> tuple:
+def joint_prob_field(x: np.ndarray, modes: tuple, slits: SlitArray) -> tuple:
     """Field-simulated joint tables of the pair state ``u_a diag(s) u_b^T`` on grid x.
 
     ``modes = (u_a, s, u_b)`` are the Schmidt modes of
     :func:`~talbotlab.spdc.schmidt_modes`, orthonormal columns on each axis.
     Each side's columns take the pixelated measurement phase mask (constant
-    over each period/D cell) of each of its two offsets and the gate
-    distance ``2 z_T / (c D)`` at wavelength period / 100, guarded on their
-    s^2-weighted marginals: four masked propagations in all.  The detector
-    bins then collect ``sum_jk s_j s_k M_A[a,j,k] M_B[b,j,k]`` with
+    over each slit-spacing cell centred on a slit of ``slits``) of each of its
+    two offsets and the gate distance ``2 z_T / (c D)`` at wavelength
+    period / 100, guarded on their s^2-weighted marginals: four masked
+    propagations in all.  The detector bins, one per slit and as wide as the
+    spacing, then collect ``sum_jk s_j s_k M_A[a,j,k] M_B[b,j,k]`` with
     ``M[a,j,k] = sum_x w[x,a] u[x,j] conj(u[x,k])``, relabeled to the
     measurement-operator outcomes of :func:`joint_prob_analytic`.
 
@@ -116,13 +117,13 @@ def joint_prob_field(x: np.ndarray, modes: tuple, geom: TalbotGeometry) -> tuple
     check_entries("binned column products", n, d, d)
     dx = x[1] - x[0]
 
-    lam = geom.period / 100.0
+    lam = slits.period / 100.0
     # constraints.gate_distances writes this 2 z_T / (c D) in another order; a shared
     # helper would change the last bit of one of them, so each keeps its own
-    spec = PropagationSpec(lam, gate_distance_fraction(d) * geom.period ** 2 / lam)
-    step = geom.offset_step
-    cell = np.floor((x - geom.origin + step / 2.0) / step).astype(int) % d
-    w = bin_weights(x, dx, geom.origin, step, d)
+    spec = PropagationSpec(lam, gate_distance_fraction(d) * slits.period ** 2 / lam)
+    step, origin = slits.spacing, slits.positions()[0]
+    cell = np.floor((x - origin + step / 2.0) / step).astype(int) % d
+    w = bin_weights(x, dx, origin, step, d)
 
     def measured(columns: np.ndarray, gamma: float) -> tuple:
         masked = columns * np.exp(1j * measurement_phases(d, gamma))[cell][:, None]
@@ -230,18 +231,18 @@ def bell_field(
     tables.  The combs carry the envelope of a grating with spikes
     ``spike_width`` wide; with ``None`` they are ideal periodic ones on a
     window commensurate with the period ``slits.period``, where the routes
-    agree closest.
+    agree closest.  Slits too wide for orthogonal levels are refused first,
+    by :func:`~talbotlab.qudits.check_slit_overlap`.
     """
+    # the overlap guard and joint_prob_field's bound, checked before the basis and its
+    # factorisation are built
+    check_slit_overlap(slits.spacing, slits.width)
     d = len(coeffs)
     if cells % d != 0:
         cells += d - cells % d  # keep the window commensurate with the period
-    # joint_prob_field's bound, checked before the basis and its factorisation are built
     check_entries("binned column products", samples_per_cell * cells, d, d)
     x, basis = comb_basis(slits, samples_per_cell, cells, spike_width)
-    modes = schmidt_modes(x, basis, coeffs)
-    period = slits.period
-    tgeom = TalbotGeometry(period, slits.width, d, origin=-(d - 1) / 2.0 * period / d)
-    tables, diagnostics = joint_prob_field(x, modes, tgeom)
+    tables, diagnostics = joint_prob_field(x, schmidt_modes(x, basis, coeffs), slits)
     return cglmp_value(tables, provenance={
         "route": "field",
         "dimension": d,

@@ -12,7 +12,6 @@ bins, which ``bin_weights`` lays over the sample grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .errors import BinMisalignment, InvalidSpec
 from .fields import _freeze
 
 __all__ = [
-    "TalbotGeometry",
+    "check_slit_overlap",
     "gauss_coeffs",
     "gate_distance_fraction",
     "measurement_phases",
@@ -130,10 +129,10 @@ def bin_outcome_map(dimension: int, side: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# detector geometry
+# slit overlap and detector bins
 
 
-# largest overlap of adjacent basis wavefunctions that a geometry may have
+# largest overlap of adjacent basis wavefunctions that the slits may have
 MAX_OVERLAP = 1e-4
 
 
@@ -142,44 +141,27 @@ def _adjacent_overlap(ratio: float) -> float:
     return math.exp(-ratio * ratio / 4.0)
 
 
-@dataclass(frozen=True)
-class TalbotGeometry:
-    """Geometry of the qudit encoding: period, slit width, dimension.
+def check_slit_overlap(spacing: float, width: float) -> None:
+    """Refuse slits too wide for adjacent qudit levels to be nearly orthogonal.
 
-    Basis state d is a comb of Gaussian slits displaced by
-    ``origin + d * period / D``, and detector bin d is centred there.
-    Construction verifies that adjacent basis wavefunctions are nearly
-    orthogonal: their overlap ``exp(-(step / width)^2 / 4)``, with ``step =
-    period / D``, may not exceed ``MAX_OVERLAP``, which bounds the slit width
-    at about 0.165 ``step``.
+    Level d is the comb anchored at slit d, so adjacent levels lie one slit
+    spacing apart and their overlap is ``exp(-(spacing / width)^2 / 4)``.  It
+    may not exceed ``MAX_OVERLAP``, which bounds the slit width at about 0.165
+    spacings.
     """
-
-    period: float
-    slit_width: float
-    dimension: int
-    origin: float
-
-    def __post_init__(self):
-        if self.dimension < 2:
-            raise InvalidSpec("dimension must be >= 2")
-        if not (self.period > 0 and self.slit_width > 0):
-            raise InvalidSpec("period and slit width must be positive")
-        step = self.period / self.dimension
-        ov = _adjacent_overlap(step / self.slit_width)
-        if ov > MAX_OVERLAP:
-            # the widest slit that passes, from exp(-1 / (4 w^2)) = MAX_OVERLAP, in steps
-            # rounded down to four digits, and one digit lower if the guard refuses that
-            w = math.floor(1e4 / (2.0 * math.sqrt(-math.log(MAX_OVERLAP)))) / 1e4
-            w = w if _adjacent_overlap(1.0 / w) <= MAX_OVERLAP else w - 1e-4
-            raise InvalidSpec(
-                f"adjacent basis overlap {ov:.2e} > 1e-4; narrow the slits"
-                f" (width {self.slit_width:g} vs spacing {step:g}); use a slit width of"
-                f" at most {w:g} slit spacings"
-            )
-
-    @property
-    def offset_step(self) -> float:
-        return self.period / self.dimension
+    if not (spacing > 0 and width > 0):
+        raise InvalidSpec("slit spacing and width must be positive")
+    ov = _adjacent_overlap(spacing / width)
+    if ov > MAX_OVERLAP:
+        # the widest slit that passes, from exp(-1 / (4 w^2)) = MAX_OVERLAP, in spacings
+        # rounded down to four digits, and one digit lower if the guard refuses that
+        w = math.floor(1e4 / (2.0 * math.sqrt(-math.log(MAX_OVERLAP)))) / 1e4
+        w = w if _adjacent_overlap(1.0 / w) <= MAX_OVERLAP else w - 1e-4
+        raise InvalidSpec(
+            f"adjacent basis overlap {ov:.2e} > 1e-4; narrow the slits"
+            f" (width {width:g} vs spacing {spacing:g}); use a slit width of"
+            f" at most {w:g} slit spacings"
+        )
 
 
 def bin_weights(x: np.ndarray, dx: float, origin: float, bin_width: float,

@@ -11,6 +11,7 @@ and the adjacent-slit overlap integrated on a grid.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from talbotlab.errors import BinMisalignment, InvalidSpec
 from talbotlab.fields import (ModeField, PropagationSpec, SampledField, _grid_power,
                               _propagate_axis, gaussian_amplitude, periodic_comb,
                               sampling_matrix, unit_power)
-from talbotlab.qudits import TalbotGeometry, bin_weights, gauss_coeffs
+from talbotlab.qudits import bin_weights, gauss_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +137,8 @@ def closed_form_phases(dimension: int, gamma: float) -> np.ndarray:
 
 def integrated_overlap(step: float, width: float) -> float:
     """Overlap of two Gaussian slits ``step`` apart, as a 2049-point sum over
-    ``[-step, step]`` normalised by the first slit's power there: the guard of
-    ``TalbotGeometry`` before its closed form ``exp(-(step / width)^2 / 4)``."""
+    ``[-step, step]`` normalised by the first slit's power there: the overlap
+    guard before its closed form ``exp(-(step / width)^2 / 4)``."""
     x = np.linspace(-step, step, 2049)
     s0 = gaussian_amplitude(x, width)
     s1 = gaussian_amplitude(x - step, width)
@@ -145,24 +146,36 @@ def integrated_overlap(step: float, width: float) -> float:
     return float(abs((np.conj(s0) * s1).sum()) / norm) if norm > 0 else 0.0
 
 
-def slit_basis(slits) -> TalbotGeometry:
+@dataclass(frozen=True)
+class QuditGeometry:
+    """One qudit encoding: level d is a comb of Gaussian slits ``slit_width``
+    wide with period ``period``, displaced by ``origin + d * period / D``, and
+    detector bin d, ``period / D`` wide, is centred there."""
+
+    period: float
+    slit_width: float
+    dimension: int
+    origin: float
+
+
+def slit_basis(slits) -> QuditGeometry:
     """The Talbot basis a synthesizer puts out behind ``slits``: period
     ``D * spacing``, level d centred on slit d of the axis-centred array."""
     d, period = slits.count, slits.period
-    return TalbotGeometry(period, slits.width, d, origin=-(d - 1) / 2.0 * period / d)
+    return QuditGeometry(period, slits.width, d, origin=-(d - 1) / 2.0 * period / d)
 
 
-def encode(amplitudes, geom: TalbotGeometry) -> ModeField:
+def encode(amplitudes, geom: QuditGeometry) -> ModeField:
     """Continuous encoding: one period carries ``sum_d c_d S(x - x_d)``,
     with ``x_d = origin + d * period / D``."""
     amplitudes = np.asarray(amplitudes, dtype=complex)
     if amplitudes.shape != (geom.dimension,):
         raise InvalidSpec("state dimension does not match the geometry")
-    offsets = geom.origin + geom.offset_step * np.arange(geom.dimension)
+    offsets = geom.origin + geom.period / geom.dimension * np.arange(geom.dimension)
     return periodic_comb(geom.period, geom.slit_width, offsets, amplitudes)
 
 
-def decode(field: SampledField, geom: TalbotGeometry) -> tuple:
+def decode(field: SampledField, geom: QuditGeometry) -> tuple:
     """Detector binning: ``(renormalized probabilities, captured power)``.
 
     Probability d integrates ``|field|^2`` over bins of width period/D
@@ -176,7 +189,8 @@ def decode(field: SampledField, geom: TalbotGeometry) -> tuple:
         raise BinMisalignment(
             f"window spans {n_per:.4f} periods; detector bins need an integer count"
         )
-    w = bin_weights(xs, field.dx, geom.origin, geom.offset_step, geom.dimension)
+    w = bin_weights(xs, field.dx, geom.origin, geom.period / geom.dimension,
+                    geom.dimension)
     intensity = np.abs(field.values) ** 2 * field.dx
     raw = w.T @ intensity
     captured = float(raw.sum())

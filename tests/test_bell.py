@@ -229,8 +229,7 @@ def test_field_route_product_state_factorizes():
     coeffs = np.diag([1.0, 0.0]).astype(complex)
     slits = SlitArray(2, 1.0, 0.05)
     x, basis = comb_basis(slits, samples_per_cell=64, cells=24, spike_width=None)
-    tgeom = slit_basis(slits)
-    tables, diagnostics = joint_prob_field(x, schmidt_modes(x, basis, coeffs), tgeom)
+    tables, diagnostics = joint_prob_field(x, schmidt_modes(x, basis, coeffs), slits)
     assert len(tables) == len(diagnostics) == len(SETTING_PAIRS)
     for table, diag in zip(tables, diagnostics):
         pa, pb = table.sum(axis=1), table.sum(axis=0)
@@ -317,7 +316,7 @@ def dense_joint_table(pair, gamma_a, gamma_b, geom):
     d = geom.dimension
     lam = geom.period / 100.0
     spec = PropagationSpec(lam, gate_distance_fraction(d) * geom.period ** 2 / lam)
-    step = geom.offset_step
+    step = geom.period / d
     cell = np.floor((x - geom.origin + step / 2.0) / step).astype(int) % d
     mask_a = np.exp(1j * measurement_phases(d, gamma_a))[cell]
     mask_b = np.exp(1j * measurement_phases(d, gamma_b))[cell]
@@ -369,7 +368,7 @@ def test_factored_and_dense_guards_trip_on_the_same_grids(cells, trips):
     psi = two_photon_field(coeffs, slits, samples_per_cell=64, cells=cells, spike_width=0.05)
     x, basis = comb_basis(slits, 64, cells, spike_width=0.05)
     routes = (lambda: dense_joint_table(psi, *SETTING_OFFSETS[1, 1], tgeom),
-              lambda: joint_prob_field(x, schmidt_modes(x, basis, coeffs), tgeom))
+              lambda: joint_prob_field(x, schmidt_modes(x, basis, coeffs), slits))
     for route in routes:
         if trips:
             with pytest.raises(AliasingRisk):

@@ -709,18 +709,20 @@ def test_flat_grating_envelope_passes_only_the_zeroth_order(tmp_path):
 def test_bell_and_bell_scan_agree_off_unit_spacing(tmp_path):
     # a field-route scan point takes bell's default slit width, grid and envelope
     # from a constant of its own: equal text on both sides pins it to DEFAULTS["bell"];
-    # at spacing 0.1 the period D s is not a power of two times D
-    for spacing in ("2", "0.1"):
+    # at spacing 0.1 the period D s is not a power of two times D, and at D = 3,
+    # s = 0.1 and D = 7, s = 0.3 the period over D is not s to the last bit
+    for dimension, spacing in ((3, "2"), (3, "0.1"), (7, "0.3")):
         for route in ("analytic", "field"):
-            out = tmp_path / spacing / route
+            out = tmp_path / f"{dimension}-{spacing}" / route
             common = ["--out-dir", str(out), "--set", f"spacing={spacing}",
                       "--set", f"route={route}"]
-            assert run(["bell", *common, "--set", "kappa_plus=9", "--set", "kappa_minus=1"]) == 0
-            assert run(["bell-scan", *common, "--set", "dimensions=[3]",
+            assert run(["bell", *common, "--set", f"dimension={dimension}",
+                        "--set", "kappa_plus=9", "--set", "kappa_minus=1"]) == 0
+            assert run(["bell-scan", *common, "--set", f"dimensions=[{dimension}]",
                         "--set", "kappa_pairs=[[9,1]]"]) == 0
             single = json.loads((out / "bell.json").read_text())["I"]
             row = (out / "bell_scan.csv").read_text().splitlines()[2].split(",")
-            assert repr(single) == row[5], (spacing, route)
+            assert repr(single) == row[5], (dimension, spacing, route)
 
 
 @pytest.mark.parametrize("command", ["bell --set route=field --set dimension=300",
@@ -737,6 +739,25 @@ def test_oversized_field_bell_is_refused_before_the_comb_basis(command, tmp_path
     err = capsys.readouterr().err
     assert re.fullmatch(r"invalid configuration: binned column products would exceed \d+"
                         r" \(2\*\*25\) array entries\n", err), err
+
+
+@pytest.mark.parametrize("width, line", [
+    ("0.3", "adjacent basis overlap 6.22e-02 > 1e-4; narrow the slits (width 0.3 vs spacing 1)"),
+    ("0.1648", "adjacent basis overlap 1.01e-04 > 1e-4; narrow the slits (width 0.1648 vs"
+               " spacing 1)"),
+], ids=["0.3", "0.1648"])
+def test_wide_field_slits_are_refused_before_the_comb_basis(width, line, tmp_path, monkeypatch,
+                                                           capsys):
+    # the overlap guard reads the slit array alone, so it refuses before the comb
+    # basis and its factorisation are built, with the one line it gave after them
+    def unreachable(*args, **kwargs):
+        raise AssertionError("comb basis built for slits the overlap guard refuses")
+
+    monkeypatch.setattr("talbotlab.bell.comb_basis", unreachable)
+    assert run(["bell", "--out-dir", str(tmp_path), "--set", "route=field",
+                "--set", f"slit_width={width}"]) == 2
+    assert capsys.readouterr().err == (f"invalid configuration: {line}; use a slit width of"
+                                       " at most 0.1647 slit spacings\n")
 
 
 # digits are left out of the free text so that it never parses as a number:

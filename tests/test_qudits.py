@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import (closed_form_phases, decode, encode, integrated_overlap, overlap, phase_gate,
-                       talbot_gate)
+from reference import (QuditGeometry, closed_form_phases, decode, encode, integrated_overlap,
+                       overlap, phase_gate, talbot_gate)
 from talbotlab import qudits
 from talbotlab.constraints import talbot_length
 from talbotlab.errors import BinMisalignment, InvalidSpec
 from talbotlab.fields import PropagationSpec, SampledField, mode_propagate, sample, unit_power
-from talbotlab.qudits import (TalbotGeometry, bin_outcome_map, bin_weights, gate_distance_fraction,
-                              gauss_coeffs, measurement_basis, measurement_phases,
-                              measurement_unitary)
+from talbotlab.qudits import (bin_outcome_map, bin_weights, check_slit_overlap,
+                              gate_distance_fraction, gauss_coeffs, measurement_basis,
+                              measurement_phases, measurement_unitary)
+from talbotlab.spdc import SlitArray
 
 GAMMAS = (0.0, 0.5, 0.25, -0.25)
 
@@ -97,7 +98,7 @@ def test_gate_matches_field_propagation_oracle():
     # back onto the basis combs
     dimension = 3
     period, lam = float(dimension), 0.01
-    geom = TalbotGeometry(period, 0.01, dimension, 0.0)
+    geom = QuditGeometry(period, 0.01, dimension, 0.0)
     z = gate_distance_fraction(dimension) * talbot_length(period, lam)
     fields = [sample(basis_comb(geom, d), 512, 8) for d in range(dimension)]
     propagated = [
@@ -245,7 +246,7 @@ def test_measurement_unitary_is_unitary_to_rounding_at_large_dimension(side, gam
 
 def test_geometry_rejects_wide_slits():
     with pytest.raises(InvalidSpec):
-        TalbotGeometry(1.0, 0.4, 3, 0.0)
+        check_slit_overlap(1.0 / 3, 0.4)
 
 
 def test_overlap_guard_refuses_every_width_the_integrated_overlap_refuses():
@@ -261,31 +262,35 @@ def test_overlap_guard_refuses_every_width_the_integrated_overlap_refuses():
                 closed = qudits._adjacent_overlap(step / width)
                 assert math.isclose(closed, oracle, rel_tol=1e-4), (period, dimension, ratio)
             try:
-                TalbotGeometry(period, width, dimension, 0.0)
+                check_slit_overlap(step, width)
             except InvalidSpec:
                 continue
             assert oracle <= qudits.MAX_OVERLAP, (period, dimension, ratio)
 
 
-@pytest.mark.parametrize("spacing", [1.0, 0.3])
+@pytest.mark.parametrize("spacing", [1.0, 0.3, 0.1, 0.7])
 @pytest.mark.parametrize("dimension", [2, 3, 7])
 def test_overlap_refusal_names_the_widest_slit_that_passes(dimension, spacing):
     # 1 / (2 sqrt(ln 10^4)) = 0.16475... spacings, rounded down: that width
-    # passes the guard and one 1% wider does not
-    period = dimension * spacing
+    # passes the guard and one 1% wider does not, for the slit arrays the field
+    # route checks; at spacings 0.1 and 0.7 the period D s over D is not s itself
+    def guard(width):
+        slits = SlitArray(dimension, spacing, width)
+        check_slit_overlap(slits.spacing, slits.width)
+
     with pytest.raises(InvalidSpec) as refused:
-        TalbotGeometry(period, 0.3 * spacing, dimension, 0.0)
+        guard(0.3 * spacing)
     stated = re.fullmatch(r"adjacent basis overlap .*; use a slit width of at most"
                           r" ([0-9.]+) slit spacings", str(refused.value))
     widest = float(stated.group(1))
     assert widest == 0.1647
-    TalbotGeometry(period, widest * spacing, dimension, 0.0)
+    guard(widest * spacing)
     with pytest.raises(InvalidSpec):
-        TalbotGeometry(period, 1.01 * widest * spacing, dimension, 0.0)
+        guard(1.01 * widest * spacing)
 
 
 def test_encode_basis_state_single_comb():
-    geom = TalbotGeometry(3.0, 0.05, 3, 0.0)
+    geom = QuditGeometry(3.0, 0.05, 3, 0.0)
     field = basis_comb(geom, 0)
     assert abs((np.abs(field.coeffs) ** 2).sum() - 1.0) < 1e-12
     grid = sample(field, 96, 4)
@@ -299,7 +304,7 @@ def test_encode_basis_state_single_comb():
 @pytest.mark.parametrize("dimension", [2, 3, 5, 7])
 def test_decode_encode_roundtrip(dimension):
     period = float(dimension)
-    geom = TalbotGeometry(period, 0.05, dimension, 0.0)
+    geom = QuditGeometry(period, 0.05, dimension, 0.0)
     spp = 64 * dimension  # resolves every retained mode
     for d in range(dimension):
         grid = sample(basis_comb(geom, d), spp, 16)
@@ -312,7 +317,7 @@ def test_decode_encode_roundtrip_literal_five_percent_of_period():
     # slit width 0.05 * period stays decodable for small dimensions
     for dimension in (2, 3):
         period = float(dimension)
-        geom = TalbotGeometry(period, 0.05 * period, dimension, 0.0)
+        geom = QuditGeometry(period, 0.05 * period, dimension, 0.0)
         grid = sample(basis_comb(geom, 1), 96, 16)
         probs, _ = decode(grid, geom)
         assert probs[1] > 1.0 - 1e-4
@@ -321,14 +326,14 @@ def test_decode_encode_roundtrip_literal_five_percent_of_period():
 def test_decode_uniform_intensity():
     n, dx = 1024, 3.0 / 256
     field = SampledField(-n * dx / 2, dx, unit_power(np.ones(n, dtype=complex), dx))
-    geom = TalbotGeometry(3.0, 0.05, 3, 0.0)
+    geom = QuditGeometry(3.0, 0.05, 3, 0.0)
     np.testing.assert_allclose(decode(field, geom)[0], np.full(3, 1 / 3), atol=1e-12)
 
 
 def test_decode_gate_path_matches_matrix_route(rng):
     dimension = 3
     period, lam = 3.0, 0.01
-    geom = TalbotGeometry(period, 0.05, dimension, 0.0)
+    geom = QuditGeometry(period, 0.05, dimension, 0.0)
     v = rng.normal(size=dimension) + 1j * rng.normal(size=dimension)
     v /= np.linalg.norm(v)
     z = gate_distance_fraction(dimension) * talbot_length(period, lam)
@@ -339,7 +344,7 @@ def test_decode_gate_path_matches_matrix_route(rng):
 
 
 def test_decode_requires_integer_periods():
-    geom = TalbotGeometry(3.0, 0.05, 3, 0.0)
+    geom = QuditGeometry(3.0, 0.05, 3, 0.0)
     grid = sample(basis_comb(geom, 0), 96, 16)
     clipped = SampledField(grid.x0, grid.dx, grid.values[:-7])
     with pytest.raises(BinMisalignment):
@@ -347,7 +352,7 @@ def test_decode_requires_integer_periods():
 
 
 def test_decode_rejects_unresolvable_bins():
-    geom = TalbotGeometry(3.0, 0.004, 64, 0.0)  # bins below two sample pitches
+    geom = QuditGeometry(3.0, 0.004, 64, 0.0)  # bins below two sample pitches
     n, dx = 64, 3.0 / 64
     field = SampledField(-1.5, dx, unit_power(np.ones(n, dtype=complex), dx))
     with pytest.raises(BinMisalignment):
@@ -388,7 +393,7 @@ def test_bin_weights_equal_the_per_sample_loop(rng):
 
 
 def test_decode_with_capture_reports_window_power():
-    geom = TalbotGeometry(3.0, 0.05, 3, 0.0)
+    geom = QuditGeometry(3.0, 0.05, 3, 0.0)
     grid = sample(basis_comb(geom, 2), 96, 16)
     probs, captured = decode(grid, geom)
     assert abs(captured - 1.0) < 1e-9
@@ -396,7 +401,7 @@ def test_decode_with_capture_reports_window_power():
 
 
 def test_encode_uniform_gives_three_equal_interleaved_combs():
-    geom = TalbotGeometry(3.0, 0.05, 3, 0.0)
+    geom = QuditGeometry(3.0, 0.05, 3, 0.0)
     grid = sample(encode(np.full(3, 1.0 / math.sqrt(3), dtype=complex), geom), 96, 8)
     np.testing.assert_allclose(decode(grid, geom)[0], 1.0 / 3.0, atol=1e-9)
     # the intensity repeats every third of the period
