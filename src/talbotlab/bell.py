@@ -92,8 +92,9 @@ def joint_prob_analytic(coeffs: np.ndarray, alphas, betas) -> list:
     return [np.abs(np.fft.ifft(left * phase, axis=1)) ** 2 for left in lefts for phase in phases]
 
 
-def joint_prob_field(x: np.ndarray, modes: tuple, slits: SlitArray) -> tuple:
-    """Field-simulated joint tables of the pair state ``u_a diag(s) u_b^T`` on grid x.
+def joint_prob_field(x: np.ndarray, dx: float, modes: tuple, slits: SlitArray) -> tuple:
+    """Field-simulated joint tables of the pair state ``u_a diag(s) u_b^T`` on grid x
+    of pitch dx.
 
     ``modes = (u_a, s, u_b)`` are the Schmidt modes of
     :func:`~talbotlab.spdc.schmidt_modes`, orthonormal columns on each axis.
@@ -115,7 +116,6 @@ def joint_prob_field(x: np.ndarray, modes: tuple, slits: SlitArray) -> tuple:
     d = s.size
     n = x.size
     check_entries("binned column products", n, d, d)
-    dx = x[1] - x[0]
 
     lam = slits.period / 100.0
     # constraints.gate_distances writes this 2 z_T / (c D) in another order; a shared
@@ -241,8 +241,8 @@ def bell_field(
     if cells % d != 0:
         cells += d - cells % d  # keep the window commensurate with the period
     check_entries("binned column products", samples_per_cell * cells, d, d)
-    x, basis = comb_basis(slits, samples_per_cell, cells, spike_width)
-    tables, diagnostics = joint_prob_field(x, schmidt_modes(x, basis, coeffs), slits)
+    x, dx, basis = comb_basis(slits, samples_per_cell, cells, spike_width)
+    tables, diagnostics = joint_prob_field(x, dx, schmidt_modes(x, dx, basis, coeffs), slits)
     return cglmp_value(tables, provenance={
         "route": "field",
         "dimension": d,

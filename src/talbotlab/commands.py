@@ -61,12 +61,12 @@ def cmd_carpet(cfg: dict, out: Path) -> int:
     field = periodic_comb(period, cfg["slit_width"] * period, offs, amps)
     z_t = talbot_length(period, wavelength)
     check_entries("carpet density", steps, spp * periods)
-    # each row is sample(mode_propagate(field, spec)), on one sampling matrix
-    _, dx, matrix = sampling_matrix(field, spp, periods)
+    # each row is the sample() of a mode_propagate(), on one sampling matrix
+    _, dx, matrix = sampling_matrix(field, period, spp, periods)
     density = np.empty((steps, spp * periods))
     for i, frac in enumerate(np.linspace(0.0, 2.0, steps)):
         spec = PropagationSpec(wavelength, frac * z_t)
-        row = unit_power(matrix @ mode_propagate(field, spec).coeffs, dx)
+        row = unit_power(matrix @ mode_propagate(field, period, spec), dx)
         density[i] = np.abs(row) ** 2
     write_matrix_csv(density, out / "carpet.csv", cfg)
     write_pgm(density, out / "carpet.pgm", cfg)
@@ -84,7 +84,7 @@ def cmd_synth(cfg: dict, out: Path) -> int:
     # first: its comb basis is size-checked
     output = render_synthesized(slits, x, spike_width=cfg["spike_width"] * spacing)
     aperture = slits.transmission(x)
-    ideal = sample(synthesize_single(slits), spc * dim, cells // dim or 1)
+    ideal = sample(synthesize_single(slits), slits.period, spc * dim, cells // dim or 1)
     write_sampled_csv(SampledField(float(x[0]), dx, aperture), out / "synth_input.csv", cfg)
     write_sampled_csv(SampledField(float(x[0]), dx, output), out / "synth_output.csv", cfg)
     write_sampled_csv(ideal, out / "synth_ideal.csv", cfg)

@@ -2,10 +2,11 @@
 
 Two representations are used throughout the package:
 
-* ``ModeField`` -- a periodic wavefunction stored as truncated Fourier
-  coefficients, propagated exactly by multiplying each mode with its
-  quadratic phase; ``periodic_comb`` builds one from Gaussian slits and
-  ``sample`` evaluates it on a grid.
+* a periodic wavefunction is its read-only vector of truncated Fourier
+  coefficients over modes ``-M..M``, passed with its period.  It is
+  propagated exactly by multiplying each mode with its quadratic phase;
+  ``periodic_comb`` builds one from Gaussian slits and ``sample`` evaluates
+  it on a grid.
 * ``SampledField`` -- complex amplitude on a uniform transverse grid.
 
 A two-photon grid is a plain square array over one axis taken for both
@@ -32,7 +33,6 @@ from .errors import AliasingRisk, InvalidSpec, UnderResolved
 
 __all__ = [
     "SampledField",
-    "ModeField",
     "PropagationSpec",
     "gaussian_amplitude",
     "gaussian_transform",
@@ -141,35 +141,6 @@ def unit_power(values: np.ndarray, *steps: float) -> np.ndarray:
     power with the given axis steps, and return it; no second grid is made."""
     values /= _unit_root(_grid_power(values, *steps))
     return values
-
-
-@dataclass(frozen=True)
-class ModeField:
-    """Periodic wavefunction as truncated Fourier coefficients.
-
-    The field is ``sum_n coeffs[n] * exp(i n k x)`` with
-    ``k = 2 pi / period`` and symmetric mode indices ``-M..M``.  One period
-    carries unit probability when ``sum |coeffs|^2 == 1``.
-    """
-
-    period: float
-    coeffs: np.ndarray  # length 2M+1, index 0 is mode -M
-
-    def __post_init__(self):
-        if not self.period > 0:
-            raise InvalidSpec("period must be positive")
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 1 or c.size % 2 != 1:
-            raise InvalidSpec("coeffs must be a 1-D array of odd length (symmetric truncation)")
-        object.__setattr__(self, "coeffs", _freeze(c))
-
-    @property
-    def max_mode(self) -> int:
-        return (self.coeffs.size - 1) // 2
-
-    def modes(self) -> np.ndarray:
-        m = self.max_mode
-        return np.arange(-m, m + 1)
 
 
 @dataclass(frozen=True)
@@ -292,19 +263,31 @@ def biphoton_propagate(values: np.ndarray, dx: float, spec: PropagationSpec) -> 
     return _freeze(_propagate_axis(values, dx, spec, 1))
 
 
-def mode_propagate(field: ModeField, spec: PropagationSpec) -> ModeField:
+def _mode_numbers(coeffs: np.ndarray, period: float) -> np.ndarray:
+    """Mode numbers ``-M..M`` of a periodic field's coefficient vector, once its
+    period and its shape are checked."""
+    if not period > 0:
+        raise InvalidSpec("period must be positive")
+    if np.ndim(coeffs) != 1 or np.size(coeffs) % 2 != 1:
+        raise InvalidSpec("coeffs must be a 1-D array of odd length (symmetric truncation)")
+    m = (np.size(coeffs) - 1) // 2
+    return np.arange(-m, m + 1)
+
+
+def mode_propagate(coeffs: np.ndarray, period: float, spec: PropagationSpec) -> np.ndarray:
     """Propagate a periodic field exactly: mode ``n`` gains ``exp(-i pi n^2 z/z_T)``.
 
+    Returns the read-only coefficient vector; ``z = 0`` returns ``coeffs``.
     The quadratic phase is reduced modulo 2 before exponentiation so that a
     full revival distance (``z = 2 z_T``) reproduces the coefficients
     bit-exactly.  Moduli ``|coeffs|`` are unchanged for any distance.
     """
+    n = _mode_numbers(coeffs, period).astype(float)
     if spec.distance == 0.0:
-        return field
-    z_t = talbot_length(field.period, spec.wavelength)
-    n = field.modes().astype(float)
+        return coeffs
+    z_t = talbot_length(period, spec.wavelength)
     phase = np.exp(-1j * np.pi * np.mod(n * n * (spec.distance / z_t), 2.0))
-    return ModeField(field.period, field.coeffs * phase)
+    return _freeze(coeffs * phase)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +295,9 @@ def mode_propagate(field: ModeField, spec: PropagationSpec) -> ModeField:
 
 
 def periodic_comb(period: float, width: float, offsets: Sequence[float],
-                  amplitudes: Sequence[complex]) -> ModeField:
-    """Periodic superposition of slit combs as a normalized ModeField.
+                  amplitudes: Sequence[complex]) -> np.ndarray:
+    """Periodic superposition of slit combs as a normalized, read-only coefficient
+    vector over modes ``-M..M``.
 
     The one-period restriction is ``sum_d amplitudes[d] * S(x - offsets[d])``
     with ``S`` the Gaussian slit of the given width.  The mode truncation M is
@@ -363,37 +347,42 @@ def periodic_comb(period: float, width: float, offsets: Sequence[float],
     while keep > 1 and discarded(keep - 1) < MASS_TOL * total:
         keep -= 1
     coeffs = coeffs[half - keep: half + keep + 1]
-    return ModeField(period, unit_power(coeffs))
+    return _freeze(unit_power(coeffs))
 
 
-def sampling_matrix(field: ModeField, samples_per_period: int, periods: int) -> tuple:
+def sampling_matrix(coeffs: np.ndarray, period: float, samples_per_period: int,
+                    periods: int) -> tuple:
     """``(x, dx, E)``: the centred grid of ``periods`` periods, its pitch, and
-    the matrix ``exp(i k x n)`` that takes the field's coefficients, or those
-    of any field propagated from it, to its samples on that grid.
+    the matrix ``exp(i k x n)`` that takes the coefficients of a field of that
+    period, or those of any field propagated from it, to its samples on that grid.
 
     The grid must resolve the largest retained mode: ``samples_per_period``
     has to exceed twice the truncation order, else ``UnderResolved`` is raised.
     """
+    modes = _mode_numbers(coeffs, period)
+    max_mode = modes.size // 2
     if samples_per_period < 2 or periods < 1:
         raise InvalidSpec("need at least 2 samples per period and 1 period")
-    if samples_per_period <= 2 * field.max_mode:
+    if samples_per_period <= 2 * max_mode:
         raise UnderResolved(
             f"{samples_per_period} samples/period cannot resolve modes up to "
-            f"{field.max_mode}; need more than {2 * field.max_mode}"
+            f"{max_mode}; need more than {2 * max_mode}"
         )
     n_samp = samples_per_period * periods
-    check_entries("mode sampling matrix", n_samp, field.coeffs.size)
-    dx = field.period / samples_per_period
+    check_entries("mode sampling matrix", n_samp, modes.size)
+    dx = period / samples_per_period
     x = centered_axis(n_samp, dx)
-    k = 2.0 * np.pi / field.period
-    return x, dx, np.exp(1j * np.outer(x, field.modes()) * k)
+    k = 2.0 * np.pi / period
+    return x, dx, np.exp(1j * np.outer(x, modes) * k)
 
 
-def sample(field: ModeField, samples_per_period: int, periods: int) -> SampledField:
-    """Evaluate a ModeField on a centred grid spanning ``periods`` periods.
+def sample(coeffs: np.ndarray, period: float, samples_per_period: int,
+           periods: int) -> SampledField:
+    """Evaluate a periodic field's coefficient vector on a centred grid spanning
+    ``periods`` periods.
 
     The grid and its resolution guard are those of :func:`sampling_matrix`.
     The result is normalized over the window.
     """
-    x, dx, matrix = sampling_matrix(field, samples_per_period, periods)
-    return SampledField(float(x[0]), dx, unit_power(matrix @ field.coeffs, dx))
+    x, dx, matrix = sampling_matrix(coeffs, period, samples_per_period, periods)
+    return SampledField(float(x[0]), dx, unit_power(matrix @ coeffs, dx))

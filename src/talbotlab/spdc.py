@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, UnderResolved
-from .fields import (MASS_TOL, MAX_ENTRIES, MAX_ORDERS, ModeField, _abs2, _density_power,
+from .fields import (MASS_TOL, MAX_ENTRIES, MAX_ORDERS, _abs2, _density_power,
                      _freeze, _grid_power, _unit_root, centered_axis, check_entries,
                      gaussian_amplitude, periodic_comb, unit_power)
 
@@ -235,12 +235,13 @@ def grating_envelope(spacing: float, spike_width: float) -> tuple:
     return np.arange(-half, half + 1), env[m - half: m + half + 1]
 
 
-def synthesize_single(slits: SlitArray) -> ModeField:
+def synthesize_single(slits: SlitArray) -> np.ndarray:
     """Synthesizer output as an ideal periodic comb state.
 
     The grating's Fourier orders replicate the aperture on the output
     lattice; the periodic part of the output is the ``slits.period``
-    periodization of the aperture, returned as a normalized ModeField.  Use
+    periodization of the aperture, returned as its normalized, read-only
+    coefficient vector over modes ``-M..M`` of that period.  Use
     :func:`render_synthesized` for the finite, envelope-weighted profile.
     """
     return periodic_comb(slits.period, slits.width, slits.positions(), slits.amplitudes)
@@ -324,11 +325,11 @@ def maximally_entangled(dimension: int) -> np.ndarray:
 
 def comb_basis(slits: SlitArray, samples_per_cell: int, cells: int,
                spike_width: float | None) -> tuple:
-    """``(x, B)``: the centred grid of ``cells`` slit spacings sampled
-    ``samples_per_cell`` times each, and the n x D comb basis on it, column d
-    the comb anchored at slit d with unit power, enveloped by a grating with
-    spikes ``spike_width`` wide or ideal when that is None.  Needs 3 samples
-    per slit width.
+    """``(x, dx, B)``: the centred grid of ``cells`` slit spacings sampled
+    ``samples_per_cell`` times each, its pitch ``dx``, and the n x D comb basis
+    on it, column d the comb anchored at slit d with unit power in pitch ``dx``,
+    enveloped by a grating with spikes ``spike_width`` wide or ideal when that
+    is None.  Needs 3 samples per slit width.
     """
     dx = slits.spacing / samples_per_cell
     _check_resolution(slits, dx, 3, f"slit width {slits.width:g} needs at least 3 samples"
@@ -340,7 +341,7 @@ def comb_basis(slits: SlitArray, samples_per_cell: int, cells: int,
         if not column.any():
             raise InvalidSpec("empty comb on the grid; enlarge the window")
         basis[:, d] = unit_power(column, dx)
-    return x, basis
+    return x, dx, basis
 
 
 def two_photon_field(
@@ -369,8 +370,7 @@ def _pair_basis(coeffs: np.ndarray, slits: SlitArray, samples_per_cell: int, cel
         raise InvalidSpec("slit count must match the coefficient dimension")
     n = samples_per_cell * cells
     check_entries("two-photon grid", n, n)
-    x, basis = comb_basis(slits, samples_per_cell, cells, spike_width)
-    return x, slits.spacing / samples_per_cell, basis
+    return comb_basis(slits, samples_per_cell, cells, spike_width)
 
 
 # multiply-adds in each block product of two_photon_density.  OpenBLAS, NumPy's
@@ -422,8 +422,9 @@ def two_photon_density(
     return x, dx, density
 
 
-def schmidt_modes(x: np.ndarray, basis: np.ndarray, coeffs: np.ndarray) -> tuple:
-    """``(u_a, s, u_b)``: the pair state ``B C B^T`` on grid x as ``u_a diag(s) u_b^T``.
+def schmidt_modes(x: np.ndarray, dx: float, basis: np.ndarray, coeffs: np.ndarray) -> tuple:
+    """``(u_a, s, u_b)``: the pair state ``B C B^T`` on grid x of pitch dx as
+    ``u_a diag(s) u_b^T``.
 
     ``B sqrt(dx) = Q R`` and ``R C R^T = L diag(s) Rh`` give ``u_a = Q L`` and
     ``u_b = Q Rh^T``, orthonormal Schmidt-mode columns on each axis (unit norm
@@ -431,6 +432,6 @@ def schmidt_modes(x: np.ndarray, basis: np.ndarray, coeffs: np.ndarray) -> tuple
     """
     if basis.shape != (x.size, len(coeffs)):
         raise InvalidSpec("comb basis must hold one column per qudit level")
-    q, r = np.linalg.qr(basis * np.sqrt(x[1] - x[0]))
+    q, r = np.linalg.qr(basis * np.sqrt(dx))
     left, s, right = np.linalg.svd(r @ coeffs @ r.T)
     return q @ left, s / np.linalg.norm(s), q @ right.T

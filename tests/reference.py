@@ -17,7 +17,7 @@ import numpy as np
 
 from talbotlab.constraints import parity_constant
 from talbotlab.errors import BinMisalignment, InvalidSpec
-from talbotlab.fields import (ModeField, PropagationSpec, SampledField, _grid_power,
+from talbotlab.fields import (PropagationSpec, SampledField, _grid_power,
                               _propagate_axis, gaussian_amplitude, periodic_comb,
                               sampling_matrix, unit_power)
 from talbotlab.qudits import bin_weights, gauss_coeffs
@@ -72,12 +72,12 @@ def fidelity(a: SampledField, b: SampledField) -> float:
     return abs(overlap(a, b)) ** 2 / (power(a) * power(b))
 
 
-def tapered_sample(field: ModeField, samples_per_period: int, periods: int,
+def tapered_sample(coeffs: np.ndarray, period: float, samples_per_period: int, periods: int,
                    taper_periods: int) -> SampledField:
     """``fields.sample`` with a raised-cosine ramp over ``taper_periods``
     periods at each window edge, modelling finite illumination."""
-    x, dx, matrix = sampling_matrix(field, samples_per_period, periods)
-    vals = matrix @ field.coeffs
+    x, dx, matrix = sampling_matrix(coeffs, period, samples_per_period, periods)
+    vals = matrix @ coeffs
     if not 1 <= 2 * taper_periods <= periods:
         raise InvalidSpec("taper empty or longer than the window")
     edge = taper_periods * samples_per_period
@@ -165,8 +165,9 @@ def slit_basis(slits) -> QuditGeometry:
     return QuditGeometry(period, slits.width, d, origin=-(d - 1) / 2.0 * period / d)
 
 
-def encode(amplitudes, geom: QuditGeometry) -> ModeField:
-    """Continuous encoding: one period carries ``sum_d c_d S(x - x_d)``,
+def encode(amplitudes, geom: QuditGeometry) -> np.ndarray:
+    """Continuous encoding, as the comb's coefficient vector of period
+    ``geom.period``: one period carries ``sum_d c_d S(x - x_d)``,
     with ``x_d = origin + d * period / D``."""
     amplitudes = np.asarray(amplitudes, dtype=complex)
     if amplitudes.shape != (geom.dimension,):

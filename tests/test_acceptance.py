@@ -66,19 +66,19 @@ def test_criterion_2_revival():
         period, lam = 1.0, 0.01
         z_t = talbot_length(period, lam)
         comb = periodic_comb(period, 0.05, [0.0], [1.0])
-        revived = mode_propagate(comb, PropagationSpec(lam, 2.0 * z_t))
-        mode_fidelity = abs((comb.coeffs.conj() * revived.coeffs).sum()) ** 2
+        revived = mode_propagate(comb, period, PropagationSpec(lam, 2.0 * z_t))
+        mode_fidelity = abs((comb.conj() * revived).sum()) ** 2
         assert mode_fidelity == 1.0  # exact, including the phases
 
         # 128-period detection window, field built with finite illumination
         # (8-period raised-cosine ramps on a 160-period grid)
-        grid = tapered_sample(comb, 64, 160, 8)
+        grid = tapered_sample(comb, period, 64, 160, 8)
         out = fresnel_propagate(grid, PropagationSpec(lam, 2.0 * z_t))
         tapered = fidelity(restricted(grid, -64.0, 64.0), restricted(out, -64.0, 64.0))
         assert tapered >= 0.999
 
         # plain 128-period window
-        grid = sample(comb, 64, 128)
+        grid = sample(comb, period, 64, 128)
         out = fresnel_propagate(grid, PropagationSpec(lam, 2.0 * z_t))
         assert fidelity(grid, out) >= 0.999
 

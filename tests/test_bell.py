@@ -228,8 +228,8 @@ def test_field_route_small_grid_agrees_with_analytic(dimension):
 def test_field_route_product_state_factorizes():
     coeffs = np.diag([1.0, 0.0]).astype(complex)
     slits = SlitArray(2, 1.0, 0.05)
-    x, basis = comb_basis(slits, samples_per_cell=64, cells=24, spike_width=None)
-    tables, diagnostics = joint_prob_field(x, schmidt_modes(x, basis, coeffs), slits)
+    x, dx, basis = comb_basis(slits, samples_per_cell=64, cells=24, spike_width=None)
+    tables, diagnostics = joint_prob_field(x, dx, schmidt_modes(x, dx, basis, coeffs), slits)
     assert len(tables) == len(diagnostics) == len(SETTING_PAIRS)
     for table, diag in zip(tables, diagnostics):
         pa, pb = table.sum(axis=1), table.sum(axis=0)
@@ -274,7 +274,7 @@ def test_both_gate_distance_sites_agree_with_the_fraction_of_the_talbot_length(m
         for period in (0.5 * d, 1.0 * d, 2.0 * d, 3.0 * d):
             specs = []
             with pytest.raises(Stop):
-                joint_prob_field(np.arange(2.0), (None, np.ones(d), None),
+                joint_prob_field(np.arange(2.0), 1.0, (None, np.ones(d), None),
                                  SimpleNamespace(period=period))
             (lam, distance), = specs
             seen.append(distance / (gate_distance_fraction(d) * talbot_length(period, lam)))
@@ -366,9 +366,9 @@ def test_factored_and_dense_guards_trip_on_the_same_grids(cells, trips):
     slits = SlitArray(3, 1.0, 0.05)
     tgeom = slit_basis(slits)
     psi = two_photon_field(coeffs, slits, samples_per_cell=64, cells=cells, spike_width=0.05)
-    x, basis = comb_basis(slits, 64, cells, spike_width=0.05)
+    x, dx, basis = comb_basis(slits, 64, cells, spike_width=0.05)
     routes = (lambda: dense_joint_table(psi, *SETTING_OFFSETS[1, 1], tgeom),
-              lambda: joint_prob_field(x, schmidt_modes(x, basis, coeffs), slits))
+              lambda: joint_prob_field(x, dx, schmidt_modes(x, dx, basis, coeffs), slits))
     for route in routes:
         if trips:
             with pytest.raises(AliasingRisk):

@@ -120,10 +120,11 @@ def test_carpet_rows_equal_sampling_each_step_bit_for_bit(tmp_path):
     period = cfg["period"]
     field = periodic_comb(period, cfg["slit_width"] * period, period / 3 * np.arange(3),
                           np.full(3, 1 / math.sqrt(3), dtype=complex))
-    z_t = talbot_length(period, cfg["wavelength"])
+    wavelength = cfg["wavelength"]
+    z_t = talbot_length(period, wavelength)
     expected = np.array([
-        np.abs(sample(mode_propagate(field, PropagationSpec(cfg["wavelength"], frac * z_t)),
-                      cfg["samples_per_period"], 2).values) ** 2
+        np.abs(sample(mode_propagate(field, period, PropagationSpec(wavelength, frac * z_t)),
+                      period, cfg["samples_per_period"], 2).values) ** 2
         for frac in np.linspace(0.0, 2.0, 17)])
     assert csv_rows(tmp_path / "carpet.csv").tobytes() == expected.tobytes()
 

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from reference import fidelity, fresnel_propagate, overlap, power, restricted, tapered_sample
 from talbotlab.constraints import talbot_length
 from talbotlab.errors import AliasingRisk, InvalidSpec, UnderResolved
-from talbotlab.fields import (ModeField, PropagationSpec, SampledField, biphoton_propagate,
+from talbotlab.fields import (PropagationSpec, SampledField, _mode_numbers, biphoton_propagate,
                               gaussian_transform, mode_propagate, periodic_comb, sample,
-                              unit_power)
+                              sampling_matrix, unit_power)
 
 PERIOD = 1.0
 WAVELENGTH = 0.01
@@ -27,7 +27,7 @@ def unit_comb(width=0.05):
 
 
 def test_zero_distance_returns_input_unchanged():
-    field = sample(unit_comb(), 64, 16)
+    field = sample(unit_comb(), PERIOD, 64, 16)
     out = fresnel_propagate(field, PropagationSpec(WAVELENGTH, 0.0))
     assert out is field
 
@@ -61,7 +61,7 @@ def test_gaussian_beam_divergence_matches_closed_form(zfrac):
 
 
 def test_comb_revival_at_two_talbot_lengths():
-    field = sample(unit_comb(), 64, 128)
+    field = sample(unit_comb(), PERIOD, 64, 128)
     out = fresnel_propagate(field, PropagationSpec(WAVELENGTH, 2.0 * Z_T))
     assert fidelity(field, out) >= 0.999
     assert abs(power(out) - 1.0) < 1e-9
@@ -70,7 +70,7 @@ def test_comb_revival_at_two_talbot_lengths():
 def test_tapered_comb_revival_on_central_window():
     # finite illumination: 160 periods with 8-period edge ramps, detection on
     # the central 128 periods
-    field = tapered_sample(unit_comb(), 64, 160, 8)
+    field = tapered_sample(unit_comb(), PERIOD, 64, 160, 8)
     out = fresnel_propagate(field, PropagationSpec(WAVELENGTH, 2.0 * Z_T))
     assert fidelity(restricted(field, -64, 64), restricted(out, -64, 64)) >= 0.999
 
@@ -92,7 +92,7 @@ def test_aliasing_guard_trips_for_nyquist_bandwidth():
 
 
 def test_sampled_semigroup():
-    field = sample(unit_comb(), 64, 128)
+    field = sample(unit_comb(), PERIOD, 64, 128)
     za, zb = 0.31 * Z_T, 0.23 * Z_T
     two_steps = fresnel_propagate(
         fresnel_propagate(field, PropagationSpec(WAVELENGTH, za)),
@@ -137,20 +137,20 @@ def test_biphoton_guard_trips_on_the_localized_axis(localized_axis):
 
 def test_mode_revival_is_exact():
     field = unit_comb()
-    out = mode_propagate(field, PropagationSpec(WAVELENGTH, 2.0 * Z_T))
-    assert np.array_equal(out.coeffs, field.coeffs)
+    out = mode_propagate(field, PERIOD, PropagationSpec(WAVELENGTH, 2.0 * Z_T))
+    assert np.array_equal(out, field)
 
 
 def test_half_period_shift_at_one_talbot_length():
     field = unit_comb()
-    out = mode_propagate(field, PropagationSpec(WAVELENGTH, Z_T))
-    n = field.modes()
-    assert np.abs(out.coeffs - field.coeffs * (-1.0) ** np.abs(n)).max() < 1e-12
+    out = mode_propagate(field, PERIOD, PropagationSpec(WAVELENGTH, Z_T))
+    n = _mode_numbers(field, PERIOD)
+    assert np.abs(out - field * (-1.0) ** np.abs(n)).max() < 1e-12
 
 
 def test_mode_zero_distance_identity():
     field = unit_comb()
-    assert mode_propagate(field, PropagationSpec(WAVELENGTH, 0.0)) is field
+    assert mode_propagate(field, PERIOD, PropagationSpec(WAVELENGTH, 0.0)) is field
 
 
 @given(
@@ -162,21 +162,22 @@ def test_mode_zero_distance_identity():
 def test_mode_unitarity_and_semigroup(za, zb, seed):
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
-    field = ModeField(PERIOD, unit_power(coeffs))
-    one = mode_propagate(field, PropagationSpec(WAVELENGTH, (za + zb) * Z_T))
+    field = unit_power(coeffs)
+    one = mode_propagate(field, PERIOD, PropagationSpec(WAVELENGTH, (za + zb) * Z_T))
     two = mode_propagate(
-        mode_propagate(field, PropagationSpec(WAVELENGTH, za * Z_T)),
-        PropagationSpec(WAVELENGTH, zb * Z_T),
+        mode_propagate(field, PERIOD, PropagationSpec(WAVELENGTH, za * Z_T)),
+        PERIOD, PropagationSpec(WAVELENGTH, zb * Z_T),
     )
-    assert np.abs(np.abs(one.coeffs) - np.abs(field.coeffs)).max() < 1e-12
-    assert np.abs(one.coeffs - two.coeffs).max() < 1e-9
+    assert np.abs(np.abs(one) - np.abs(field)).max() < 1e-12
+    assert np.abs(one - two).max() < 1e-9
 
 
 def test_mode_matches_fresnel_on_common_grid():
     field = unit_comb()
     z = 0.37 * Z_T
-    via_modes = sample(mode_propagate(field, PropagationSpec(WAVELENGTH, z)), 64, 128)
-    via_grid = fresnel_propagate(sample(field, 64, 128), PropagationSpec(WAVELENGTH, z))
+    via_modes = sample(mode_propagate(field, PERIOD, PropagationSpec(WAVELENGTH, z)), PERIOD,
+                       64, 128)
+    via_grid = fresnel_propagate(sample(field, PERIOD, 64, 128), PropagationSpec(WAVELENGTH, z))
     assert fidelity(via_modes, via_grid) >= 0.999
 
 
@@ -185,15 +186,14 @@ def test_mode_matches_fresnel_on_common_grid():
 
 
 def test_single_mode_samples_to_constant_amplitude():
-    field = ModeField(PERIOD, np.array([0.0, 1.0, 0.0], dtype=complex))
-    out = sample(field, 16, 4)
+    field = np.array([0.0, 1.0, 0.0], dtype=complex)
+    out = sample(field, PERIOD, 16, 4)
     assert np.abs(out.values - out.values[0]).max() < 1e-12
 
 
 def test_symmetric_pair_is_cosine_with_known_zeros():
     coeffs = np.array([1.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    field = ModeField(PERIOD, coeffs)
-    out = sample(field, 64, 4)
+    out = sample(coeffs, PERIOD, 64, 4)
     xs = out.x()
     expected = np.cos(2 * np.pi * xs / PERIOD)
     expected = expected / np.sqrt((np.abs(expected) ** 2).sum() * out.dx)
@@ -208,11 +208,11 @@ def test_symmetric_pair_is_cosine_with_known_zeros():
 def test_sample_matches_direct_series_summation():
     # independent oracle: naive per-mode loop over the truncated series
     field = periodic_comb(PERIOD, 0.04, [0.0, 0.37], [0.8, 0.6j])
-    out = sample(field, 128, 3)
+    out = sample(field, PERIOD, 128, 3)
     k = 2 * np.pi / PERIOD
     xs = out.x()
     direct = np.zeros(out.n, dtype=complex)
-    for n, c in zip(field.modes(), field.coeffs):
+    for n, c in zip(_mode_numbers(field, PERIOD), field):
         direct = direct + c * np.exp(1j * n * k * xs)
     direct /= math.sqrt((np.abs(direct) ** 2).sum() * out.dx)
     assert np.abs(out.values - direct).max() < 1e-12
@@ -220,7 +220,7 @@ def test_sample_matches_direct_series_summation():
 
 def test_sample_normalization_and_window():
     field = unit_comb()
-    out = sample(field, 64, 32)
+    out = sample(field, PERIOD, 64, 32)
     assert abs(power(out) - 1.0) < 1e-12
     assert out.n == 64 * 32
 
@@ -228,16 +228,39 @@ def test_sample_normalization_and_window():
 def test_sample_rejects_coarse_grid():
     field = periodic_comb(PERIOD, 0.01, [0.0], [1.0])  # many modes
     with pytest.raises(UnderResolved):
-        sample(field, 16, 4)
+        sample(field, PERIOD, 16, 4)
 
 
 def test_comb_truncation_mass_rule():
     field = periodic_comb(PERIOD, 0.05, [0.0], [1.0])
-    n = field.modes()
+    n = _mode_numbers(field, PERIOD)
     k = 2 * np.pi / PERIOD
     full = gaussian_transform(np.arange(-4096, 4097) * k, 0.05) ** 2
     kept = gaussian_transform(n * k, 0.05) ** 2
     assert 1.0 - kept.sum() / full.sum() < 1e-8
+
+
+ODD_LENGTH = "coeffs must be a 1-D array of odd length (symmetric truncation)"
+
+
+@pytest.mark.parametrize("call", [
+    lambda c, p: sample(c, p, 64, 4),
+    lambda c, p: sampling_matrix(c, p, 64, 4),
+    lambda c, p: mode_propagate(c, p, PropagationSpec(WAVELENGTH, Z_T)),
+    lambda c, p: mode_propagate(c, p, PropagationSpec(WAVELENGTH, 0.0)),
+], ids=["sample", "sampling_matrix", "mode_propagate", "mode_propagate_z0"])
+@pytest.mark.parametrize("coeffs, period, message", [
+    (np.ones(4, dtype=complex), PERIOD, ODD_LENGTH),
+    (np.ones((3, 3), dtype=complex), PERIOD, ODD_LENGTH),
+    (np.ones(3, dtype=complex), 0.0, "period must be positive"),
+    (np.ones(3, dtype=complex), -1.0, "period must be positive"),
+    (np.ones(3, dtype=complex), math.nan, "period must be positive"),
+], ids=["even", "2d", "zero_period", "negative_period", "nan_period"])
+def test_periodic_field_refuses_a_bad_vector_or_period(call, coeffs, period, message):
+    # a vector with modes -M..M and a positive period, or InvalidSpec with its text
+    with pytest.raises(InvalidSpec) as refused:
+        call(coeffs, period)
+    assert str(refused.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +268,19 @@ def test_comb_truncation_mass_rule():
 
 
 def test_overlap_of_normalized_field_with_itself():
-    field = sample(unit_comb(), 64, 16)
+    field = sample(unit_comb(), PERIOD, 64, 16)
     assert abs(overlap(field, field) - 1.0) < 1e-12
 
 
 def test_displaced_narrow_combs_are_orthogonal():
-    a = sample(periodic_comb(PERIOD, 0.02, [0.0], [1.0]), 128, 16)
-    b = sample(periodic_comb(PERIOD, 0.02, [0.5], [1.0]), 128, 16)
+    a = sample(periodic_comb(PERIOD, 0.02, [0.0], [1.0]), PERIOD, 128, 16)
+    b = sample(periodic_comb(PERIOD, 0.02, [0.5], [1.0]), PERIOD, 128, 16)
     assert abs(overlap(a, b)) < 1e-6
 
 
 def test_overlap_grid_mismatch():
-    a = sample(unit_comb(), 64, 16)
-    b = sample(unit_comb(), 64, 8)
+    a = sample(unit_comb(), PERIOD, 64, 16)
+    b = sample(unit_comb(), PERIOD, 64, 8)
     with pytest.raises(ValueError):
         overlap(a, b)
 

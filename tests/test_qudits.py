@@ -100,11 +100,10 @@ def test_gate_matches_field_propagation_oracle():
     period, lam = float(dimension), 0.01
     geom = QuditGeometry(period, 0.01, dimension, 0.0)
     z = gate_distance_fraction(dimension) * talbot_length(period, lam)
-    fields = [sample(basis_comb(geom, d), 512, 8) for d in range(dimension)]
-    propagated = [
-        sample(mode_propagate(basis_comb(geom, d), PropagationSpec(lam, z)), 512, 8)
-        for d in range(dimension)
-    ]
+    fields = [sample(basis_comb(geom, d), period, 512, 8) for d in range(dimension)]
+    spec = PropagationSpec(lam, z)
+    propagated = [sample(mode_propagate(basis_comb(geom, d), period, spec), period, 512, 8)
+                  for d in range(dimension)]
     matrix = np.array([[overlap(fields[i], propagated[j]) for j in range(dimension)]
                        for i in range(dimension)])
     assert np.abs(matrix - talbot_gate(dimension)).max() < 1e-9
@@ -292,8 +291,8 @@ def test_overlap_refusal_names_the_widest_slit_that_passes(dimension, spacing):
 def test_encode_basis_state_single_comb():
     geom = QuditGeometry(3.0, 0.05, 3, 0.0)
     field = basis_comb(geom, 0)
-    assert abs((np.abs(field.coeffs) ** 2).sum() - 1.0) < 1e-12
-    grid = sample(field, 96, 4)
+    assert abs((np.abs(field) ** 2).sum() - 1.0) < 1e-12
+    grid = sample(field, geom.period, 96, 4)
     intensity = np.abs(grid.values) ** 2
     xs = grid.x()
     folded = np.mod(xs, 3.0)
@@ -307,7 +306,7 @@ def test_decode_encode_roundtrip(dimension):
     geom = QuditGeometry(period, 0.05, dimension, 0.0)
     spp = 64 * dimension  # resolves every retained mode
     for d in range(dimension):
-        grid = sample(basis_comb(geom, d), spp, 16)
+        grid = sample(basis_comb(geom, d), period, spp, 16)
         probs, _ = decode(grid, geom)
         assert probs[d] > 1.0 - 1e-4
         assert abs(probs.sum() - 1.0) < 1e-12
@@ -318,7 +317,7 @@ def test_decode_encode_roundtrip_literal_five_percent_of_period():
     for dimension in (2, 3):
         period = float(dimension)
         geom = QuditGeometry(period, 0.05 * period, dimension, 0.0)
-        grid = sample(basis_comb(geom, 1), 96, 16)
+        grid = sample(basis_comb(geom, 1), period, 96, 16)
         probs, _ = decode(grid, geom)
         assert probs[1] > 1.0 - 1e-4
 
@@ -337,15 +336,15 @@ def test_decode_gate_path_matches_matrix_route(rng):
     v = rng.normal(size=dimension) + 1j * rng.normal(size=dimension)
     v /= np.linalg.norm(v)
     z = gate_distance_fraction(dimension) * talbot_length(period, lam)
-    field = mode_propagate(encode(v, geom), PropagationSpec(lam, z))
-    probs, _ = decode(sample(field, 96, 32), geom)
+    field = mode_propagate(encode(v, geom), period, PropagationSpec(lam, z))
+    probs, _ = decode(sample(field, period, 96, 32), geom)
     expected = np.abs(talbot_gate(dimension) @ v) ** 2
     assert np.abs(probs - expected).max() < 1e-3
 
 
 def test_decode_requires_integer_periods():
     geom = QuditGeometry(3.0, 0.05, 3, 0.0)
-    grid = sample(basis_comb(geom, 0), 96, 16)
+    grid = sample(basis_comb(geom, 0), geom.period, 96, 16)
     clipped = SampledField(grid.x0, grid.dx, grid.values[:-7])
     with pytest.raises(BinMisalignment):
         decode(clipped, geom)
@@ -394,7 +393,7 @@ def test_bin_weights_equal_the_per_sample_loop(rng):
 
 def test_decode_with_capture_reports_window_power():
     geom = QuditGeometry(3.0, 0.05, 3, 0.0)
-    grid = sample(basis_comb(geom, 2), 96, 16)
+    grid = sample(basis_comb(geom, 2), geom.period, 96, 16)
     probs, captured = decode(grid, geom)
     assert abs(captured - 1.0) < 1e-9
     assert abs(probs.sum() - 1.0) < 1e-12
@@ -402,7 +401,8 @@ def test_decode_with_capture_reports_window_power():
 
 def test_encode_uniform_gives_three_equal_interleaved_combs():
     geom = QuditGeometry(3.0, 0.05, 3, 0.0)
-    grid = sample(encode(np.full(3, 1.0 / math.sqrt(3), dtype=complex), geom), 96, 8)
+    grid = sample(encode(np.full(3, 1.0 / math.sqrt(3), dtype=complex), geom), geom.period,
+                  96, 8)
     np.testing.assert_allclose(decode(grid, geom)[0], 1.0 / 3.0, atol=1e-9)
     # the intensity repeats every third of the period
     intensity = np.abs(grid.values) ** 2

@@ -203,8 +203,8 @@ def test_synthesized_state_equals_direct_encoding():
     for spacing in (S, 0.1):
         slits = SlitArray(3, spacing, 0.05 * spacing)
         uniform = np.full(3, 1.0 / math.sqrt(3), dtype=complex)
-        a = sample(synthesize_single(slits), 128, 8)
-        b = sample(encode(uniform, slit_basis(slits)), 128, 8)
+        a = sample(synthesize_single(slits), slits.period, 128, 8)
+        b = sample(encode(uniform, slit_basis(slits)), slits.period, 128, 8)
         assert fidelity(a, b) >= 0.999
 
 
@@ -365,12 +365,13 @@ def test_two_photon_field_is_the_normalized_dense_grid_bit_for_bit(envelope):
     slits = SlitArray(3, S, 0.3 * S)
     x_psi, dx_psi, psi = two_photon_field(coeffs, slits, samples_per_cell=20, cells=12,
                                           spike_width=spike_width)
-    x, basis = comb_basis(slits, 20, 12, spike_width)
+    x, dx_basis, basis = comb_basis(slits, 20, 12, spike_width)
     dx = S / 20  # on this grid, regrouping the power's dx * dx changes bits
     vals = basis @ coeffs @ basis.T
     out_of_place = vals / math.sqrt(float((np.abs(vals) ** 2).sum() * dx * dx))
     assert psi.tobytes() == normalized_pair(vals, dx).tobytes() == out_of_place.tobytes()
-    assert x_psi.tobytes() == x.tobytes() and dx_psi == dx and not psi.flags.writeable
+    assert x_psi.tobytes() == x.tobytes() and dx_psi == dx_basis == dx
+    assert not psi.flags.writeable
 
 
 def pair_state(dimension):
@@ -411,9 +412,8 @@ def test_two_photon_density_holds_no_complex_grid():
 def test_schmidt_modes_factor_the_pair_state(kappa_minus):
     coeffs = entangled_coeffs(3, S, BiphotonGaussian(9.0 * S, kappa_minus * S))
     slits = SlitArray(3, S, 0.1 * S)
-    x, basis = comb_basis(slits, 32, 12, spike_width=0.1 * S)
-    u_a, s, u_b = schmidt_modes(x, basis, coeffs)
-    dx = x[1] - x[0]
+    x, dx, basis = comb_basis(slits, 32, 12, spike_width=0.1 * S)
+    u_a, s, u_b = schmidt_modes(x, dx, basis, coeffs)
     psi = basis @ coeffs @ basis.T * dx
     psi /= np.linalg.norm(psi)
     np.testing.assert_allclose(u_a @ np.diag(s) @ u_b.T, psi, atol=1e-12)
@@ -421,7 +421,7 @@ def test_schmidt_modes_factor_the_pair_state(kappa_minus):
         np.testing.assert_allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
     assert abs(np.linalg.norm(s) - 1.0) < 1e-15 and np.all(np.diff(s) <= 0)
     with pytest.raises(InvalidSpec):
-        schmidt_modes(x, basis[:, :2], coeffs)
+        schmidt_modes(x, dx, basis[:, :2], coeffs)
 
 
 def test_two_photon_field_matches_optical_pipeline():
