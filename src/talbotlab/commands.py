@@ -98,16 +98,15 @@ def cmd_entangle(cfg: dict, out: Path) -> int:
     coeffs = entangled_coeffs(dim, s, model)
     slits = SlitArray(dim, s, cfg["slit_width"] * s)
 
-    # every stage and its guards run before the first file is written, and each
-    # stage's complex grid gives way to its density as soon as they have run
+    # every stage and its guards run before the first file is written; each
+    # stage is a real density, and the source's real amplitude gives way to it
     x_a, dx_a, initial = initial_biphoton_field(model, s, cfg["initial_samples_per_cell"],
                                                 cfg["initial_window_cells"])
     initial = _abs2(initial)
-    # the slit stage: the source on its own grid, then behind the slits
+    # the slit stage: the source density on its own grid, then behind the slits
     x_c, dx_c, after = initial_biphoton_field(model, s, cfg["slit_samples_per_cell"],
                                               cfg["slit_window_cells"])
-    after, transmitted = apply_dslit(after, x_c, dx_c, slits)
-    after = _abs2(after)
+    after, transmitted = apply_dslit(_abs2(after), x_c, dx_c, slits)
     stages = [("initial", initial, (float(x_a[0]), dx_a), cfg),
               ("slits", after, (float(x_c[0]), dx_c), {**cfg, "transmitted_fraction": transmitted})]
     del initial, after

@@ -129,17 +129,18 @@ def _grid_power(values: np.ndarray, *steps: float) -> float:
     return _density_power(_abs2(values), *steps)
 
 
-def _unit_root(power: float) -> float:
-    """The root of a power that a field is divided by to normalise it."""
+def _norm_power(power: float) -> float:
+    """A power that a density is divided by to normalise it (its root, a field);
+    a zero or non-finite one is refused."""
     if not math.isfinite(power) or power <= 0:
         raise InvalidSpec("cannot normalize a zero or non-finite field")
-    return math.sqrt(power)
+    return power
 
 
 def unit_power(values: np.ndarray, *steps: float) -> np.ndarray:
-    """Divide a complex grid the caller owns in place by the root of its
+    """Divide a real or complex grid the caller owns in place by the root of its
     power with the given axis steps, and return it; no second grid is made."""
-    values /= _unit_root(_grid_power(values, *steps))
+    values /= math.sqrt(_norm_power(_grid_power(values, *steps)))
     return values
 
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, UnderResolved
-from .fields import (MASS_TOL, MAX_ENTRIES, MAX_ORDERS, _abs2, _density_power,
-                     _freeze, _grid_power, _unit_root, centered_axis, check_entries,
-                     gaussian_amplitude, periodic_comb, unit_power)
+from .fields import (MASS_TOL, MAX_ENTRIES, MAX_ORDERS, _abs2, _density_power, _freeze,
+                     _norm_power, centered_axis, check_entries, gaussian_amplitude,
+                     periodic_comb, unit_power)
 
 __all__ = [
     "BiphotonGaussian",
@@ -176,34 +176,38 @@ def initial_biphoton_field(model: BiphotonGaussian, spacing: float, samples_per_
                            cells: int) -> tuple:
     """``(x, dx, psi)``: the centred axis of ``cells`` cells of ``spacing`` sampled
     ``samples_per_cell`` times each, its pitch, and the source amplitude on the
-    square grid of that axis, normalised and read-only."""
+    square grid of that axis, normalised and read-only.  The double-Gaussian
+    amplitude is real, and so is ``psi``."""
     dx = spacing / samples_per_cell
     x = centered_axis(samples_per_cell * cells, dx)
     check_entries("biphoton grid", x.size, x.size)
     if x.size < 2:
         raise InvalidSpec("a biphoton grid axis needs at least 2 samples")
-    vals = biphoton_amplitude(model, x[:, None], x[None, :]).astype(complex)
+    vals = biphoton_amplitude(model, x[:, None], x[None, :])
     return x, dx, _freeze(unit_power(vals, dx, dx))
 
 
-def apply_dslit(values: np.ndarray, x: np.ndarray, dx: float, slits: SlitArray) -> tuple:
-    """Send each photon of the square pair grid ``values`` on axis ``x`` of pitch
-    ``dx`` through the slit array.
+def apply_dslit(density: np.ndarray, x: np.ndarray, dx: float, slits: SlitArray) -> tuple:
+    """Send each photon of the square pair density ``density`` on axis ``x`` of
+    pitch ``dx`` through the slit array of amplitude t: ``density |t(x1)|^2
+    |t(x2)|^2``, which is ``|psi t(x1) t(x2)|^2`` for ``density = |psi|^2``
+    whatever the phases of psi and of the slits.
 
-    Returns ``(masked grid renormalized and read-only, transmitted power
-    fraction)``.  Raises ``UnderResolved`` when the grid does not carry at least
-    ``SAMPLES_PER_SLIT_WIDTH`` samples per slit width.
+    Returns ``(masked density renormalized and read-only, transmitted power
+    fraction)``, the fraction a ratio of density sums.  Raises ``UnderResolved``
+    when the grid does not carry at least ``SAMPLES_PER_SLIT_WIDTH`` samples per
+    slit width.
     """
     _check_resolution(slits, dx, SAMPLES_PER_SLIT_WIDTH, f"slit width {slits.width:g} sampled"
                       f" with fewer than {SAMPLES_PER_SLIT_WIDTH} points (dx = {dx:g})")
-    t = slits.transmission(x)
-    masked = values * t[:, None]
-    masked *= t[None, :]
-    power = _grid_power(masked, dx, dx)
-    transmitted = power / _grid_power(values, dx, dx)
+    t2 = _abs2(slits.transmission(x))
+    masked = density * t2[:, None]
+    masked *= t2[None, :]
+    power = _density_power(masked, dx, dx)
+    transmitted = power / _density_power(density, dx, dx)
     if transmitted <= 0:
         raise InvalidSpec("aperture blocked the entire field")
-    masked /= _unit_root(power)
+    masked /= _norm_power(power)
     return _freeze(masked), float(transmitted)
 
 
@@ -394,31 +398,22 @@ def two_photon_density(
     cells: int,
     spike_width: float | None,
 ) -> tuple:
-    """``(x, dx, |Psi|^2)``: the density of :func:`two_photon_field`, bit for bit,
-    without its n x n complex grid.
+    """``(x, dx, |Psi|^2)``: the density of :func:`two_photon_field`, without its
+    n x n complex grid.
 
-    Row blocks of ``(B C) B^T`` are built in one small reused buffer, twice.  The
-    first pass writes their ``|.|^2`` and sums it for the power as
-    ``unit_power`` does; the second divides each block by the root of that
-    power and writes its density over the first.
+    Row blocks of ``(B C) B^T`` are built once each, in one small reused buffer,
+    and their ``|.|^2`` written into the density, which is then divided by its
+    power.  It agrees with ``|two_photon_field|^2`` to rounding, not bit for bit.
     """
     x, dx, basis = _pair_basis(coeffs, slits, samples_per_cell, cells, spike_width)
     left = basis @ coeffs
     density = np.empty((x.size, x.size))
     buf = np.empty((_block_rows(x.size, len(coeffs)), x.size), dtype=complex)
-
-    def blocks():
-        for start in range(0, x.size, buf.shape[0]):
-            block = buf[:x.size - start]  # the last block may be short
-            np.matmul(left[start:start + block.shape[0]], basis.T, out=block)
-            yield block, density[start:start + block.shape[0]]
-
-    for block, rows in blocks():
-        _abs2(block, out=rows)
-    root = _unit_root(_density_power(density, dx, dx))
-    for block, rows in blocks():
-        block /= root
-        _abs2(block, out=rows)
+    for start in range(0, x.size, buf.shape[0]):
+        block = buf[:x.size - start]  # the last block may be short
+        np.matmul(left[start:start + block.shape[0]], basis.T, out=block)
+        _abs2(block, out=density[start:start + block.shape[0]])
+    density /= _norm_power(_density_power(density, dx, dx))
     return x, dx, density
 
 

@@ -2,10 +2,11 @@
 
 None of these is on a command's path.  Each keeps the arithmetic it had as
 a library function, so an oracle test measures the same quantity it always
-did: single-photon grid propagation, overlaps, the gate and phase-gate
-matrices, the quadratic closed-form mask phases, continuous encoding and
-detector decoding of one qudit, the tapered window of finite illumination,
-and the adjacent-slit overlap integrated on a grid.
+did: single-photon grid propagation, overlaps, the slit stage on a complex
+pair grid, the gate and phase-gate matrices, the quadratic closed-form mask
+phases, continuous encoding and detector decoding of one qudit, the tapered
+window of finite illumination, and the adjacent-slit overlap integrated on a
+grid.
 """
 
 from __future__ import annotations
@@ -47,6 +48,16 @@ def normalized_pair(values: np.ndarray, dx: float) -> np.ndarray:
     """A square two-photon grid of pitch dx divided by the root of its power,
     out of place."""
     return unit_power(np.array(values, dtype=complex), dx, dx)
+
+
+def dense_slit_stage(psi: np.ndarray, x: np.ndarray, dx: float, slits) -> tuple:
+    """The slit stage on the square pair amplitude ``psi`` through the complex
+    grid ``psi t(x1) t(x2)``: ``(its density normalised, transmitted power
+    fraction)``."""
+    t = slits.transmission(x)
+    masked = psi * t[:, None] * t[None, :]
+    transmitted = _grid_power(masked, dx, dx) / _grid_power(psi, dx, dx)
+    return np.abs(normalized_pair(masked, dx)) ** 2, transmitted
 
 
 def restricted(field: SampledField, lo: float, hi: float) -> SampledField:

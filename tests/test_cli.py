@@ -17,14 +17,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import talbotlab
 import talbotlab.commands  # imported here so that the dense-oracle test's patches reach it
-from reference import normalized_pair
+from reference import dense_slit_stage, normalized_pair
 from talbotlab import _floatfmt, fields, io as talbot_io, spdc
 from talbotlab.cli import DEFAULTS, _load_config, build_parser, main
 from talbotlab.constraints import talbot_length
 from talbotlab.errors import UnderResolved
-from talbotlab.fields import (MAX_ENTRIES, PropagationSpec, _grid_power, mode_propagate,
-                              periodic_comb, sample)
-from talbotlab.io import write_biphoton_csv, write_pgm
+from talbotlab.fields import MAX_ENTRIES, PropagationSpec, mode_propagate, periodic_comb, sample
+from talbotlab.io import write_density_csv, write_pgm
 from talbotlab.spdc import (BiphotonGaussian, SlitArray, _check_resolution, biphoton_amplitude,
                             entangled_coeffs, two_photon_density, two_photon_field)
 
@@ -241,9 +240,11 @@ def test_every_file_records_the_resolved_config(command, tmp_path):
 
 
 def test_entangle_carpet_equals_the_dense_field_files(tmp_path):
-    # all nine files against the dense grids of the three stages, each on the
-    # centred axis of pitch spacing / samples_per_cell; 700 carpet rows: the
-    # density's row blocks end in a short one
+    # all nine files, parsed back, against the dense complex grids of the three
+    # stages, each on the centred axis of pitch spacing / samples_per_cell: headers
+    # and sidecars equal but for the transmitted fraction and the heatmap's full
+    # scale (each within 1e-12), densities within 1e-14 of their peak and pixels
+    # within one level; 700 carpet rows: the density's row blocks end in a short one
     overrides = {"initial_window_cells": 8, "slit_window_cells": 2,
                  "carpet_window_cells": 10, "carpet_samples_per_cell": 70}
     args = ["entangle", "--out-dir", str(tmp_path)]
@@ -257,9 +258,8 @@ def test_entangle_carpet_equals_the_dense_field_files(tmp_path):
     oracle = tmp_path / "oracle"
     oracle.mkdir()
 
-    def write(name, x, dx, values, csv_cfg):
-        density = write_biphoton_csv(values, oracle / f"entangle_{name}.csv",
-                                     (float(x[0]), dx), csv_cfg)
+    def write(name, x, dx, density, csv_cfg):
+        write_density_csv(density, oracle / f"entangle_{name}.csv", (float(x[0]), dx), csv_cfg)
         write_pgm(density, oracle / f"entangle_{name}.pgm", cfg)
 
     def source(prefix):
@@ -268,20 +268,43 @@ def test_entangle_carpet_equals_the_dense_field_files(tmp_path):
         x = -cells * spc * dx / 2.0 + dx * np.arange(cells * spc)
         return x, dx, normalized_pair(biphoton_amplitude(model, x[:, None], x[None, :]), dx)
 
-    write("initial", *source("initial"), cfg)
+    x, dx, pair = source("initial")
+    write("initial", x, dx, np.abs(pair) ** 2, cfg)
     x, dx, pair = source("slit")
-    t = slits.transmission(x)
-    masked = pair * t[:, None] * t[None, :]
-    transmitted = _grid_power(masked, dx, dx) / _grid_power(pair, dx, dx)
-    write("slits", x, dx, normalized_pair(masked, dx), {**cfg, "transmitted_fraction": transmitted})
+    density, transmitted = dense_slit_stage(pair, x, dx, slits)
+    write("slits", x, dx, density, {**cfg, "transmitted_fraction": transmitted})
     coeffs = entangled_coeffs(3, s, model)
-    write("carpet", *two_photon_field(coeffs, slits, samples_per_cell=70, cells=10,
-                                      spike_width=cfg["spike_width"] * s), cfg)
+    x, dx, psi = two_photon_field(coeffs, slits, samples_per_cell=70, cells=10,
+                                  spike_width=cfg["spike_width"] * s)
+    write("carpet", x, dx, np.abs(psi) ** 2, cfg)
     names = sorted(p.name for p in oracle.iterdir())
     assert len(names) == 9 and names == sorted(p.name for p in tmp_path.iterdir()
                                                if p.is_file())
+    loose = re.compile(rb'(?<="transmitted_fraction":) ?[-+.e0-9]+|(?<=# full scale = )[-+.e0-9]+')
+
+    def parts(path):
+        """A file's header text with the loose numbers cut out, those numbers,
+        and its CSV entries or PGM pixels."""
+        raw = path.read_bytes()
+        head, body = raw, None
+        if path.suffix == ".pgm":
+            head, body = raw.rsplit(b"\n255\n", 1)
+            body = np.frombuffer(body, np.uint8).astype(int)
+        elif path.suffix == ".csv":
+            head, body = raw.split(b"\n", 1)  # the config line, then the rows
+            body = np.loadtxt(body.decode().splitlines(), delimiter=",", ndmin=2)
+        return loose.sub(b"~", head), [float(v) for v in loose.findall(head)], body
+
     for name in names:
-        assert (tmp_path / name).read_bytes() == (oracle / name).read_bytes(), name
+        (head, numbers, body), (want, want_numbers, want_body) = (parts(tmp_path / name),
+                                                                  parts(oracle / name))
+        assert head == want and len(numbers) == len(want_numbers), name
+        assert numbers == pytest.approx(want_numbers, rel=1e-12, abs=0), name
+        if name.endswith(".csv"):
+            assert body.shape == want_body.shape, name
+            assert np.abs(body - want_body).max() <= 1e-14 * want_body.max(), name
+        elif name.endswith(".pgm"):
+            assert body.size == want_body.size and np.abs(body - want_body).max() <= 1, name
 
 
 def test_no_command_path_runs_the_dense_pair_oracle(tmp_path, monkeypatch):
