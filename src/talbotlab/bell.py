@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, NonNormalized
-from .fields import PropagationSpec, _propagate_axis, check_entries
+from .fields import _propagate_axis, check_entries
 from .qudits import (bin_outcome_map, bin_weights, check_slit_overlap, gate_distance_fraction,
                      measurement_phases)
 from .spdc import (BiphotonGaussian, SlitArray, _source_widths, comb_basis, entangled_coeffs,
@@ -100,8 +100,8 @@ def joint_prob_field(x: np.ndarray, dx: float, modes: tuple, slits: SlitArray) -
     :func:`~talbotlab.spdc.schmidt_modes`, orthonormal columns on each axis.
     Each side's columns take the pixelated measurement phase mask (constant
     over each slit-spacing cell centred on a slit of ``slits``) of each of its
-    two offsets and the gate distance ``2 z_T / (c D)`` at wavelength
-    period / 100, guarded on their s^2-weighted marginals: four masked
+    two offsets and the gate distance ``2 z_T / (c D)``, the reach ``lambda z =
+    2 period^2 / (c D)``, guarded on their s^2-weighted marginals: four masked
     propagations in all.  The detector bins, one per slit and as wide as the
     spacing, then collect ``sum_jk s_j s_k M_A[a,j,k] M_B[b,j,k]`` with
     ``M[a,j,k] = sum_x w[x,a] u[x,j] conj(u[x,k])``, relabeled to the
@@ -117,17 +117,14 @@ def joint_prob_field(x: np.ndarray, dx: float, modes: tuple, slits: SlitArray) -
     n = x.size
     check_entries("binned column products", n, d, d)
 
-    lam = slits.period / 100.0
-    # constraints.gate_distances writes this 2 z_T / (c D) in another order; a shared
-    # helper would change the last bit of one of them, so each keeps its own
-    spec = PropagationSpec(lam, gate_distance_fraction(d) * slits.period ** 2 / lam)
+    reach = gate_distance_fraction(d) * slits.period ** 2
     step, origin = slits.spacing, slits.positions()[0]
     cell = np.floor((x - origin + step / 2.0) / step).astype(int) % d
     w = bin_weights(x, dx, origin, step, d)
 
     def measured(columns: np.ndarray, gamma: float) -> tuple:
         masked = columns * np.exp(1j * measurement_phases(d, gamma))[cell][:, None]
-        u = _propagate_axis(masked, dx, spec, 0, weights=s ** 2)
+        u = _propagate_axis(masked, dx, reach, 0, weights=s ** 2)
         products = w.T @ (u[:, :, None] * u.conj()[:, None, :]).reshape(n, d * d)
         return products, np.abs(u) ** 2 @ s ** 2
 

@@ -20,8 +20,8 @@ import numpy as np
 from .bell import bell_point, bell_scan
 from .constraints import talbot_length
 from .errors import InvalidSpec, TalbotLabError, report_failure
-from .fields import (PropagationSpec, SampledField, _abs2, centered_axis, check_entries,
-                     mode_propagate, periodic_comb, sample, sampling_matrix, unit_power)
+from .fields import (SampledField, _abs2, centered_axis, check_entries, mode_propagate,
+                     periodic_comb, sample, sampling_matrix, unit_power)
 from .io import (bell_result_to_json, write_density_csv, write_matrix_csv, write_pgm,
                  write_sampled_csv, write_scan_csv)
 from .spdc import (BiphotonGaussian, SlitArray, _source_widths, apply_dslit, entangled_coeffs,
@@ -54,19 +54,20 @@ def _parse_amplitudes(spec_value, dimension: int) -> np.ndarray:
 
 
 def cmd_carpet(cfg: dict, out: Path) -> int:
-    dim, period, wavelength = cfg["dimension"], cfg["period"], cfg["wavelength"]
+    dim, period = cfg["dimension"], cfg["period"]
     spp, periods, steps = cfg["samples_per_period"], cfg["periods"], cfg["z_steps"]
     amps = _parse_amplitudes(cfg["state"], dim)
     offs = period / dim * np.arange(dim)
     field = periodic_comb(period, cfg["slit_width"] * period, offs, amps)
-    z_t = talbot_length(period, wavelength)
+    # rows sit at fractions of the Talbot length; the wavelength only scales z, so it
+    # enters as the refusal of a Talbot length of 0 or inf
+    talbot_length(period, cfg["wavelength"])
     check_entries("carpet density", steps, spp * periods)
     # each row is the sample() of a mode_propagate(), on one sampling matrix
     _, dx, matrix = sampling_matrix(field, period, spp, periods)
     density = np.empty((steps, spp * periods))
     for i, frac in enumerate(np.linspace(0.0, 2.0, steps)):
-        spec = PropagationSpec(wavelength, frac * z_t)
-        row = unit_power(matrix @ mode_propagate(field, period, spec), dx)
+        row = unit_power(matrix @ mode_propagate(field, frac), dx)
         density[i] = np.abs(row) ** 2
     write_matrix_csv(density, out / "carpet.csv", cfg)
     write_pgm(density, out / "carpet.pgm", cfg)

@@ -70,8 +70,6 @@ def gate_distances(pixel_pitch: float, dimension: int, wavelength: float) -> dic
     g = 2 if dimension % 2 else 1
     return {
         "talbot_length": z_t,
-        # bell.joint_prob_field writes this in another order; a shared helper would
-        # change the last bit of one of them, so each keeps its own
         "gate_distance": 2.0 * z_t / (c * dimension),
         "gate_distance_alt": z_t / (g * dimension),
     }

@@ -14,10 +14,11 @@ photons, passed with that axis or its pitch.
 
 Grids are propagated axis by axis with the band-limited spectral (Fresnel
 transfer function) method, guarded against aliasing.  Both propagators
-conserve total probability.  The spectral transfer function is
-``exp(i k z) * exp(-i pi lambda z f^2)``; the mode propagator multiplies
-coefficient ``n`` by ``exp(-i pi n^2 z / z_T)`` with
-``z_T = period^2 / wavelength`` the Talbot length.
+conserve total probability and drop the global carrier ``exp(i k z)``.  A
+distance is a fraction ``f`` of the Talbot length ``z_T``: the mode
+propagator multiplies coefficient ``n`` by ``exp(-i pi n^2 f)``, and the
+spectral one takes the reach ``lambda z = f period^2`` in the transfer
+function ``exp(-i pi lambda z f_x^2)``.
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .constraints import talbot_length
 from .errors import AliasingRisk, InvalidSpec, UnderResolved
 
 __all__ = [
     "SampledField",
-    "PropagationSpec",
     "gaussian_amplitude",
     "gaussian_transform",
     "centered_axis",
@@ -144,18 +143,10 @@ def unit_power(values: np.ndarray, *steps: float) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class PropagationSpec:
-    """Wavelength and propagation distance; both validated on construction."""
-
-    wavelength: float
-    distance: float
-
-    def __post_init__(self):
-        if not self.wavelength > 0:
-            raise InvalidSpec("wavelength must be positive")
-        if self.distance < 0:
-            raise InvalidSpec("backward propagation (z < 0) is not supported")
+def _check_forward(distance: float) -> None:
+    """Refuse a negative propagation distance, in any unit."""
+    if distance < 0:
+        raise InvalidSpec("backward propagation (z < 0) is not supported")
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +172,9 @@ def gaussian_transform(k: np.ndarray, w: float) -> np.ndarray:
 # propagation
 
 
-def _transfer_function(n: int, dx: float, spec: PropagationSpec) -> np.ndarray:
+def _transfer_function(n: int, dx: float, reach: float) -> np.ndarray:
     f = np.fft.fftfreq(n, dx)
-    carrier = np.exp(2j * np.pi * spec.distance / spec.wavelength)
-    return carrier * np.exp(-1j * np.pi * spec.wavelength * spec.distance * f * f)
+    return np.exp(-1j * np.pi * reach * f * f)
 
 
 # share of the total power above which a frequency counts as occupied
@@ -200,7 +190,7 @@ def _occupied_bandwidth(power: np.ndarray, f: np.ndarray) -> float:
     return float(np.abs(f[occupied]).max()) if occupied.any() else 0.0
 
 
-def _check_aliasing(n: int, dx: float, spec: PropagationSpec,
+def _check_aliasing(n: int, dx: float, reach: float,
                     power_f: np.ndarray, power_x: np.ndarray):
     """Guard the spectral propagator against the two real failure modes.
 
@@ -219,7 +209,6 @@ def _check_aliasing(n: int, dx: float, spec: PropagationSpec,
         raise AliasingRisk(
             "field bandwidth rides the grid Nyquist frequency; refine the grid"
         )
-    reach = spec.wavelength * spec.distance
     if reach == 0.0:
         return
     window = n * dx
@@ -238,9 +227,10 @@ def _check_aliasing(n: int, dx: float, spec: PropagationSpec,
         )
 
 
-def _propagate_axis(values: np.ndarray, dx: float, spec: PropagationSpec,
+def _propagate_axis(values: np.ndarray, dx: float, reach: float,
                     axis: int, weights=1.0) -> np.ndarray:
-    """Spectral Fresnel step along one axis of ``values``, aliasing-guarded.
+    """Spectral Fresnel step of reach ``lambda z`` along one axis of ``values``,
+    aliasing-guarded.
 
     The guard sees the power summed over the other axes, weighted by
     ``weights`` (per column of a factored state, its squared Schmidt value):
@@ -250,44 +240,44 @@ def _propagate_axis(values: np.ndarray, dx: float, spec: PropagationSpec,
     others = tuple(a for a in range(values.ndim) if a != axis)
     power_x = (weights * np.abs(values) ** 2).sum(axis=others)
     spectrum = np.fft.fft(values, axis=axis)
-    _check_aliasing(n, dx, spec, (weights * np.abs(spectrum) ** 2).sum(axis=others), power_x)
-    spectrum *= np.expand_dims(_transfer_function(n, dx, spec), others)
+    _check_aliasing(n, dx, reach, (weights * np.abs(spectrum) ** 2).sum(axis=others), power_x)
+    spectrum *= np.expand_dims(_transfer_function(n, dx, reach), others)
     return np.fft.ifft(spectrum, axis=axis)
 
 
-def biphoton_propagate(values: np.ndarray, dx: float, spec: PropagationSpec) -> np.ndarray:
+def biphoton_propagate(values: np.ndarray, dx: float, reach: float) -> np.ndarray:
     """Propagate both photon axes of a square two-photon grid of pitch ``dx`` by
-    the same distance, into a read-only array; ``z = 0`` returns ``values``."""
-    if spec.distance == 0.0:
+    the same reach ``lambda z``, into a read-only array; ``z = 0`` returns ``values``."""
+    _check_forward(reach)
+    if reach == 0.0:
         return values
-    values = _propagate_axis(values, dx, spec, 0)
-    return _freeze(_propagate_axis(values, dx, spec, 1))
+    values = _propagate_axis(values, dx, reach, 0)
+    return _freeze(_propagate_axis(values, dx, reach, 1))
 
 
-def _mode_numbers(coeffs: np.ndarray, period: float) -> np.ndarray:
+def _mode_numbers(coeffs: np.ndarray) -> np.ndarray:
     """Mode numbers ``-M..M`` of a periodic field's coefficient vector, once its
-    period and its shape are checked."""
-    if not period > 0:
-        raise InvalidSpec("period must be positive")
+    shape is checked."""
     if np.ndim(coeffs) != 1 or np.size(coeffs) % 2 != 1:
         raise InvalidSpec("coeffs must be a 1-D array of odd length (symmetric truncation)")
     m = (np.size(coeffs) - 1) // 2
     return np.arange(-m, m + 1)
 
 
-def mode_propagate(coeffs: np.ndarray, period: float, spec: PropagationSpec) -> np.ndarray:
-    """Propagate a periodic field exactly: mode ``n`` gains ``exp(-i pi n^2 z/z_T)``.
+def mode_propagate(coeffs: np.ndarray, fraction: float) -> np.ndarray:
+    """Propagate a periodic field exactly by ``fraction`` of its Talbot length:
+    mode ``n`` gains ``exp(-i pi n^2 fraction)``.
 
-    Returns the read-only coefficient vector; ``z = 0`` returns ``coeffs``.
+    Returns the read-only coefficient vector; ``fraction = 0`` returns ``coeffs``.
     The quadratic phase is reduced modulo 2 before exponentiation so that a
-    full revival distance (``z = 2 z_T``) reproduces the coefficients
-    bit-exactly.  Moduli ``|coeffs|`` are unchanged for any distance.
+    full revival (``fraction = 2``) reproduces the coefficients bit-exactly.
+    Moduli ``|coeffs|`` are unchanged for any fraction.
     """
-    n = _mode_numbers(coeffs, period).astype(float)
-    if spec.distance == 0.0:
+    n = _mode_numbers(coeffs).astype(float)
+    _check_forward(fraction)
+    if fraction == 0.0:
         return coeffs
-    z_t = talbot_length(period, spec.wavelength)
-    phase = np.exp(-1j * np.pi * np.mod(n * n * (spec.distance / z_t), 2.0))
+    phase = np.exp(-1j * np.pi * np.mod(n * n * fraction, 2.0))
     return _freeze(coeffs * phase)
 
 
@@ -360,7 +350,9 @@ def sampling_matrix(coeffs: np.ndarray, period: float, samples_per_period: int,
     The grid must resolve the largest retained mode: ``samples_per_period``
     has to exceed twice the truncation order, else ``UnderResolved`` is raised.
     """
-    modes = _mode_numbers(coeffs, period)
+    if not period > 0:
+        raise InvalidSpec("period must be positive")
+    modes = _mode_numbers(coeffs)
     max_mode = modes.size // 2
     if samples_per_period < 2 or periods < 1:
         raise InvalidSpec("need at least 2 samples per period and 1 period")

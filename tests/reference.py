@@ -18,9 +18,8 @@ import numpy as np
 
 from talbotlab.constraints import parity_constant
 from talbotlab.errors import BinMisalignment, InvalidSpec
-from talbotlab.fields import (PropagationSpec, SampledField, _grid_power,
-                              _propagate_axis, gaussian_amplitude, periodic_comb,
-                              sampling_matrix, unit_power)
+from talbotlab.fields import (SampledField, _grid_power, _propagate_axis, gaussian_amplitude,
+                              periodic_comb, sampling_matrix, unit_power)
 from talbotlab.qudits import bin_weights, gauss_coeffs
 
 
@@ -28,15 +27,16 @@ from talbotlab.qudits import bin_weights, gauss_coeffs
 # sampled fields
 
 
-def fresnel_propagate(field: SampledField, spec: PropagationSpec) -> SampledField:
-    """The spectral Fresnel step of the Bell field route, on one sampled field.
+def fresnel_propagate(field: SampledField, reach: float) -> SampledField:
+    """The spectral Fresnel step of the Bell field route, of reach ``lambda z``,
+    on one sampled field.
 
     ``z = 0`` returns the input unchanged.  Raises ``AliasingRisk`` through
     the route's own guard.
     """
-    if spec.distance == 0.0:
+    if reach == 0.0:
         return field
-    return SampledField(field.x0, field.dx, _propagate_axis(field.values, field.dx, spec, 0))
+    return SampledField(field.x0, field.dx, _propagate_axis(field.values, field.dx, reach, 0))
 
 
 def power(field: SampledField) -> float:

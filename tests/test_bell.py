@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +11,9 @@ from reference import slit_basis
 from talbotlab import bell, qudits
 from talbotlab.bell import (SETTING_OFFSETS, SETTING_PAIRS, bell_analytic, bell_field, bell_point,
                             bell_scan, cglmp_value, joint_prob_analytic, joint_prob_field)
-from talbotlab.constraints import gate_distances, talbot_length
+from talbotlab.constraints import gate_distances
 from talbotlab.errors import AliasingRisk, NonNormalized, TalbotLabError
-from talbotlab.fields import PropagationSpec, biphoton_propagate
+from talbotlab.fields import biphoton_propagate
 from talbotlab.qudits import (bin_outcome_map, bin_weights, gate_distance_fraction,
                               measurement_phases, measurement_unitary)
 from talbotlab.spdc import (BiphotonGaussian, SlitArray, comb_basis, entangled_coeffs,
@@ -259,29 +258,28 @@ def test_field_route_measures_each_side_setting_once(monkeypatch):
 
 
 def test_both_gate_distance_sites_agree_with_the_fraction_of_the_talbot_length(monkeypatch):
-    # the field route and constraints.gate_distances each write 2 z_T / (c D) in their own
-    # order; a shared helper would change the last bit of one, so both are held to the rule
+    # the field route propagates by the reach lambda z = f period^2 of the fraction f of
+    # the Talbot length, bit for bit; constraints.gate_distances reports 2 z_T / (c D)
     class Stop(Exception):
         pass
 
-    def stop(wavelength, distance):
-        specs.append((wavelength, distance))
+    def stop(values, dx, reach, axis, weights):
+        reaches.append(reach)
         raise Stop
 
-    monkeypatch.setattr(bell, "PropagationSpec", stop)
+    monkeypatch.setattr(bell, "_propagate_axis", stop)
     seen = []
     for d in range(2, 65):
-        for period in (0.5 * d, 1.0 * d, 2.0 * d, 3.0 * d):
-            specs = []
+        for spacing in (0.5, 1.0, 2.0, 3.0):
+            slits, reaches = SlitArray(d, spacing, 0.05 * spacing), []
+            modes = (np.ones((2, d)), np.ones(d), np.ones((2, d)))
             with pytest.raises(Stop):
-                joint_prob_field(np.arange(2.0), 1.0, (None, np.ones(d), None),
-                                 SimpleNamespace(period=period))
-            (lam, distance), = specs
-            seen.append(distance / (gate_distance_fraction(d) * talbot_length(period, lam)))
-        pitch, lam = 10e-6, 800e-9
-        distance = gate_distances(pitch, d, lam)["gate_distance"]
-        seen.append(distance / (gate_distance_fraction(d) * talbot_length(pitch * d, lam)))
-    assert len(seen) == 63 * 5
+                joint_prob_field(0.01 * np.arange(2.0), 0.01, modes, slits)
+            (reach,) = reaches
+            assert reach == gate_distance_fraction(d) * slits.period ** 2
+        dists = gate_distances(10e-6, d, 800e-9)
+        seen.append(dists["gate_distance"] / dists["talbot_length"] / gate_distance_fraction(d))
+    assert len(seen) == 63
     assert max(abs(r - 1.0) for r in seen) <= 1e-15
 
 
@@ -314,14 +312,13 @@ def dense_joint_table(pair, gamma_a, gamma_b, geom):
     bin, relabel."""
     x, dx, psi = pair
     d = geom.dimension
-    lam = geom.period / 100.0
-    spec = PropagationSpec(lam, gate_distance_fraction(d) * geom.period ** 2 / lam)
+    reach = gate_distance_fraction(d) * geom.period ** 2
     step = geom.period / d
     cell = np.floor((x - geom.origin + step / 2.0) / step).astype(int) % d
     mask_a = np.exp(1j * measurement_phases(d, gamma_a))[cell]
     mask_b = np.exp(1j * measurement_phases(d, gamma_b))[cell]
     masked = psi * mask_a[:, None] * mask_b[None, :]
-    work = biphoton_propagate(masked, dx, spec)
+    work = biphoton_propagate(masked, dx, reach)
     w = bin_weights(x, dx, geom.origin, step, d)
     intensity = np.abs(work) ** 2 * dx * dx
     table = np.zeros((d, d))

@@ -20,9 +20,8 @@ import talbotlab.commands  # imported here so that the dense-oracle test's patch
 from reference import dense_slit_stage, normalized_pair
 from talbotlab import _floatfmt, fields, io as talbot_io, spdc
 from talbotlab.cli import DEFAULTS, _load_config, build_parser, main
-from talbotlab.constraints import talbot_length
 from talbotlab.errors import UnderResolved
-from talbotlab.fields import MAX_ENTRIES, PropagationSpec, mode_propagate, periodic_comb, sample
+from talbotlab.fields import MAX_ENTRIES, mode_propagate, periodic_comb, sample
 from talbotlab.io import write_density_csv, write_pgm
 from talbotlab.spdc import (BiphotonGaussian, SlitArray, _check_resolution, biphoton_amplitude,
                             entangled_coeffs, two_photon_density, two_photon_field)
@@ -119,13 +118,28 @@ def test_carpet_rows_equal_sampling_each_step_bit_for_bit(tmp_path):
     period = cfg["period"]
     field = periodic_comb(period, cfg["slit_width"] * period, period / 3 * np.arange(3),
                           np.full(3, 1 / math.sqrt(3), dtype=complex))
-    wavelength = cfg["wavelength"]
-    z_t = talbot_length(period, wavelength)
     expected = np.array([
-        np.abs(sample(mode_propagate(field, period, PropagationSpec(wavelength, frac * z_t)),
-                      period, cfg["samples_per_period"], 2).values) ** 2
+        np.abs(sample(mode_propagate(field, frac), period, cfg["samples_per_period"],
+                      2).values) ** 2
         for frac in np.linspace(0.0, 2.0, 17)])
     assert csv_rows(tmp_path / "carpet.csv").tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("state", [[], ["--set", "dimension=3", "--set", "state=uniform"]],
+                         ids=["D1", "D3_uniform"])
+def test_carpet_wavelength_moves_no_byte_below_the_config_line(tmp_path, state):
+    # the rows sit at fractions of the Talbot length, which the wavelength only scales
+    def emitted(wavelength):
+        out = tmp_path / str(wavelength)
+        assert run(["carpet", "--out-dir", str(out), "--set", f"wavelength={wavelength}",
+                    "--set", "z_steps=256", *state]) == 0
+        rows = (out / "carpet.csv").read_bytes().split(b"\n", 1)[1]
+        pixels = (out / "carpet.pgm").read_bytes().rsplit(b"\n255\n", 1)[1]
+        return rows, pixels
+
+    reference = emitted(0.01)
+    for wavelength in (0.003, 0.0123):
+        assert emitted(wavelength) == reference, wavelength
 
 
 def test_carpet_revival_structure(tmp_path):

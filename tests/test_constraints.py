@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-from talbotlab.constraints import gate_distances, max_dimension, mutual_information
+from talbotlab.constraints import gate_distances, max_dimension, mutual_information, talbot_length
 from talbotlab.errors import InvalidSpec
-from talbotlab.fields import talbot_length
 
 
 def test_talbot_length_example():

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import fidelity, fresnel_propagate, overlap, power, restricted, tapered_sample
-from talbotlab.constraints import talbot_length
 from talbotlab.errors import AliasingRisk, InvalidSpec, UnderResolved
-from talbotlab.fields import (PropagationSpec, SampledField, _mode_numbers, biphoton_propagate,
-                              gaussian_transform, mode_propagate, periodic_comb, sample,
-                              sampling_matrix, unit_power)
+from talbotlab.fields import (SampledField, _mode_numbers, biphoton_propagate, gaussian_transform,
+                              mode_propagate, periodic_comb, sample, sampling_matrix, unit_power)
 
 PERIOD = 1.0
-WAVELENGTH = 0.01
-Z_T = talbot_length(PERIOD, WAVELENGTH)
+
+
+def reach(fraction):
+    """The spectral reach ``lambda z`` of a fraction of the Talbot length."""
+    return fraction * PERIOD ** 2
 
 
 def unit_comb(width=0.05):
@@ -28,15 +29,17 @@ def unit_comb(width=0.05):
 
 def test_zero_distance_returns_input_unchanged():
     field = sample(unit_comb(), PERIOD, 64, 16)
-    out = fresnel_propagate(field, PropagationSpec(WAVELENGTH, 0.0))
+    out = fresnel_propagate(field, 0.0)
     assert out is field
 
 
 def test_invalid_spec_rejected():
-    with pytest.raises(InvalidSpec):
-        PropagationSpec(-1.0, 1.0)
-    with pytest.raises(InvalidSpec):
-        PropagationSpec(1.0, -0.5)
+    # a negative Talbot fraction or reach is a backward propagation
+    for propagate in (lambda: mode_propagate(unit_comb(), -0.5),
+                      lambda: biphoton_propagate(np.ones((4, 4), dtype=complex), 0.1, -0.5)):
+        with pytest.raises(InvalidSpec) as refused:
+            propagate()
+        assert str(refused.value) == "backward propagation (z < 0) is not supported"
 
 
 def gaussian_beam(waist, wavelength, n=8192, dx=0.05):
@@ -51,7 +54,7 @@ def test_gaussian_beam_divergence_matches_closed_form(zfrac):
     w0, lam = 1.0, 0.2
     z_r = math.pi * w0**2 / lam
     field = gaussian_beam(w0, lam)
-    out = fresnel_propagate(field, PropagationSpec(lam, zfrac * z_r))
+    out = fresnel_propagate(field, lam * zfrac * z_r)
     intensity = np.abs(out.values) ** 2
     xs = out.x()
     w_measured = 2.0 * math.sqrt(float((xs**2 * intensity).sum() / intensity.sum()))
@@ -62,7 +65,7 @@ def test_gaussian_beam_divergence_matches_closed_form(zfrac):
 
 def test_comb_revival_at_two_talbot_lengths():
     field = sample(unit_comb(), PERIOD, 64, 128)
-    out = fresnel_propagate(field, PropagationSpec(WAVELENGTH, 2.0 * Z_T))
+    out = fresnel_propagate(field, reach(2.0))
     assert fidelity(field, out) >= 0.999
     assert abs(power(out) - 1.0) < 1e-9
 
@@ -71,14 +74,14 @@ def test_tapered_comb_revival_on_central_window():
     # finite illumination: 160 periods with 8-period edge ramps, detection on
     # the central 128 periods
     field = tapered_sample(unit_comb(), PERIOD, 64, 160, 8)
-    out = fresnel_propagate(field, PropagationSpec(WAVELENGTH, 2.0 * Z_T))
+    out = fresnel_propagate(field, reach(2.0))
     assert fidelity(restricted(field, -64, 64), restricted(out, -64, 64)) >= 0.999
 
 
 def test_aliasing_guard_trips_for_a_localized_field():
     field = gaussian_beam(1.0, 0.2)
     with pytest.raises(AliasingRisk):
-        fresnel_propagate(field, PropagationSpec(0.2, 4000.0))
+        fresnel_propagate(field, 0.2 * 4000.0)
 
 
 def test_aliasing_guard_trips_for_nyquist_bandwidth():
@@ -88,17 +91,14 @@ def test_aliasing_guard_trips_for_nyquist_bandwidth():
     vals = np.exp(-(x**2)) * np.exp(1j * 2 * np.pi * 0.48 / dx * x)
     field = SampledField(x[0], dx, unit_power(vals, dx))
     with pytest.raises(AliasingRisk):
-        fresnel_propagate(field, PropagationSpec(0.2, 1.0))
+        fresnel_propagate(field, 0.2 * 1.0)
 
 
 def test_sampled_semigroup():
     field = sample(unit_comb(), PERIOD, 64, 128)
-    za, zb = 0.31 * Z_T, 0.23 * Z_T
-    two_steps = fresnel_propagate(
-        fresnel_propagate(field, PropagationSpec(WAVELENGTH, za)),
-        PropagationSpec(WAVELENGTH, zb),
-    )
-    one_step = fresnel_propagate(field, PropagationSpec(WAVELENGTH, za + zb))
+    za, zb = reach(0.31), reach(0.23)
+    two_steps = fresnel_propagate(fresnel_propagate(field, za), zb)
+    one_step = fresnel_propagate(field, za + zb)
     assert abs(fidelity(two_steps, one_step) - 1.0) < 1e-8
 
 
@@ -108,11 +108,11 @@ def test_sampled_semigroup():
 
 def test_product_state_propagates_as_outer_product():
     # each axis evolves on its own, so a product state stays a product
-    spec = PropagationSpec(0.2, 3.0)
+    lam_z = 0.2 * 3.0
     a = gaussian_beam(1.0, 0.2, n=256, dx=0.1)
     b = gaussian_beam(1.5, 0.2, n=256, dx=0.1)
-    out = biphoton_propagate(np.outer(a.values, b.values), a.dx, spec)
-    expected = np.outer(fresnel_propagate(a, spec).values, fresnel_propagate(b, spec).values)
+    out = biphoton_propagate(np.outer(a.values, b.values), a.dx, lam_z)
+    expected = np.outer(fresnel_propagate(a, lam_z).values, fresnel_propagate(b, lam_z).values)
     assert np.abs(out - expected).max() < 1e-12
     assert not out.flags.writeable
 
@@ -120,15 +120,15 @@ def test_product_state_propagates_as_outer_product():
 @pytest.mark.parametrize("localized_axis", [0, 1])
 def test_biphoton_guard_trips_on_the_localized_axis(localized_axis):
     # a Gaussian along one axis, a window-filling plane wave along the other
-    spec = PropagationSpec(0.2, 4000.0)
+    lam_z = 0.2 * 4000.0
     beam = gaussian_beam(1.0, 0.2, n=256)
     plane = np.ones((256, 256))
-    biphoton_propagate(plane, beam.dx, spec)
+    biphoton_propagate(plane, beam.dx, lam_z)
     values = beam.values[:, None] * plane
     if localized_axis == 1:
         values = values.T
     with pytest.raises(AliasingRisk):
-        biphoton_propagate(values, beam.dx, spec)
+        biphoton_propagate(values, beam.dx, lam_z)
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +137,20 @@ def test_biphoton_guard_trips_on_the_localized_axis(localized_axis):
 
 def test_mode_revival_is_exact():
     field = unit_comb()
-    out = mode_propagate(field, PERIOD, PropagationSpec(WAVELENGTH, 2.0 * Z_T))
+    out = mode_propagate(field, 2.0)
     assert np.array_equal(out, field)
 
 
 def test_half_period_shift_at_one_talbot_length():
     field = unit_comb()
-    out = mode_propagate(field, PERIOD, PropagationSpec(WAVELENGTH, Z_T))
-    n = _mode_numbers(field, PERIOD)
+    out = mode_propagate(field, 1.0)
+    n = _mode_numbers(field)
     assert np.abs(out - field * (-1.0) ** np.abs(n)).max() < 1e-12
 
 
 def test_mode_zero_distance_identity():
     field = unit_comb()
-    assert mode_propagate(field, PERIOD, PropagationSpec(WAVELENGTH, 0.0)) is field
+    assert mode_propagate(field, 0.0) is field
 
 
 @given(
@@ -163,21 +163,16 @@ def test_mode_unitarity_and_semigroup(za, zb, seed):
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
     field = unit_power(coeffs)
-    one = mode_propagate(field, PERIOD, PropagationSpec(WAVELENGTH, (za + zb) * Z_T))
-    two = mode_propagate(
-        mode_propagate(field, PERIOD, PropagationSpec(WAVELENGTH, za * Z_T)),
-        PERIOD, PropagationSpec(WAVELENGTH, zb * Z_T),
-    )
+    one = mode_propagate(field, za + zb)
+    two = mode_propagate(mode_propagate(field, za), zb)
     assert np.abs(np.abs(one) - np.abs(field)).max() < 1e-12
     assert np.abs(one - two).max() < 1e-9
 
 
 def test_mode_matches_fresnel_on_common_grid():
     field = unit_comb()
-    z = 0.37 * Z_T
-    via_modes = sample(mode_propagate(field, PERIOD, PropagationSpec(WAVELENGTH, z)), PERIOD,
-                       64, 128)
-    via_grid = fresnel_propagate(sample(field, PERIOD, 64, 128), PropagationSpec(WAVELENGTH, z))
+    via_modes = sample(mode_propagate(field, 0.37), PERIOD, 64, 128)
+    via_grid = fresnel_propagate(sample(field, PERIOD, 64, 128), reach(0.37))
     assert fidelity(via_modes, via_grid) >= 0.999
 
 
@@ -212,7 +207,7 @@ def test_sample_matches_direct_series_summation():
     k = 2 * np.pi / PERIOD
     xs = out.x()
     direct = np.zeros(out.n, dtype=complex)
-    for n, c in zip(_mode_numbers(field, PERIOD), field):
+    for n, c in zip(_mode_numbers(field), field):
         direct = direct + c * np.exp(1j * n * k * xs)
     direct /= math.sqrt((np.abs(direct) ** 2).sum() * out.dx)
     assert np.abs(out.values - direct).max() < 1e-12
@@ -233,7 +228,7 @@ def test_sample_rejects_coarse_grid():
 
 def test_comb_truncation_mass_rule():
     field = periodic_comb(PERIOD, 0.05, [0.0], [1.0])
-    n = _mode_numbers(field, PERIOD)
+    n = _mode_numbers(field)
     k = 2 * np.pi / PERIOD
     full = gaussian_transform(np.arange(-4096, 4097) * k, 0.05) ** 2
     kept = gaussian_transform(n * k, 0.05) ** 2
@@ -243,19 +238,32 @@ def test_comb_truncation_mass_rule():
 ODD_LENGTH = "coeffs must be a 1-D array of odd length (symmetric truncation)"
 
 
-@pytest.mark.parametrize("call", [
-    lambda c, p: sample(c, p, 64, 4),
-    lambda c, p: sampling_matrix(c, p, 64, 4),
-    lambda c, p: mode_propagate(c, p, PropagationSpec(WAVELENGTH, Z_T)),
-    lambda c, p: mode_propagate(c, p, PropagationSpec(WAVELENGTH, 0.0)),
-], ids=["sample", "sampling_matrix", "mode_propagate", "mode_propagate_z0"])
-@pytest.mark.parametrize("coeffs, period, message", [
-    (np.ones(4, dtype=complex), PERIOD, ODD_LENGTH),
-    (np.ones((3, 3), dtype=complex), PERIOD, ODD_LENGTH),
-    (np.ones(3, dtype=complex), 0.0, "period must be positive"),
-    (np.ones(3, dtype=complex), -1.0, "period must be positive"),
-    (np.ones(3, dtype=complex), math.nan, "period must be positive"),
-], ids=["even", "2d", "zero_period", "negative_period", "nan_period"])
+_SAMPLERS = {
+    "sample": lambda c, p: sample(c, p, 64, 4),
+    "sampling_matrix": lambda c, p: sampling_matrix(c, p, 64, 4),
+}
+# mode_propagate takes no period: it sees only the bad vectors
+_PROPAGATORS = {
+    "mode_propagate": lambda c, p: mode_propagate(c, 1.0),
+    "mode_propagate_z0": lambda c, p: mode_propagate(c, 0.0),
+}
+_BAD_VECTORS = {
+    "even": (np.ones(4, dtype=complex), PERIOD, ODD_LENGTH),
+    "2d": (np.ones((3, 3), dtype=complex), PERIOD, ODD_LENGTH),
+}
+_BAD_PERIODS = {
+    "zero_period": (np.ones(3, dtype=complex), 0.0, "period must be positive"),
+    "negative_period": (np.ones(3, dtype=complex), -1.0, "period must be positive"),
+    "nan_period": (np.ones(3, dtype=complex), math.nan, "period must be positive"),
+}
+
+
+@pytest.mark.parametrize("call, coeffs, period, message", [
+    pytest.param(call, *case, id=f"{case_id}-{call_id}")
+    for cases, calls in ((_BAD_VECTORS, {**_SAMPLERS, **_PROPAGATORS}), (_BAD_PERIODS, _SAMPLERS))
+    for case_id, case in cases.items()
+    for call_id, call in calls.items()
+])
 def test_periodic_field_refuses_a_bad_vector_or_period(call, coeffs, period, message):
     # a vector with modes -M..M and a positive period, or InvalidSpec with its text
     with pytest.raises(InvalidSpec) as refused:

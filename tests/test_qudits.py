@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 from reference import (QuditGeometry, closed_form_phases, decode, encode, integrated_overlap,
                        overlap, phase_gate, talbot_gate)
 from talbotlab import qudits
-from talbotlab.constraints import talbot_length
 from talbotlab.errors import BinMisalignment, InvalidSpec
-from talbotlab.fields import PropagationSpec, SampledField, mode_propagate, sample, unit_power
+from talbotlab.fields import SampledField, mode_propagate, sample, unit_power
 from talbotlab.qudits import (bin_outcome_map, bin_weights, check_slit_overlap,
                               gate_distance_fraction, gauss_coeffs, measurement_basis,
                               measurement_phases, measurement_unitary)
@@ -97,12 +96,11 @@ def test_gate_matches_field_propagation_oracle():
     # brute force: propagate each basis comb by the gate distance, project
     # back onto the basis combs
     dimension = 3
-    period, lam = float(dimension), 0.01
+    period = float(dimension)
     geom = QuditGeometry(period, 0.01, dimension, 0.0)
-    z = gate_distance_fraction(dimension) * talbot_length(period, lam)
     fields = [sample(basis_comb(geom, d), period, 512, 8) for d in range(dimension)]
-    spec = PropagationSpec(lam, z)
-    propagated = [sample(mode_propagate(basis_comb(geom, d), period, spec), period, 512, 8)
+    gate = gate_distance_fraction(dimension)
+    propagated = [sample(mode_propagate(basis_comb(geom, d), gate), period, 512, 8)
                   for d in range(dimension)]
     matrix = np.array([[overlap(fields[i], propagated[j]) for j in range(dimension)]
                        for i in range(dimension)])
@@ -331,12 +329,11 @@ def test_decode_uniform_intensity():
 
 def test_decode_gate_path_matches_matrix_route(rng):
     dimension = 3
-    period, lam = 3.0, 0.01
+    period = 3.0
     geom = QuditGeometry(period, 0.05, dimension, 0.0)
     v = rng.normal(size=dimension) + 1j * rng.normal(size=dimension)
     v /= np.linalg.norm(v)
-    z = gate_distance_fraction(dimension) * talbot_length(period, lam)
-    field = mode_propagate(encode(v, geom), period, PropagationSpec(lam, z))
+    field = mode_propagate(encode(v, geom), gate_distance_fraction(dimension))
     probs, _ = decode(sample(field, period, 96, 32), geom)
     expected = np.abs(talbot_gate(dimension) @ v) ** 2
     assert np.abs(probs - expected).max() < 1e-3
