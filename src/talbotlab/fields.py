@@ -58,6 +58,31 @@ def check_entries(what: str, *dims: int) -> None:
         raise InvalidSpec(f"{what} would exceed {MAX_ENTRIES} (2**25) array entries")
 
 
+def _cut_spectrum(spectrum, start: int, what: str) -> np.ndarray:
+    """The orders ``-j..j`` of a spectrum that its truncation by mass keeps.
+
+    ``spectrum(m)`` returns ``(values, mass)`` over orders ``-m..m``.  m doubles
+    from ``start`` until the outer eighth of the orders holds less than
+    ``MASS_TOL`` of the total mass, and is refused past ``MAX_ORDERS``; the cut
+    is the smallest ``j >= 1`` whose window discards less than ``MASS_TOL``.
+    """
+    m = start
+    while True:
+        values, mass = spectrum(m)
+        total = mass.sum()
+        if mass[: m // 8].sum() + mass[-(m // 8):].sum() < MASS_TOL * total:
+            break
+        if m >= MAX_ORDERS:
+            raise InvalidSpec(f"{what} truncation did not converge below mass {MASS_TOL:g} "
+                              f"within {MAX_ORDERS} {what}s")
+        m *= 2
+    prefix = np.cumsum(mass)
+    # the mass outside -j..j for j = 1..m-1, non-increasing in j; m if every one fails
+    discarded = prefix[m - 2::-1] + total - prefix[m + 1: 2 * m]
+    j = 1 + np.count_nonzero(discarded >= MASS_TOL * total)
+    return values[m - j: m + j + 1]
+
+
 def _freeze(values: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(values)
     out.setflags(write=False)
@@ -144,7 +169,9 @@ def unit_power(values: np.ndarray, *steps: float) -> np.ndarray:
 
 
 def _check_forward(distance: float) -> None:
-    """Refuse a negative propagation distance, in any unit."""
+    """Refuse a non-finite or negative propagation distance, in any unit."""
+    if not math.isfinite(distance):
+        raise InvalidSpec(f"propagation distance must be finite, got {distance!r}")
     if distance < 0:
         raise InvalidSpec("backward propagation (z < 0) is not supported")
 
@@ -291,9 +318,8 @@ def periodic_comb(period: float, width: float, offsets: Sequence[float],
     vector over modes ``-M..M``.
 
     The one-period restriction is ``sum_d amplitudes[d] * S(x - offsets[d])``
-    with ``S`` the Gaussian slit of the given width.  The mode truncation M is
-    the smallest for which the discarded coefficient mass is below
-    ``MASS_TOL`` of the total.
+    with ``S`` the Gaussian slit of the given width, truncated by
+    :func:`_cut_spectrum`.
     """
     if width <= 0 or period <= 0:
         raise InvalidSpec("period and width must be positive")
@@ -303,8 +329,7 @@ def periodic_comb(period: float, width: float, offsets: Sequence[float],
         raise InvalidSpec("offsets and amplitudes must have matching lengths")
     k = 2.0 * np.pi / period
 
-    m = 16
-    while True:
+    def spectrum(m: int) -> tuple:
         n = np.arange(-m, m + 1)
         check_entries("comb spectrum", n.size, offsets.size)
         with np.errstate(over="ignore", invalid="ignore"):  # checked through the total
@@ -317,28 +342,9 @@ def periodic_comb(period: float, width: float, offsets: Sequence[float],
             raise InvalidSpec(f"comb power overflows at period {period:g} and slit width {width:g}")
         if total == 0:  # zero amplitudes, or every |c_n|^2 underflowed
             raise InvalidSpec(f"comb has zero power at period {period:g} and slit width {width:g}")
-        edge = p[: m // 8].sum() + p[-(m // 8):].sum()
-        if edge < MASS_TOL * total:
-            break
-        if m >= MAX_ORDERS:
-            raise InvalidSpec(
-                f"mode truncation did not converge below mass {MASS_TOL:g} "
-                f"within {MAX_ORDERS} modes"
-            )
-        m *= 2
-    # trim to the smallest symmetric truncation honoring the mass rule
-    half = p.size // 2  # index of mode 0
-    prefix = np.cumsum(p)
+        return coeffs, p
 
-    def discarded(j: int) -> float:
-        low = prefix[half - j - 1] if j < half else 0.0
-        return float(low + total - prefix[half + j])
-
-    keep = half
-    while keep > 1 and discarded(keep - 1) < MASS_TOL * total:
-        keep -= 1
-    coeffs = coeffs[half - keep: half + keep + 1]
-    return _freeze(unit_power(coeffs))
+    return _freeze(unit_power(_cut_spectrum(spectrum, 16, "mode")))
 
 
 def sampling_matrix(coeffs: np.ndarray, period: float, samples_per_period: int,

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, UnderResolved
-from .fields import (MASS_TOL, MAX_ENTRIES, MAX_ORDERS, _abs2, _density_power, _freeze,
-                     _norm_power, centered_axis, check_entries, gaussian_amplitude,
-                     periodic_comb, unit_power)
+from .fields import (MAX_ENTRIES, _abs2, _cut_spectrum, _density_power, _freeze, _norm_power,
+                     centered_axis, check_entries, gaussian_amplitude, periodic_comb, unit_power)
 
 __all__ = [
     "BiphotonGaussian",
@@ -212,7 +211,7 @@ def apply_dslit(density: np.ndarray, x: np.ndarray, dx: float, slits: SlitArray)
 
 
 def grating_envelope(spacing: float, spike_width: float) -> tuple:
-    """Fourier orders (m, A_m) of the comb grating, truncated by mass.
+    """Fourier orders (m, A_m) of the comb grating, cut as the comb's modes are.
 
     ``A_m = exp(-(2 pi m sigma)^2 / (2 lg^2))`` for Gaussian spikes of width
     sigma on a lattice of period lg, the slit spacing.
@@ -221,22 +220,15 @@ def grating_envelope(spacing: float, spike_width: float) -> tuple:
         raise InvalidSpec(f"grating spike width must be positive and finite, got {spike_width!r}")
     if not 0 < spacing * spacing < math.inf:
         raise InvalidSpec(f"grating period {spacing:g} has no finite, nonzero square")
-    m = 8
-    while True:
+
+    def spectrum(m: int) -> tuple:
         mm = np.arange(-m, m + 1)
         with np.errstate(over="ignore"):  # (2 pi m sigma)^2 overflows only where A_m is 0
             env = np.exp(-((2 * np.pi * mm * spike_width) ** 2) / (2.0 * spacing ** 2))
-        mass = env ** 2
-        if mass[0] + mass[-1] < MASS_TOL * mass.sum() / (2 * m):
-            break
-        if m >= MAX_ORDERS:
-            raise InvalidSpec("grating envelope truncation did not converge")
-        m *= 2
-    keep = mass > MASS_TOL * mass.sum() / mass.size
-    idx = np.nonzero(keep)[0]
-    lo, hi = idx.min(), idx.max()
-    half = max(m - lo, hi - m)
-    return np.arange(-half, half + 1), env[m - half: m + half + 1]
+        return env, env ** 2
+
+    env = _cut_spectrum(spectrum, 8, "grating order")
+    return np.arange(env.size) - env.size // 2, env
 
 
 def synthesize_single(slits: SlitArray) -> np.ndarray:

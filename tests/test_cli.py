@@ -744,6 +744,15 @@ def test_flat_grating_envelope_passes_only_the_zeroth_order(tmp_path):
     assert output == (tmp_path / "synth_input.csv").read_bytes()
 
 
+def test_grating_too_fine_for_max_orders_exits_2_naming_the_bound(tmp_path, capsys):
+    # spikes of width 1e-300 spacings give every order A_m = 1: no cut within 4096 orders
+    assert run(["synth", "--out-dir", str(tmp_path), "--set", "spike_width=1e-300"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid configuration: grating order truncation did not converge below mass 1e-08"
+        " within 4096 grating orders"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_bell_and_bell_scan_agree_off_unit_spacing(tmp_path):
     # a field-route scan point takes bell's default slit width, grid and envelope
     # from a constant of its own: equal text on both sides pins it to DEFAULTS["bell"];

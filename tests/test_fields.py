@@ -1,6 +1,7 @@
 """Field representations and the two propagation routes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,18 @@ def test_invalid_spec_rejected():
         with pytest.raises(InvalidSpec) as refused:
             propagate()
         assert str(refused.value) == "backward propagation (z < 0) is not supported"
+
+
+@pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf])
+def test_non_finite_distance_refused(distance):
+    # a NaN or infinite fraction or reach is refused, not propagated into NaN coefficients
+    for propagate in (lambda: mode_propagate(unit_comb(), distance),
+                      lambda: biphoton_propagate(np.ones((8, 8), dtype=complex), 0.1, distance)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSpec) as refused:
+                propagate()
+        assert str(refused.value) == f"propagation distance must be finite, got {distance!r}"
 
 
 def gaussian_beam(waist, wavelength, n=8192, dx=0.05):

@@ -9,7 +9,7 @@ import pytest
 
 from reference import dense_slit_stage, encode, fidelity, normalized_pair, slit_basis
 from talbotlab.errors import InvalidSpec, UnderResolved
-from talbotlab.fields import gaussian_amplitude, sample
+from talbotlab.fields import MASS_TOL, MAX_ORDERS, gaussian_amplitude, periodic_comb, sample
 from talbotlab.spdc import (BiphotonGaussian, SlitArray, _block_rows, _coeff_matrix,
                             _comb_columns, apply_dslit, biphoton_amplitude, comb_basis,
                             entangled_coeffs, grating_envelope, initial_biphoton_field,
@@ -230,6 +230,54 @@ def test_synthesizer_lengths_must_stay_finite():
     for spacing in (1e200, 1e-200):
         with pytest.raises(InvalidSpec, match="no finite, nonzero square"):
             grating_envelope(spacing, 1e-201)
+
+
+def smallest_window(mass):
+    """Half-width j >= 1 of the smallest window -j..j of a spectrum over orders -M..M
+    that discards less than MASS_TOL of its total mass; the tails are summed from
+    the outermost order in."""
+    m = mass.size // 2
+    # outer[i]: the mass of the i + 1 outermost orders on each side
+    outer = np.cumsum(mass[:m]) + np.cumsum(mass[::-1][:m])
+    discarded = np.append(outer[::-1][1:], 0.0)  # for j = 1..M
+    return 1 + int(np.argmax(discarded < MASS_TOL * math.fsum(mass)))
+
+
+@pytest.mark.parametrize("sigma", [0.0125, 0.03, 0.05, 0.1])
+def test_grating_orders_are_the_smallest_window_below_the_mass_tolerance(sigma):
+    # the grating is cut by the comb's rule, and keeps the A_m of its own expression
+    orders, amps = grating_envelope(S, sigma)
+    every = np.arange(-MAX_ORDERS, MAX_ORDERS + 1)
+    half = smallest_window(np.exp(-((2 * np.pi * every * sigma) ** 2) / (2.0 * S ** 2)) ** 2)
+    assert np.array_equal(orders, np.arange(-half, half + 1))
+    assert np.array_equal(amps, np.exp(-((2 * np.pi * orders * sigma) ** 2) / (2.0 * S ** 2)))
+
+
+@pytest.mark.parametrize("width, offsets, amplitudes", [
+    (0.01, [0.0], [1.0]), (0.02, [0.0], [1.0]), (0.05, [0.0], [1.0]), (0.1, [0.0], [1.0]),
+    (0.05, [-1 / 3, 0.0, 1 / 3], [1.0, 1.0, 1.0]), (0.04, [0.0, 0.37], [0.8, 0.6j]),
+])
+def test_comb_modes_are_the_smallest_window_below_the_mass_tolerance(width, offsets, amplitudes):
+    coeffs = periodic_comb(S, width, offsets, amplitudes)
+    n = np.arange(-MAX_ORDERS, MAX_ORDERS + 1)[:, None]
+    structure = (np.asarray(amplitudes) * np.exp(-2j * np.pi * n * np.asarray(offsets) / S)).sum(1)
+    mass = np.exp(-(2 * np.pi * n[:, 0] * width / S) ** 2) * np.abs(structure) ** 2
+    assert coeffs.size // 2 == smallest_window(mass)
+
+
+def test_flat_grating_keeps_the_first_orders_at_zero():
+    # spikes far wider than the period pass order 0 alone; the cut keeps j >= 1
+    orders, amps = grating_envelope(S, 1e300)
+    assert orders.tolist() == [-1, 0, 1] and amps.tolist() == [0.0, 1.0, 0.0]
+
+
+def test_spectrum_wider_than_max_orders_is_refused_by_the_one_cut():
+    for build, what in ((lambda: periodic_comb(S, 1e-6, [0.0], [1.0]), "mode"),
+                        (lambda: grating_envelope(S, 1e-6), "grating order")):
+        with pytest.raises(InvalidSpec) as refused:
+            build()
+        assert str(refused.value) == (f"{what} truncation did not converge below mass 1e-08"
+                                      f" within 4096 {what}s")
 
 
 def test_synthesized_state_equals_direct_encoding():
