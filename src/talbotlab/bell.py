@@ -28,8 +28,8 @@ from .errors import InvalidSpec, NonNormalized
 from .fields import _propagate_axis, check_entries
 from .qudits import (bin_outcome_map, bin_weights, check_slit_overlap, gate_distance_fraction,
                      measurement_phases)
-from .spdc import (BiphotonGaussian, SlitArray, _source_widths, comb_basis, entangled_coeffs,
-                   maximally_entangled, schmidt_modes)
+from .spdc import (BiphotonGaussian, SlitArray, comb_basis, entangled_coeffs, maximally_entangled,
+                   schmidt_modes)
 
 __all__ = [
     "BellResult",
@@ -267,12 +267,12 @@ _SCAN_FIELD_POINT = {"slit_width": 0.05, "samples_per_cell": 64, "cells": 64,
                     "envelope": False}
 
 
-def bell_point(dimension: int, kappa_plus: float, kappa_minus: float, spacing: float,
-               route: str, slit_width: float, samples_per_cell: int, cells: int,
-               envelope: bool) -> BellResult:
+def bell_point(dimension: int, kappa_plus: float, kappa_minus: float, route: str,
+               slit_width: float, samples_per_cell: int, cells: int, envelope: bool) -> BellResult:
     """Bell evaluation of the pair state behind a D-slit source.
 
-    Source widths and slit width are in units of the slit spacing;
+    Every length is in slit spacings, the only unit the Bell value has: the
+    source widths, the slit width and the grating's spikes.
     ``kappa_minus = 0`` selects the ideal maximally entangled state.  The
     field route takes the slit width and the grid of :func:`bell_field`, and
     with ``envelope`` the grating's spike width; the analytic route ignores them.
@@ -280,24 +280,22 @@ def bell_point(dimension: int, kappa_plus: float, kappa_minus: float, spacing: f
     if kappa_minus == 0.0:
         coeffs = maximally_entangled(dimension)
     else:
-        model = BiphotonGaussian(*_source_widths(kappa_plus, kappa_minus, spacing))
-        coeffs = entangled_coeffs(dimension, spacing, model)
+        coeffs = entangled_coeffs(dimension, 1.0, BiphotonGaussian(kappa_plus, kappa_minus))
     if route == "analytic":
         return bell_analytic(coeffs)
     if route == "field":
-        slits = SlitArray(dimension, spacing, slit_width * spacing)
+        slits = SlitArray(dimension, 1.0, slit_width)
         # the grating's spikes are 0.05 slit spacings wide; they enter only with the envelope
-        spike_width = 0.05 * spacing if envelope else None
-        return bell_field(coeffs, slits, samples_per_cell, cells, spike_width)
+        return bell_field(coeffs, slits, samples_per_cell, cells, 0.05 if envelope else None)
     raise InvalidSpec("route must be 'analytic' or 'field'")
 
 
-def bell_scan(dimensions, kappa_pairs, spacing: float, route: str) -> list:
+def bell_scan(dimensions, kappa_pairs, route: str) -> list:
     """Bell parameter over a grid of dimensions and source widths.
 
-    ``kappa_pairs`` is a sequence of ``(kappa_plus, kappa_minus)`` in units
-    of the slit spacing; ``kappa_minus = 0`` marks the ideal maximally
-    entangled reference row.  Rows follow the input grid, dimensions
+    ``kappa_pairs`` is a sequence of ``(kappa_plus, kappa_minus)`` in slit
+    spacings; ``kappa_minus = 0`` marks the ideal maximally entangled
+    reference row.  Rows follow the input grid, dimensions
     varying fastest.  Each point is :func:`bell_point` with the slit width,
     field grid and envelope that the ``bell`` command defaults to.
     """
@@ -305,6 +303,6 @@ def bell_scan(dimensions, kappa_pairs, spacing: float, route: str) -> list:
              for kp, km in kappa_pairs]
     dims = list(dimensions)
     return [ScanRow(dim, kp, km, correlation, route,
-                    bell_point(dim, kp, km, spacing, route, **_SCAN_FIELD_POINT).value)
+                    bell_point(dim, kp, km, route, **_SCAN_FIELD_POINT).value)
             for kp, km, correlation in pairs
             for dim in dims]

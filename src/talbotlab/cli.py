@@ -66,7 +66,6 @@ DEFAULTS = {
         "route": "analytic",
         "kappa_plus": 9.0,
         "kappa_minus": 0.0,
-        "spacing": 1.0,
         "slit_width": 0.05,
         "samples_per_cell": 64,
         "cells": 64,
@@ -75,7 +74,6 @@ DEFAULTS = {
     "bell-scan": {
         "dimensions": [2, 3, 4, 5, 6, 7, 8],
         "kappa_pairs": "fig",
-        "spacing": 1.0,
         "route": "analytic",
         "workers": 1,
     },

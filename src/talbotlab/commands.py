@@ -180,8 +180,7 @@ def _reap(pid: int | None) -> int:
 
 def cmd_bell(cfg: dict, out: Path) -> int:
     result = bell_point(cfg["dimension"], cfg["kappa_plus"], cfg["kappa_minus"],
-                        spacing=cfg["spacing"], route=cfg["route"],
-                        slit_width=cfg["slit_width"],
+                        route=cfg["route"], slit_width=cfg["slit_width"],
                         samples_per_cell=cfg["samples_per_cell"], cells=cfg["cells"],
                         envelope=cfg["envelope"])
     result = dataclasses.replace(result, provenance={**result.provenance, "config": cfg})
@@ -196,7 +195,7 @@ def cmd_bell_scan(cfg: dict, out: Path) -> int:
     if pairs == "fig":  # kappa_plus = 9: the ideal row, then R = 0.99998, 0.9998, 0.998
         pairs = [(9.0, 0.0)] + [(9.0, 9.0 * math.sqrt((1.0 - r) / (1.0 + r)))
                                 for r in (0.99998, 0.9998, 0.998)]
-    rows = bell_scan(cfg["dimensions"], pairs, spacing=cfg["spacing"], route=cfg["route"])
+    rows = bell_scan(cfg["dimensions"], pairs, route=cfg["route"])
     write_scan_csv(rows, out / "bell_scan.csv", cfg)
     print(f"bell-scan: {len(rows)} rows written to {out / 'bell_scan.csv'}")
     return 0

@@ -139,7 +139,7 @@ def test_criterion_6_scan_trends():
         correlations = (0.998, 0.9998, 0.99998)  # R increasing
         kappa_pairs = [(9.0, 9.0 * math.sqrt((1 - r) / (1 + r)))
                        for r in correlations]
-        rows = bell_scan(dims, kappa_pairs, 1.0, "analytic")
+        rows = bell_scan(dims, kappa_pairs, "analytic")
         curves = [
             [r.value for r in rows[i * len(dims):(i + 1) * len(dims)]]
             for i in range(len(kappa_pairs))

@@ -298,9 +298,27 @@ def test_field_route_with_grating_envelope_stays_close():
 def test_field_provenance_names_the_spike_width_the_envelope_used(envelope):
     # bell_point's grating spikes are 0.05 slit spacings wide; they shape the
     # comb only through the envelope, and the provenance names them only then
-    result = bell_point(3, 9.0, 1.0, 2.0, "field", slit_width=0.05, samples_per_cell=64,
-                        cells=24, envelope=envelope)
-    assert result.provenance.get("spike_width") == (0.05 * 2.0 if envelope else None)
+    result = bell_point(3, 9.0, 1.0, "field", slit_width=0.05, samples_per_cell=64, cells=24,
+                        envelope=envelope)
+    assert result.provenance.get("spike_width") == (0.05 if envelope else None)
+
+
+@pytest.mark.parametrize("dimension, envelope", [(2, False), (3, False), (5, False), (8, False),
+                                                 (2, True), (5, True)])
+def test_field_route_value_is_free_of_the_length_unit(dimension, envelope):
+    # every length scaled by s (source widths, slit width, spike width) leaves the
+    # tables and I of the s = 1 run to the rounding: bell has no length unit to set
+    def evaluate(s):
+        coeffs = entangled_coeffs(dimension, s, BiphotonGaussian(9.0 * s, 1.0 * s))
+        return bell_field(coeffs, SlitArray(dimension, s, 0.05 * s), samples_per_cell=64,
+                          cells=64, spike_width=0.05 * s if envelope else None)
+
+    unit = evaluate(1.0)
+    for s in (0.1, 0.3, 2.0, 7.0):
+        scaled = evaluate(s)
+        assert abs(scaled.value - unit.value) <= 1e-13, s
+        for a, b in zip(scaled.tables, unit.tables):
+            assert np.abs(a - b).max() <= 1e-13, s
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +399,7 @@ def test_factored_and_dense_guards_trip_on_the_same_grids(cells, trips):
 def test_scan_rows_ordered_and_monotone_in_correlation():
     dims = [2, 3, 4]
     pairs = [(9.0, 0.0), (9.0, 0.1), (9.0, 0.3)]
-    rows = bell_scan(dims, pairs, 1.0, "analytic")
+    rows = bell_scan(dims, pairs, "analytic")
     assert [(r.dimension, r.kappa_plus, r.kappa_minus) for r in rows] == [
         (d, kp, km) for kp, km in pairs for d in dims
     ]
@@ -392,7 +410,7 @@ def test_scan_rows_ordered_and_monotone_in_correlation():
 
 
 def test_scan_maximally_entangled_row_approaches_ceiling():
-    rows = bell_scan(range(2, 9), [(9.0, 0.0)], 1.0, "analytic")
+    rows = bell_scan(range(2, 9), [(9.0, 0.0)], "analytic")
     values = [r.value for r in rows]
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values[-1] < QUANTUM_CEILING
@@ -401,7 +419,7 @@ def test_scan_maximally_entangled_row_approaches_ceiling():
 
 def test_finite_correlation_has_interior_maximum():
     km = 9.0 * math.sqrt((1 - 0.998) / (1 + 0.998))
-    rows = bell_scan(range(2, 13), [(9.0, km)], 1.0, "analytic")
+    rows = bell_scan(range(2, 13), [(9.0, km)], "analytic")
     values = [r.value for r in rows]
     peak = int(np.argmax(values))
     assert 0 < peak < len(values) - 1
@@ -411,8 +429,8 @@ def test_field_route_matches_analytic_over_the_criterion_6_scan():
     dims = range(2, 13)
     pairs = [(9.0, 0.0)] + [(9.0, 9.0 * math.sqrt((1 - r) / (1 + r)))
                             for r in (0.998, 0.9998, 0.99998)]
-    field_rows = bell_scan(dims, pairs, 1.0, "field")
-    analytic_rows = bell_scan(dims, pairs, 1.0, "analytic")
+    field_rows = bell_scan(dims, pairs, "field")
+    analytic_rows = bell_scan(dims, pairs, "analytic")
     assert len(field_rows) == len(analytic_rows) == 44
     for f, a in zip(field_rows, analytic_rows):
         assert (f.dimension, f.kappa_minus) == (a.dimension, a.kappa_minus)
@@ -421,16 +439,15 @@ def test_field_route_matches_analytic_over_the_criterion_6_scan():
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(dimension=st.integers(2, 9), kappa_plus=st.sampled_from([1.0, 3.0, 9.0, 20.0]),
-       kappa_minus=st.sampled_from([0.0, 0.3, 1.0, 3.0]), spacing=st.sampled_from([0.5, 1.0, 2.0]),
+       kappa_minus=st.sampled_from([0.0, 0.3, 1.0, 3.0]),
        slit_width=st.sampled_from([0.02, 0.05, 0.1, 0.2]),
        samples_per_cell=st.sampled_from([16, 24, 32, 64, 100]),
        cells=st.sampled_from([8, 13, 24, 48, 64]))
 def test_fuzzed_field_route_agrees_with_analytic_or_refuses(dimension, kappa_plus, kappa_minus,
-                                                            spacing, slit_width,
-                                                            samples_per_cell, cells):
+                                                            slit_width, samples_per_cell, cells):
     # a field-route point either raises one of the package's own errors or
     # matches the matrix route to 1e-9 on its commensurate, envelope-free window
-    point = (dimension, kappa_plus, kappa_minus, spacing)
+    point = (dimension, kappa_plus, kappa_minus)
     grid = dict(slit_width=slit_width, samples_per_cell=samples_per_cell, cells=cells,
                 envelope=False)
     analytic = bell_point(*point, route="analytic", **grid).value
@@ -464,11 +481,11 @@ def test_qutrit_table_matches_explicit_kernel_summation():
 @pytest.mark.parametrize("as_generator", [False, True])
 def test_scan_equals_each_point_bit_for_bit_in_kappa_major_order(as_generator):
     dims = range(2, 65)
-    rows = bell_scan((d for d in dims) if as_generator else dims, FIG_PAIRS, 1.0, "analytic")
+    rows = bell_scan((d for d in dims) if as_generator else dims, FIG_PAIRS, "analytic")
     expected = []
     for kp, km in FIG_PAIRS:
         for d in dims:
-            point = bell_point(d, kp, km, 1.0, "analytic", **bell._SCAN_FIELD_POINT)
+            point = bell_point(d, kp, km, "analytic", **bell._SCAN_FIELD_POINT)
             expected.append((d, kp, km, point.value))
     assert [(r.dimension, r.kappa_plus, r.kappa_minus, r.value) for r in rows] == expected
 
@@ -497,7 +514,7 @@ def test_no_command_path_builds_a_measurement_unitary(monkeypatch):
 
     monkeypatch.setattr(qudits, "measurement_unitary", refuse)
     monkeypatch.setattr(qudits, "measurement_basis", refuse)
-    result = bell_point(3, 9.0, 1.0, 1.0, "analytic", **bell._SCAN_FIELD_POINT)
+    result = bell_point(3, 9.0, 1.0, "analytic", **bell._SCAN_FIELD_POINT)
     assert result.value > 0
-    rows = bell_scan(range(2, 65), FIG_PAIRS, 1.0, "analytic")
+    rows = bell_scan(range(2, 65), FIG_PAIRS, "analytic")
     assert len(rows) == 63 * len(FIG_PAIRS)

@@ -581,7 +581,7 @@ CONFIG_ERRORS = [
     "constraints --set pixels=[1,1]",
     "bell --set dimension=2.5",
     "bell --set envelope=maybe",
-    "bell --set spacing=-1",
+    "synth --set spacing=-1",
     "constraints --set pixels=3",
     "constraints --set pixels=[1,2,3]",
     "bell-scan --set kappa_pairs=5",
@@ -594,6 +594,9 @@ CONFIG_ERRORS = [
     "bell-scan --set route=bogus",
     "carpet --set dimension=3 --set state=basis:3",
     "synth --set amplitudes=basis:-1",
+    # a Bell run has no length unit: every length it takes is in slit spacings
+    "bell --set spacing=1",
+    "bell-scan --set spacing=1",
 ]
 REJECTED = CONFIG_ERRORS + [
     # sizes over the 2**25-entry bound are refused before anything is allocated
@@ -615,14 +618,13 @@ REJECTED = CONFIG_ERRORS + [
     "carpet --set dimension=2 --set state=[[1e308,0],[1e308,0]]",
     # lengths whose squares or comb powers leave the floating-point range
     "synth --set spacing=1e300",
-    "bell --set route=field --set spacing=1e300",
     "carpet --set period=1e-300",
     "carpet --set period=1e-100 --set wavelength=1e300",  # the Talbot length underflows to 0
     "carpet --set period=1e300",
     "carpet --set slit_width=1e300",
     "synth --set slit_width=1e-300",
     # a grating period whose square underflows, and spikes that overflow to inf
-    "bell --set route=field --set envelope=true --set spacing=1e-320",
+    "synth --set spacing=1e-320",
     "synth --set spike_width=1e300 --set spacing=1e10",
 ]
 
@@ -652,17 +654,24 @@ def test_source_width_refusal_names_the_width_and_the_bound(command, reason, tmp
     assert capsys.readouterr().err.splitlines() == [f"invalid configuration: {reason}"]
 
 
-@pytest.mark.parametrize("command", [
-    "bell --set kappa_minus=1e-160 --set spacing=1e-10",
-    "bell-scan --set kappa_pairs=[[9,1e-160]] --set spacing=1e-10",
-    "entangle --set kappa_minus=1e-160 --set spacing=1e-10",
-], ids=["bell", "bell-scan", "entangle"])
+@pytest.mark.parametrize("command", ["entangle --set kappa_minus=1e-160 --set spacing=1e-10"],
+                         ids=["entangle"])
 def test_source_width_refusal_names_the_value_given_and_the_spacing(command, tmp_path, capsys):
     # the width in length units, 1e-170, is the product of the two values given
     assert run(command.split() + ["--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "invalid configuration: kappa_minus = 1e-160 (times spacing = 1e-10) is positive,"
         " but its square underflows to 0"]
+
+
+@pytest.mark.parametrize("command", ["bell", "bell-scan"])
+def test_bell_commands_refuse_a_spacing_key(command, tmp_path, capsys):
+    # their lengths are all in slit spacings, so a spacing is an unknown key
+    out = tmp_path / "out"
+    assert run([command, "--out-dir", str(out), "--set", "spacing=1"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"invalid configuration: unknown config key 'spacing' for {command}"]
+    assert not out.exists()
 
 
 def test_bell_refuses_tables_above_the_size_bound_naming_the_largest_dimension(tmp_path, capsys):
@@ -753,23 +762,20 @@ def test_grating_too_fine_for_max_orders_exits_2_naming_the_bound(tmp_path, caps
     assert not list(tmp_path.iterdir())
 
 
-def test_bell_and_bell_scan_agree_off_unit_spacing(tmp_path):
+def test_bell_and_bell_scan_agree_on_each_route(tmp_path):
     # a field-route scan point takes bell's default slit width, grid and envelope
-    # from a constant of its own: equal text on both sides pins it to DEFAULTS["bell"];
-    # at spacing 0.1 the period D s is not a power of two times D, and at D = 3,
-    # s = 0.1 and D = 7, s = 0.3 the period over D is not s to the last bit
-    for dimension, spacing in ((3, "2"), (3, "0.1"), (7, "0.3")):
+    # from a constant of its own: equal text on both sides pins it to DEFAULTS["bell"]
+    for dimension in (3, 7):
         for route in ("analytic", "field"):
-            out = tmp_path / f"{dimension}-{spacing}" / route
-            common = ["--out-dir", str(out), "--set", f"spacing={spacing}",
-                      "--set", f"route={route}"]
+            out = tmp_path / str(dimension) / route
+            common = ["--out-dir", str(out), "--set", f"route={route}"]
             assert run(["bell", *common, "--set", f"dimension={dimension}",
                         "--set", "kappa_plus=9", "--set", "kappa_minus=1"]) == 0
             assert run(["bell-scan", *common, "--set", f"dimensions=[{dimension}]",
                         "--set", "kappa_pairs=[[9,1]]"]) == 0
             single = json.loads((out / "bell.json").read_text())["I"]
             row = (out / "bell_scan.csv").read_text().splitlines()[2].split(",")
-            assert repr(single) == row[5], (dimension, spacing, route)
+            assert repr(single) == row[5], (dimension, route)
 
 
 @pytest.mark.parametrize("command", ["bell --set route=field --set dimension=300",
@@ -843,12 +849,11 @@ _ENVELOPE = _mostly(st.booleans(), _ANY)
 # a drawn value replaces the setting of its key
 _FUZZED = [
     ("bell", {}, {"dimension": _DIMENSION, "kappa_plus": _NUMBER, "kappa_minus": _NUMBER,
-                  "spacing": _NUMBER, "slit_width": _NUMBER, "cells": _NUMBER,
-                  "envelope": _ANY}),
+                  "slit_width": _NUMBER, "cells": _NUMBER, "envelope": _ANY}),
     ("bell", {"route": "field", "slit_width": 0.1, "samples_per_cell": 32, "cells": 8},
      {"dimension": _SMALL_DIMENSION, "kappa_plus": _LENGTH, "kappa_minus": _LENGTH,
-      "spacing": _LENGTH, "slit_width": _WIDTH, "samples_per_cell": _SAMPLES,
-      "cells": _CELLS, "envelope": _ENVELOPE}),
+      "slit_width": _WIDTH, "samples_per_cell": _SAMPLES, "cells": _CELLS,
+      "envelope": _ENVELOPE}),
     ("carpet", {"samples_per_period": 64, "periods": 2, "z_steps": 8},
      {"period": _LENGTH, "wavelength": _LENGTH, "slit_width": _WIDTH,
       "dimension": _SMALL_DIMENSION, "state": _STATE, "samples_per_period": _SAMPLES,

@@ -8,10 +8,12 @@ import textwrap
 from pathlib import Path
 
 import talbotlab
+from talbotlab import cli
 
 # the counts this suite last saw; lower them when the surface shrinks
 SETTABLE_VALUES = 2
 EXPORTS = 0
+CONFIG_KEYS = 44
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -51,6 +53,12 @@ def test_public_surface_does_not_grow():
         f"{len(settable)} settable values, at most {SETTABLE_VALUES}: " + ", ".join(settable))
     exports = getattr(talbotlab, "__all__", ())
     assert len(exports) <= EXPORTS, f"{len(exports)} exports, at most {EXPORTS}: {exports}"
+
+
+def test_config_keys_do_not_grow():
+    keys = [f"{command}.{key}" for command, defaults in cli.DEFAULTS.items() for key in defaults]
+    assert len(keys) <= CONFIG_KEYS, (
+        f"{len(keys)} config keys, at most {CONFIG_KEYS}: " + ", ".join(keys))
 
 
 def test_every_exported_name_resolves_from_src_alone(tmp_path):
