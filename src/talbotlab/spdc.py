@@ -49,7 +49,8 @@ class BiphotonGaussian:
 
     @property
     def correlation(self) -> float:
-        """Spatial correlation R = (k+^2 - k-^2) / (k+^2 + k-^2), in (-1, 1)."""
+        """Spatial correlation R = (k+^2 - k-^2) / (k+^2 + k-^2), in (-1, 1); in
+        floats R rounds to +-1 once k-/k+ or k+/k- is below about 7e-9."""
         kp2, km2 = self.kappa_plus ** 2, self.kappa_minus ** 2
         return (kp2 - km2) / (kp2 + km2)
 
@@ -76,13 +77,16 @@ def biphoton_amplitude(model: BiphotonGaussian, x1, x2):
     with N fixed by unit probability over the plane.  Symmetric under
     exchange of the photons.
     """
+    norm = 1.0 / math.sqrt(math.pi * model.kappa_plus * model.kappa_minus)
+    return norm * np.exp(_source_exponent(x1, x2, model.kappa_plus, model.kappa_minus))
+
+
+def _source_exponent(x1, x2, kappa_plus, kappa_minus) -> np.ndarray:
+    """The double Gaussian's exponent ``-(x1+x2)^2 / (4 k+^2) - (x1-x2)^2 / (4 k-^2)``
+    at transverse positions (x1, x2), in the length unit of the widths."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    norm = 1.0 / math.sqrt(math.pi * model.kappa_plus * model.kappa_minus)
-    return norm * np.exp(
-        -((x1 + x2) ** 2) / (4.0 * model.kappa_plus ** 2)
-        - ((x1 - x2) ** 2) / (4.0 * model.kappa_minus ** 2)
-    )
+    return -((x1 + x2) ** 2) / (4.0 * kappa_plus ** 2) - ((x1 - x2) ** 2) / (4.0 * kappa_minus ** 2)
 
 
 @dataclass(frozen=True)
@@ -137,17 +141,6 @@ def _tooth_sum(slits: SlitArray, x: np.ndarray, centers, weights) -> np.ndarray:
     for center, weight in zip(centers, weights):
         out += weight * gaussian_amplitude(x - center, slits.width)
     return out
-
-
-def _coeff_matrix(values) -> np.ndarray:
-    """``values`` as the read-only complex D x D coefficient matrix of a two-qudit
-    comb state, once checked square with unit Frobenius norm."""
-    c = np.asarray(values, dtype=complex)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise InvalidSpec("coefficient matrix must be square")
-    if not abs((np.abs(c) ** 2).sum() - 1.0) <= 1e-12:
-        raise InvalidSpec("coefficient matrix must have unit Frobenius norm")
-    return _freeze(c)
 
 
 # ---------------------------------------------------------------------------
@@ -286,37 +279,33 @@ def entangled_coeffs(dimension: int, spacing: float,
     """Read-only D x D coefficient matrix of the two-qudit comb state behind twin
     synthesizers.
 
-    With slit indices centered on the beam axis the matrix is the source
-    amplitude on the slit lattice,
-
-    ``C[d1, d2] ~ exp(-(spacing^2 / (4 Dp^2)) (d1^2 - 2 R d1 d2 + d2^2))``
-
-    with ``1/Dp^2 = 1/k+^2 + 1/k-^2`` and R the correlation coefficient.
-    Evaluating through R keeps the cross term real for any width ordering.
-    Exact (no narrow-slit approximation) and symmetric in (d1, d2).
+    ``C[d1, d2]`` is the source amplitude sampled at the slit centres
+    ``x_d = (d - (D-1)/2) spacing``, normalised: a narrow-slit model, in which a
+    slit passes the amplitude at its centre and the slit width does not enter.
+    Symmetric in (d1, d2).
     """
     if dimension < 1:
         raise InvalidSpec("dimension must be >= 1")
     check_entries("coefficient matrix", dimension, dimension)
-    dc = np.arange(dimension) - (dimension - 1) / 2.0
-    d1 = dc[:, None]
-    d2 = dc[None, :]
-    inv_dp2 = 1.0 / model.kappa_plus ** 2 + 1.0 / model.kappa_minus ** 2
-    r = model.correlation
     if not spacing * spacing < math.inf:
         raise InvalidSpec(f"spacing {spacing!r} has no finite square")
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = np.exp(-(spacing ** 2 / 4.0) * inv_dp2 * (d1 * d1 - 2.0 * r * d1 * d2 + d2 * d2))
+    d = np.arange(dimension) - (dimension - 1) / 2.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # in slit spacings the centres are half-integers with small squares (spacing 0: C uniform)
+        widths = np.divide((model.kappa_plus, model.kappa_minus), spacing)
+        exponent = _source_exponent(d[:, None], d[None, :], *widths)
+        # C is scale-free: a largest entry of 1 keeps C and its norm from underflowing
+        c = np.exp(exponent - exponent.max())
         norm = np.linalg.norm(c)
-    if not norm > 0:  # every amplitude underflowed, or NaN from an infinite inv_dp2
+    if not norm > 0:  # NaN: no exponent is finite, or a width's square underflowed
         raise InvalidSpec("source widths and spacing leave no representable amplitude")
-    return _coeff_matrix(c / norm)
+    return _freeze((c / norm).astype(complex))
 
 
 def maximally_entangled(dimension: int) -> np.ndarray:
     """Ideal read-only coefficient matrix: identity over sqrt(D)."""
     check_entries("coefficient matrix", dimension, dimension)
-    return _coeff_matrix(np.eye(dimension) / math.sqrt(dimension))
+    return _freeze(np.eye(dimension, dtype=complex) / math.sqrt(dimension))
 
 
 def comb_basis(slits: SlitArray, samples_per_cell: int, cells: int,

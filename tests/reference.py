@@ -5,14 +5,15 @@ a library function, so an oracle test measures the same quantity it always
 did: single-photon grid propagation, overlaps, the slit stage on a complex
 pair grid, the gate and phase-gate matrices, the quadratic closed-form mask
 phases, continuous encoding and detector decoding of one qudit, the tapered
-window of finite illumination, and the adjacent-slit overlap integrated on a
-grid.
+window of finite illumination, the adjacent-slit overlap integrated on a
+grid, and the pair source's amplitude on the slit lattice in exact rationals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -209,3 +210,23 @@ def decode(field: SampledField, geom: QuditGeometry) -> tuple:
     if captured <= 0:
         raise InvalidSpec("no power captured by the detector bins")
     return raw / captured, captured
+
+
+# ---------------------------------------------------------------------------
+# the pair source on the slit lattice
+
+
+def exact_source_coeffs(dimension: int, spacing: float, kappa_plus: float,
+                        kappa_minus: float) -> np.ndarray:
+    """The normalised source amplitude at the slit centres ``(d - (D-1)/2) spacing``,
+    for source widths ``kappa_plus`` and ``kappa_minus`` in the length unit of
+    ``spacing``: each exponent ``-(x1+x2)^2 / (4 k+^2) - (x1-x2)^2 / (4 k-^2)`` exact in
+    rationals from the floats' exact values, less the largest, then one ``math.exp``
+    per entry."""
+    x = [Fraction(2 * d - (dimension - 1), 2) * Fraction(spacing) for d in range(dimension)]
+    kp2, km2 = Fraction(kappa_plus) ** 2, Fraction(kappa_minus) ** 2
+    exponents = [[-(a + b) ** 2 / (4 * kp2) - (a - b) ** 2 / (4 * km2) for b in x] for a in x]
+    top = max(max(row) for row in exponents)
+    c = np.array([[math.exp(e - top) if e - top > -800 else 0.0 for e in row]
+                  for row in exponents])
+    return c / np.linalg.norm(c)

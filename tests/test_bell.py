@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import slit_basis
+from reference import exact_source_coeffs, slit_basis
 from talbotlab import bell, qudits
 from talbotlab.bell import (SETTING_OFFSETS, SETTING_PAIRS, bell_analytic, bell_field, bell_point,
                             bell_scan, cglmp_value, joint_prob_analytic, joint_prob_field)
@@ -435,6 +435,16 @@ def test_field_route_matches_analytic_over_the_criterion_6_scan():
     for f, a in zip(field_rows, analytic_rows):
         assert (f.dimension, f.kappa_minus) == (a.dimension, a.kappa_minus)
         assert abs(f.value - a.value) < 1e-9
+
+
+@pytest.mark.parametrize("route", ["analytic", "field"])
+@pytest.mark.parametrize("kappa_minus", [1e-7, 1e-8])
+def test_strong_correlation_keeps_its_violation_on_both_routes(route, kappa_minus):
+    # R rounds to 1 near these widths; the source amplitude at the slit centres does not
+    exact = bell_analytic(exact_source_coeffs(8, 1.0, 3.0, kappa_minus)).value
+    assert abs(exact - 2.013746492) < 1e-9
+    point = bell_point(8, 3.0, kappa_minus, route, **bell._SCAN_FIELD_POINT)
+    assert abs(point.value - exact) < 1e-9
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

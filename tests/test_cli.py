@@ -525,6 +525,12 @@ def test_bell_field_route_small(tmp_path):
     assert abs(payload["I"] - 2.8284271247461903) < 0.02
 
 
+def test_bell_reports_the_violation_of_a_strongly_correlated_source(tmp_path, capsys):
+    assert run(["bell", "--out-dir", str(tmp_path), "--set", "dimension=8",
+                "--set", "kappa_plus=3", "--set", "kappa_minus=1e-8"]) == 0
+    assert " I=2.013746 " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("route", ["analytic", "field"])
 def test_bell_json_records_the_resolved_config(route, tmp_path):
     assert run(["bell", "--out-dir", str(tmp_path), "--set", "dimension=2",

@@ -6,15 +6,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reference import dense_slit_stage, encode, fidelity, normalized_pair, slit_basis
+from reference import (dense_slit_stage, encode, exact_source_coeffs, fidelity, normalized_pair,
+                       slit_basis)
 from talbotlab.errors import InvalidSpec, UnderResolved
 from talbotlab.fields import MASS_TOL, MAX_ORDERS, gaussian_amplitude, periodic_comb, sample
-from talbotlab.spdc import (BiphotonGaussian, SlitArray, _block_rows, _coeff_matrix,
-                            _comb_columns, apply_dslit, biphoton_amplitude, comb_basis,
-                            entangled_coeffs, grating_envelope, initial_biphoton_field,
-                            maximally_entangled, render_synthesized, schmidt_modes,
-                            synthesize_single, two_photon_density, two_photon_field)
+from talbotlab.spdc import (BiphotonGaussian, SlitArray, _block_rows, _comb_columns, apply_dslit,
+                            biphoton_amplitude, comb_basis, entangled_coeffs, grating_envelope,
+                            initial_biphoton_field, maximally_entangled, render_synthesized,
+                            schmidt_modes, synthesize_single, two_photon_density,
+                            two_photon_field)
 
 S = 1.0  # slit spacing; the natural length unit of this module
 # np.trapz before NumPy 2.0; pyproject.toml allows NumPy 1.24
@@ -359,13 +361,31 @@ def test_coefficient_matrices_are_read_only_complex_unit_norm_arrays(dimension):
             c[0, 0] = 0.5
 
 
-@pytest.mark.parametrize("values, message", [
-    (np.ones((2, 3)) / math.sqrt(6.0), "coefficient matrix must be square"),
-    (1.01 * np.eye(2) / math.sqrt(2.0), "coefficient matrix must have unit Frobenius norm"),
-], ids=["2x3", "scaled"])
-def test_coefficient_matrix_refuses_a_non_square_or_unnormalised_matrix(values, message):
-    with pytest.raises(InvalidSpec, match=f"^{message}$"):
-        _coeff_matrix(values)
+# (k+, k-) in slit spacings: the figure's widths, correlations so strong that the
+# correlation coefficient R rounds to 1, their anti-correlated mirror, and widths so
+# narrow that at even D every amplitude at the slit centres underflows
+ORACLE_WIDTHS = [(9.0, 1.0), (9.0, 0.02846064124509163), (9.0, 1e-6), (3.0, 1e-7),
+                 (3.0, 1e-8), (1e-8, 9.0), (1e-7, 3.0), (0.5, 0.5), (40.0, 0.05),
+                 (0.02, 0.019)]
+
+
+@pytest.mark.parametrize("dimension", [2, 3, 5, 8, 16])
+@pytest.mark.parametrize("spacing", [1.0, 0.3])
+def test_coeffs_match_the_exact_source_amplitude_at_the_slit_centres(dimension, spacing):
+    for kp, km in ORACLE_WIDTHS:
+        model = BiphotonGaussian(kp * spacing, km * spacing)
+        exact = exact_source_coeffs(dimension, spacing, model.kappa_plus, model.kappa_minus)
+        error = np.abs(entangled_coeffs(dimension, spacing, model) - exact).max()
+        assert error <= 1e-15, (kp, km, error)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dimension=st.integers(1, 12), log_kp=st.floats(-9.0, 4.0), log_km=st.floats(-9.0, 4.0))
+def test_coeffs_match_the_exact_source_over_the_admitted_widths(dimension, log_kp, log_km):
+    kp, km = 10.0 ** log_kp, 10.0 ** log_km
+    c = entangled_coeffs(dimension, S, BiphotonGaussian(kp * S, km * S))
+    assert np.abs(c - exact_source_coeffs(dimension, S, kp * S, km * S)).max() <= 1e-15
+    np.testing.assert_array_equal(c, c.T)
 
 
 def test_single_slit_matrix_is_trivial():
